@@ -98,7 +98,7 @@ class BatteryConfig:
     @classmethod
     def from_file(cls, path) -> "BatteryConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"config is not valid JSON: {exc}") from None

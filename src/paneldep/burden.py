@@ -19,6 +19,7 @@ from .errors import (
     NormalizationError,
     ParseError,
 )
+from .panel import _parse_number
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 
@@ -143,49 +144,54 @@ def age_standardize(rates: Mapping[str, float],
     return result
 
 
+def band_rates(inputs: BurdenInput, table: LifeTable,
+               weights: DisabilityWeights, condition: str) -> dict[str, float]:
+    """Combined burden per band, deaths x expectancy plus prevalence x weight.
+
+    Bands are every band of either count, in sorted order; a band absent
+    from one count contributes nothing from it.
+    """
+    rates: dict[str, float] = {}
+    for band in sorted(set(inputs.deaths) | set(inputs.prevalence)):
+        yll = (inputs.deaths[band] * table.expectancy(band)
+               if band in inputs.deaths else 0.0)
+        yld = (inputs.prevalence[band] * weights.weight(condition, band)
+               if band in inputs.prevalence else 0.0)
+        rates[band] = yll + yld
+    return rates
+
+
 # -- CSV inputs -------------------------------------------------------------
 
-def load_band_csv(text: str) -> dict[str, float]:
-    """Two-column "band,value" CSV with a header row."""
+def _load_keyed_csv(text: str,
+                    header: tuple[str, ...]) -> dict[tuple[str, ...], float]:
+    """CSV with the given header row: key columns, then one finite value."""
     rows = list(csv.reader(io.StringIO(text)))
     rows = [r for r in rows if r and any(f.strip() for f in r)]
     if not rows:
         raise ParseError("no header: input is empty")
-    if [h.strip().lower() for h in rows[0]] != ["band", "value"]:
-        raise ParseError("line 1: expected header 'band,value'")
-    out: dict[str, float] = {}
+    if [h.strip().lower() for h in rows[0]] != list(header):
+        raise ParseError(f"line 1: expected header {','.join(header)!r}")
+    out: dict[tuple[str, ...], float] = {}
     for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ParseError(f"line {line_no}: expected two fields")
-        band = row[0].strip()
-        try:
-            value = float(row[1])
-        except ValueError:
-            raise ParseError(f"line {line_no}: {row[1]!r} is not numeric") from None
-        if band in out:
-            raise ParseError(f"line {line_no}: duplicate band {band!r}")
-        out[band] = value
+        if len(row) != len(header):
+            raise ParseError(f"line {line_no}: expected {len(header)} fields")
+        key = tuple(f.strip() for f in row[:-1])
+        value = _parse_number(row[-1], line_no, header[-1])
+        if value is None:
+            raise ParseError(f"line {line_no}: value is missing")
+        if key in out:
+            raise ParseError(f"line {line_no}: duplicate entry {','.join(key)!r}")
+        out[key] = value
     return out
+
+
+def load_band_csv(text: str) -> dict[str, float]:
+    """Two-column "band,value" CSV with a header row."""
+    rows = _load_keyed_csv(text, ("band", "value"))
+    return {band: value for (band,), value in rows.items()}
 
 
 def load_weights_csv(text: str) -> DisabilityWeights:
     """Three-column "condition,band,value" CSV with a header row."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r and any(f.strip() for f in r)]
-    if not rows:
-        raise ParseError("no header: input is empty")
-    if [h.strip().lower() for h in rows[0]] != ["condition", "band", "value"]:
-        raise ParseError("line 1: expected header 'condition,band,value'")
-    entries: dict[tuple[str, str], float] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise ParseError(f"line {line_no}: expected three fields")
-        key = (row[0].strip(), row[1].strip())
-        try:
-            value = float(row[2])
-        except ValueError:
-            raise ParseError(f"line {line_no}: {row[2]!r} is not numeric") from None
-        if key in entries:
-            raise ParseError(f"line {line_no}: duplicate weight for {key!r}")
-        entries[key] = value
-    return DisabilityWeights(entries)
+    return DisabilityWeights(_load_keyed_csv(text, ("condition", "band", "value")))

@@ -18,6 +18,7 @@ from .burden import (
     BurdenInput,
     LifeTable,
     age_standardize,
+    band_rates,
     compute_daly,
     compute_yld,
     compute_yll,
@@ -69,8 +70,13 @@ def _say(ctx, message: str) -> None:
         click.echo(message)
 
 
+def _read_input(path: Path) -> str:
+    """Text of an input file; a leading UTF-8 byte-order mark is dropped."""
+    return path.read_text(encoding="utf-8-sig")
+
+
 def _load_panel(path: Path) -> PanelDataset:
-    text = path.read_text()
+    text = _read_input(path)
     if text.lstrip().startswith("{"):
         return PanelDataset.from_json(text)
     first_line = text.lstrip().splitlines()[0] if text.strip() else ""
@@ -100,12 +106,12 @@ def ingest(ctx, wdi, gbd, region, out):
         raise ConfigError("pass --wdi, --gbd, or both")
     dataset = None
     if wdi is not None:
-        dataset = parse_wdi_wide(wdi.read_text(),
+        dataset = parse_wdi_wide(_read_input(wdi),
                                  default_region=region or "global")
         if region is not None and len(dataset.regions) > 1:
             dataset = dataset.restrict_region(region)
     if gbd is not None:
-        outcomes = parse_gbd_long(gbd.read_text())
+        outcomes = parse_gbd_long(_read_input(gbd))
         if region is not None:
             outcomes = outcomes.restrict_region(region)
         dataset = outcomes if dataset is None else dataset.merge(outcomes)
@@ -181,11 +187,11 @@ def burden(deaths, prevalence, life_table_path, weights_path, std_pop_path,
            condition):
     """Compute burden components from per-band counts."""
     inputs = BurdenInput(
-        deaths=load_band_csv(deaths.read_text()),
-        prevalence=load_band_csv(prevalence.read_text()),
+        deaths=load_band_csv(_read_input(deaths)),
+        prevalence=load_band_csv(_read_input(prevalence)),
     )
-    table = LifeTable(load_band_csv(life_table_path.read_text()))
-    weights = load_weights_csv(weights_path.read_text())
+    table = LifeTable(load_band_csv(_read_input(life_table_path)))
+    weights = load_weights_csv(_read_input(weights_path))
     if condition is None:
         conditions = weights.conditions()
         if len(conditions) != 1:
@@ -201,14 +207,8 @@ def burden(deaths, prevalence, life_table_path, weights_path, std_pop_path,
     click.echo(f"YLD: {summary.yld:g}")
     click.echo(f"DALY: {summary.daly:g}")
     if std_pop_path is not None:
-        std = load_band_csv(std_pop_path.read_text())
-        bands = set(inputs.deaths) | set(inputs.prevalence)
-        rates = {
-            band: (inputs.deaths.get(band, 0.0) * table.entries.get(band, 0.0)
-                   + inputs.prevalence.get(band, 0.0)
-                   * weights.entries.get((condition, band), 0.0))
-            for band in sorted(bands)
-        }
+        std = load_band_csv(_read_input(std_pop_path))
+        rates = band_rates(inputs, table, weights, condition)
         click.echo(f"Age-standardized rate: {age_standardize(rates, std):g}")
 
 

@@ -188,83 +188,68 @@ def mic(pair: AlignedPair, alpha: float = DEFAULT_MIC_ALPHA,
 # magnitudes, so the score is invariant under strictly monotone transforms
 # of either axis.
 
-def _equipartition(values: np.ndarray, k: int) -> np.ndarray:
-    """Assign samples to at most k ordered groups of near-equal size.
+def _run_ends(sorted_values: np.ndarray) -> np.ndarray:
+    """End index of each run of equal values in a sorted array."""
+    change = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
+    return np.append(change, len(sorted_values))
 
-    Tied values always share a group. The running target size is
-    re-estimated from the remaining points whenever a group closes.
+
+def _group_runs(lengths: np.ndarray, k: int) -> np.ndarray:
+    """Assign consecutive runs to at most k ordered groups of near-equal size.
+
+    A run never splits. The running target size is re-estimated from the
+    remaining points whenever a group closes.
     """
-    n = len(values)
-    order = np.argsort(values, kind="stable")
-    assign = np.empty(n, dtype=np.intp)
+    n = int(lengths.sum())
+    groups = np.empty(len(lengths), dtype=np.intp)
     group = 0
     in_group = 0
     desired = n / k
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and values[order[j]] == values[order[i]]:
-            j += 1
-        tie = j - i
+    placed = 0
+    for r, tie in enumerate(lengths.tolist()):
         if (in_group > 0 and group < k - 1
                 and abs(in_group + tie - desired) >= abs(in_group - desired)):
             group += 1
             in_group = 0
-            desired = (n - i) / (k - group)
-        assign[order[i:j]] = group
+            desired = (n - placed) / (k - group)
+        groups[r] = group
         in_group += tie
-        i = j
+        placed += tie
+    return groups
+
+
+def _equipartition(values: np.ndarray, k: int) -> np.ndarray:
+    """Assign samples to at most k ordered groups of near-equal size.
+
+    Tied values always share a group.
+    """
+    order = np.argsort(values, kind="stable")
+    lengths = np.diff(_run_ends(values[order]), prepend=0)
+    assign = np.empty(len(values), dtype=np.intp)
+    assign[order] = np.repeat(_group_runs(lengths, k), lengths)
     return assign
 
 
-def _clump_ends(x_sorted: np.ndarray, rows_x_order: np.ndarray) -> np.ndarray:
+def _clump_ends(runs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Prefix point counts at clump boundaries (index 0 is the empty prefix).
 
-    A clump is a maximal run of x-consecutive points sharing a row; points
-    with identical x are fused first and, when their rows disagree, pinned
-    as an unmergeable run of their own.
+    ``runs`` ends each run of tied x values and ``rows`` gives the row of
+    each point in x order. A clump is a maximal run of x-consecutive points
+    sharing a row; a tie run whose rows disagree is pinned as an
+    unmergeable clump of its own.
     """
-    n = len(x_sorted)
-    groups: list[tuple[int, int]] = []  # (token, end)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and x_sorted[j] == x_sorted[i]:
-            j += 1
-        rows = rows_x_order[i:j]
-        token = int(rows[0]) if np.all(rows == rows[0]) else -1 - i
-        groups.append((token, j))
-        i = j
-    ends = [0]
-    prev_token = None
-    for token, end in groups:
-        if prev_token is not None and token == prev_token and token >= 0:
-            ends[-1] = end
-        else:
-            ends.append(end)
-        prev_token = token
-    return np.asarray(ends, dtype=np.intp)
+    starts = np.concatenate(([0], runs[:-1]))
+    low = np.minimum.reduceat(rows, starts)
+    token = np.where(low == np.maximum.reduceat(rows, starts), low, -1 - starts)
+    return np.concatenate(([0], runs[:-1][token[1:] != token[:-1]], runs[-1:]))
 
 
 def _superclump_ends(ends: np.ndarray, budget: int) -> np.ndarray:
     """Merge clumps down to at most ``budget`` candidates, clumps intact."""
-    k = len(ends) - 1
-    if k <= budget:
+    if len(ends) - 1 <= budget:
         return ends
-    n = int(ends[-1])
-    clump_idx = np.empty(n, dtype=float)
-    for t in range(k):
-        clump_idx[ends[t]:ends[t + 1]] = t
-    assign = _equipartition(clump_idx, budget)
-    change = np.nonzero(np.diff(assign))[0] + 1
-    return np.concatenate(([0], change, [n])).astype(np.intp)
-
-
-def _xlog2x(a: np.ndarray) -> np.ndarray:
-    out = np.zeros(a.shape, dtype=float)
-    nz = a > 0
-    out[nz] = a[nz] * np.log2(a[nz])
-    return out
+    groups = _group_runs(np.diff(ends), budget)
+    return ends[np.concatenate(([True], groups[1:] != groups[:-1], [True]))]
 
 
 def _entropy_counts(counts: np.ndarray) -> float:
@@ -277,7 +262,8 @@ def _optimize_axis(cum: np.ndarray, n: int, max_cols: int, hq: float,
                    want_partitions: bool):
     """Exact DP over the boundary set: best I(P;Q) per column count.
 
-    ``cum[t, r]`` counts points of row r in the first t clumps. For an
+    ``cum[t, r]`` is the integer count of points of row r in the first t
+    clumps, so every x*log2(x) term is a lookup in one table. For an
     interval (s, t] forming one column, the contribution
     sum_r c_r*log2(c_r) - m*log2(m) is additive across columns, so prefix
     optima compose exactly. Returns {l: score} for l = 2..max_cols (column
@@ -286,11 +272,11 @@ def _optimize_axis(cum: np.ndarray, n: int, max_cols: int, hq: float,
     """
     k = cum.shape[0] - 1
     tot = cum.sum(axis=1)
+    c = np.arange(1, n + 1, dtype=float)
+    xlog2x = np.concatenate(([0.0], c * np.log2(c)))
+    s, t = np.triu_indices(k + 1, 1)
     G = np.full((k + 1, k + 1), -np.inf)
-    for s in range(k):
-        seg = cum[s + 1:] - cum[s]
-        m = tot[s + 1:] - tot[s]
-        G[s, s + 1:] = _xlog2x(seg).sum(axis=1) - _xlog2x(m)
+    G[s, t] = xlog2x[cum[t] - cum[s]].sum(axis=1) - xlog2x[tot[t] - tot[s]]
 
     W = G[0].copy()
     argmax_at: dict[int, np.ndarray] = {}
@@ -321,7 +307,7 @@ def _fill_cells(cells: dict, col_vals: np.ndarray, row_vals: np.ndarray,
                 bound: int, clumps: int, eq7: bool, transpose: bool) -> None:
     n = len(col_vals)
     order = np.argsort(col_vals, kind="stable")
-    col_sorted = col_vals[order]
+    runs = _run_ends(col_vals[order])
     for n_rows in range(2, bound // 2 + 1):
         max_cols = bound // n_rows
         if max_cols < 2:
@@ -330,13 +316,10 @@ def _fill_cells(cells: dict, col_vals: np.ndarray, row_vals: np.ndarray,
         row_count = int(row_assign.max()) + 1
         hq = _entropy_counts(np.bincount(row_assign, minlength=row_count))
         rows_x_order = row_assign[order]
-        ends = _clump_ends(col_sorted, rows_x_order)
+        ends = _clump_ends(runs, rows_x_order)
         ends = _superclump_ends(ends, max(clumps * max_cols, max_cols))
-        cum = np.zeros((len(ends), row_count))
-        for t in range(len(ends) - 1):
-            cum[t + 1] = cum[t] + np.bincount(
-                rows_x_order[ends[t]:ends[t + 1]], minlength=row_count
-            )
+        one_hot = rows_x_order[:, None] == np.arange(row_count)
+        cum = np.pad(np.cumsum(one_hot, axis=0), ((1, 0), (0, 0)))[ends]
         scores, partitions = _optimize_axis(cum, n, max_cols, hq, eq7)
         for l in range(2, max_cols + 1):
             raw = scores[l]

@@ -4,7 +4,37 @@ import itertools
 
 import numpy as np
 
-from paneldep.info import _equipartition, grid_bound
+from paneldep.info import grid_bound
+
+
+def reference_equipartition(values: np.ndarray, k: int) -> np.ndarray:
+    """Assign samples to at most k ordered groups of near-equal size.
+
+    Point-by-point reference for the package's tie-run version. Tied values
+    always share a group. The running target size is re-estimated from the
+    remaining points whenever a group closes.
+    """
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    assign = np.empty(n, dtype=np.intp)
+    group = 0
+    in_group = 0
+    desired = n / k
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and values[order[j]] == values[order[i]]:
+            j += 1
+        tie = j - i
+        if (in_group > 0 and group < k - 1
+                and abs(in_group + tie - desired) >= abs(in_group - desired)):
+            group += 1
+            in_group = 0
+            desired = (n - i) / (k - group)
+        assign[order[i:j]] = group
+        in_group += tie
+        i = j
+    return assign
 
 
 def brute_force_mic(x, y, alpha: float = 0.6) -> float:
@@ -29,7 +59,7 @@ def brute_force_mic(x, y, alpha: float = 0.6) -> float:
             max_cols = bound // n_rows
             if max_cols < 2:
                 break
-            assign = _equipartition(row_vals, n_rows)
+            assign = reference_equipartition(row_vals, n_rows)
             row_counts = np.bincount(assign)
             pq = row_counts / n
             hq = float(-np.sum(pq[pq > 0] * np.log2(pq[pq > 0])))

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paneldep.burden import (
+    BurdenInput,
     BurdenSummary,
     DisabilityWeights,
     LifeTable,
     age_standardize,
+    band_rates,
     compute_daly,
     compute_yld,
     compute_yll,
@@ -167,3 +169,15 @@ def test_weights_csv_loader():
     weights = load_weights_csv("condition,band,value\ndep,a1,0.2\ndep,a2,0.4\n")
     assert weights.weight("dep", "a2") == 0.4
     assert weights.conditions() == ("dep",)
+
+
+def test_band_rates():
+    inputs = BurdenInput(deaths={"a2": 5.0, "a1": 10.0},
+                         prevalence={"a1": 100.0, "a3": 50.0})
+    table = LifeTable({"a1": 30.0, "a2": 10.0})
+    weights = DisabilityWeights({("dep", "a1"): 0.2, ("dep", "a3"): 0.4})
+    rates = band_rates(inputs, table, weights, "dep")
+    assert list(rates) == ["a1", "a2", "a3"]
+    assert rates == {"a1": 320.0, "a2": 50.0, "a3": 20.0}
+    with pytest.raises(MissingBandError, match="a2"):
+        band_rates(inputs, LifeTable({"a1": 30.0}), weights, "dep")

@@ -53,6 +53,12 @@ class TestIngest:
     def test_no_sources_is_config_error(self, workdir):
         assert run("ingest", "--out", "p.json") == 2
 
+    def test_gbd_with_byte_order_mark(self, workdir):
+        (workdir / "gbd.csv").write_text("\ufeff" + GBD, encoding="utf-8")
+        assert run("ingest", "--gbd", "gbd.csv", "--out", "panel.json") == 0
+        ds = PanelDataset.from_json((workdir / "panel.json").read_text())
+        assert ds.regions == ("R1", "R2")
+
     def test_parse_error_exits_one(self, workdir):
         (workdir / "bad.csv").write_text("code,region,20xx\nE1,global,1\n")
         assert run("ingest", "--wdi", "bad.csv", "--out", "p.json") == 1
@@ -174,6 +180,24 @@ class TestTwoRegionPipeline:
         skips = [s for row in bundle["matrices"][0]["skips"] for s in row if s]
         assert skips
 
+    def test_long_csv_with_byte_order_mark_accepted_as_panel(self, workdir):
+        rows = ["\ufefflocation,age_group,cause,measure,year,value"]
+        rows += [f"R1,20-39,{cause},DALYs,{year},{value}"
+                 for year in range(2000, 2010)
+                 for cause, value in (("depressive", 500 + year % 7),
+                                      ("anxiety", 300 + year % 5))]
+        (workdir / "gbd.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        (workdir / "config.json").write_text(json.dumps({
+            "methods": ["pearson"],
+            "outcomes": ["depressive|DALYs|20-39"],
+            "indicators": ["anxiety|DALYs|20-39"],
+            "min_overlap": 3,
+        }))
+        assert run("--quiet", "analyze", "--panel", "gbd.csv",
+                   "--config", "config.json", "--out", "results") == 0
+        bundle = json.loads((workdir / "results" / "bundle.json").read_text())
+        assert bundle["matrices"][0]["cells"][0][0]["n"] == 10
+
 
 BANDS = "band,value\na1,10\na2,5\n"
 PREV = "band,value\na1,100\na2,50\n"
@@ -227,6 +251,22 @@ class TestBurden:
                    "--life-table", "l.csv", "--weights", "w.csv",
                    "--condition", "anx") == 0
         assert "YLD: 15" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("deaths, life", [
+        ("band,value\na1,nan\na2,5\n", LIFE),
+        (BANDS, "band,value\na1,inf\na2,10\n"),
+    ], ids=["nan-deaths", "inf-life-expectancy"])
+    def test_non_finite_value_exits_parse_error(self, workdir, capsys,
+                                                deaths, life):
+        (workdir / "d.csv").write_text(deaths)
+        (workdir / "p.csv").write_text(PREV)
+        (workdir / "l.csv").write_text(life)
+        (workdir / "w.csv").write_text(WEIGHTS)
+        assert run("burden", "--deaths", "d.csv", "--prevalence", "p.csv",
+                   "--life-table", "l.csv", "--weights", "w.csv") == 1
+        captured = capsys.readouterr()
+        assert "non-finite value" in captured.err
+        assert "DALY" not in captured.out
 
 
 class TestGlobalFlags:

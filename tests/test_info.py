@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from paneldep.errors import DomainError, InsufficientDataError
 from paneldep.info import (
     JointHistogram,
+    _equipartition,
     default_mi_bins,
     discretize,
     entropy,
@@ -17,7 +18,7 @@ from paneldep.info import (
 from paneldep.linear import pearson
 
 from conftest import make_pair
-from oracles import brute_force_mic
+from oracles import brute_force_mic, reference_equipartition
 
 
 class TestDiscretize:
@@ -214,3 +215,11 @@ class TestMic:
     def test_grid_bound(self):
         assert grid_bound(200, 0.6) == 25
         assert grid_bound(25, 0.6) == 7
+
+    @given(st.lists(st.integers(-6, 6).map(lambda v: v / 4), min_size=1,
+                    max_size=80))
+    def test_equipartition_matches_point_by_point_reference(self, values):
+        values = np.asarray(values)
+        for k in range(1, 21):
+            assert _equipartition(values, k).tolist() == \
+                reference_equipartition(values, k).tolist()

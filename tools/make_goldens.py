@@ -6,13 +6,11 @@ package itself uses:
 * Pairwise correlation over the bundled fixture, evaluated term by term
   from the definitional formula in 50-digit arithmetic (mpmath), over
   pairwise-complete years.
-* Upper-tail probabilities of the t and F distributions by direct
-  numerical integration of the densities in 50-digit arithmetic.
-* A dense grid of the same tails over the degrees of freedom the battery
-  uses, down to p ~ 1e-100. Quadrature loses digits that deep in the
-  tail, so this grid takes mpmath's regularized incomplete beta (a
-  hypergeometric series, not the package's continued fraction) and keeps
-  a point only when 50- and 80-digit evaluations agree to 1e-40.
+* Upper-tail probabilities of the t and F distributions from mpmath's
+  regularized incomplete beta (a hypergeometric series, not the package's
+  continued fraction), kept only when 50- and 80-digit evaluations agree
+  to 1e-40: a 50-point grid of moderate statistics, and a dense grid over
+  the degrees of freedom the battery uses, down to p ~ 1e-100.
 
 Outputs land in tests/data/ and are committed; the tests never recompute
 them.
@@ -72,45 +70,25 @@ def pearson_matrix():
     return {"codes": codes, "n": n, "r": r}
 
 
-def t_tail(t, dof):
-    t = mp.mpf(t)
-    dof = mp.mpf(dof)
-    c = mp.gamma((dof + 1) / 2) / (mp.sqrt(dof * mp.pi) * mp.gamma(dof / 2))
-    pdf = lambda u: c * (1 + u * u / dof) ** (-(dof + 1) / 2)
-    return mp.quad(pdf, [t, mp.inf])
-
-
-def f_tail(f, d1, d2):
-    f = mp.mpf(f)
-    d1 = mp.mpf(d1)
-    d2 = mp.mpf(d2)
-    B = mp.beta(d1 / 2, d2 / 2)
-
-    def pdf(u):
-        num = (d1 * u) ** d1 * d2 ** d2
-        den = (d1 * u + d2) ** (d1 + d2)
-        return mp.sqrt(num / den) / (u * B)
-
-    return mp.quad(pdf, [f, mp.inf])
-
-
 def tail_grid():
     t_stats = [0.0, 0.5, 1.0, 2.0, 2.5, 3.5, 5.0]
     t_dofs = [1, 2, 5, 10]
     t_points = [
-        {"t": t, "dof": d, "sf": float(t_tail(t, d))}
+        {"t": t, "dof": d, "sf": float(t_tail_beta(t, d))}
         for t in t_stats
         for d in t_dofs
     ]
     f_combos = [(1, 1), (1, 40), (2, 10), (5, 5)]
     f_stats = [0.05, 0.5, 1.0, 2.5, 3.89]
     f_points = [
-        {"f": f, "d1": d1, "d2": d2, "sf": float(f_tail(f, d1, d2))}
+        {"f": f, "d1": d1, "d2": d2, "sf": float(f_tail_beta(f, d1, d2))}
         for f in f_stats
         for d1, d2 in f_combos
     ]
-    f_points.append({"f": 20.0, "d1": 1, "d2": 40, "sf": float(f_tail(20.0, 1, 40))})
-    f_points.append({"f": 7.7, "d1": 3, "d2": 30, "sf": float(f_tail(7.7, 3, 30))})
+    f_points += [
+        {"f": f, "d1": d1, "d2": d2, "sf": float(f_tail_beta(f, d1, d2))}
+        for f, d1, d2 in ((20.0, 1, 40), (7.7, 3, 30))
+    ]
     assert len(t_points) + len(f_points) == 50
     return {"t": t_points, "f": f_points}
 
