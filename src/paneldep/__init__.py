@@ -63,7 +63,7 @@ from .temporal import (
     first_difference,
     granger_test,
     lag_sweep,
-    ols_rss,
+    nested_rss,
 )
 
 __version__ = "0.1.0"
@@ -110,7 +110,7 @@ __all__ = [
     "load_fixture",
     "mic",
     "mutual_information",
-    "ols_rss",
+    "nested_rss",
     "parse_gbd_long",
     "parse_wdi_wide",
     "pearson",

@@ -7,8 +7,6 @@ burden. Bands are plain labels, never parsed or compared numerically.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -19,7 +17,7 @@ from .errors import (
     NormalizationError,
     ParseError,
 )
-from .panel import _parse_number
+from .panel import _csv_records, _parse_number
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 
@@ -166,14 +164,13 @@ def band_rates(inputs: BurdenInput, table: LifeTable,
 def _load_keyed_csv(text: str,
                     header: tuple[str, ...]) -> dict[tuple[str, ...], float]:
     """CSV with the given header row: key columns, then one finite value."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r and any(f.strip() for f in r)]
+    rows = list(_csv_records(text))
     if not rows:
         raise ParseError("no header: input is empty")
-    if [h.strip().lower() for h in rows[0]] != list(header):
+    if [h.strip().lower() for h in rows[0][1]] != list(header):
         raise ParseError(f"line 1: expected header {','.join(header)!r}")
     out: dict[tuple[str, ...], float] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError(f"line {line_no}: expected {len(header)} fields")
         key = tuple(f.strip() for f in row[:-1])

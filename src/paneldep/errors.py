@@ -59,11 +59,11 @@ class SingularDesignError(PanelDepError):
         self.rank = rank
 
 
-class MissingBandError(PanelDepError):
+class MissingBandError(ParseError):
     """An age band is absent from a life table or weight mapping."""
 
 
-class MissingWeightError(PanelDepError):
+class MissingWeightError(ParseError):
     """No disability weight for a (condition, age band) pair."""
 
 

@@ -306,6 +306,8 @@ class PanelDataset:
 
     @classmethod
     def from_json(cls, text: str) -> "PanelDataset":
+        """Inverse of to_json. Values must be finite numbers or null and
+        years integers; anything else in the snapshot is a ParseError."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -315,16 +317,17 @@ class PanelDataset:
                 IndicatorCode(d["code"], d["name"], d["category"], d["units"])
                 for d in doc["indicators"]
             )
-            cells = {
-                (c["region"], c["code"]): AnnualSeries(
-                    tuple(c["years"]),
-                    tuple(None if v is None else float(v) for v in c["values"]),
-                )
-                for c in doc["cells"]
-            }
+            cells = {}
+            for c in doc["cells"]:
+                key = (c["region"], c["code"])
+                if key in cells:
+                    raise DuplicateKeyError(f"panel snapshot repeats cell {key}")
+                cells[key] = _snapshot_series(key, c["years"], c["values"])
             return cls(tuple(doc["regions"]), indicators, cells)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"panel snapshot missing field: {exc}") from None
+        except DomainError as exc:
+            raise ParseError(f"panel snapshot: {exc}") from None
 
     def to_wdi_csv(self) -> str:
         """Wide CSV over the union of all years; missing marker "-"."""
@@ -350,6 +353,43 @@ class PanelDataset:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
+def _snapshot_value(value) -> float | None:
+    """A snapshot value: null, or a number under _parse_number's finite rule."""
+    if value is None:
+        return None
+    if type(value) is not float and type(value) is not int:
+        raise ParseError(f"{value!r} is neither a number nor null")
+    value = float(value)
+    if math.isnan(value) or math.isinf(value):
+        raise ParseError("non-finite value")
+    return value
+
+
+def _snapshot_series(key, years, values) -> AnnualSeries:
+    """One snapshot cell; integer years, finite values, as the CSVs require."""
+    try:
+        if any(type(year) is not int for year in years):
+            raise ParseError("years must be integers")
+        return AnnualSeries(tuple(years), tuple(map(_snapshot_value, values)))
+    except (ParseError, DomainError, OverflowError) as exc:
+        raise ParseError(f"panel snapshot cell {key}: {exc}") from None
+
+
+def _csv_records(text: str):
+    """(line number, fields) of each non-blank CSV record, read lazily.
+
+    Any line ending is accepted; a record the csv module rejects is a
+    ParseError.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            if any(f.strip() for f in row):
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
 def _parse_number(cell: str, line_no: int, col_name: str) -> float | None:
     cell = cell.strip()
     if cell in ("-", ""):
@@ -372,11 +412,7 @@ def parse_wdi_wide(text: str, default_region: str = DEFAULT_REGION) -> PanelData
     The region column is optional; rows without it are assigned
     ``default_region``. Missing cells are "-" or empty.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = []
-    for row in reader:
-        if row and any(f.strip() for f in row):
-            rows.append((reader.line_num, row))
+    rows = list(_csv_records(text))
     if not rows:
         raise ParseError("no header: input is empty")
     header = rows[0][1]
@@ -436,7 +472,7 @@ def parse_wdi_wide(text: str, default_region: str = DEFAULT_REGION) -> PanelData
 
 def _looks_like_year(cell: str) -> bool:
     cell = cell.strip()
-    return len(cell) == 4 and cell.isdigit()
+    return len(cell) == 4 and cell.isascii() and cell.isdigit()
 
 
 GBD_HEADER = ("location", "age_group", "cause", "measure", "year", "value")
@@ -454,11 +490,10 @@ def parse_gbd_long(text: str) -> PanelDataset:
     Expected header: location,age_group,cause,measure,year,value. Each
     distinct (cause, measure, age group) becomes its own outcome code.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("no header: input is empty") from None
+    records = _csv_records(text)
+    _, header = next(records, (None, None))
+    if header is None:
+        raise ParseError("no header: input is empty")
     if tuple(h.strip() for h in header) != GBD_HEADER:
         raise ParseError(
             f"line 1: expected header {','.join(GBD_HEADER)!r}, "
@@ -468,9 +503,7 @@ def parse_gbd_long(text: str) -> PanelDataset:
     regions: list[str] = []
     codes: list[str] = []
     points: dict[tuple[str, str], dict[int, float]] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row or not any(f.strip() for f in row):
-            continue
+    for line_no, row in records:
         if len(row) != len(GBD_HEADER):
             raise ParseError(f"line {line_no}: expected {len(GBD_HEADER)} fields")
         location, age_text, cause, measure, year_text, value_text = (

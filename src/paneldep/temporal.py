@@ -32,13 +32,8 @@ def first_difference(series) -> tuple[float, ...]:
     return tuple(b - a for a, b in zip(values, values[1:]))
 
 
-def ols_rss(design, response) -> tuple[np.ndarray, float]:
-    """Least squares via orthogonal decomposition; returns (coefficients, rss).
-
-    The solver must not form the normal equations: near-collinear lag
-    columns would square their condition number. Rank deficiency raises
-    SingularDesignError with the estimated rank.
-    """
+def _gain_and_rss(design, response, restricted_cols: int) -> tuple[float, float]:
+    """(rss_r - rss_ur, rss_ur) of the nested fits described in nested_rss."""
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     if X.ndim != 2:
@@ -46,18 +41,36 @@ def ols_rss(design, response) -> tuple[np.ndarray, float]:
     rows, cols = X.shape
     if y.shape != (rows,):
         raise DomainError("response length does not match design rows")
+    if not 0 <= restricted_cols <= cols:
+        raise DomainError(f"restricted_cols must lie in 0..{cols}")
     if rows <= cols:
         raise InsufficientDataError(
             f"need more rows than columns, got {rows}x{cols}"
         )
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    R = np.linalg.qr(np.column_stack([X, y]), mode="r")
+    diag = np.abs(np.diag(R)[:cols])
+    tol = max(rows, cols) * np.finfo(float).eps * diag.max(initial=0.0)
+    rank = int(np.count_nonzero(diag > tol))
     if rank < cols:
         raise SingularDesignError(
             f"design is rank deficient (rank {rank} of {cols} columns)",
-            rank=int(rank),
+            rank=rank,
         )
-    resid = y - X @ beta
-    return beta, float(resid @ resid)
+    gain = R[restricted_cols:cols, cols]
+    return float(gain @ gain), float(R[cols, cols] ** 2)
+
+
+def nested_rss(design, response, restricted_cols: int) -> tuple[float, float]:
+    """Residual sums (rss_r, rss_ur) of two nested least-squares fits.
+
+    The restricted fit uses the first ``restricted_cols`` of the p design
+    columns. One QR of [design | response] gives both: R[p, p]^2 is rss_ur,
+    ||R[restricted_cols:p, p]||^2 is rss_r - rss_ur. Any |diag R| at or
+    below max(rows, cols) * eps * max|diag R|, the default rank cutoff of
+    least squares, raises SingularDesignError with the rank.
+    """
+    gain, rss_ur = _gain_and_rss(design, response, restricted_cols)
+    return rss_ur + gain, rss_ur
 
 
 def f_sf(f: float, d1: float, d2: float) -> float:
@@ -86,8 +99,8 @@ class LagDesign:
     """Regression pieces for one lag order on one aligned pair."""
 
     response: np.ndarray
-    predictors_restricted: np.ndarray
-    predictors_unrestricted: np.ndarray
+    #: [1 | y lags | x lags]; the restricted model is the first 1 + lag.
+    predictors: np.ndarray
     lag: int
     n_eff: int
 
@@ -115,19 +128,12 @@ class LagSweep:
     best: GrangerResult
 
 
-def _check_contiguous(years) -> None:
-    for a, b in zip(years, years[1:]):
-        if b - a != 1:
-            raise NonContiguousYearsError(
-                f"years jump from {a} to {b}; lags are meaningless across gaps"
-            )
-
-
 def build_lag_design(x, y, lag: int) -> LagDesign:
     """Stack intercept and lag columns for the nested model pair.
 
     Restricted: intercept + ``lag`` lags of y. Unrestricted: those plus
-    ``lag`` lags of x. Requires n - lag > 1 + 2*lag usable rows.
+    ``lag`` lags of x, appended so the restricted columns are a prefix.
+    Requires n - lag > 1 + 2*lag usable rows.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -140,16 +146,31 @@ def build_lag_design(x, y, lag: int) -> LagDesign:
             f"{n} observations leave {n_eff} usable rows, need more than "
             f"{1 + 2 * lag} for lag {lag}"
         )
-    ones = np.ones((n_eff, 1))
     y_lags = np.column_stack([y[lag - j:n - j] for j in range(1, lag + 1)])
     x_lags = np.column_stack([x[lag - j:n - j] for j in range(1, lag + 1)])
-    return LagDesign(
-        response=y[lag:],
-        predictors_restricted=np.hstack([ones, y_lags]),
-        predictors_unrestricted=np.hstack([ones, y_lags, x_lags]),
-        lag=lag,
-        n_eff=n_eff,
-    )
+    predictors = np.hstack([np.ones((n_eff, 1)), y_lags, x_lags])
+    return LagDesign(y[lag:], predictors, lag, n_eff)
+
+
+def _prepare(pair: AlignedPair, difference_first: bool):
+    """The (x, y) sequences every lag of one pair is fitted on."""
+    for a, b in zip(pair.years, pair.years[1:]):
+        if b - a != 1:
+            raise NonContiguousYearsError(
+                f"years jump from {a} to {b}; lags are meaningless across gaps"
+            )
+    if difference_first:
+        return first_difference(pair.x), first_difference(pair.y)
+    return pair.x, pair.y
+
+
+def _fit(x, y, lag: int) -> GrangerResult:
+    design = build_lag_design(x, y, lag)
+    gain, rss_ur = _gain_and_rss(design.predictors, design.response, 1 + lag)
+    dof_den = design.n_eff - (1 + 2 * lag)
+    f = math.inf if rss_ur == 0.0 else (gain / lag) / (rss_ur / dof_den)
+    return GrangerResult(lag, f, f_sf(f, lag, dof_den), rss_ur + gain, rss_ur,
+                         design.n_eff)
 
 
 def granger_test(pair: AlignedPair, lag: int,
@@ -161,26 +182,7 @@ def granger_test(pair: AlignedPair, lag: int,
     designs are built (the caller's stationarity treatment; never applied
     silently).
     """
-    _check_contiguous(pair.years)
-    x, y = pair.x, pair.y
-    if difference_first:
-        x = first_difference(x)
-        y = first_difference(y)
-    design = build_lag_design(x, y, lag)
-    _, rss_r = ols_rss(design.predictors_restricted, design.response)
-    _, rss_ur = ols_rss(design.predictors_unrestricted, design.response)
-    dof_den = design.n_eff - (1 + 2 * lag)
-    if rss_ur == 0.0:
-        return GrangerResult(lag, math.inf, 0.0, rss_r, rss_ur, design.n_eff)
-    f = max(0.0, ((rss_r - rss_ur) / lag) / (rss_ur / dof_den))
-    return GrangerResult(
-        lag=lag,
-        f_stat=f,
-        p_value=f_sf(f, lag, dof_den),
-        rss_restricted=rss_r,
-        rss_unrestricted=rss_ur,
-        n_eff=design.n_eff,
-    )
+    return _fit(*_prepare(pair, difference_first), lag)
 
 
 def lag_sweep(pair: AlignedPair, max_lag: int,
@@ -193,19 +195,16 @@ def lag_sweep(pair: AlignedPair, max_lag: int,
     """
     if max_lag < 1:
         raise DomainError(f"max_lag must be >= 1, got {max_lag}")
-    results: list[GrangerResult] = []
-    skipped: list[SkippedLag] = []
+    x, y = _prepare(pair, difference_first)
+    results, skipped = [], []
     for lag in range(1, max_lag + 1):
         try:
-            results.append(granger_test(pair, lag, difference_first))
+            results.append(_fit(x, y, lag))
         except (InsufficientDataError, SingularDesignError) as exc:
             skipped.append(SkippedLag(lag, str(exc)))
     if not results:
         raise InsufficientDataError(
             f"pair of length {pair.n} is too short for even lag 1"
         )
-    best = results[0]
-    for res in results[1:]:
-        if res.p_value < best.p_value:
-            best = res
+    best = min(results, key=lambda res: res.p_value)  # first minimum wins
     return LagSweep(tuple(results), tuple(skipped), best)

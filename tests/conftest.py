@@ -48,3 +48,9 @@ def tail_golden():
 def tail_dense_golden():
     with open(DATA / "tail_probability_dense_golden.json") as fh:
         return json.load(fh)
+
+
+@pytest.fixture(scope="session")
+def granger_golden():
+    with open(DATA / "granger_fixture_golden.json") as fh:
+        return json.load(fh)

@@ -67,6 +67,63 @@ class TestIngest:
         assert run("ingest", "--wdi", "missing.csv", "--out", "p.json") == 1
 
 
+SNAPSHOT = {
+    "regions": ["global"],
+    "indicators": [
+        {"code": "E1", "name": "GDP", "category": "Economic", "units": ""},
+        {"code": "S1", "name": "Life", "category": "Society", "units": ""},
+    ],
+    "cells": [
+        {"region": "global", "code": "E1", "years": [2000, 2001, 2002, 2003],
+         "values": [1.0, 2.0, 3.0, 5.0]},
+        {"region": "global", "code": "S1", "years": [2000, 2001, 2002, 2003],
+         "values": [60.0, 61.0, 60.5, 62.0]},
+    ],
+}
+
+
+def _snapshot_with(section, field, value):
+    """SNAPSHOT as JSON text with one field of its first entry replaced."""
+    doc = json.loads(json.dumps(SNAPSHOT))
+    doc[section][0][field] = value
+    return json.dumps(doc)
+
+
+class TestSnapshotValidation:
+    @pytest.mark.parametrize("text", [
+        _snapshot_with("cells", "values", [1.0, "abc", 3.0, 5.0]),
+        json.dumps(SNAPSHOT).replace("2.0", "NaN", 1),
+        json.dumps(SNAPSHOT).replace("2.0", "Infinity", 1),
+        json.dumps(SNAPSHOT).replace("2.0", "1e999", 1),
+        _snapshot_with("cells", "years", [2000, 2002, 2001, 2003]),
+        _snapshot_with("cells", "years", [2000, 2001, 2002]),
+        _snapshot_with("cells", "code", "ZZ9"),
+        _snapshot_with("indicators", "category", "Finance"),
+        _snapshot_with("cells", "years", ["2000", "2001", "2002", "2003"]),
+        _snapshot_with("cells", "code", "S1"),
+    ], ids=["string-value", "nan", "infinity", "overflow", "years-not-increasing",
+            "length-mismatch", "unknown-code", "bad-category", "string-years",
+            "repeated-cell"])
+    def test_malformed_snapshot_exits_input_error(self, workdir, capsys, text):
+        (workdir / "panel.json").write_text(text)
+        (workdir / "config.json").write_text(json.dumps({
+            "methods": ["pearson", "granger"], "outcomes": ["S1"],
+            "indicators": ["E1"], "min_overlap": 3,
+        }))
+        assert run("--quiet", "analyze", "--panel", "panel.json",
+                   "--config", "config.json", "--out", "results") == 1
+        assert "input error: panel snapshot" in capsys.readouterr().err
+
+    def test_well_formed_snapshot_runs(self, workdir):
+        (workdir / "panel.json").write_text(json.dumps(SNAPSHOT))
+        (workdir / "config.json").write_text(json.dumps({
+            "methods": ["pearson"], "outcomes": ["S1"], "indicators": ["E1"],
+            "min_overlap": 3,
+        }))
+        assert run("--quiet", "analyze", "--panel", "panel.json",
+                   "--config", "config.json", "--out", "results") == 0
+
+
 class TestFixtureCommand:
     def test_emits_15_rows(self, workdir, capsys):
         assert run("fixture") == 0
@@ -266,6 +323,24 @@ class TestBurden:
                    "--life-table", "l.csv", "--weights", "w.csv") == 1
         captured = capsys.readouterr()
         assert "non-finite value" in captured.err
+        assert "DALY" not in captured.out
+
+
+    @pytest.mark.parametrize("deaths, weights, missing", [
+        ("band,value\na1,10\na9,5\n", WEIGHTS, "'a9' missing from life table"),
+        (BANDS, "condition,band,value\ndep,a1,0.2\n", "no disability weight"),
+    ], ids=["deaths-band-without-life-expectancy", "prevalence-band-without-weight"])
+    def test_missing_band_exits_input_error(self, workdir, capsys,
+                                            deaths, weights, missing):
+        (workdir / "d.csv").write_text(deaths)
+        (workdir / "p.csv").write_text(PREV)
+        (workdir / "l.csv").write_text(LIFE)
+        (workdir / "w.csv").write_text(weights)
+        assert run("burden", "--deaths", "d.csv", "--prevalence", "p.csv",
+                   "--life-table", "l.csv", "--weights", "w.csv") == 1
+        captured = capsys.readouterr()
+        assert "input error" in captured.err
+        assert missing in captured.err
         assert "DALY" not in captured.out
 
 

@@ -1,5 +1,7 @@
+import json
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paneldep.errors import (
     DomainError,
@@ -10,9 +12,12 @@ from paneldep.errors import (
     ParseError,
 )
 from paneldep.panel import (
+    CATEGORIES,
+    GBD_HEADER,
     AgeGroup,
     AnnualSeries,
     BUILTIN_INDICATORS,
+    IndicatorCode,
     PanelDataset,
     age_group_of_code,
     align_pair,
@@ -313,3 +318,119 @@ class TestFixture:
             series = ds.series("global", code)
             assert series.years == tuple(range(1991, 2024))
             assert series.n_present == 33
+
+
+# -- parser fuzzing -----------------------------------------------------------
+
+#: Fragments that steer generated text toward the parsers' branches.
+CSV_TOKENS = st.sampled_from([
+    "code", "region", "E1", "S1", "global", "2000", "2001", "1999", "-", "",
+    "1.5", "-0.0", "nan", "inf", "-Infinity", "1e999", "abc", '"', '"a,b"',
+    "\ufeff", " ", "20-39", "40+", "all", "depressive", "DALYs", "deaths",
+    "\u00b2\u00b2\u00b2\u00b2", "\u0662\u0660\u0660\u0660",
+]) | st.text(max_size=4)
+
+
+@st.composite
+def csv_texts(draw, header=None):
+    """Comma/newline-joined token grids, optionally under a fixed header."""
+    rows = draw(st.lists(st.lists(CSV_TOKENS, max_size=7), max_size=6))
+    lines = [",".join(row) for row in rows]
+    if header is not None:
+        lines.insert(0, header)
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=10**308, max_value=10**400)
+                | st.floats() | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _or_junk(strategy):
+    return strategy | JSON_VALUES
+
+
+SNAPSHOT_DOCS = st.fixed_dictionaries({
+    "regions": _or_junk(st.lists(st.sampled_from(["r1", "r2"]), max_size=3)),
+    "indicators": _or_junk(st.lists(_or_junk(st.fixed_dictionaries({
+        "code": _or_junk(st.sampled_from(["E1", "S1"])),
+        "name": _or_junk(st.text(max_size=3)),
+        "category": _or_junk(st.sampled_from(CATEGORIES)),
+        "units": _or_junk(st.text(max_size=3)),
+    })), max_size=3)),
+    "cells": _or_junk(st.lists(_or_junk(st.fixed_dictionaries({
+        "region": _or_junk(st.sampled_from(["r1", "r2"])),
+        "code": _or_junk(st.sampled_from(["E1", "S1"])),
+        "years": _or_junk(st.lists(_or_junk(st.integers(1998, 2003)), max_size=4)),
+        "values": _or_junk(st.lists(_or_junk(st.floats() | st.none()), max_size=4)),
+    })), max_size=3)),
+})
+
+
+@st.composite
+def panel_datasets(draw):
+    regions = draw(st.lists(st.text(max_size=6), min_size=1, max_size=3,
+                            unique=True))
+    codes = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4,
+                          unique=True))
+    indicators = tuple(
+        IndicatorCode(code, draw(st.text(max_size=6)),
+                      draw(st.sampled_from(CATEGORIES)), draw(st.text(max_size=4)))
+        for code in codes
+    )
+    cells = {}
+    for key in draw(st.lists(st.tuples(st.sampled_from(regions),
+                                       st.sampled_from(codes)), unique=True)):
+        years = sorted(draw(st.sets(st.integers(1900, 2100), min_size=1,
+                                    max_size=8)))
+        values = draw(st.lists(st.none() | st.floats(allow_nan=False,
+                                                     allow_infinity=False),
+                               min_size=len(years), max_size=len(years))
+                      .filter(lambda vs: any(v is not None for v in vs)))
+        cells[key] = AnnualSeries(tuple(years), tuple(values))
+    return PanelDataset(tuple(regions), indicators, cells)
+
+
+class TestParserFuzz:
+    """Any text either parses or raises ParseError; nothing else escapes."""
+
+    @settings(max_examples=300)
+    @given(st.text() | csv_texts() | csv_texts(header="code,region,2000,2001")
+           | csv_texts(header="code,2000,2001,2002"))
+    @example("code,region,\u00b2\u00b2\u00b2\u00b2\nE1,global,1\n")
+    @example("code,2000\rE1,1\r")
+    def test_wide_csv(self, text):
+        try:
+            parse_wdi_wide(text)
+        except ParseError:
+            pass
+
+    @settings(max_examples=300)
+    @given(st.text() | csv_texts() | csv_texts(header=",".join(GBD_HEADER)))
+    @example(",".join(GBD_HEADER) + "\rR1,all,dep,DALYs,2000,1.0")
+    def test_long_csv(self, text):
+        try:
+            parse_gbd_long(text)
+        except ParseError:
+            pass
+
+    @settings(max_examples=300)
+    @given(st.text() | JSON_VALUES.map(json.dumps) | SNAPSHOT_DOCS.map(json.dumps))
+    def test_snapshot(self, text):
+        try:
+            ds = PanelDataset.from_json(text)
+        except ParseError:
+            return
+        for series in ds.cells.values():
+            assert all(type(year) is int for year in series.years)
+            assert all(v is None or type(v) is float for v in series.values)
+
+    @given(panel_datasets())
+    def test_snapshot_roundtrip(self, ds):
+        assert PanelDataset.from_json(ds.to_json()) == ds

@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,13 @@ from paneldep.errors import (
     NonContiguousYearsError,
     SingularDesignError,
 )
-from paneldep.panel import AlignedPair
+from paneldep.panel import AlignedPair, align_pair, load_fixture
 from paneldep.temporal import (
     f_sf,
     first_difference,
     granger_test,
     lag_sweep,
-    ols_rss,
+    nested_rss,
 )
 
 from conftest import make_pair
@@ -40,27 +42,44 @@ class TestFirstDifference:
 
 
 class TestOlsRss:
+    """Single-fit least-squares cases, checked through nested_rss."""
+
     def test_mean_model(self):
-        beta, rss = ols_rss(np.ones((3, 1)), [1.0, 2.0, 3.0])
-        assert beta[0] == pytest.approx(2.0)
+        rss_r, rss = nested_rss(np.ones((3, 1)), [1.0, 2.0, 3.0], 0)
+        # the empty model's excess over the mean model is n * mean^2
+        assert rss_r - rss == pytest.approx(3 * 2.0**2)
         assert rss == pytest.approx(2.0)
 
     def test_exact_fit_has_zero_rss(self):
         rng = np.random.default_rng(0)
         X = np.column_stack([np.ones(30), rng.normal(size=30)])
         y = 3.0 + 2.0 * X[:, 1]
-        _, rss = ols_rss(X, y)
+        _, rss = nested_rss(X, y, 1)
         assert rss <= 1e-18 * float(y @ y)
 
     def test_duplicated_column_is_singular(self):
         X = np.column_stack([np.ones(10), np.arange(10.0), np.arange(10.0)])
         with pytest.raises(SingularDesignError) as exc_info:
-            ols_rss(X, np.arange(10.0))
+            nested_rss(X, np.arange(10.0), 2)
         assert exc_info.value.rank == 2
 
     def test_needs_more_rows_than_columns(self):
         with pytest.raises(InsufficientDataError):
-            ols_rss(np.ones((2, 2)), [1.0, 2.0])
+            nested_rss(np.ones((2, 2)), [1.0, 2.0], 1)
+
+    def test_matches_two_separate_fits(self):
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(40), rng.normal(size=(40, 4))])
+        y = X @ [1.0, 0.5, -2.0, 0.1, 0.0] + rng.normal(size=40)
+        rss_r, rss_ur = nested_rss(X, y, 2)
+        for cols, rss in ((2, rss_r), (5, rss_ur)):
+            _, (expected,), _, _ = np.linalg.lstsq(X[:, :cols], y, rcond=None)
+            assert rss == pytest.approx(expected, rel=1e-12)
+
+    def test_restricted_cols_out_of_range(self):
+        for restricted_cols in (-1, 3):
+            with pytest.raises(DomainError):
+                nested_rss(np.ones((5, 2)), np.arange(5.0), restricted_cols)
 
 
 class TestFTail:
@@ -189,6 +208,26 @@ class TestLagSweep:
     def test_too_short_for_lag_one(self):
         with pytest.raises(InsufficientDataError):
             lag_sweep(make_pair([1, 2, 3], [4, 5, 6]), max_lag=2)
+
+
+class TestFixtureOracle:
+    def test_sweep_matches_extended_precision_fits(self, granger_golden):
+        """Every fixture indicator pair, every lag, against 50-digit fits."""
+        ds = load_fixture()
+        by_pair = defaultdict(dict)
+        for fit in granger_golden["fits"]:
+            by_pair[fit["x"], fit["y"]][fit["lag"]] = fit
+        for (x, y), fits in by_pair.items():
+            pair = align_pair(ds.series("global", x), ds.series("global", y), 3)
+            sweep = lag_sweep(pair, max_lag=5)
+            assert {r.lag for r in sweep.results} == set(fits), (x, y)
+            for result in sweep.results:
+                fit = fits[result.lag]
+                assert result.n_eff == fit["n_eff"]
+                for key in ("rss_restricted", "rss_unrestricted", "f_stat"):
+                    assert getattr(result, key) == pytest.approx(
+                        fit[key], rel=1e-11, abs=0
+                    ), (x, y, result.lag, key)
 
 
 class TestCalibration:

@@ -1,11 +1,17 @@
 """Compute and freeze golden expected values for the test suite.
 
-Two independent oracles, both deliberately avoiding the code paths the
+Three independent oracles, all deliberately avoiding the code paths the
 package itself uses:
 
 * Pairwise correlation over the bundled fixture, evaluated term by term
   from the definitional formula in 50-digit arithmetic (mpmath), over
   pairwise-complete years.
+* Granger fits over the bundled fixture: for every ordered pair of
+  indicators and every lag 1-5 the sample allows, both nested
+  autoregressions solved by least squares through the normal equations
+  (not the package's orthogonal factorization), kept only when 50- and
+  80-digit solutions agree to 1e-30. Inputs are the doubles the package
+  reads from the CSV, so the golden measures solver error alone.
 * Upper-tail probabilities of the t and F distributions from mpmath's
   regularized incomplete beta (a hypergeometric series, not the package's
   continued fraction), kept only when 50- and 80-digit evaluations agree
@@ -28,7 +34,7 @@ FIXTURE = ROOT / "src" / "paneldep" / "data" / "table_wdi.csv"
 OUTDIR = ROOT / "tests" / "data"
 
 
-def load_fixture():
+def load_fixture(parse=mp.mpf):
     lines = FIXTURE.read_text().strip().splitlines()
     years = [int(y) for y in lines[0].split(",")[2:]]
     series = {}
@@ -37,7 +43,7 @@ def load_fixture():
         vals = {}
         for year, cell in zip(years, parts[2:]):
             if cell != "-":
-                vals[year] = mp.mpf(cell)
+                vals[year] = parse(cell)
         series[parts[0]] = vals
     return series
 
@@ -68,6 +74,62 @@ def pearson_matrix():
             ys = [series[b][y] for y in common]
             r[i][j] = float(definitional_r(xs, ys))
     return {"codes": codes, "n": n, "r": r}
+
+
+#: Lags the Granger oracle tries, as the battery's default max_lag does.
+GRANGER_LAGS = range(1, 6)
+
+
+def lstsq_rss(rows, response):
+    """Residual sum of squares of least squares on the normal equations."""
+    X = mp.matrix(rows)
+    y = mp.matrix(response)
+    beta = mp.lu_solve(X.T * X, X.T * y)
+    resid = y - X * beta
+    return mp.fsum(r * r for r in resid)
+
+
+def stable_rss(rows, response):
+    with mp.workdps(50):
+        low = lstsq_rss(rows, response)
+    with mp.workdps(80):
+        high = lstsq_rss(rows, response)
+    assert abs(low - high) <= mp.mpf("1e-30") * high
+    return high
+
+
+def granger_fixture():
+    """Both nested Granger fits for every ordered indicator pair and lag."""
+    series = load_fixture(parse=lambda cell: mp.mpf(float(cell)))
+    fits = []
+    for a in series:
+        for b in series:
+            if a == b:
+                continue
+            common = sorted(set(series[a]) & set(series[b]))
+            assert common == list(range(common[0], common[-1] + 1))
+            xs = [series[a][y] for y in common]
+            ys = [series[b][y] for y in common]
+            n = len(common)
+            for lag in GRANGER_LAGS:
+                n_eff = n - lag
+                dof = n_eff - (1 + 2 * lag)
+                if dof < 1:
+                    continue
+                restricted, full = [], []
+                for t in range(lag, n):
+                    own = [ys[t - j] for j in range(1, lag + 1)]
+                    other = [xs[t - j] for j in range(1, lag + 1)]
+                    restricted.append([mp.mpf(1)] + own)
+                    full.append([mp.mpf(1)] + own + other)
+                rss_r = stable_rss(restricted, ys[lag:])
+                rss_ur = stable_rss(full, ys[lag:])
+                f = ((rss_r - rss_ur) / lag) / (rss_ur / dof)
+                fits.append({"x": a, "y": b, "lag": lag, "n_eff": n_eff,
+                             "rss_restricted": float(rss_r),
+                             "rss_unrestricted": float(rss_ur),
+                             "f_stat": float(f)})
+    return {"fits": fits}
 
 
 def tail_grid():
@@ -173,6 +235,12 @@ def main():
     for p in grid["f"]:
         if p["f"] == 3.89 and p["d1"] == 1 and p["d2"] == 40:
             print("f_sf(3.89, 1, 40) =", repr(p["sf"]))
+
+    granger = granger_fixture()
+    (OUTDIR / "granger_fixture_golden.json").write_text(
+        json.dumps(granger, indent=1) + "\n"
+    )
+    print(f"granger: {len(granger['fits'])} lag fits")
 
     dense = dense_tail_grid()
     (OUTDIR / "tail_probability_dense_golden.json").write_text(
