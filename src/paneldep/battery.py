@@ -9,7 +9,6 @@ are computed.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field, fields
 
 from .errors import (
@@ -43,8 +42,6 @@ from .panel import (
     _classify_code,
 )
 from .temporal import GrangerResult, lag_sweep
-
-logger = logging.getLogger(__name__)
 
 METHODS = ("pearson", "mutual_information", "granger", "mic")
 
@@ -89,11 +86,11 @@ class BatteryConfig:
         doc = dict(doc)
         for key in ("methods", "outcomes", "indicators"):
             if key in doc:
+                if not isinstance(doc[key], list) or not all(
+                        isinstance(v, str) for v in doc[key]):
+                    raise ConfigError(f"{key} must be a list of strings, got {doc[key]!r}")
                 doc[key] = tuple(doc[key])
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**doc)
 
     @classmethod
     def from_file(cls, path) -> "BatteryConfig":
@@ -127,22 +124,26 @@ class BatteryConfig:
         missing = [c for c in (*self.outcomes, *self.indicators) if c not in known]
         if missing:
             raise ConfigError(f"codes not present in the dataset: {missing}")
-        if self.min_overlap < 3:
-            raise ConfigError(f"min_overlap must be >= 3, got {self.min_overlap}")
-        if self.max_lag < 1:
-            raise ConfigError(f"max_lag must be >= 1, got {self.max_lag}")
+        # exact types, as JSON decodes them: a bool or a float is no integer
+        minima = {"min_overlap": 3, "max_lag": 1, "mic_clumps": 1}
+        if self.mi_bins is not None:
+            minima["mi_bins"] = 2
+        for name, low in minima.items():
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("difference_first", "granger_reverse"):
+            if type(value := getattr(self, name)) is not bool:
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
+        if type(self.mic_alpha) not in (float, int) or not 0.0 < self.mic_alpha <= 1.0:
+            raise ConfigError(f"mic_alpha must be a number in (0, 1], "
+                              f"got {self.mic_alpha!r}")
         if self.mi_strategy not in STRATEGIES:
             raise ConfigError(f"mi_strategy must be one of {STRATEGIES}")
-        if self.mi_bins is not None and self.mi_bins < 2:
-            raise ConfigError(f"mi_bins must be >= 2, got {self.mi_bins}")
         if self.mic_normalization not in MIC_NORMALIZATIONS:
             raise ConfigError(
                 f"mic_normalization must be one of {MIC_NORMALIZATIONS}"
             )
-        if not 0.0 < self.mic_alpha <= 1.0:
-            raise ConfigError(f"mic_alpha must be in (0, 1], got {self.mic_alpha}")
-        if self.mic_clumps < 1:
-            raise ConfigError(f"mic_clumps must be >= 1, got {self.mic_clumps}")
 
 
 @dataclass(frozen=True)
@@ -186,21 +187,19 @@ def _compute_cell(method: str, pair, config: BatteryConfig) -> MatrixCell:
     if method == "mic":
         return MatrixCell(pair.n, mic(pair, config.mic_alpha, config.mic_clumps,
                                       config.mic_normalization))
-    if method == "granger":
-        directed = pair.swapped() if config.granger_reverse else pair
-        sweep = lag_sweep(directed, config.max_lag, config.difference_first)
-        return MatrixCell(pair.n, sweep.best)
-    raise ConfigError(f"unknown method {method!r}")
+    directed = pair.swapped() if config.granger_reverse else pair
+    sweep = lag_sweep(directed, config.max_lag, config.difference_first)
+    return MatrixCell(pair.n, sweep.best)
 
 
-_SKIP_TAGS = (
-    (InsufficientOverlapError, SKIP_INSUFFICIENT_OVERLAP),
-    (DegenerateInputError, SKIP_DEGENERATE),
-    (NonContiguousYearsError, SKIP_NON_CONTIGUOUS),
-    (InsufficientDataError, SKIP_INSUFFICIENT_DATA),
-    (SingularDesignError, SKIP_SINGULAR),
-)
-_SKIP_EXCEPTIONS = tuple(err for err, _ in _SKIP_TAGS)
+_SKIP_TAGS = {
+    InsufficientOverlapError: SKIP_INSUFFICIENT_OVERLAP,
+    DegenerateInputError: SKIP_DEGENERATE,
+    NonContiguousYearsError: SKIP_NON_CONTIGUOUS,
+    InsufficientDataError: SKIP_INSUFFICIENT_DATA,
+    SingularDesignError: SKIP_SINGULAR,
+}
+_SKIP_EXCEPTIONS = tuple(_SKIP_TAGS)
 
 
 def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatrix]:
@@ -208,43 +207,42 @@ def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatr
 
     Deterministic for a fixed (dataset, config): matrices come out in
     method-major, outcome-minor configuration order, rows in dataset
-    region order, columns in canonical indicator order.
+    region order, columns in canonical indicator order. Each pair is aligned
+    once; a pair-level skip lands in every method's matrix.
     """
     config.validate(dataset)
     cols = canonical_columns(config.indicators)
-    matrices: list[ResultMatrix] = []
-    for method in config.methods:
-        for outcome in config.outcomes:
-            matrix = ResultMatrix(
-                method=method,
-                age_group=age_group_of_code(outcome),
-                outcome=outcome,
-                rows=dataset.regions,
-                cols=cols,
-            )
-            for region in matrix.rows:
-                outcome_series = dataset.series(region, outcome)
-                for code in cols:
-                    indicator_series = dataset.series(region, code)
-                    key = (region, code)
-                    if outcome_series is None or indicator_series is None:
-                        matrix.skips[key] = SKIP_MISSING_SERIES
-                        continue
+    grid = [  # grid[method][outcome], in configuration order
+        [ResultMatrix(method=method, age_group=age_group_of_code(outcome),
+                      outcome=outcome, rows=dataset.regions, cols=cols)
+         for outcome in config.outcomes]
+        for method in config.methods
+    ]
+    for region in dataset.regions:
+        pairs = []  # (outcome index, cell key, aligned pair)
+        for i, outcome in enumerate(config.outcomes):
+            outcome_series = dataset.series(region, outcome)
+            for code in cols:
+                key = (region, code)
+                indicator_series = dataset.series(region, code)
+                skip = SKIP_MISSING_SERIES
+                if outcome_series is not None and indicator_series is not None:
                     try:
-                        pair = align_pair(indicator_series, outcome_series,
-                                          config.min_overlap)
-                        matrix.cells[key] = _compute_cell(method, pair, config)
+                        pairs.append((i, key, align_pair(
+                            indicator_series, outcome_series, config.min_overlap)))
+                        continue
                     except _SKIP_EXCEPTIONS as exc:
-                        for err_type, tag in _SKIP_TAGS:
-                            if isinstance(exc, err_type):
-                                matrix.skips[key] = tag
-                                break
-            logger.debug(
-                "%s / %s: %d cells, %d skips",
-                method, outcome, len(matrix.cells), len(matrix.skips),
-            )
-            matrices.append(matrix)
-    return matrices
+                        skip = _SKIP_TAGS[type(exc)]
+                for row in grid:
+                    row[i].skips[key] = skip
+        # method by method: back-to-back calls keep each kernel's caches warm
+        for row in grid:
+            for i, key, pair in pairs:
+                try:
+                    row[i].cells[key] = _compute_cell(row[i].method, pair, config)
+                except _SKIP_EXCEPTIONS as exc:
+                    row[i].skips[key] = _SKIP_TAGS[type(exc)]
+    return [matrix for row in grid for matrix in row]
 
 
 def summarize_lags(matrices) -> dict[tuple[str, str], dict[int, int]]:

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 input/parse error, 2 configuration error,
 
 from __future__ import annotations
 
-import logging
 import re
 import sys
 from pathlib import Path
@@ -25,7 +24,14 @@ from .burden import (
     load_band_csv,
     load_weights_csv,
 )
-from .errors import ConfigError, NotFoundError, PanelDepError, ParseError
+from .errors import (
+    ConfigError,
+    DomainError,
+    NormalizationError,
+    NotFoundError,
+    PanelDepError,
+    ParseError,
+)
 from .panel import (
     GBD_HEADER,
     PanelDataset,
@@ -59,10 +65,6 @@ def cli(ctx, seed, quiet):
     ctx.ensure_object(dict)
     ctx.obj["seed"] = seed
     ctx.obj["quiet"] = quiet
-    logging.basicConfig(
-        level=logging.ERROR if quiet else logging.INFO,
-        format="%(message)s",
-    )
 
 
 def _say(ctx, message: str) -> None:
@@ -186,12 +188,15 @@ def _fill_config_defaults(config: BatteryConfig,
 def burden(deaths, prevalence, life_table_path, weights_path, std_pop_path,
            condition):
     """Compute burden components from per-band counts."""
-    inputs = BurdenInput(
-        deaths=load_band_csv(_read_input(deaths)),
-        prevalence=load_band_csv(_read_input(prevalence)),
-    )
-    table = LifeTable(load_band_csv(_read_input(life_table_path)))
-    weights = load_weights_csv(_read_input(weights_path))
+    try:
+        inputs = BurdenInput(
+            deaths=load_band_csv(_read_input(deaths)),
+            prevalence=load_band_csv(_read_input(prevalence)),
+        )
+        table = LifeTable(load_band_csv(_read_input(life_table_path)))
+        weights = load_weights_csv(_read_input(weights_path))
+    except DomainError as exc:
+        raise ParseError(str(exc)) from None
     if condition is None:
         conditions = weights.conditions()
         if len(conditions) != 1:
@@ -203,13 +208,18 @@ def burden(deaths, prevalence, life_table_path, weights_path, std_pop_path,
     yll = compute_yll(inputs.deaths, table)
     yld = compute_yld(inputs.prevalence, weights, condition)
     summary = compute_daly(yll, yld)
+    rate = None
+    if std_pop_path is not None:
+        std = load_band_csv(_read_input(std_pop_path))
+        try:
+            rate = age_standardize(band_rates(inputs, table, weights, condition), std)
+        except NormalizationError as exc:
+            raise ParseError(str(exc)) from None
     click.echo(f"YLL: {summary.yll:g}")
     click.echo(f"YLD: {summary.yld:g}")
     click.echo(f"DALY: {summary.daly:g}")
-    if std_pop_path is not None:
-        std = load_band_csv(_read_input(std_pop_path))
-        rates = band_rates(inputs, table, weights, condition)
-        click.echo(f"Age-standardized rate: {age_standardize(rates, std):g}")
+    if rate is not None:
+        click.echo(f"Age-standardized rate: {rate:g}")
 
 
 @cli.command()

@@ -58,9 +58,7 @@ def entropy(labels) -> float:
     arr = np.asarray(labels)
     if arr.size == 0:
         raise DomainError("entropy of an empty sequence is undefined")
-    _, counts = np.unique(arr, return_counts=True)
-    p = counts / arr.size
-    return float(-np.sum(p * np.log2(p)))
+    return _entropy_counts(np.unique(arr, return_counts=True)[1])
 
 
 @dataclass(frozen=True)

@@ -242,12 +242,6 @@ class PanelDataset:
     def codes(self) -> tuple[str, ...]:
         return tuple(ind.code for ind in self.indicators)
 
-    def indicator(self, code: str) -> IndicatorCode:
-        for ind in self.indicators:
-            if ind.code == code:
-                return ind
-        raise NotFoundError(f"code {code!r} not in dataset")
-
     def series(self, region: str, code: str) -> AnnualSeries | None:
         return self.cells.get((region, code))
 

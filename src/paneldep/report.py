@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 from .battery import BatteryConfig, ResultMatrix
@@ -104,7 +104,7 @@ def _matrix_doc(matrix: ResultMatrix) -> dict:
                 cell_row.append(None)
                 skip_row.append(matrix.skips.get(key))
             else:
-                doc = {k: _jsonable(v) for k, v in asdict(cell.result).items()}
+                doc = {k: _jsonable(v) for k, v in vars(cell.result).items()}
                 doc["n"] = cell.n
                 cell_row.append(doc)
                 skip_row.append(None)

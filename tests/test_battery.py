@@ -85,11 +85,29 @@ class TestRunBattery:
         )
 
     def test_insufficient_overlap_is_a_skip(self):
-        ds, config = fixture_config(methods=("pearson",), min_overlap=20)
-        matrix = run_battery(ds, config)[0]
-        # T4 has only 14 populated years against a full outcome series
-        assert matrix.skips[("global", "T4")] == "insufficient-overlap"
-        assert matrix.complete()
+        ds, config = fixture_config(min_overlap=20)
+        matrices = run_battery(ds, config)
+        assert {m.method for m in matrices} == set(ALL_METHODS)
+        for matrix in matrices:
+            # T4 has only 14 populated years against a full outcome series
+            assert matrix.skips[("global", "T4")] == "insufficient-overlap"
+            assert matrix.complete()
+
+    def test_each_pair_aligned_once(self, monkeypatch):
+        import paneldep.battery as battery
+
+        calls = []
+        align = battery.align_pair
+
+        def counting_align(*args, **kwargs):
+            calls.append(args)
+            return align(*args, **kwargs)
+
+        monkeypatch.setattr(battery, "align_pair", counting_align)
+        ds, config = fixture_config()
+        matrices = run_battery(ds, config)
+        assert len(matrices) == 12
+        assert len(calls) == 3 * 15  # outcomes x indicators, not x methods
 
     def test_mic_skips_short_series(self):
         ds, config = fixture_config(methods=("mic",))
@@ -159,12 +177,14 @@ class TestRunBattery:
                 ("R2", "dep|DALYs|all"): wiggle,
             },
         )
-        config = BatteryConfig(methods=("pearson",), outcomes=("dep|DALYs|all",),
+        config = BatteryConfig(methods=ALL_METHODS, outcomes=("dep|DALYs|all",),
                                indicators=("E1",))
-        matrix = run_battery(ds, config)[0]
-        assert matrix.skips[("R2", "E1")] == "missing-series"
-        assert ("R1", "E1") in matrix.cells
-        assert matrix.complete()
+        matrices = run_battery(ds, config)
+        assert [m.method for m in matrices] == list(ALL_METHODS)
+        for matrix in matrices:
+            assert matrix.skips[("R2", "E1")] == "missing-series"
+            assert matrix.complete()
+        assert ("R1", "E1") in matrices[0].cells
 
     def test_determinism(self):
         ds, config = fixture_config()

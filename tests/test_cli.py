@@ -167,6 +167,26 @@ class TestAnalyze:
         assert run("analyze", "--panel", "panel.csv", "--config", "config.json",
                    "--out", "results") == 1
 
+    @pytest.mark.parametrize("body", [
+        {"min_overlap": "10"},
+        {"max_lag": 2.5, "methods": ["granger"]},
+        {"outcomes": 5},
+        {"mi_bins": "4", "methods": ["mutual_information"]},
+        {"methods": None},
+        {"mic_clumps": 1.5, "methods": ["mic"]},
+        {"granger_reverse": "yes", "methods": ["granger"]},
+        {"mic_alpha": "0.6", "methods": ["mic"]},
+    ], ids=["string-min-overlap", "float-max-lag", "number-outcomes",
+            "string-mi-bins", "null-methods", "float-mic-clumps",
+            "string-flag", "string-mic-alpha"])
+    def test_wrongly_typed_config_exits_config(self, workdir, capsys, body):
+        run("fixture", "--with-outcomes", "--out", "panel.csv")
+        (workdir / "config.json").write_text(json.dumps(body))
+        assert run("analyze", "--panel", "panel.csv", "--config", "config.json",
+                   "--out", "results") == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (workdir / "results").exists()
+
     def test_panel_snapshot_accepted(self, workdir):
         (workdir / "wdi.csv").write_text(WDI)
         run("ingest", "--wdi", "wdi.csv", "--out", "panel.json")
@@ -341,6 +361,26 @@ class TestBurden:
         captured = capsys.readouterr()
         assert "input error" in captured.err
         assert missing in captured.err
+        assert "DALY" not in captured.out
+
+    @pytest.mark.parametrize("file, text, message", [
+        ("l.csv", "band,value\na1,-30\na2,10\n", "life expectancy for band 'a1'"),
+        ("w.csv", "condition,band,value\ndep,a1,1.5\ndep,a2,0.4\n", "outside [0, 1]"),
+        ("d.csv", "band,value\na1,-10\na2,5\n", "deaths count for band 'a1'"),
+        ("s.csv", "band,value\na1,0.7\na2,0.7\n", "sum to 1.4"),
+    ], ids=["negative-life-expectancy", "weight-above-one", "negative-deaths",
+            "std-pop-not-normalized"])
+    def test_out_of_range_value_exits_input_error(self, workdir, capsys,
+                                                  file, text, message):
+        for name, default in (("d.csv", BANDS), ("p.csv", PREV), ("l.csv", LIFE),
+                              ("w.csv", WEIGHTS), ("s.csv", STD)):
+            (workdir / name).write_text(text if name == file else default)
+        assert run("burden", "--deaths", "d.csv", "--prevalence", "p.csv",
+                   "--life-table", "l.csv", "--weights", "w.csv",
+                   "--std-pop", "s.csv") == 1
+        captured = capsys.readouterr()
+        assert "input error" in captured.err
+        assert message in captured.err
         assert "DALY" not in captured.out
 
 
