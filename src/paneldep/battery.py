@@ -25,10 +25,10 @@ from .info import (
     DEFAULT_MIC_CLUMPS,
     MIC_NORMALIZATIONS,
     STRATEGIES,
+    MicCache,
     MicResult,
     MutualInfoResult,
     default_mi_bins,
-    mic,
     mutual_information,
 )
 from .linear import PearsonResult, pearson
@@ -41,7 +41,7 @@ from .panel import (
     align_pair,
     _classify_code,
 )
-from .temporal import GrangerResult, lag_sweep
+from .temporal import GrangerResult, lag_sweeps
 
 METHODS = ("pearson", "mutual_information", "granger", "mic")
 
@@ -120,6 +120,11 @@ class BatteryConfig:
             raise ConfigError("config selects no outcome codes")
         if not self.indicators:
             raise ConfigError("config selects no indicator codes")
+        for name in ("methods", "outcomes", "indicators"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{name} lists {repeated} more than once")
         known = set(dataset.codes())
         missing = [c for c in (*self.outcomes, *self.indicators) if c not in known]
         if missing:
@@ -178,20 +183,6 @@ def canonical_columns(codes) -> tuple[str, ...]:
     return tuple(builtin + [c for c in codes if c not in _BUILTIN_ORDER])
 
 
-def _compute_cell(method: str, pair, config: BatteryConfig) -> MatrixCell:
-    if method == "pearson":
-        return MatrixCell(pair.n, pearson(pair))
-    if method == "mutual_information":
-        bins = config.mi_bins or default_mi_bins(pair.n)
-        return MatrixCell(pair.n, mutual_information(pair, bins, config.mi_strategy))
-    if method == "mic":
-        return MatrixCell(pair.n, mic(pair, config.mic_alpha, config.mic_clumps,
-                                      config.mic_normalization))
-    directed = pair.swapped() if config.granger_reverse else pair
-    sweep = lag_sweep(directed, config.max_lag, config.difference_first)
-    return MatrixCell(pair.n, sweep.best)
-
-
 _SKIP_TAGS = {
     InsufficientOverlapError: SKIP_INSUFFICIENT_OVERLAP,
     DegenerateInputError: SKIP_DEGENERATE,
@@ -202,13 +193,55 @@ _SKIP_TAGS = {
 _SKIP_EXCEPTIONS = tuple(_SKIP_TAGS)
 
 
+def _group_cells(method: str, pairs, config: BatteryConfig,
+                 mic_cache: MicCache) -> list[MatrixCell | str]:
+    """A cell or a skip tag for each pair of one (outcome, years) group."""
+    if method == "granger":
+        directed = [pair.swapped() for pair in pairs] if config.granger_reverse else pairs
+        try:
+            sweeps = lag_sweeps(directed, config.max_lag, config.difference_first)
+        except _SKIP_EXCEPTIONS as exc:
+            return [_SKIP_TAGS[type(exc)]] * len(pairs)
+        return [SKIP_INSUFFICIENT_DATA if sweep is None else MatrixCell(pair.n, sweep.best)
+                for pair, sweep in zip(pairs, sweeps)]
+    out: list[MatrixCell | str] = []
+    for pair in pairs:
+        try:
+            if method == "pearson":
+                result = pearson(pair)
+            elif method == "mutual_information":
+                result = mutual_information(pair, config.mi_bins or default_mi_bins(pair.n),
+                                            config.mi_strategy)
+            else:
+                result = mic_cache.mic(pair, config.mic_alpha, config.mic_clumps,
+                                       config.mic_normalization)
+            out.append(MatrixCell(pair.n, result))
+        except _SKIP_EXCEPTIONS as exc:
+            out.append(_SKIP_TAGS[type(exc)])
+    return out
+
+
+def _group_pairs(pairs) -> dict[tuple[int, tuple[int, ...]], list[int]]:
+    """Positions of a region's (outcome index, key, aligned pair) entries,
+    grouped by outcome index and aligned years in order of first appearance.
+
+    The pairs of one group share their whole outcome series, so the MIC
+    axes and the Granger fits of a group are worked out together.
+    """
+    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for position, (i, _, pair) in enumerate(pairs):
+        groups.setdefault((i, pair.years), []).append(position)
+    return groups
+
+
 def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatrix]:
     """One ResultMatrix per configured method and outcome.
 
     Deterministic for a fixed (dataset, config): matrices come out in
     method-major, outcome-minor configuration order, rows in dataset
     region order, columns in canonical indicator order. Each pair is aligned
-    once; a pair-level skip lands in every method's matrix.
+    once; a pair-level skip lands in every method's matrix. The aligned
+    pairs of a region are computed in (outcome, years) groups.
     """
     config.validate(dataset)
     cols = canonical_columns(config.indicators)
@@ -235,13 +268,22 @@ def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatr
                         skip = _SKIP_TAGS[type(exc)]
                 for row in grid:
                     row[i].skips[key] = skip
+        groups = _group_pairs(pairs).values()
+        mic_cache = MicCache()
         # method by method: back-to-back calls keep each kernel's caches warm
         for row in grid:
-            for i, key, pair in pairs:
-                try:
-                    row[i].cells[key] = _compute_cell(row[i].method, pair, config)
-                except _SKIP_EXCEPTIONS as exc:
-                    row[i].skips[key] = _SKIP_TAGS[type(exc)]
+            outcomes: list[MatrixCell | str | None] = [None] * len(pairs)
+            for members in groups:
+                group = [pairs[position][2] for position in members]
+                for position, out in zip(members, _group_cells(
+                        row[0].method, group, config, mic_cache)):
+                    outcomes[position] = out
+            # filled in pair order, so each matrix's dicts keep one order
+            for (i, key, _), out in zip(pairs, outcomes):
+                if isinstance(out, str):
+                    row[i].skips[key] = out
+                else:
+                    row[i].cells[key] = out
     return [matrix for row in grid for matrix in row]
 
 

@@ -142,42 +142,88 @@ def mic(pair: AlignedPair, alpha: float = DEFAULT_MIC_ALPHA,
     log2(min(b1, b2)); "max-entropy" divides by the larger marginal
     entropy of the maximizing grid instead.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-    if clumps < 1:
-        raise DomainError(f"clumps must be >= 1, got {clumps}")
-    if normalization not in MIC_NORMALIZATIONS:
-        raise DomainError(
-            f"normalization must be one of {MIC_NORMALIZATIONS}, got {normalization!r}"
+    return MicCache()._search(_Axis(pair.x), _Axis(pair.y), alpha, clumps,
+                              normalization)
+
+
+class MicCache:
+    """Work shared by the MIC searches of one battery region.
+
+    A series' axis depends only on its values, so every pair, and both
+    orientations, that hold the same aligned series reuse one axis. The
+    index and x*log2(x) tables are kept per size. Nothing outlives the
+    object, so a battery makes one per region.
+    """
+
+    def __init__(self):
+        self._axes: dict[tuple, _Axis] = {}
+        self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._xlog2x: dict[int, np.ndarray] = {}
+
+    def mic(self, pair: AlignedPair, alpha: float, clumps: int,
+            normalization: str) -> MicResult:
+        """``mic(pair, ...)``, with the axes of pair.x and pair.y cached."""
+        return self._search(self._axis(pair.x), self._axis(pair.y), alpha, clumps,
+                            normalization)
+
+    def _axis(self, values: tuple) -> _Axis:
+        axis = self._axes.get(values)
+        if axis is None:
+            axis = self._axes[values] = _Axis(values)
+        return axis
+
+    def _search(self, x: _Axis, y: _Axis, alpha: float, clumps: int,
+                normalization: str) -> MicResult:
+        """The grid search behind ``mic``, over two prepared axes."""
+        if not 0.0 < alpha <= 1.0:
+            raise DomainError(f"alpha must be in (0, 1], got {alpha}")
+        if clumps < 1:
+            raise DomainError(f"clumps must be >= 1, got {clumps}")
+        if normalization not in MIC_NORMALIZATIONS:
+            raise DomainError(
+                f"normalization must be one of {MIC_NORMALIZATIONS}, got {normalization!r}"
+            )
+        n = x.n
+        if n < 25:
+            raise InsufficientDataError(f"need at least 25 observations, got {n}")
+        bound = grid_bound(n, alpha)
+        if len(x.runs) == 1 or len(y.runs) == 1:  # one tie run: a constant axis
+            return MicResult(0.0, 0, 0, bound, normalization, degenerate=True)
+
+        eq7 = normalization == "max-entropy"
+        cells: dict[tuple[int, int], float] = {}
+        _fill_cells(self, cells, x, y, bound, clumps, eq7, transpose=False)
+        _fill_cells(self, cells, y, x, bound, clumps, eq7, transpose=True)
+
+        # Reduce after the full sweep so evaluation order cannot matter; ties
+        # go to the lexicographically smallest resolution.
+        best_key, best_val = None, -math.inf
+        for key in sorted(cells):
+            if cells[key] > best_val:
+                best_key, best_val = key, cells[key]
+        assert best_key is not None
+        return MicResult(
+            mic=min(1.0, max(0.0, best_val)),
+            best_b1=best_key[0],
+            best_b2=best_key[1],
+            grid_bound=bound,
+            normalization=normalization,
         )
-    n = pair.n
-    if n < 25:
-        raise InsufficientDataError(f"need at least 25 observations, got {n}")
-    x = np.asarray(pair.x, dtype=float)
-    y = np.asarray(pair.y, dtype=float)
-    bound = grid_bound(n, alpha)
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        return MicResult(0.0, 0, 0, bound, normalization, degenerate=True)
 
-    eq7 = normalization == "max-entropy"
-    cells: dict[tuple[int, int], float] = {}
-    _fill_cells(cells, x, y, bound, clumps, eq7, transpose=False)
-    _fill_cells(cells, y, x, bound, clumps, eq7, transpose=True)
+    def xlog2x(self, n: int) -> np.ndarray:
+        """c * log2(c) for c = 0..n (0 at c = 0)."""
+        table = self._xlog2x.get(n)
+        if table is None:
+            c = np.arange(1, n + 1, dtype=float)
+            table = self._xlog2x[n] = np.concatenate(([0.0], c * np.log2(c)))
+        return table
 
-    # Reduce after the full sweep so evaluation order cannot matter; ties
-    # go to the lexicographically smallest resolution.
-    best_key, best_val = None, -math.inf
-    for key in sorted(cells):
-        if cells[key] > best_val:
-            best_key, best_val = key, cells[key]
-    assert best_key is not None
-    return MicResult(
-        mic=min(1.0, max(0.0, best_val)),
-        best_b1=best_key[0],
-        best_b2=best_key[1],
-        grid_bound=bound,
-        normalization=normalization,
-    )
+    def triu(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every (s, t) with 0 <= s < t <= k."""
+        pairs = self._triu.get(k)
+        if pairs is None:
+            pairs = self._triu[k] = np.triu_indices(k + 1, 1)
+        return pairs
 
 
 # -- grid-search internals --------------------------------------------------
@@ -216,30 +262,53 @@ def _group_runs(lengths: np.ndarray, k: int) -> np.ndarray:
     return groups
 
 
-def _equipartition(values: np.ndarray, k: int) -> np.ndarray:
-    """Assign samples to at most k ordered groups of near-equal size.
+class _Axis:
+    """One series as the grid search sees it: ranks and tie runs only.
 
-    Tied values always share a group.
+    The stable sort order and the tie runs are found once. Each row
+    count's equipartition is found on first use and kept, since every
+    partner series and both orientations ask for the same ones.
     """
-    order = np.argsort(values, kind="stable")
-    lengths = np.diff(_run_ends(values[order]), prepend=0)
-    assign = np.empty(len(values), dtype=np.intp)
-    assign[order] = np.repeat(_group_runs(lengths, k), lengths)
-    return assign
+
+    def __init__(self, values):
+        values = np.asarray(values, dtype=float)
+        self.n = len(values)
+        self.order = np.argsort(values, kind="stable")
+        #: End and start of each run of tied values, in sorted order.
+        self.runs = _run_ends(values[self.order])
+        self.starts = np.concatenate(([0], self.runs[:-1]))
+        self.lengths = self.runs - self.starts
+        self._partitions: dict[int, tuple[np.ndarray, int, float]] = {}
+
+    def partition(self, k: int) -> tuple[np.ndarray, int, float]:
+        """At most k ordered groups of near-equal size; ties share a group.
+
+        Returns each sample's group, the number of groups used and the
+        entropy in bits of the group sizes.
+        """
+        found = self._partitions.get(k)
+        if found is None:
+            groups = _group_runs(self.lengths, k)
+            assign = np.empty(self.n, dtype=np.intp)
+            assign[self.order] = np.repeat(groups, self.lengths)
+            used = int(groups[-1]) + 1
+            found = self._partitions[k] = (
+                assign, used, _entropy_counts(np.bincount(assign, minlength=used)))
+        return found
 
 
-def _clump_ends(runs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _clump_ends(cols: _Axis, rows: np.ndarray) -> np.ndarray:
     """Prefix point counts at clump boundaries (index 0 is the empty prefix).
 
-    ``runs`` ends each run of tied x values and ``rows`` gives the row of
-    each point in x order. A clump is a maximal run of x-consecutive points
-    sharing a row; a tie run whose rows disagree is pinned as an
-    unmergeable clump of its own.
+    ``rows`` gives the row of each point in the column axis's order. A
+    clump is a maximal run of column-consecutive points sharing a row; a
+    tie run whose rows disagree is pinned as an unmergeable clump of its own.
     """
-    starts = np.concatenate(([0], runs[:-1]))
-    low = np.minimum.reduceat(rows, starts)
-    token = np.where(low == np.maximum.reduceat(rows, starts), low, -1 - starts)
-    return np.concatenate(([0], runs[:-1][token[1:] != token[:-1]], runs[-1:]))
+    low = np.minimum.reduceat(rows, cols.starts)
+    token = np.where(low == np.maximum.reduceat(rows, cols.starts), low,
+                     -1 - cols.starts)
+    return np.concatenate(([0], cols.runs[:-1][token[1:] != token[:-1]],
+                           cols.runs[-1:]))
 
 
 def _superclump_ends(ends: np.ndarray, budget: int) -> np.ndarray:
@@ -256,25 +325,24 @@ def _entropy_counts(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def _optimize_axis(cum: np.ndarray, n: int, max_cols: int, hq: float,
-                   want_partitions: bool):
+def _optimize_axis(cache: MicCache, cum: np.ndarray, ends: np.ndarray, n: int,
+                   max_cols: int, hq: float, want_partitions: bool):
     """Exact DP over the boundary set: best I(P;Q) per column count.
 
     ``cum[t, r]`` is the integer count of points of row r in the first t
-    clumps, so every x*log2(x) term is a lookup in one table. For an
-    interval (s, t] forming one column, the contribution
-    sum_r c_r*log2(c_r) - m*log2(m) is additive across columns, so prefix
-    optima compose exactly. Returns {l: score} for l = 2..max_cols (column
-    counts beyond the number of clumps reuse the best achievable) and,
-    when asked, {l: column sizes of the maximizing partition}.
+    clumps, and ``ends[t]`` the count of all points in them, so every
+    x*log2(x) term is a lookup in one table. For an interval (s, t]
+    forming one column, the contribution sum_r c_r*log2(c_r) - m*log2(m)
+    is additive across columns, so prefix optima compose exactly.
+    Returns {l: score} for l = 2..max_cols (column counts beyond the
+    number of clumps reuse the best achievable) and, when asked,
+    {l: column sizes of the maximizing partition}.
     """
-    k = cum.shape[0] - 1
-    tot = cum.sum(axis=1)
-    c = np.arange(1, n + 1, dtype=float)
-    xlog2x = np.concatenate(([0.0], c * np.log2(c)))
-    s, t = np.triu_indices(k + 1, 1)
+    k = len(ends) - 1
+    xlog2x = cache.xlog2x(n)
+    s, t = cache.triu(k)
     G = np.full((k + 1, k + 1), -np.inf)
-    G[s, t] = xlog2x[cum[t] - cum[s]].sum(axis=1) - xlog2x[tot[t] - tot[s]]
+    G[s, t] = xlog2x[cum[t] - cum[s]].sum(axis=1) - xlog2x[ends[t] - ends[s]]
 
     W = G[0].copy()
     argmax_at: dict[int, np.ndarray] = {}
@@ -296,29 +364,26 @@ def _optimize_axis(cum: np.ndarray, n: int, max_cols: int, hq: float,
             for level in range(reach, 1, -1):
                 chain.append(int(argmax_at[level][chain[-1]]))
             chain.append(0)
-            bounds = tot[np.asarray(chain[::-1])]
-            partitions[l] = np.diff(bounds)
+            partitions[l] = np.diff(ends[np.asarray(chain[::-1])])
     return scores, partitions
 
 
-def _fill_cells(cells: dict, col_vals: np.ndarray, row_vals: np.ndarray,
+def _fill_cells(cache: MicCache, cells: dict, cols: _Axis, rows: _Axis,
                 bound: int, clumps: int, eq7: bool, transpose: bool) -> None:
-    n = len(col_vals)
-    order = np.argsort(col_vals, kind="stable")
-    runs = _run_ends(col_vals[order])
+    n = cols.n
     for n_rows in range(2, bound // 2 + 1):
         max_cols = bound // n_rows
         if max_cols < 2:
             break
-        row_assign = _equipartition(row_vals, n_rows)
-        row_count = int(row_assign.max()) + 1
-        hq = _entropy_counts(np.bincount(row_assign, minlength=row_count))
-        rows_x_order = row_assign[order]
-        ends = _clump_ends(runs, rows_x_order)
-        ends = _superclump_ends(ends, max(clumps * max_cols, max_cols))
-        one_hot = rows_x_order[:, None] == np.arange(row_count)
-        cum = np.pad(np.cumsum(one_hot, axis=0), ((1, 0), (0, 0)))[ends]
-        scores, partitions = _optimize_axis(cum, n, max_cols, hq, eq7)
+        row_assign, row_count, hq = rows.partition(n_rows)
+        rows_x_order = row_assign[cols.order]
+        ends = _superclump_ends(_clump_ends(cols, rows_x_order),
+                                max(clumps * max_cols, max_cols))
+        cum = np.zeros((n + 1, row_count), dtype=np.intp)
+        np.cumsum(rows_x_order[:, None] == np.arange(row_count), axis=0,
+                  out=cum[1:])
+        scores, partitions = _optimize_axis(cache, cum[ends], ends, n, max_cols,
+                                            hq, eq7)
         for l in range(2, max_cols + 1):
             raw = scores[l]
             if eq7:

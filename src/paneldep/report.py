@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .battery import BatteryConfig, ResultMatrix
 from .errors import DomainError
@@ -66,6 +65,15 @@ def cell_scalar(matrix: ResultMatrix, key) -> float | None:
     if cell is None:
         return None
     return getattr(cell.result, METHOD_SCALARS[matrix.method])
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for XML text, ``&`` first so no entity is doubled.
+
+    Gives the bytes of ``xml.sax.saxutils.escape`` without importing it,
+    which would pull in urllib, http.client and ssl at startup.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(value: float) -> str:
@@ -193,20 +201,20 @@ def render_heatmap_svg(matrix: ResultMatrix, palette: str | None = None,
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
-        f"<title>{escape(matrix.method)}: {escape(matrix.outcome)} "
-        f"(ages {escape(matrix.age_group.value)})</title>",
+        f"<title>{_escape(matrix.method)}: {_escape(matrix.outcome)} "
+        f"(ages {_escape(matrix.age_group.value)})</title>",
     ]
     for ci, code in enumerate(matrix.cols):
         x = LEFT + ci * CELL + CELL // 2
         parts.append(
             f'<text x="{x}" y="{TOP - 8}" text-anchor="middle" '
-            f'font-size="11">{escape(code)}</text>'
+            f'font-size="11">{_escape(code)}</text>'
         )
     for ri, region in enumerate(matrix.rows):
         y = TOP + ri * CELL + CELL // 2 + 4
         parts.append(
             f'<text x="{LEFT - 6}" y="{y}" text-anchor="end" '
-            f'font-size="11">{escape(region)}</text>'
+            f'font-size="11">{_escape(region)}</text>'
         )
         for ci, code in enumerate(matrix.cols):
             key = (region, code)
@@ -230,7 +238,7 @@ def render_heatmap_svg(matrix: ResultMatrix, palette: str | None = None,
             parts.append(
                 f'<rect class="cell" x="{x}" y="{y0}" width="{CELL}" '
                 f'height="{CELL}" fill="{fill}" stroke="#ffffff">'
-                f"<title>{escape(title)}</title></rect>"
+                f"<title>{_escape(title)}</title></rect>"
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

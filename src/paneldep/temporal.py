@@ -32,6 +32,28 @@ def first_difference(series) -> tuple[float, ...]:
     return tuple(b - a for a, b in zip(values, values[1:]))
 
 
+def _ranks(R: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Rank of each design from the R factor of [design | response].
+
+    A column counts when its |diag R| is above max(rows, cols) * eps *
+    max|diag R|, the default rank cutoff of least squares. R may be a stack.
+    """
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1)[..., :cols])
+    tol = max(rows, cols) * np.finfo(float).eps * diag.max(axis=-1, initial=0.0)
+    return np.count_nonzero(diag > tol[..., None], axis=-1)
+
+
+def _rank_deficient(rank: int, cols: int) -> SingularDesignError:
+    return SingularDesignError(
+        f"design is rank deficient (rank {rank} of {cols} columns)", rank=rank)
+
+
+def _split_rss(R: np.ndarray, restricted_cols: int, cols: int) -> tuple[float, float]:
+    """(rss_r - rss_ur, rss_ur) read off the R factor of [design | response]."""
+    gain = R[restricted_cols:cols, cols]
+    return float(gain @ gain), float(R[cols, cols] ** 2)
+
+
 def _gain_and_rss(design, response, restricted_cols: int) -> tuple[float, float]:
     """(rss_r - rss_ur, rss_ur) of the nested fits described in nested_rss."""
     X = np.asarray(design, dtype=float)
@@ -48,16 +70,10 @@ def _gain_and_rss(design, response, restricted_cols: int) -> tuple[float, float]
             f"need more rows than columns, got {rows}x{cols}"
         )
     R = np.linalg.qr(np.column_stack([X, y]), mode="r")
-    diag = np.abs(np.diag(R)[:cols])
-    tol = max(rows, cols) * np.finfo(float).eps * diag.max(initial=0.0)
-    rank = int(np.count_nonzero(diag > tol))
+    rank = int(_ranks(R, rows, cols))
     if rank < cols:
-        raise SingularDesignError(
-            f"design is rank deficient (rank {rank} of {cols} columns)",
-            rank=rank,
-        )
-    gain = R[restricted_cols:cols, cols]
-    return float(gain @ gain), float(R[cols, cols] ** 2)
+        raise _rank_deficient(rank, cols)
+    return _split_rss(R, restricted_cols, cols)
 
 
 def nested_rss(design, response, restricted_cols: int) -> tuple[float, float]:
@@ -128,6 +144,38 @@ class LagSweep:
     best: GrangerResult
 
 
+def _usable_rows(n: int, lag: int) -> int:
+    """Rows left for the lag-``lag`` fit of a length-n pair, checked."""
+    if lag < 1:
+        raise DomainError(f"lag must be >= 1, got {lag}")
+    n_eff = n - lag
+    if n_eff <= 1 + 2 * lag:
+        raise InsufficientDataError(
+            f"{n} observations leave {n_eff} usable rows, need more than "
+            f"{1 + 2 * lag} for lag {lag}"
+        )
+    return n_eff
+
+
+def _lag_designs(x: np.ndarray, y: np.ndarray, lag: int) -> np.ndarray:
+    """[1 | y lags | x lags | y] of each row of x and y, in one new array.
+
+    x and y are (pairs, n); the result is (pairs, n - lag, 2 + 2 * lag).
+    Column j of the y lags (and of the x lags) holds the series shifted
+    back by j.
+    """
+    pairs, n = y.shape
+    n_eff = n - lag
+    cols = 1 + 2 * lag
+    shifted = np.arange(n_eff)[:, None] + np.arange(lag - 1, -1, -1)
+    out = np.empty((pairs, n_eff, cols + 1))
+    out[:, :, 0] = 1.0
+    out[:, :, 1:lag + 1] = y[:, shifted]
+    out[:, :, lag + 1:cols] = x[:, shifted]
+    out[:, :, cols] = y[:, lag:]
+    return out
+
+
 def build_lag_design(x, y, lag: int) -> LagDesign:
     """Stack intercept and lag columns for the nested model pair.
 
@@ -137,40 +185,51 @@ def build_lag_design(x, y, lag: int) -> LagDesign:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = len(y)
-    if lag < 1:
-        raise DomainError(f"lag must be >= 1, got {lag}")
-    n_eff = n - lag
-    if n_eff <= 1 + 2 * lag:
-        raise InsufficientDataError(
-            f"{n} observations leave {n_eff} usable rows, need more than "
-            f"{1 + 2 * lag} for lag {lag}"
-        )
-    y_lags = np.column_stack([y[lag - j:n - j] for j in range(1, lag + 1)])
-    x_lags = np.column_stack([x[lag - j:n - j] for j in range(1, lag + 1)])
-    predictors = np.hstack([np.ones((n_eff, 1)), y_lags, x_lags])
-    return LagDesign(y[lag:], predictors, lag, n_eff)
+    n_eff = _usable_rows(len(y), lag)
+    design = _lag_designs(x[None], y[None], lag)[0]
+    return LagDesign(design[:, -1], design[:, :-1], lag, n_eff)
 
 
-def _prepare(pair: AlignedPair, difference_first: bool):
-    """The (x, y) sequences every lag of one pair is fitted on."""
-    for a, b in zip(pair.years, pair.years[1:]):
+def _series(pairs, difference_first: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) rows every lag of the pairs is fitted on; the pairs share years."""
+    years = pairs[0].years
+    if any(pair.years != years for pair in pairs):
+        raise DomainError("pairs fitted together must share their years")
+    for a, b in zip(years, years[1:]):
         if b - a != 1:
             raise NonContiguousYearsError(
                 f"years jump from {a} to {b}; lags are meaningless across gaps"
             )
     if difference_first:
-        return first_difference(pair.x), first_difference(pair.y)
-    return pair.x, pair.y
+        xs = [first_difference(pair.x) for pair in pairs]
+        ys = [first_difference(pair.y) for pair in pairs]
+    else:
+        xs = [pair.x for pair in pairs]
+        ys = [pair.y for pair in pairs]
+    return np.array(xs, dtype=float), np.array(ys, dtype=float)
 
 
-def _fit(x, y, lag: int) -> GrangerResult:
-    design = build_lag_design(x, y, lag)
-    gain, rss_ur = _gain_and_rss(design.predictors, design.response, 1 + lag)
-    dof_den = design.n_eff - (1 + 2 * lag)
-    f = math.inf if rss_ur == 0.0 else (gain / lag) / (rss_ur / dof_den)
-    return GrangerResult(lag, f, f_sf(f, lag, dof_den), rss_ur + gain, rss_ur,
-                         design.n_eff)
+def _fit_lag(x: np.ndarray, y: np.ndarray,
+             lag: int) -> list[GrangerResult | SingularDesignError]:
+    """Fit one lag on every row of x and y with one stacked QR.
+
+    The rank check is per row: a singular design gives its row's error and
+    leaves the other rows' fits alone.
+    """
+    n_eff = _usable_rows(y.shape[1], lag)
+    cols = 1 + 2 * lag
+    dof_den = n_eff - cols
+    R = np.linalg.qr(_lag_designs(x, y, lag), mode="r")
+    fits: list[GrangerResult | SingularDesignError] = []
+    for R_pair, rank in zip(R, _ranks(R, n_eff, cols).tolist()):
+        if rank < cols:
+            fits.append(_rank_deficient(rank, cols))
+            continue
+        gain, rss_ur = _split_rss(R_pair, 1 + lag, cols)
+        f = math.inf if rss_ur == 0.0 else (gain / lag) / (rss_ur / dof_den)
+        fits.append(GrangerResult(lag, f, f_sf(f, lag, dof_den), rss_ur + gain,
+                                  rss_ur, n_eff))
+    return fits
 
 
 def granger_test(pair: AlignedPair, lag: int,
@@ -182,7 +241,44 @@ def granger_test(pair: AlignedPair, lag: int,
     designs are built (the caller's stationarity treatment; never applied
     silently).
     """
-    return _fit(*_prepare(pair, difference_first), lag)
+    (fit,) = _fit_lag(*_series([pair], difference_first), lag)
+    if isinstance(fit, SingularDesignError):
+        raise fit
+    return fit
+
+
+def lag_sweeps(pairs, max_lag: int,
+               difference_first: bool = False) -> list[LagSweep | None]:
+    """``lag_sweep`` over pairs that share their years, fitted together.
+
+    Each lag's designs go through one stacked QR. Each pair gets its own
+    sweep, the same as ``lag_sweep`` gives it, or None where no lag fits.
+    What holds for every pair alike (a bad ``max_lag``, a year gap, too
+    few points to difference) raises.
+    """
+    if max_lag < 1:
+        raise DomainError(f"max_lag must be >= 1, got {max_lag}")
+    if not pairs:
+        return []
+    x, y = _series(pairs, difference_first)
+    results = [[] for _ in pairs]
+    skipped = [[] for _ in pairs]
+    for lag in range(1, max_lag + 1):
+        try:
+            fits = _fit_lag(x, y, lag)
+        except InsufficientDataError as exc:
+            fits = [exc] * len(pairs)
+        for fit, fitted, skips in zip(fits, results, skipped):
+            if isinstance(fit, GrangerResult):
+                fitted.append(fit)
+            else:
+                skips.append(SkippedLag(lag, str(fit)))
+    return [
+        LagSweep(tuple(fitted), tuple(skips),
+                 min(fitted, key=lambda res: res.p_value))  # first minimum wins
+        if fitted else None
+        for fitted, skips in zip(results, skipped)
+    ]
 
 
 def lag_sweep(pair: AlignedPair, max_lag: int,
@@ -193,18 +289,9 @@ def lag_sweep(pair: AlignedPair, max_lag: int,
     fits at all that is an error. Best lag is the smallest p-value, ties
     going to the shorter lag.
     """
-    if max_lag < 1:
-        raise DomainError(f"max_lag must be >= 1, got {max_lag}")
-    x, y = _prepare(pair, difference_first)
-    results, skipped = [], []
-    for lag in range(1, max_lag + 1):
-        try:
-            results.append(_fit(x, y, lag))
-        except (InsufficientDataError, SingularDesignError) as exc:
-            skipped.append(SkippedLag(lag, str(exc)))
-    if not results:
+    (sweep,) = lag_sweeps([pair], max_lag, difference_first)
+    if sweep is None:
         raise InsufficientDataError(
             f"pair of length {pair.n} is too short for even lag 1"
         )
-    best = min(results, key=lambda res: res.p_value)  # first minimum wins
-    return LagSweep(tuple(results), tuple(skipped), best)
+    return sweep

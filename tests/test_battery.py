@@ -109,6 +109,25 @@ class TestRunBattery:
         assert len(matrices) == 12
         assert len(calls) == 3 * 15  # outcomes x indicators, not x methods
 
+    def test_gapped_pairs_get_their_own_groups(self, monkeypatch):
+        import paneldep.battery as battery
+
+        batches = []
+        sweeps = battery.lag_sweeps
+
+        def recording_sweeps(pairs, *args):
+            batches.append(sorted({pair.years for pair in pairs}))
+            return sweeps(pairs, *args)
+
+        monkeypatch.setattr(battery, "lag_sweeps", recording_sweeps)
+        ds, config = fixture_config(methods=("granger",))
+        run_battery(ds, config)
+        # per outcome: the 9 full series, ED4, S3, T1 with T3, T4 and T5
+        assert len(batches) == 3 * 6
+        assert all(len(years) == 1 for years in batches)
+        firsts = sorted(years[0][0] for years in batches[:6])
+        assert firsts == [1991, 1999, 2000, 2001, 2005, 2010]
+
     def test_mic_skips_short_series(self):
         ds, config = fixture_config(methods=("mic",))
         matrix = run_battery(ds, config)[0]

@@ -187,6 +187,20 @@ class TestAnalyze:
         assert "config error" in capsys.readouterr().err
         assert not (workdir / "results").exists()
 
+    @pytest.mark.parametrize("body", [
+        {"methods": ["pearson", "pearson"], "indicators": ["E1", "E1"]},
+        {"methods": ["pearson", "mic", "pearson"]},
+        {"methods": ["pearson"], "outcomes": ["synthetic-burden|DALYs|all"] * 2},
+        {"methods": ["pearson"], "indicators": ["E1", "S1", "E1"]},
+    ], ids=["methods-and-indicators", "methods", "outcomes", "indicators"])
+    def test_repeated_config_entry_exits_config(self, workdir, capsys, body):
+        run("fixture", "--with-outcomes", "--out", "panel.csv")
+        (workdir / "config.json").write_text(json.dumps(body))
+        assert run("analyze", "--panel", "panel.csv", "--config", "config.json",
+                   "--out", "results") == 2
+        assert "more than once" in capsys.readouterr().err
+        assert not (workdir / "results").exists()
+
     def test_panel_snapshot_accepted(self, workdir):
         (workdir / "wdi.csv").write_text(WDI)
         run("ingest", "--wdi", "wdi.csv", "--out", "panel.json")

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from paneldep.errors import DomainError, InsufficientDataError
 from paneldep.info import (
     JointHistogram,
-    _equipartition,
+    MicCache,
+    _Axis,
     default_mi_bins,
     discretize,
     entropy,
@@ -221,5 +222,28 @@ class TestMic:
     def test_equipartition_matches_point_by_point_reference(self, values):
         values = np.asarray(values)
         for k in range(1, 21):
-            assert _equipartition(values, k).tolist() == \
+            assert _Axis(values).partition(k)[0].tolist() == \
                 reference_equipartition(values, k).tolist()
+
+
+tied_values = st.lists(st.integers(-4, 4).map(lambda v: v / 2), min_size=25, max_size=40)
+
+
+class TestSharedAxes:
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_cached_axes_match_public_mic(self, data):
+        """One cache over pairs sharing y, as a battery region uses it,
+        gives each pair exactly what mic() gives it alone."""
+        y = data.draw(tied_values)
+        n = len(y)
+        xs = data.draw(st.lists(st.lists(st.integers(-4, 4).map(lambda v: v / 2),
+                                         min_size=n, max_size=n),
+                                min_size=2, max_size=3))
+        xs.append(y)  # a series paired with itself shares one axis
+        for normalization in ("min-entropy-grid", "max-entropy"):
+            cache = MicCache()
+            for x in xs + xs[::-1]:  # every axis is met again from the cache
+                for pair in (make_pair(x, y), make_pair(y, x)):
+                    assert repr(cache.mic(pair, 0.6, 15, normalization)) == \
+                        repr(mic(pair, 0.6, 15, normalization))

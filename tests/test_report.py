@@ -155,3 +155,12 @@ class TestSvg:
         _, _, matrices = fixture_run
         matrix = matrix_for(matrices, "mic")
         assert render_heatmap_svg(matrix) == render_heatmap_svg(matrix)
+
+    @pytest.mark.parametrize("text", [
+        "", "plain", "&", "&amp;", "a<b>c", "<&>", "&lt;&gt;", "R&D <40> years",
+        "São Paulo – Zürich ≥ 5 & < 7", "日本 <地域> &amp; 🌍",
+    ])
+    def test_escape_matches_saxutils(self, text):
+        from xml.sax.saxutils import escape
+        from paneldep.report import _escape
+        assert _escape(text) == escape(text)

@@ -15,6 +15,7 @@ from paneldep.temporal import (
     first_difference,
     granger_test,
     lag_sweep,
+    lag_sweeps,
     nested_rss,
 )
 
@@ -208,6 +209,36 @@ class TestLagSweep:
     def test_too_short_for_lag_one(self):
         with pytest.raises(InsufficientDataError):
             lag_sweep(make_pair([1, 2, 3], [4, 5, 6]), max_lag=2)
+
+
+class TestLagSweeps:
+    def test_batch_matches_each_pair_alone(self):
+        """A singular design skips only its own pair's lag; every other
+        sweep in the batch equals that pair's lag_sweep, reasons included."""
+        rng = np.random.default_rng(31)
+        n = 30
+        y = rng.normal(size=n)
+        pairs = [make_pair(rng.normal(size=n), y) for _ in range(3)]
+        pairs.insert(1, make_pair(np.full(n, 2.5), y))  # every lag singular
+        # x[t] = y[t + 1]: from lag 2 on, an x lag repeats a y lag
+        pairs.append(make_pair(np.append(y[1:], 0.0), y))
+        sweeps = lag_sweeps(pairs, max_lag=4)
+        assert sweeps[1] is None
+        with pytest.raises(SingularDesignError):
+            granger_test(pairs[1], 2)
+        with pytest.raises(InsufficientDataError):
+            lag_sweep(pairs[1], max_lag=4)
+        assert [r.lag for r in sweeps[-1].results] == [1]
+        assert [s.lag for s in sweeps[-1].skipped] == [2, 3, 4]
+        assert all("rank deficient" in s.reason for s in sweeps[-1].skipped)
+        for i, (pair, sweep) in enumerate(zip(pairs, sweeps)):
+            if i != 1:
+                assert repr(sweep) == repr(lag_sweep(pair, max_lag=4))
+
+    def test_batch_needs_shared_years(self):
+        with pytest.raises(DomainError):
+            lag_sweeps([make_pair(range(20), range(20)),
+                        make_pair(range(20), range(20), start_year=2001)], 2)
 
 
 class TestFixtureOracle:
