@@ -28,10 +28,9 @@ from .info import (
     MicCache,
     MicResult,
     MutualInfoResult,
-    default_mi_bins,
-    mutual_information,
+    mutual_informations,
 )
-from .linear import PearsonResult, pearson
+from .linear import PearsonResult, pearsons
 from .panel import (
     BUILTIN_INDICATORS,
     DEFAULT_MIN_OVERLAP,
@@ -193,45 +192,37 @@ _SKIP_TAGS = {
 _SKIP_EXCEPTIONS = tuple(_SKIP_TAGS)
 
 
-def _group_cells(method: str, pairs, config: BatteryConfig,
-                 mic_cache: MicCache) -> list[MatrixCell | str]:
-    """A cell or a skip tag for each pair of one (outcome, years) group."""
-    if method == "granger":
-        directed = [pair.swapped() for pair in pairs] if config.granger_reverse else pairs
-        try:
-            sweeps = lag_sweeps(directed, config.max_lag, config.difference_first)
-        except _SKIP_EXCEPTIONS as exc:
-            return [_SKIP_TAGS[type(exc)]] * len(pairs)
-        return [SKIP_INSUFFICIENT_DATA if sweep is None else MatrixCell(pair.n, sweep.best)
-                for pair, sweep in zip(pairs, sweeps)]
-    out: list[MatrixCell | str] = []
-    for pair in pairs:
-        try:
-            if method == "pearson":
-                result = pearson(pair)
-            elif method == "mutual_information":
-                result = mutual_information(pair, config.mi_bins or default_mi_bins(pair.n),
-                                            config.mi_strategy)
-            else:
-                result = mic_cache.mic(pair, config.mic_alpha, config.mic_clumps,
-                                       config.mic_normalization)
-            out.append(MatrixCell(pair.n, result))
-        except _SKIP_EXCEPTIONS as exc:
-            out.append(_SKIP_TAGS[type(exc)])
-    return out
+def _method_cells(method: str, pairs, regions, config: BatteryConfig
+                  ) -> list[MatrixCell | str]:
+    """A cell or a skip tag for each aligned pair of the run.
 
-
-def _group_pairs(pairs) -> dict[tuple[int, tuple[int, ...]], list[int]]:
-    """Positions of a region's (outcome index, key, aligned pair) entries,
-    grouped by outcome index and aligned years in order of first appearance.
-
-    The pairs of one group share their whole outcome series, so the MIC
-    axes and the Granger fits of a group are worked out together.
+    Pearson, mutual information and Granger each make one batch call over
+    every pair; MIC runs pair by pair, sharing one MicCache per region.
     """
-    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    for position, (i, _, pair) in enumerate(pairs):
-        groups.setdefault((i, pair.years), []).append(position)
-    return groups
+    if method == "pearson":
+        results = pearsons(pairs)
+    elif method == "mutual_information":
+        results = mutual_informations(pairs, config.mi_bins, config.mi_strategy)
+    elif method == "granger":
+        directed = [pair.swapped() for pair in pairs] if config.granger_reverse else pairs
+        results = [sweep if isinstance(sweep, Exception) else sweep.best
+                   for sweep in lag_sweeps(directed, config.max_lag,
+                                           config.difference_first)]
+    else:
+        results = []
+        mic_cache, cache_region = None, None
+        for pair, region in zip(pairs, regions):
+            if region != cache_region:  # nothing is shared across regions
+                mic_cache, cache_region = MicCache(), region
+            try:
+                results.append(mic_cache.mic(pair, config.mic_alpha, config.mic_clumps,
+                                             config.mic_normalization))
+            except _SKIP_EXCEPTIONS as exc:
+                # kept without its traceback, which would hold this frame in a cycle
+                results.append(exc.with_traceback(None))
+    return [_SKIP_TAGS[type(result)] if isinstance(result, Exception)
+            else MatrixCell(pair.n, result)
+            for pair, result in zip(pairs, results)]
 
 
 def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatrix]:
@@ -240,8 +231,8 @@ def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatr
     Deterministic for a fixed (dataset, config): matrices come out in
     method-major, outcome-minor configuration order, rows in dataset
     region order, columns in canonical indicator order. Each pair is aligned
-    once; a pair-level skip lands in every method's matrix. The aligned
-    pairs of a region are computed in (outcome, years) groups.
+    once; a pair-level skip lands in every method's matrix. Each method
+    then runs once over all of the run's aligned pairs.
     """
     config.validate(dataset)
     cols = canonical_columns(config.indicators)
@@ -251,8 +242,9 @@ def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatr
          for outcome in config.outcomes]
         for method in config.methods
     ]
+    places = []  # (outcome index, cell key) of each aligned pair
+    pairs = []
     for region in dataset.regions:
-        pairs = []  # (outcome index, cell key, aligned pair)
         for i, outcome in enumerate(config.outcomes):
             outcome_series = dataset.series(region, outcome)
             for code in cols:
@@ -261,29 +253,22 @@ def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatr
                 skip = SKIP_MISSING_SERIES
                 if outcome_series is not None and indicator_series is not None:
                     try:
-                        pairs.append((i, key, align_pair(
-                            indicator_series, outcome_series, config.min_overlap)))
+                        pairs.append(align_pair(indicator_series, outcome_series,
+                                                config.min_overlap))
+                        places.append((i, key))
                         continue
                     except _SKIP_EXCEPTIONS as exc:
                         skip = _SKIP_TAGS[type(exc)]
                 for row in grid:
                     row[i].skips[key] = skip
-        groups = _group_pairs(pairs).values()
-        mic_cache = MicCache()
-        # method by method: back-to-back calls keep each kernel's caches warm
-        for row in grid:
-            outcomes: list[MatrixCell | str | None] = [None] * len(pairs)
-            for members in groups:
-                group = [pairs[position][2] for position in members]
-                for position, out in zip(members, _group_cells(
-                        row[0].method, group, config, mic_cache)):
-                    outcomes[position] = out
-            # filled in pair order, so each matrix's dicts keep one order
-            for (i, key, _), out in zip(pairs, outcomes):
-                if isinstance(out, str):
-                    row[i].skips[key] = out
-                else:
-                    row[i].cells[key] = out
+    regions = [key[0] for _, key in places]
+    for row in grid:
+        for (i, key), out in zip(places, _method_cells(row[0].method, pairs, regions,
+                                                       config)):
+            if isinstance(out, str):
+                row[i].skips[key] = out
+            else:
+                row[i].cells[key] = out
     return [matrix for row in grid for matrix in row]
 
 

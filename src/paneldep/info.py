@@ -33,23 +33,28 @@ def discretize(values, bins: int, strategy: str = "equal-frequency") -> np.ndarr
     a constant input collapses to bin 0. equal-frequency splits by rank,
     ties keeping their first-occurrence order.
     """
+    return _discretize_rows(np.asarray(values, dtype=float)[None], bins, strategy)[0]
+
+
+def _discretize_rows(v: np.ndarray, bins: int, strategy: str) -> np.ndarray:
+    """``discretize`` applied to each row of a 2-d array."""
     if bins < 2:
         raise DomainError(f"bins must be >= 2, got {bins}")
     if strategy not in STRATEGIES:
         raise DomainError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    v = np.asarray(values, dtype=float)
-    n = len(v)
+    n = v.shape[1]
     if n < bins:
         raise InsufficientDataError(f"{n} values cannot fill {bins} bins")
     if strategy == "equal-width":
-        lo, hi = v.min(), v.max()
-        if lo == hi:
-            return np.zeros(n, dtype=np.intp)
-        labels = ((v - lo) / (hi - lo) * bins).astype(np.intp)
+        lo = v.min(axis=1, keepdims=True)
+        hi = v.max(axis=1, keepdims=True)
+        constant = lo == hi
+        labels = ((v - lo) / np.where(constant, 1.0, hi - lo) * bins).astype(np.intp)
+        labels[constant[:, 0]] = 0
         return np.minimum(labels, bins - 1)
-    order = np.argsort(v, kind="stable")
-    labels = np.empty(n, dtype=np.intp)
-    labels[order] = np.arange(n) * bins // n
+    labels = np.empty(v.shape, dtype=np.intp)
+    np.put_along_axis(labels, np.argsort(v, axis=1, kind="stable"),
+                      np.arange(n) * bins // n, axis=1)
     return labels
 
 
@@ -82,12 +87,24 @@ class JointHistogram:
         """Mutual information of the joint distribution, in bits."""
         if self.n == 0:
             raise DomainError("empty histogram")
-        joint = self.counts / self.n
-        px = joint.sum(axis=1, keepdims=True)
-        py = joint.sum(axis=0, keepdims=True)
-        nz = joint > 0
-        mi = float(np.sum(joint[nz] * np.log2(joint[nz] / (px @ py)[nz])))
-        return max(0.0, mi)
+        return _mi_bits(np.asarray(self.counts)[None], self.n)[0]
+
+
+def _mi_bits(counts: np.ndarray, n: int) -> list[float]:
+    """Mutual information in bits of each (bins_x, bins_y) count grid of a
+    stack whose grids all hold n points.
+
+    The terms of all grids are formed in one pass; each grid's are summed
+    on their own, in the order a single grid sums them.
+    """
+    joint = counts / n
+    px = joint.sum(axis=2, keepdims=True)
+    py = joint.sum(axis=1, keepdims=True)
+    nz = joint > 0
+    terms = joint[nz] * np.log2(joint[nz] / (px * py)[nz])
+    ends = np.cumsum(np.count_nonzero(nz, axis=(1, 2))).tolist()
+    return [max(0.0, float(np.add.reduce(terms[start:end])))
+            for start, end in zip([0] + ends, ends)]
 
 
 @dataclass(frozen=True)
@@ -98,18 +115,43 @@ class MutualInfoResult:
     strategy: str
 
 
+def mutual_informations(pairs, bins: int | None,
+                        strategy: str = "equal-frequency"
+                        ) -> list[MutualInfoResult | InsufficientDataError]:
+    """``mutual_information`` over many pairs: each pair's result, or the
+    error its own call raises.
+
+    ``bins`` None gives each pair ``default_mi_bins(pair.n)``. Pairs of one
+    length are discretized as one stack and their joint counts come from
+    one ``bincount``; each result has the bits of its own call.
+    """
+    out: list = [None] * len(pairs)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, pair in enumerate(pairs):
+        k = default_mi_bins(pair.n) if bins is None else bins
+        if pair.n < max(k, 4):
+            out[i] = InsufficientDataError(
+                f"need at least max(bins, 4) = {max(k, 4)} observations, got {pair.n}"
+            )
+        else:
+            groups.setdefault((pair.n, k), []).append(i)
+    for (n, k), members in groups.items():
+        lx = _discretize_rows(np.array([pairs[i].x for i in members]), k, strategy)
+        ly = _discretize_rows(np.array([pairs[i].y for i in members]), k, strategy)
+        cell = (np.arange(len(members))[:, None] * k + lx) * k + ly
+        counts = np.bincount(cell.ravel(), minlength=len(members) * k * k)
+        for i, mi in zip(members, _mi_bits(counts.reshape(-1, k, k), n)):
+            out[i] = MutualInfoResult(mi=mi, bins_x=k, bins_y=k, strategy=strategy)
+    return out
+
+
 def mutual_information(pair: AlignedPair, bins: int,
                        strategy: str = "equal-frequency") -> MutualInfoResult:
     """Discretize both sequences and measure their shared information."""
-    if pair.n < max(bins, 4):
-        raise InsufficientDataError(
-            f"need at least max(bins, 4) = {max(bins, 4)} observations, got {pair.n}"
-        )
-    lx = discretize(pair.x, bins, strategy)
-    ly = discretize(pair.y, bins, strategy)
-    hist = JointHistogram.from_labels(lx, ly, bins, bins)
-    return MutualInfoResult(mi=hist.mi_bits(), bins_x=bins, bins_y=bins,
-                            strategy=strategy)
+    (result,) = mutual_informations([pair], bins, strategy)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def default_mi_bins(n: int) -> int:

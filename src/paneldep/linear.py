@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateInputError, DomainError, InsufficientDataError
 from .panel import AlignedPair
-from .special import regularized_beta
+from .special import regularized_betas
 
 
 @dataclass(frozen=True)
@@ -17,24 +19,86 @@ class PearsonResult:
     p_value: float
 
 
+def t_sfs(ts, dofs) -> list[float]:
+    """``t_sf`` over equal-length sequences, with one incomplete-beta batch.
+
+    Each value has the bits of its own ``t_sf`` call.
+    """
+    out: list[float] = []
+    pending: list[int] = []  # positions whose tail needs the incomplete beta
+    a, x, y = [], [], []
+    for i, (t, dof) in enumerate(zip(ts, dofs)):
+        if dof < 1:
+            raise DomainError(f"dof must be >= 1, got {dof}")
+        if math.isnan(t):
+            raise DomainError("t statistic is NaN")
+        if t == 0.0:
+            out.append(0.5)
+        elif dof == 1:
+            upper = 0.5 - math.atan(abs(t)) / math.pi
+            out.append(1.0 - upper if t < 0.0 else upper)
+        else:
+            t2 = t * t
+            out.append(math.nan)
+            pending.append(i)
+            a.append(dof / 2.0)
+            x.append(dof / (dof + t2))
+            y.append(t2 / (dof + t2))
+    for i, beta in zip(pending, regularized_betas(a, [0.5] * len(a), x, y)):
+        upper = 0.5 * beta
+        out[i] = 1.0 - upper if ts[i] < 0.0 else upper
+    return out
+
+
 def t_sf(t: float, dof: float) -> float:
     """Upper-tail probability of the t distribution.
 
     Evaluated through the regularized incomplete beta function; dof 1 uses
     the arctangent closed form so its textbook values come out exact.
     """
-    if dof < 1:
-        raise DomainError(f"dof must be >= 1, got {dof}")
-    if math.isnan(t):
-        raise DomainError("t statistic is NaN")
-    if t == 0.0:
-        return 0.5
-    if t < 0.0:
-        return 1.0 - t_sf(-t, dof)
-    if dof == 1:
-        return 0.5 - math.atan(t) / math.pi
-    t2 = t * t
-    return 0.5 * regularized_beta(dof / 2.0, 0.5, dof / (dof + t2), t2 / (dof + t2))
+    return t_sfs((t,), (dof,))[0]
+
+
+def pearsons(pairs) -> list[PearsonResult | InsufficientDataError | DegenerateInputError]:
+    """``pearson`` over many pairs: each pair's result, or the error its own
+    call raises.
+
+    Pairs of one length are stacked. The means and the sums of deviation
+    products are ``math.fsum`` over each pair's own floats; squares go
+    through libm ``pow``, as Python's ``** 2`` does, not ``d * d``, which
+    rounds some of them differently. Every p-value comes from one
+    ``t_sfs`` call, and each result has the bits of its own ``pearson``
+    call.
+    """
+    out: list = [None] * len(pairs)
+    by_length: dict[int, list[int]] = {}
+    for i, pair in enumerate(pairs):
+        if pair.n < 3:
+            out[i] = InsufficientDataError(f"need at least 3 observations, got {pair.n}")
+        else:
+            by_length.setdefault(pair.n, []).append(i)
+    tested = []  # (position, r, n, t)
+    for n, members in by_length.items():
+        members_x = [pairs[i].x for i in members]
+        members_y = [pairs[i].y for i in members]
+        dx = np.array(members_x) - np.array([math.fsum(x) / n for x in members_x])[:, None]
+        dy = np.array(members_y) - np.array([math.fsum(y) / n for y in members_y])[:, None]
+        sxy = [math.fsum(row.tolist()) for row in dx * dy]
+        sxx = [math.fsum(row.tolist()) for row in np.float_power(dx, 2.0)]
+        syy = [math.fsum(row.tolist()) for row in np.float_power(dy, 2.0)]
+        for i, sxy_i, sxx_i, syy_i in zip(members, sxy, sxx, syy):
+            if sxx_i == 0.0 or syy_i == 0.0:
+                out[i] = DegenerateInputError("correlation undefined for a constant sequence")
+                continue
+            r = max(-1.0, min(1.0, sxy_i / math.sqrt(sxx_i * syy_i)))
+            if abs(r) == 1.0:
+                out[i] = PearsonResult(r=r, n=n, p_value=0.0)
+            else:
+                tested.append((i, r, n, abs(r * math.sqrt((n - 2) / (1.0 - r * r)))))
+    tails = t_sfs([t for *_, t in tested], [n - 2 for _, _, n, _ in tested])
+    for (i, r, n, _), tail in zip(tested, tails):
+        out[i] = PearsonResult(r=r, n=n, p_value=min(1.0, 2.0 * tail))
+    return out
 
 
 def pearson(pair: AlignedPair) -> PearsonResult:
@@ -44,21 +108,7 @@ def pearson(pair: AlignedPair) -> PearsonResult:
     products) is kept deliberately: annual series are often near-constant
     and the single-pass expansion loses precision there.
     """
-    n = pair.n
-    if n < 3:
-        raise InsufficientDataError(f"need at least 3 observations, got {n}")
-    mean_x = math.fsum(pair.x) / n
-    mean_y = math.fsum(pair.y) / n
-    sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(pair.x, pair.y))
-    sxx = math.fsum((x - mean_x) ** 2 for x in pair.x)
-    syy = math.fsum((y - mean_y) ** 2 for y in pair.y)
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateInputError("correlation undefined for a constant sequence")
-    r = sxy / math.sqrt(sxx * syy)
-    r = max(-1.0, min(1.0, r))
-    if abs(r) == 1.0:
-        p = 0.0
-    else:
-        t = r * math.sqrt((n - 2) / (1.0 - r * r))
-        p = min(1.0, 2.0 * t_sf(abs(t), n - 2))
-    return PearsonResult(r=r, n=n, p_value=p)
+    (result,) = pearsons([pair])
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -8,12 +8,17 @@ The prefactor ``x**a * (1-x)**b / B(a, b)`` is formed in log space with
 log B computed after DiDonato & Morris (1992, ACM TOMS 708, ``betaln`` and
 ``algdiv``): when an argument is large the huge log-gamma terms are
 cancelled analytically through Stirling's series instead of subtracted.
+The fractions of a batch of arguments run as one numpy iteration of
+correctly rounded elementwise operations, so each element's value is the
+one it gets alone.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+
+import numpy as np
 
 from .errors import ConvergenceError
 
@@ -56,44 +61,87 @@ def log_beta(a: float, b: float) -> float:
             + (p - 0.5) * math.log(h / (1.0 + h)) - q * math.log1p(h))
 
 
-def _fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for I_x(a, b), converging fast for x < (a+1)/(a+b+2)."""
+def _clamped(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) < _TINY, _TINY, v)
+
+
+def _fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for I_x(a, b), converging fast for x < (a+1)/(a+b+2).
+
+    Elementwise: every step is the same IEEE operation on every element,
+    and an element leaves with its own ``h`` at the step where its own
+    ``|delta - 1|`` first drops below eps, so its bits do not depend on
+    the rest of the batch.
+    """
+    out = np.empty_like(x)
+    if not len(x):
+        return out
+    live = np.arange(len(x))  # the input position of each unconverged element
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
+    c = np.ones_like(x)
+    d = 1.0 / _clamped(1.0 - qab * x / qap)
+    h = d.copy()
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
+        d = 1.0 / _clamped(1.0 + aa * d)
+        c = _clamped(1.0 + aa / c)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
+        d = 1.0 / _clamped(1.0 + aa * d)
+        c = _clamped(1.0 + aa / c)
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            live, a, b, x, qab, qap, qam, c, d, h = (
+                v[keep] for v in (live, a, b, x, qab, qap, qam, c, d, h))
     raise ConvergenceError(
         f"incomplete beta fraction did not converge in {_MAX_ITER} steps "
-        f"(a={a!r}, b={b!r}, x={x!r})"
+        f"(a={float(a[0])!r}, b={float(b[0])!r}, x={float(x[0])!r})"
     )
+
+
+def regularized_betas(a, b, x, y) -> list[float]:
+    """``regularized_beta`` over equal-length sequences of arguments.
+
+    The prefactor is formed per element with ``math``; the continued
+    fractions of all elements run as one numpy iteration. Each element's
+    value has the bits of its own ``regularized_beta`` call. Any element
+    whose fraction does not converge raises ConvergenceError.
+    """
+    out = [0.0] * len(x)
+    pending = []  # (position, prefactor, divisor, swapped)
+    args = []  # the fraction's (a, b, x) after the symmetry swap
+    log_betas: dict[tuple[float, float], float] = {}
+    for i, (ai, bi, xi, yi) in enumerate(zip(a, b, x, y)):
+        if xi == 0.0:
+            continue
+        if yi == 0.0:
+            out[i] = 1.0
+            continue
+        log_x = math.log(xi) if xi < 0.5 else math.log1p(-yi)
+        log_y = math.log(yi) if yi < 0.5 else math.log1p(-xi)
+        lb = log_betas.get((ai, bi))
+        if lb is None:
+            lb = log_betas[ai, bi] = log_beta(ai, bi)
+        front = math.exp(ai * log_x + bi * log_y - lb)
+        if xi < (ai + 1.0) / (ai + bi + 2.0):
+            pending.append((i, front, ai, False))
+            args.append((ai, bi, xi))
+        else:
+            pending.append((i, front, bi, True))
+            args.append((bi, ai, yi))
+    fractions = _fractions(*np.array(args, dtype=float).reshape(-1, 3).T)
+    for (i, front, divisor, swapped), h in zip(pending, fractions.tolist()):
+        out[i] = 1.0 - front * h / divisor if swapped else front * h / divisor
+    return out
 
 
 def regularized_beta(a: float, b: float, x: float, y: float) -> float:
@@ -103,13 +151,4 @@ def regularized_beta(a: float, b: float, x: float, y: float) -> float:
     it without cancellation (the t and F tails can) keeps its precision
     near x = 1.
     """
-    if x == 0.0:
-        return 0.0
-    if y == 0.0:
-        return 1.0
-    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
-    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
-    front = math.exp(a * log_x + b * log_y - log_beta(a, b))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _fraction(a, b, x) / a
-    return 1.0 - front * _fraction(b, a, y) / b
+    return regularized_betas((a,), (b,), (x,), (y,))[0]

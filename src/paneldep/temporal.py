@@ -10,7 +10,7 @@ a lag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,10 +18,11 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     NonContiguousYearsError,
+    PanelDepError,
     SingularDesignError,
 )
 from .panel import AlignedPair
-from .special import regularized_beta
+from .special import regularized_betas
 
 
 def first_difference(series) -> tuple[float, ...]:
@@ -89,6 +90,38 @@ def nested_rss(design, response, restricted_cols: int) -> tuple[float, float]:
     return rss_ur + gain, rss_ur
 
 
+def f_sfs(fs, d1s, d2s) -> list[float]:
+    """``f_sf`` over equal-length sequences, with one incomplete-beta batch.
+
+    Each value has the bits of its own ``f_sf`` call.
+    """
+    out: list[float] = []
+    pending: list[int] = []  # positions whose tail needs the incomplete beta
+    a, b, x, y = [], [], [], []
+    for i, (f, d1, d2) in enumerate(zip(fs, d1s, d2s)):
+        if d1 < 1 or d2 < 1:
+            raise DomainError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
+        if math.isnan(f) or f < 0:
+            raise DomainError(f"F statistic must be >= 0, got {f}")
+        if f == 0.0:
+            out.append(1.0)
+        elif math.isinf(f):
+            out.append(0.0)
+        elif f == 1.0 and d1 == d2:
+            out.append(0.5)
+        else:
+            fd = d1 * f
+            out.append(math.nan)
+            pending.append(i)
+            a.append(d2 / 2.0)
+            b.append(d1 / 2.0)
+            x.append(d2 / (d2 + fd))
+            y.append(fd / (d2 + fd))
+    for i, tail in zip(pending, regularized_betas(a, b, x, y)):
+        out[i] = tail
+    return out
+
+
 def f_sf(f: float, d1: float, d2: float) -> float:
     """Upper-tail probability of the F distribution.
 
@@ -96,18 +129,7 @@ def f_sf(f: float, d1: float, d2: float) -> float:
     equal-dof statistic at 1 sits on the symmetry point and is returned
     exactly.
     """
-    if d1 < 1 or d2 < 1:
-        raise DomainError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
-    if math.isnan(f) or f < 0:
-        raise DomainError(f"F statistic must be >= 0, got {f}")
-    if f == 0.0:
-        return 1.0
-    if math.isinf(f):
-        return 0.0
-    if f == 1.0 and d1 == d2:
-        return 0.5
-    fd = d1 * f
-    return regularized_beta(d2 / 2.0, d1 / 2.0, d2 / (d2 + fd), fd / (d2 + fd))
+    return f_sfs((f,), (d1,), (d2,))[0]
 
 
 @dataclass(frozen=True)
@@ -190,23 +212,17 @@ def build_lag_design(x, y, lag: int) -> LagDesign:
     return LagDesign(design[:, -1], design[:, :-1], lag, n_eff)
 
 
-def _series(pairs, difference_first: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) rows every lag of the pairs is fitted on; the pairs share years."""
-    years = pairs[0].years
-    if any(pair.years != years for pair in pairs):
-        raise DomainError("pairs fitted together must share their years")
+def _series(pair: AlignedPair, difference_first: bool) -> tuple[tuple, tuple]:
+    """The (x, y) every lag of the pair is fitted on."""
+    years = pair.years
     for a, b in zip(years, years[1:]):
         if b - a != 1:
             raise NonContiguousYearsError(
                 f"years jump from {a} to {b}; lags are meaningless across gaps"
             )
     if difference_first:
-        xs = [first_difference(pair.x) for pair in pairs]
-        ys = [first_difference(pair.y) for pair in pairs]
-    else:
-        xs = [pair.x for pair in pairs]
-        ys = [pair.y for pair in pairs]
-    return np.array(xs, dtype=float), np.array(ys, dtype=float)
+        return first_difference(pair.x), first_difference(pair.y)
+    return pair.x, pair.y
 
 
 def _fit_lag(x: np.ndarray, y: np.ndarray,
@@ -214,7 +230,8 @@ def _fit_lag(x: np.ndarray, y: np.ndarray,
     """Fit one lag on every row of x and y with one stacked QR.
 
     The rank check is per row: a singular design gives its row's error and
-    leaves the other rows' fits alone.
+    leaves the other rows' fits alone. The p-values are left NaN for
+    ``_with_p_values`` to fill.
     """
     n_eff = _usable_rows(y.shape[1], lag)
     cols = 1 + 2 * lag
@@ -227,9 +244,15 @@ def _fit_lag(x: np.ndarray, y: np.ndarray,
             continue
         gain, rss_ur = _split_rss(R_pair, 1 + lag, cols)
         f = math.inf if rss_ur == 0.0 else (gain / lag) / (rss_ur / dof_den)
-        fits.append(GrangerResult(lag, f, f_sf(f, lag, dof_den), rss_ur + gain,
-                                  rss_ur, n_eff))
+        fits.append(GrangerResult(lag, f, math.nan, rss_ur + gain, rss_ur, n_eff))
     return fits
+
+
+def _with_p_values(fits: list[GrangerResult]) -> list[GrangerResult]:
+    """The fits with their p-values, every F tail from one ``f_sfs`` call."""
+    tails = f_sfs([fit.f_stat for fit in fits], [fit.lag for fit in fits],
+                  [fit.n_eff - (1 + 2 * fit.lag) for fit in fits])
+    return [replace(fit, p_value=p) for fit, p in zip(fits, tails)]
 
 
 def granger_test(pair: AlignedPair, lag: int,
@@ -241,44 +264,76 @@ def granger_test(pair: AlignedPair, lag: int,
     designs are built (the caller's stationarity treatment; never applied
     silently).
     """
-    (fit,) = _fit_lag(*_series([pair], difference_first), lag)
+    x, y = _series(pair, difference_first)
+    (fit,) = _fit_lag(np.array([x], dtype=float), np.array([y], dtype=float), lag)
     if isinstance(fit, SingularDesignError):
         raise fit
-    return fit
+    return _with_p_values([fit])[0]
+
+
+def _no_lag_fits(n: int, skipped: list[SkippedLag],
+                 singular: SingularDesignError | None) -> PanelDepError:
+    """The error of a sweep in which every lag was skipped; ``singular`` is
+    the first rank-deficiency error among its lags, if there was one."""
+    if singular is not None:
+        reasons = "; ".join(f"lag {skip.lag}: {skip.reason}" for skip in skipped)
+        return SingularDesignError(f"no lag fits the pair of length {n} ({reasons})",
+                                   rank=singular.rank)
+    return InsufficientDataError(f"pair of length {n} is too short for even lag 1")
 
 
 def lag_sweeps(pairs, max_lag: int,
-               difference_first: bool = False) -> list[LagSweep | None]:
-    """``lag_sweep`` over pairs that share their years, fitted together.
+               difference_first: bool = False) -> list[LagSweep | PanelDepError]:
+    """``lag_sweep`` over many pairs: each pair's sweep, or the error its own
+    call raises.
 
-    Each lag's designs go through one stacked QR. Each pair gets its own
-    sweep, the same as ``lag_sweep`` gives it, or None where no lag fits.
-    What holds for every pair alike (a bad ``max_lag``, a year gap, too
-    few points to difference) raises.
+    Pairs whose fitted series have one length are stacked, so each lag's
+    designs of that length go through one QR, and every fit's F tail comes
+    from one ``f_sfs`` call; each sweep equals the pair's own
+    ``lag_sweep``, bit for bit. A bad ``max_lag`` raises.
     """
     if max_lag < 1:
         raise DomainError(f"max_lag must be >= 1, got {max_lag}")
-    if not pairs:
-        return []
-    x, y = _series(pairs, difference_first)
-    results = [[] for _ in pairs]
-    skipped = [[] for _ in pairs]
-    for lag in range(1, max_lag + 1):
+    out: list = [None] * len(pairs)
+    series: list = [None] * len(pairs)
+    by_length: dict[int, list[int]] = {}
+    for i, pair in enumerate(pairs):
         try:
-            fits = _fit_lag(x, y, lag)
-        except InsufficientDataError as exc:
-            fits = [exc] * len(pairs)
-        for fit, fitted, skips in zip(fits, results, skipped):
-            if isinstance(fit, GrangerResult):
-                fitted.append(fit)
-            else:
-                skips.append(SkippedLag(lag, str(fit)))
-    return [
-        LagSweep(tuple(fitted), tuple(skips),
-                 min(fitted, key=lambda res: res.p_value))  # first minimum wins
-        if fitted else None
-        for fitted, skips in zip(results, skipped)
-    ]
+            series[i] = _series(pair, difference_first)
+        except (NonContiguousYearsError, InsufficientDataError) as exc:
+            # kept without its traceback, which would hold this frame in a cycle
+            out[i] = exc.with_traceback(None)
+            continue
+        by_length.setdefault(len(series[i][1]), []).append(i)
+    fits: list[list[GrangerResult]] = [[] for _ in pairs]
+    skipped: list[list[SkippedLag]] = [[] for _ in pairs]
+    singular: list[SingularDesignError | None] = [None] * len(pairs)
+    for members in by_length.values():
+        x = np.array([series[i][0] for i in members], dtype=float)
+        y = np.array([series[i][1] for i in members], dtype=float)
+        for lag in range(1, max_lag + 1):
+            try:
+                lag_fits = _fit_lag(x, y, lag)
+            except InsufficientDataError as exc:
+                lag_fits = [exc.with_traceback(None)] * len(members)
+            for i, fit in zip(members, lag_fits):
+                if isinstance(fit, GrangerResult):
+                    fits[i].append(fit)
+                else:
+                    skipped[i].append(SkippedLag(lag, str(fit)))
+                    if isinstance(fit, SingularDesignError) and singular[i] is None:
+                        singular[i] = fit
+    results = iter(_with_p_values([fit for pair_fits in fits for fit in pair_fits]))
+    for i, pair_fits in enumerate(fits):
+        if out[i] is not None:
+            continue
+        if not pair_fits:
+            out[i] = _no_lag_fits(pairs[i].n, skipped[i], singular[i])
+            continue
+        fitted = tuple(next(results) for _ in pair_fits)
+        out[i] = LagSweep(fitted, tuple(skipped[i]),
+                          min(fitted, key=lambda res: res.p_value))  # first minimum wins
+    return out
 
 
 def lag_sweep(pair: AlignedPair, max_lag: int,
@@ -286,12 +341,11 @@ def lag_sweep(pair: AlignedPair, max_lag: int,
     """Run the test at every lag 1..max_lag that fits the sample.
 
     Lags that individually lack data are skipped with a reason; if no lag
-    fits at all that is an error. Best lag is the smallest p-value, ties
-    going to the shorter lag.
+    fits at all that is an error: SingularDesignError when some lag was
+    skipped for a rank-deficient design, InsufficientDataError otherwise.
+    Best lag is the smallest p-value, ties going to the shorter lag.
     """
     (sweep,) = lag_sweeps([pair], max_lag, difference_first)
-    if sweep is None:
-        raise InsufficientDataError(
-            f"pair of length {pair.n} is too short for even lag 1"
-        )
+    if isinstance(sweep, Exception):
+        raise sweep
     return sweep

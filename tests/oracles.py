@@ -1,10 +1,12 @@
 """Slow reference implementations the fast code is checked against."""
 
 import itertools
+import math
 
 import numpy as np
 
 from paneldep.info import grid_bound
+from paneldep.special import log_beta
 
 
 def reference_equipartition(values: np.ndarray, k: int) -> np.ndarray:
@@ -83,3 +85,115 @@ def brute_force_mic(x, y, alpha: float = 0.6) -> float:
                 value = best / np.log2(min(cols, n_rows))
                 cells[key] = max(cells.get(key, -np.inf), value)
     return max(cells.values())
+
+
+# -- scalar forms of the batched kernels -------------------------------------
+#
+# One pair or one tail at a time, in plain Python where the package stacks
+# pairs. Each performs the same IEEE operations in the same order as its
+# batched counterpart, so the two must agree bit for bit.
+
+_TINY = 1e-300
+_EPS = float(np.finfo(float).eps)
+
+
+def reference_fraction(a: float, b: float, x: float, max_iter: int = 10_000) -> float:
+    """Continued fraction of I_x(a, b) by the modified Lentz method."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+
+    def clamp(v):
+        return _TINY if abs(v) < _TINY else v
+
+    c = 1.0
+    d = 1.0 / clamp(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, max_iter + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / clamp(1.0 + aa * d)
+        c = clamp(1.0 + aa / c)
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / clamp(1.0 + aa * d)
+        c = clamp(1.0 + aa / c)
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return h
+    raise AssertionError("reference fraction did not converge")
+
+
+def reference_regularized_beta(a: float, b: float, x: float, y: float) -> float:
+    if x == 0.0:
+        return 0.0
+    if y == 0.0:
+        return 1.0
+    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
+    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
+    front = math.exp(a * log_x + b * log_y - log_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * reference_fraction(a, b, x) / a
+    return 1.0 - front * reference_fraction(b, a, y) / b
+
+
+def reference_t_sf(t: float, dof: float) -> float:
+    if t == 0.0:
+        return 0.5
+    if t < 0.0:
+        return 1.0 - reference_t_sf(-t, dof)
+    if dof == 1:
+        return 0.5 - math.atan(t) / math.pi
+    t2 = t * t
+    return 0.5 * reference_regularized_beta(dof / 2.0, 0.5, dof / (dof + t2),
+                                            t2 / (dof + t2))
+
+
+def reference_f_sf(f: float, d1: float, d2: float) -> float:
+    if f == 0.0:
+        return 1.0
+    if math.isinf(f):
+        return 0.0
+    if f == 1.0 and d1 == d2:
+        return 0.5
+    fd = d1 * f
+    return reference_regularized_beta(d2 / 2.0, d1 / 2.0, d2 / (d2 + fd), fd / (d2 + fd))
+
+
+def reference_pearson(x, y) -> tuple[float, float] | None:
+    """(r, p) by the two-pass form, or None for a constant sequence."""
+    n = len(x)
+    mean_x = math.fsum(x) / n
+    mean_y = math.fsum(y) / n
+    sxy = math.fsum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
+    sxx = math.fsum((a - mean_x) ** 2 for a in x)
+    syy = math.fsum((b - mean_y) ** 2 for b in y)
+    if sxx == 0.0 or syy == 0.0:
+        return None
+    r = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+    if abs(r) == 1.0:
+        return r, 0.0
+    t = r * math.sqrt((n - 2) / (1.0 - r * r))
+    return r, min(1.0, 2.0 * reference_t_sf(abs(t), n - 2))
+
+
+def reference_labels(values, bins: int, strategy: str) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if strategy == "equal-width":
+        lo, hi = v.min(), v.max()
+        if lo == hi:
+            return np.zeros(len(v), dtype=np.intp)
+        return np.minimum(((v - lo) / (hi - lo) * bins).astype(np.intp), bins - 1)
+    labels = np.empty(len(v), dtype=np.intp)
+    labels[np.argsort(v, kind="stable")] = np.arange(len(v)) * bins // len(v)
+    return labels
+
+
+def reference_mutual_information(x, y, bins: int, strategy: str) -> float:
+    counts = np.zeros((bins, bins), dtype=np.int64)
+    np.add.at(counts, (reference_labels(x, bins, strategy),
+                       reference_labels(y, bins, strategy)), 1)
+    joint = counts / len(x)
+    px = joint.sum(axis=1, keepdims=True)
+    py = joint.sum(axis=0, keepdims=True)
+    nz = joint > 0
+    return max(0.0, float(np.sum(joint[nz] * np.log2(joint[nz] / (px @ py)[nz]))))

@@ -1,0 +1,133 @@
+"""Batch kernels against their batches of one and their scalar references.
+
+Each batch function returns, for every pair, what the same function gives
+that pair alone, bit for bit: the batch order and the companion pairs must
+not matter. The references in ``oracles`` are the one-pair loops the batch
+kernels stack, so agreement with them pins the bits as well.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from paneldep import special
+from paneldep.errors import ConvergenceError
+from paneldep.info import mutual_informations
+from paneldep.linear import pearsons, t_sf, t_sfs
+from paneldep.panel import AlignedPair
+from paneldep.temporal import f_sf, f_sfs, lag_sweeps
+
+from oracles import (
+    reference_f_sf,
+    reference_mutual_information,
+    reference_pearson,
+    reference_t_sf,
+)
+
+tied = st.integers(-4, 4).map(lambda v: v / 2)
+spread = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def aligned_pairs(draw):
+    """Pairs of mixed lengths and years, with ties, constant rows and gaps."""
+    n = draw(st.integers(3, 36))
+    x, y = (draw(st.one_of(st.lists(tied, min_size=n, max_size=n),
+                           st.lists(spread, min_size=n, max_size=n),
+                           tied.map(lambda v: [v] * n)))
+            for _ in range(2))
+    start = draw(st.sampled_from((1990, 2000, 2001)))
+    years = list(range(start, start + n))
+    if n > 4 and draw(st.booleans()):
+        years[n // 2:] = [year + 1 for year in years[n // 2:]]
+    return AlignedPair(tuple(x), tuple(y), tuple(years))
+
+
+def same(batched, alone):
+    """Equal results, or the same error with the same message."""
+    if isinstance(alone, Exception):
+        return type(batched) is type(alone) and batched.args == alone.args
+    return repr(batched) == repr(alone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(aligned_pairs(), min_size=1, max_size=8), st.randoms(),
+       st.integers(2, 12), st.integers(1, 4), st.booleans())
+def test_batches_match_batches_of_one(pairs, rnd, bins, max_lag, difference_first):
+    shuffled = pairs[:]
+    rnd.shuffle(shuffled)
+    batches = {
+        "pearson": pearsons,
+        **{f"mi {b} {s}": (lambda ps, b=b, s=s: mutual_informations(ps, b, s))
+           for b in (None, bins) for s in ("equal-frequency", "equal-width")},
+        "granger": lambda ps: lag_sweeps(ps, max_lag, difference_first),
+    }
+    for name, batch in batches.items():
+        for pair, result in zip(shuffled, batch(shuffled)):
+            assert same(result, batch([pair])[0]), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(aligned_pairs(), min_size=1, max_size=8), st.integers(2, 12))
+def test_batches_match_scalar_references(pairs, bins):
+    for pair, result in zip(pairs, pearsons(pairs)):
+        expected = reference_pearson(pair.x, pair.y)
+        if expected is None:
+            assert isinstance(result, Exception)
+        else:
+            assert repr((result.r, result.p_value)) == repr(expected)
+    for strategy in ("equal-frequency", "equal-width"):
+        for pair, result in zip(pairs, mutual_informations(pairs, bins, strategy)):
+            if pair.n >= max(bins, 4):
+                assert repr(result.mi) == repr(
+                    reference_mutual_information(pair.x, pair.y, bins, strategy))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-50, 50), st.integers(1, 400),
+                          st.floats(0, 60), st.integers(1, 6)),
+                min_size=1, max_size=30))
+def test_tail_batches_match_each_element(args):
+    ts, dofs, fs, d1s = zip(*args)
+    assert [repr(v) for v in t_sfs(ts, dofs)] == \
+        [repr(reference_t_sf(t, dof)) for t, dof in zip(ts, dofs)]
+    assert [repr(v) for v in f_sfs(fs, d1s, dofs)] == \
+        [repr(reference_f_sf(f, d1, d2)) for f, d1, d2 in zip(fs, d1s, dofs)]
+
+
+def test_squares_are_rounded_as_python_pow():
+    # glibc's pow(d, 2.0), behind Python's ``d ** 2``, and d * d round some
+    # of this pair's squared deviations differently, and r with them
+    x, y = (-95.664, -74.633, 82.905, 82.854), (61.4, 90.928, -22.664, 70.769)
+    (result,) = pearsons([AlignedPair(x, y, (2000, 2001, 2002, 2003))])
+    assert repr(result.r) == repr(reference_pearson(x, y)[0])
+
+
+def test_dense_tail_grid_as_one_batch(tail_dense_golden):
+    t = tail_dense_golden["t"]
+    batch = t_sfs([p["t"] for p in t], [p["dof"] for p in t])
+    assert [repr(v) for v in batch] == [repr(t_sf(p["t"], p["dof"])) for p in t]
+    assert [repr(v) for v in batch] == [repr(reference_t_sf(p["t"], p["dof"])) for p in t]
+    f = tail_dense_golden["f"]
+    batch = f_sfs([p["f"] for p in f], [p["d1"] for p in f], [p["d2"] for p in f])
+    assert [repr(v) for v in batch] == \
+        [repr(f_sf(p["f"], p["d1"], p["d2"])) for p in f]
+    assert [repr(v) for v in batch] == \
+        [repr(reference_f_sf(p["f"], p["d1"], p["d2"])) for p in f]
+
+
+def test_one_unconverged_element_fails_the_batch(monkeypatch):
+    # x ~ 5e-20 converges in the first step; t = 2.5 at dof 31 needs more
+    easy = (2.5, 0.5, 5e-20, 1.0)
+    hard = (15.5, 0.5, 31 / 37.25, 6.25 / 37.25)
+    monkeypatch.setattr(special, "_MAX_ITER", 2)
+    assert special.regularized_betas(*zip(easy))[0] > 0.0
+    with pytest.raises(ConvergenceError, match="a=15.5"):
+        special.regularized_betas(*zip(easy, hard, easy))
+
+
+def test_empty_batches():
+    assert pearsons([]) == []
+    assert mutual_informations([], None) == []
+    assert lag_sweeps([], 3) == []
+    assert t_sfs([], []) == [] and f_sfs([], [], []) == []
+    assert special.regularized_betas([], [], [], []) == []

@@ -15,7 +15,9 @@ from paneldep.panel import (
     load_fixture,
     outcome_code,
     _classify_code,
+    align_pair,
 )
+from paneldep.temporal import lag_sweep
 
 ALL_METHODS = ("pearson", "mutual_information", "granger", "mic")
 
@@ -109,24 +111,31 @@ class TestRunBattery:
         assert len(matrices) == 12
         assert len(calls) == 3 * 15  # outcomes x indicators, not x methods
 
-    def test_gapped_pairs_get_their_own_groups(self, monkeypatch):
+    def test_gapped_pairs_share_one_granger_call(self, monkeypatch):
         import paneldep.battery as battery
 
         batches = []
         sweeps = battery.lag_sweeps
 
         def recording_sweeps(pairs, *args):
-            batches.append(sorted({pair.years for pair in pairs}))
+            batches.append(list(pairs))
             return sweeps(pairs, *args)
 
         monkeypatch.setattr(battery, "lag_sweeps", recording_sweeps)
         ds, config = fixture_config(methods=("granger",))
-        run_battery(ds, config)
-        # per outcome: the 9 full series, ED4, S3, T1 with T3, T4 and T5
-        assert len(batches) == 3 * 6
-        assert all(len(years) == 1 for years in batches)
-        firsts = sorted(years[0][0] for years in batches[:6])
+        matrices = run_battery(ds, config)
+        (pairs,) = batches  # one call for the whole run
+        # the 9 full series, ED4, S3, T1 with T3, T4 and T5: six year spans
+        firsts = sorted({pair.years[0] for pair in pairs})
         assert firsts == [1991, 1999, 2000, 2001, 2005, 2010]
+        cells = 0
+        for matrix in matrices:
+            for (region, code), cell in matrix.cells.items():
+                pair = align_pair(ds.series(region, code),
+                                  ds.series(region, matrix.outcome), config.min_overlap)
+                assert repr(cell.result) == repr(lag_sweep(pair, config.max_lag).best)
+                cells += 1
+        assert cells == len(pairs)
 
     def test_mic_skips_short_series(self):
         ds, config = fixture_config(methods=("mic",))
@@ -204,6 +213,22 @@ class TestRunBattery:
             assert matrix.skips[("R2", "E1")] == "missing-series"
             assert matrix.complete()
         assert ("R1", "E1") in matrices[0].cells
+
+    def test_every_lag_singular_is_tagged_singular_design(self):
+        years = tuple(range(2000, 2030))
+        wiggle = tuple(float(i % 7) + 0.1 * i for i in range(30))
+        ds = PanelDataset(
+            regions=("R",),
+            indicators=(_classify_code("E1"), _classify_code("dep|DALYs|all")),
+            cells={
+                ("R", "E1"): AnnualSeries(years, (2.5,) * 30),  # repeats the intercept
+                ("R", "dep|DALYs|all"): AnnualSeries(years, wiggle),
+            },
+        )
+        config = BatteryConfig(methods=("granger",), outcomes=("dep|DALYs|all",),
+                               indicators=("E1",), max_lag=4)
+        (matrix,) = run_battery(ds, config)
+        assert matrix.skips == {("R", "E1"): "singular-design"}
 
     def test_determinism(self):
         ds, config = fixture_config()

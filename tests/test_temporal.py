@@ -1,3 +1,4 @@
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -210,6 +211,12 @@ class TestLagSweep:
         with pytest.raises(InsufficientDataError):
             lag_sweep(make_pair([1, 2, 3], [4, 5, 6]), max_lag=2)
 
+    def test_every_lag_singular_is_a_singular_design(self):
+        # long enough for every lag, but a constant x repeats the intercept
+        y = np.random.default_rng(31).normal(size=30)
+        with pytest.raises(SingularDesignError, match="lag 4: design is rank deficient"):
+            lag_sweep(make_pair(np.full(30, 2.5), y), max_lag=4)
+
 
 class TestLagSweeps:
     def test_batch_matches_each_pair_alone(self):
@@ -223,11 +230,9 @@ class TestLagSweeps:
         # x[t] = y[t + 1]: from lag 2 on, an x lag repeats a y lag
         pairs.append(make_pair(np.append(y[1:], 0.0), y))
         sweeps = lag_sweeps(pairs, max_lag=4)
-        assert sweeps[1] is None
+        assert isinstance(sweeps[1], SingularDesignError)
         with pytest.raises(SingularDesignError):
             granger_test(pairs[1], 2)
-        with pytest.raises(InsufficientDataError):
-            lag_sweep(pairs[1], max_lag=4)
         assert [r.lag for r in sweeps[-1].results] == [1]
         assert [s.lag for s in sweeps[-1].skipped] == [2, 3, 4]
         assert all("rank deficient" in s.reason for s in sweeps[-1].skipped)
@@ -235,10 +240,25 @@ class TestLagSweeps:
             if i != 1:
                 assert repr(sweep) == repr(lag_sweep(pair, max_lag=4))
 
-    def test_batch_needs_shared_years(self):
-        with pytest.raises(DomainError):
-            lag_sweeps([make_pair(range(20), range(20)),
-                        make_pair(range(20), range(20), start_year=2001)], 2)
+    def test_batch_mixes_years(self):
+        """Pairs of any years, lengths and gaps go in one call; each gets
+        what its own lag_sweep gives or raises."""
+        rng = np.random.default_rng(5)
+        pairs = [make_pair(rng.normal(size=n), rng.normal(size=n), start_year=start)
+                 for n, start in ((20, 2000), (20, 2001), (26, 1990), (4, 2000),
+                                  (20, 2000))]
+        gapped = make_pair(range(12), rng.normal(size=12))
+        pairs.insert(2, AlignedPair(gapped.x, gapped.y,
+                                    (*range(2000, 2006), *range(2007, 2013))))
+        sweeps = lag_sweeps(pairs, max_lag=3)
+        assert isinstance(sweeps[2], NonContiguousYearsError)
+        assert isinstance(sweeps[4], InsufficientDataError)
+        for pair, sweep in zip(pairs, sweeps):
+            if isinstance(sweep, Exception):
+                with pytest.raises(type(sweep), match=re.escape(str(sweep))):
+                    lag_sweep(pair, max_lag=3)
+            else:
+                assert repr(sweep) == repr(lag_sweep(pair, max_lag=3))
 
 
 class TestFixtureOracle:
