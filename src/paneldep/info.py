@@ -79,6 +79,12 @@ class JointHistogram:
         ly = np.asarray(ly, dtype=np.intp)
         if lx.shape != ly.shape:
             raise DomainError("label sequences differ in length")
+        for labels, bins, axis in ((lx, bins_x, "x"), (ly, bins_y, "y")):
+            if labels.size and (labels.min() < 0 or labels.max() >= bins):
+                raise DomainError(
+                    f"{axis} labels must lie in [0, {bins}), got "
+                    f"{int(labels.min())}..{int(labels.max())}"
+                )
         counts = np.zeros((bins_x, bins_y), dtype=np.int64)
         np.add.at(counts, (lx, ly), 1)
         return cls(counts=counts, n=int(lx.size))

@@ -209,6 +209,14 @@ def align_pair(a: AnnualSeries, b: AnnualSeries,
     """
     if min_overlap < 3:
         raise DomainError(f"min_overlap must be >= 3, got {min_overlap}")
+    if a.years == b.years and None not in a.values and None not in b.values:
+        # Gap-free over the same years: every year is jointly populated.
+        if len(a.years) < min_overlap:
+            raise InsufficientOverlapError(
+                f"only {len(a.years)} jointly populated years, need {min_overlap}",
+                overlap=len(a.years),
+            )
+        return AlignedPair(tuple(a.values), tuple(b.values), tuple(a.years))
     pa, pb = a.present(), b.present()
     common = [y for y in pa if y in pb]
     if len(common) < min_overlap:
@@ -233,10 +241,11 @@ class PanelDataset:
 
     def __post_init__(self):
         known = {ind.code for ind in self.indicators}
+        regions = set(self.regions)
         for region, code in self.cells:
             if code not in known:
                 raise DomainError(f"cell code {code!r} not in indicator list")
-            if region not in self.regions:
+            if region not in regions:
                 raise DomainError(f"cell region {region!r} not in region list")
 
     def codes(self) -> tuple[str, ...]:
@@ -277,9 +286,9 @@ class PanelDataset:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json(self) -> str:
-        """Canonical full-fidelity snapshot; see from_json for the inverse."""
-        doc = {
+    def _snapshot_doc(self) -> dict:
+        """The snapshot's JSON document, shared by to_json and fingerprint."""
+        return {
             "regions": list(self.regions),
             "indicators": [
                 {"code": i.code, "name": i.name,
@@ -296,7 +305,10 @@ class PanelDataset:
                 for (region, code), s in self.cells.items()
             ],
         }
-        return json.dumps(doc, indent=1, sort_keys=False) + "\n"
+
+    def to_json(self) -> str:
+        """Canonical full-fidelity snapshot; see from_json for the inverse."""
+        return json.dumps(self._snapshot_doc(), indent=1, sort_keys=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "PanelDataset":
@@ -343,8 +355,15 @@ class PanelDataset:
         return out.getvalue()
 
     def fingerprint(self) -> str:
-        """Content hash of the canonical snapshot (reproducibility anchor)."""
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        """Content hash of the panel (reproducibility anchor).
+
+        The sha256 of the snapshot document in compact JSON (separators
+        "," and ":", no whitespace), so it depends on the panel's content
+        and order only, not on how a snapshot file is indented. It is not
+        the sha256 of the ``to_json`` text.
+        """
+        text = json.dumps(self._snapshot_doc(), separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _snapshot_value(value) -> float | None:
@@ -428,6 +447,7 @@ def parse_wdi_wide(text: str, default_region: str = DEFAULT_REGION) -> PanelData
         raise ParseError("line 1: year columns must be strictly increasing")
 
     regions: list[str] = []
+    seen_regions: set[str] = set()
     indicators: list[IndicatorCode] = []
     seen_codes: set[str] = set()
     cells: dict[tuple[str, str], AnnualSeries] = {}
@@ -454,7 +474,8 @@ def parse_wdi_wide(text: str, default_region: str = DEFAULT_REGION) -> PanelData
         if all(v is None for v in values):
             raise ParseError(f"line {line_no}: series {code!r} has no values")
         cells[key] = AnnualSeries(tuple(years), values)
-        if region not in regions:
+        if region not in seen_regions:
+            seen_regions.add(region)
             regions.append(region)
         if code not in seen_codes:
             seen_codes.add(code)
@@ -495,7 +516,9 @@ def parse_gbd_long(text: str) -> PanelDataset:
         )
 
     regions: list[str] = []
+    seen_regions: set[str] = set()
     codes: list[str] = []
+    seen_codes: set[str] = set()
     points: dict[tuple[str, str], dict[int, float]] = {}
     for line_no, row in records:
         if len(row) != len(GBD_HEADER):
@@ -524,9 +547,11 @@ def parse_gbd_long(text: str) -> PanelDataset:
                 f"{cause!r}, {age.value!r}, {measure!r}, year {year}"
             )
         series[year] = value
-        if location not in regions:
+        if location not in seen_regions:
+            seen_regions.add(location)
             regions.append(location)
-        if code not in codes:
+        if code not in seen_codes:
+            seen_codes.add(code)
             codes.append(code)
     if not points:
         raise ParseError("no data rows after header")

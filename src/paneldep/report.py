@@ -130,12 +130,16 @@ def _matrix_doc(matrix: ResultMatrix) -> dict:
 
 
 def export_json(bundle: ExportBundle) -> str:
-    """Canonical bundle serialization: sorted keys, stable float repr."""
+    """Canonical bundle serialization: sorted keys, stable float repr.
+
+    One line plus a newline, so the C encoder writes it; pretty-print it
+    with ``python -m json.tool bundle.json``.
+    """
     doc = {
         "metadata": bundle.metadata,
         "matrices": [_matrix_doc(m) for m in bundle.matrices],
     }
-    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 # -- heatmap ----------------------------------------------------------------

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 
+from paneldep.errors import DomainError, InsufficientOverlapError
 from paneldep.info import grid_bound
+from paneldep.panel import AlignedPair
 from paneldep.special import log_beta
 
 
@@ -197,3 +199,21 @@ def reference_mutual_information(x, y, bins: int, strategy: str) -> float:
     py = joint.sum(axis=0, keepdims=True)
     nz = joint > 0
     return max(0.0, float(np.sum(joint[nz] * np.log2(joint[nz] / (px @ py)[nz]))))
+
+
+def reference_align_pair(a, b, min_overlap: int):
+    """Pairwise deletion year by year, through each series' year -> value map."""
+    if min_overlap < 3:
+        raise DomainError(f"min_overlap must be >= 3, got {min_overlap}")
+    pa, pb = a.present(), b.present()
+    common = [y for y in pa if y in pb]
+    if len(common) < min_overlap:
+        raise InsufficientOverlapError(
+            f"only {len(common)} jointly populated years, need {min_overlap}",
+            overlap=len(common),
+        )
+    return AlignedPair(
+        x=tuple(pa[y] for y in common),
+        y=tuple(pb[y] for y in common),
+        years=tuple(common),
+    )

@@ -86,6 +86,23 @@ class TestMutualInformation:
         counts = np.array([[50, 0], [0, 50]])
         assert JointHistogram(counts, 100).mi_bits() == pytest.approx(1.0, abs=1e-12)
 
+    def test_negative_label_rejected(self):
+        with pytest.raises(DomainError):
+            JointHistogram.from_labels([0, 1, -1, 1], [0, 1, 1, 0], 2, 2)
+        with pytest.raises(DomainError):
+            JointHistogram.from_labels([0, 1, 1, 1], [0, 1, -1, 0], 2, 2)
+
+    def test_label_beyond_bins_rejected(self):
+        with pytest.raises(DomainError):
+            JointHistogram.from_labels([0, 1, 2, 1], [0, 1, 1, 0], 2, 2)
+        with pytest.raises(DomainError):
+            JointHistogram.from_labels([0, 1, 1, 1], [0, 1, 1, 3], 2, 3)
+
+    def test_labels_in_range_counted(self):
+        hist = JointHistogram.from_labels([0, 1, 1, 1], [0, 1, 2, 0], 2, 3)
+        assert hist.counts.tolist() == [[1, 0, 0], [1, 1, 1]]
+        assert hist.n == 4
+
     def test_identity_four_bins_from_counts(self):
         counts = np.diag([25, 25, 25, 25])
         assert JointHistogram(counts, 100).mi_bits() == pytest.approx(2.0, abs=1e-12)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +29,8 @@ from paneldep.panel import (
     parse_gbd_long,
     parse_wdi_wide,
 )
+
+from oracles import reference_align_pair
 
 WDI_SMALL = """code,region,2000,2001,2002,2003
 E1,global,1.0,2.0,-,4.0
@@ -247,6 +251,54 @@ class TestAlignPair:
         assert set(forward.years) == joint
 
 
+@st.composite
+def series_pairs(draw):
+    """Two series over equal or unequal years, each with or without gaps,
+    and a min_overlap at, just below or just above their joint count."""
+    def series(years):
+        element = st.floats(-1e6, 1e6)
+        if draw(st.booleans()):
+            element = element | st.none()
+        values = draw(st.lists(element, min_size=len(years), max_size=len(years))
+                      .filter(lambda vs: any(v is not None for v in vs)))
+        return series_over(years, values)
+
+    years_a = sorted(draw(st.sets(st.integers(1990, 2010), min_size=1, max_size=14)))
+    years_b = years_a if draw(st.booleans()) else sorted(
+        draw(st.sets(st.integers(1990, 2010), min_size=1, max_size=14)))
+    a, b = series(years_a), series(years_b)
+    joint = len(a.present().keys() & b.present().keys())
+    return a, b, max(2, joint + draw(st.integers(-1, 1)))
+
+
+def align_outcome(a, b, min_overlap, align):
+    try:
+        return align(a, b, min_overlap)
+    except (DomainError, InsufficientOverlapError) as exc:
+        return type(exc), str(exc), getattr(exc, "overlap", None)
+
+
+class TestAlignOracle:
+    @settings(max_examples=300)
+    @given(series_pairs())
+    def test_matches_per_year_reference(self, case):
+        a, b, min_overlap = case
+        got = align_outcome(a, b, min_overlap, align_pair)
+        want = align_outcome(a, b, min_overlap, reference_align_pair)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    def test_gap_free_equal_years_keep_the_series_tuples(self):
+        a = series_over(range(2000, 2012), [float(i) for i in range(12)])
+        b = series_over(range(2000, 2012), [float(-i) for i in range(12)])
+        pair = align_pair(a, b, min_overlap=12)
+        assert (pair.x, pair.y, pair.years) == (a.values, b.values, a.years)
+        with pytest.raises(InsufficientOverlapError) as exc_info:
+            align_pair(a, b, min_overlap=13)
+        assert exc_info.value.overlap == 12
+        assert str(exc_info.value) == "only 12 jointly populated years, need 13"
+
+
 class TestMerge:
     def test_union_preserves_order(self):
         indicators = parse_wdi_wide(WDI_SMALL)
@@ -434,3 +486,30 @@ class TestParserFuzz:
     @given(panel_datasets())
     def test_snapshot_roundtrip(self, ds):
         assert PanelDataset.from_json(ds.to_json()) == ds
+
+
+class TestFingerprint:
+    def test_hashes_the_compact_snapshot_document(self):
+        ds = load_fixture(with_outcomes=True)
+        compact = json.dumps(json.loads(ds.to_json()), separators=(",", ":"))
+        assert ds.fingerprint() == hashlib.sha256(compact.encode()).hexdigest()
+        assert ds.fingerprint() != hashlib.sha256(ds.to_json().encode()).hexdigest()
+
+    @given(panel_datasets())
+    def test_invariant_under_snapshot_roundtrip(self, ds):
+        assert PanelDataset.from_json(ds.to_json()).fingerprint() == ds.fingerprint()
+
+    @pytest.mark.parametrize("indent", [None, 0, 4, "\t"])
+    def test_independent_of_snapshot_indentation(self, indent):
+        ds = load_fixture(with_outcomes=True)
+        text = json.dumps(json.loads(ds.to_json()), indent=indent)
+        assert PanelDataset.from_json(text).fingerprint() == ds.fingerprint()
+
+    def test_one_ulp_changes_it(self):
+        ds = load_fixture(with_outcomes=True)
+        key = ("global", "E1")
+        series = ds.cells[key]
+        values = (math.nextafter(series.values[0], math.inf),) + series.values[1:]
+        cells = {**ds.cells, key: AnnualSeries(series.years, values)}
+        nudged = PanelDataset(ds.regions, ds.indicators, cells)
+        assert nudged.fingerprint() != ds.fingerprint()

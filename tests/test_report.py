@@ -1,3 +1,4 @@
+import json
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -76,6 +77,14 @@ class TestJson:
         assert '"matrices": []' in text
         assert '"metadata"' in text
 
+    def test_one_line_that_roundtrips(self, fixture_run):
+        ds, config, matrices = fixture_run
+        text = export_json(build_bundle(matrices, ds, config))
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        doc = json.loads(text)
+        assert json.dumps(doc, sort_keys=True, allow_nan=False) + "\n" == text
+        assert len(doc["matrices"]) == len(matrices)
+
     def test_byte_identical_across_runs(self, fixture_run):
         ds, config, _ = fixture_run
         a = export_json(build_bundle(run_battery(ds, config), ds, config))
@@ -84,7 +93,6 @@ class TestJson:
 
     def test_carries_full_cell_detail(self, fixture_run):
         ds, config, matrices = fixture_run
-        import json
         doc = json.loads(export_json(build_bundle(matrices, ds, config)))
         granger = next(m for m in doc["matrices"] if m["method"] == "granger")
         cell = next(c for row in granger["cells"] for c in row if c)
@@ -95,7 +103,6 @@ class TestJson:
 
     def test_skips_are_machine_readable(self, fixture_run):
         ds, config, matrices = fixture_run
-        import json
         doc = json.loads(export_json(build_bundle(matrices, ds, config)))
         mic_doc = next(m for m in doc["matrices"] if m["method"] == "mic")
         reasons = {s for row in mic_doc["skips"] for s in row if s}
