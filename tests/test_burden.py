@@ -1,5 +1,7 @@
+import sys
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from paneldep.burden import (
     BurdenInput,
@@ -109,7 +111,13 @@ def test_age_standardize_band_mismatch():
        expectancies=st.floats(0, 100, allow_nan=False, allow_subnormal=False))
 def test_scaling_exact_for_power_of_two(deaths, expectancies):
     # doubling never rounds in IEEE arithmetic (away from subnormals),
-    # so equality is bitwise
+    # so equality is bitwise. Normal inputs can still have a subnormal
+    # product (1e-160 * 1e-160); subnormals round to a fixed absolute step,
+    # so doubling before and after rounding differ. Such draws are outside
+    # the claim.
+    assume(all(d == 0 or expectancies == 0
+               or d * expectancies >= sys.float_info.min
+               for d in deaths.values()))
     table = LifeTable({band: expectancies for band in deaths})
     base = compute_yll(deaths, table)
     doubled = compute_yll({b: 2 * d for b, d in deaths.items()}, table)
