@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConfigError,
@@ -20,27 +21,24 @@ from .errors import (
     ParseError,
     SingularDesignError,
 )
-from .info import (
-    DEFAULT_MIC_ALPHA,
-    DEFAULT_MIC_CLUMPS,
-    MIC_NORMALIZATIONS,
-    STRATEGIES,
-    MicCache,
-    MicResult,
-    MutualInfoResult,
-    mutual_informations,
-)
-from .linear import PearsonResult, pearsons
 from .panel import (
     BUILTIN_INDICATORS,
+    DEFAULT_MIC_ALPHA,
+    DEFAULT_MIC_CLUMPS,
     DEFAULT_MIN_OVERLAP,
+    MIC_NORMALIZATIONS,
+    STRATEGIES,
     AgeGroup,
     PanelDataset,
     age_group_of_code,
     align_pair,
     _classify_code,
 )
-from .temporal import GrangerResult, lag_sweeps
+
+if TYPE_CHECKING:
+    from .info import MicResult, MutualInfoResult
+    from .linear import PearsonResult
+    from .temporal import GrangerResult
 
 METHODS = ("pearson", "mutual_information", "granger", "mic")
 
@@ -198,7 +196,12 @@ def _method_cells(method: str, pairs, regions, config: BatteryConfig
 
     Pearson, mutual information and Granger each make one batch call over
     every pair; MIC runs pair by pair, sharing one MicCache per region.
+    The kernels, and numpy with them, are imported on the first call.
     """
+    from .info import MicCache, mutual_informations
+    from .linear import pearsons
+    from .temporal import lag_sweeps
+
     if method == "pearson":
         results = pearsons(pairs)
     elif method == "mutual_information":

@@ -1,16 +1,15 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 input/parse error, 2 configuration error,
-3 internal numerical failure.
+Exit codes: 0 success, 1 input/parse error, 2 configuration or usage
+error, 3 internal numerical failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import re
 import sys
 from pathlib import Path
-
-import click
 
 from .battery import BatteryConfig, run_battery
 from .burden import (
@@ -53,23 +52,20 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-@click.group()
-@click.version_option(TOOL_VERSION, prog_name="paneldep")
-@click.option("--seed", type=int, default=None,
-              help="Seed for simulation helpers; the analysis pipeline itself "
-                   "is deterministic and ignores it.")
-@click.option("--quiet", is_flag=True, help="Suppress progress messages.")
-@click.pass_context
-def cli(ctx, seed, quiet):
-    """Panel dependency battery over region/indicator/year series."""
-    ctx.ensure_object(dict)
-    ctx.obj["seed"] = seed
-    ctx.obj["quiet"] = quiet
+class _UsageError(Exception):
+    """Bad command-line arguments (exit 2)."""
 
 
-def _say(ctx, message: str) -> None:
-    if not ctx.obj.get("quiet"):
-        click.echo(message)
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises _UsageError instead of exiting."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _say(args, message: str) -> None:
+    if not args.quiet:
+        print(message)
 
 
 def _read_input(path: Path) -> str:
@@ -87,30 +83,20 @@ def _load_panel(path: Path) -> PanelDataset:
     return parse_wdi_wide(text)
 
 
-@cli.command()
-@click.option("--wdi", type=click.Path(path_type=Path),
-              help="Wide indicator CSV (code [, region], year columns).")
-@click.option("--gbd", type=click.Path(path_type=Path),
-              help="Long outcome CSV (location,age_group,cause,measure,year,value).")
-@click.option("--region", default=None,
-              help="Region label for region-less wide files, or a filter "
-                   "selecting one region from a multi-region file.")
-@click.option("--out", required=True, type=click.Path(path_type=Path),
-              help="Panel snapshot (JSON) to write.")
-@click.pass_context
-def ingest(ctx, wdi, gbd, region, out):
+def ingest(args) -> None:
     """Parse input files and store a panel snapshot.
 
     Given both sources, their series are merged into one panel (the usual
     way to pair outcome series with indicator series).
     """
+    wdi, gbd, region, out = args.wdi, args.gbd, args.region, args.out
     if wdi is None and gbd is None:
         raise ConfigError("pass --wdi, --gbd, or both")
     dataset = None
     if wdi is not None:
         dataset = parse_wdi_wide(_read_input(wdi),
                                  default_region=region or "global")
-        if region is not None and len(dataset.regions) > 1:
+        if region is not None and dataset.regions != (region,):
             dataset = dataset.restrict_region(region)
     if gbd is not None:
         outcomes = parse_gbd_long(_read_input(gbd))
@@ -118,38 +104,45 @@ def ingest(ctx, wdi, gbd, region, out):
             outcomes = outcomes.restrict_region(region)
         dataset = outcomes if dataset is None else dataset.merge(outcomes)
     out.write_text(dataset.to_json())
-    _say(ctx, f"wrote {out}: {len(dataset.regions)} region(s), "
-              f"{len(dataset.indicators)} series")
+    _say(args, f"wrote {out}: {len(dataset.regions)} region(s), "
+               f"{len(dataset.indicators)} series")
 
 
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text).strip("_") or "x"
 
 
-@cli.command()
-@click.option("--panel", required=True, type=click.Path(path_type=Path),
-              help="Panel snapshot (JSON), wide CSV, or long outcome CSV.")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(path_type=Path),
-              help="Battery configuration (JSON object).")
-@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path),
-              help="Output directory; one CSV and one SVG per matrix plus "
-                   "a bundle JSON.")
-@click.pass_context
-def analyze(ctx, panel, config_path, out_dir):
+def _file_stems(matrices) -> list[str]:
+    """Each matrix's output file name without extension.
+
+    Raises ConfigError when two outcomes would share one, since the second
+    matrix's files would overwrite the first's.
+    """
+    owners: dict[str, str] = {}
+    for matrix in matrices:
+        stem = f"{matrix.method}__{_slug(matrix.outcome)}__{_slug(matrix.age_group.value)}"
+        owner = owners.setdefault(stem, matrix.outcome)
+        if owner != matrix.outcome:
+            raise ConfigError(f"outcomes {owner!r} and {matrix.outcome!r} both "
+                              f"write files named {stem}.*; rename one")
+    return list(owners)
+
+
+def analyze(args) -> None:
     """Run the configured battery and write matrices, heatmaps, bundle."""
-    dataset = _load_panel(panel)
-    config = BatteryConfig.from_file(config_path)
+    dataset = _load_panel(args.panel)
+    config = BatteryConfig.from_file(args.config)
     config = _fill_config_defaults(config, dataset)
     matrices = run_battery(dataset, config)
+    stems = _file_stems(matrices)
+    out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    for matrix in matrices:
-        base = f"{matrix.method}__{_slug(matrix.outcome)}__{_slug(matrix.age_group.value)}"
-        (out_dir / f"{base}.csv").write_text(export_csv(matrix))
-        (out_dir / f"{base}.svg").write_text(render_heatmap_svg(matrix))
+    for matrix, stem in zip(matrices, stems):
+        (out_dir / f"{stem}.csv").write_text(export_csv(matrix))
+        (out_dir / f"{stem}.svg").write_text(render_heatmap_svg(matrix))
     bundle = build_bundle(matrices, dataset, config)
     (out_dir / "bundle.json").write_text(export_json(bundle))
-    _say(ctx, f"wrote {len(matrices)} matrices to {out_dir}")
+    _say(args, f"wrote {len(matrices)} matrices to {out_dir}")
 
 
 def _fill_config_defaults(config: BatteryConfig,
@@ -172,31 +165,18 @@ def _fill_config_defaults(config: BatteryConfig,
     })
 
 
-@cli.command()
-@click.option("--deaths", required=True, type=click.Path(path_type=Path))
-@click.option("--prevalence", required=True, type=click.Path(path_type=Path))
-@click.option("--life-table", "life_table_path", required=True,
-              type=click.Path(path_type=Path))
-@click.option("--weights", "weights_path", required=True,
-              type=click.Path(path_type=Path))
-@click.option("--std-pop", "std_pop_path", default=None,
-              type=click.Path(path_type=Path),
-              help="Standard-population weights; adds an age-standardized rate.")
-@click.option("--condition", default=None,
-              help="Condition to read from the weights file (defaults to the "
-                   "only condition present).")
-def burden(deaths, prevalence, life_table_path, weights_path, std_pop_path,
-           condition):
+def burden(args) -> None:
     """Compute burden components from per-band counts."""
     try:
         inputs = BurdenInput(
-            deaths=load_band_csv(_read_input(deaths)),
-            prevalence=load_band_csv(_read_input(prevalence)),
+            deaths=load_band_csv(_read_input(args.deaths)),
+            prevalence=load_band_csv(_read_input(args.prevalence)),
         )
-        table = LifeTable(load_band_csv(_read_input(life_table_path)))
-        weights = load_weights_csv(_read_input(weights_path))
+        table = LifeTable(load_band_csv(_read_input(args.life_table)))
+        weights = load_weights_csv(_read_input(args.weights))
     except DomainError as exc:
         raise ParseError(str(exc)) from None
+    condition = args.condition
     if condition is None:
         conditions = weights.conditions()
         if len(conditions) != 1:
@@ -209,54 +189,114 @@ def burden(deaths, prevalence, life_table_path, weights_path, std_pop_path,
     yld = compute_yld(inputs.prevalence, weights, condition)
     summary = compute_daly(yll, yld)
     rate = None
-    if std_pop_path is not None:
-        std = load_band_csv(_read_input(std_pop_path))
+    if args.std_pop is not None:
+        std = load_band_csv(_read_input(args.std_pop))
         try:
             rate = age_standardize(band_rates(inputs, table, weights, condition), std)
         except NormalizationError as exc:
             raise ParseError(str(exc)) from None
-    click.echo(f"YLL: {summary.yll:g}")
-    click.echo(f"YLD: {summary.yld:g}")
-    click.echo(f"DALY: {summary.daly:g}")
+    print(f"YLL: {summary.yll:g}")
+    print(f"YLD: {summary.yld:g}")
+    print(f"DALY: {summary.daly:g}")
     if rate is not None:
-        click.echo(f"Age-standardized rate: {rate:g}")
+        print(f"Age-standardized rate: {rate:g}")
 
 
-@cli.command()
-@click.option("--out", type=click.Path(path_type=Path), default=None,
-              help="Write to a file instead of stdout.")
-@click.option("--with-outcomes", is_flag=True,
-              help="Append the synthetic outcome series for self-testing.")
-def fixture(out, with_outcomes):
+def fixture(args) -> None:
     """Emit the bundled annual-indicator panel as wide CSV."""
-    text = load_fixture(with_outcomes=with_outcomes).to_wdi_csv()
-    if out is None:
-        click.echo(text, nl=False)
+    text = load_fixture(with_outcomes=args.with_outcomes).to_wdi_csv()
+    if args.out is None:
+        sys.stdout.write(text)
     else:
-        out.write_text(text)
+        args.out.write_text(text)
+
+
+def _command(commands, run) -> argparse.ArgumentParser:
+    """A subcommand parser that calls ``run(args)``, described by its docstring."""
+    doc = run.__doc__ or ""  # None under python -OO
+    parser = commands.add_parser(run.__name__, help=doc.partition("\n")[0],
+                                 description=doc, allow_abbrev=False)
+    parser.set_defaults(run=run)
+    return parser
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="paneldep", allow_abbrev=False,
+                     description="Panel dependency battery over "
+                                 "region/indicator/year series.")
+    parser.add_argument("--version", action="version",
+                        version=f"paneldep, version {TOOL_VERSION}")
+    parser.add_argument("--seed", type=int,
+                        help="Seed for simulation helpers; the analysis pipeline "
+                             "itself is deterministic and ignores it.")
+    parser.add_argument("--quiet", action="store_true",
+                        help="Suppress progress messages.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND")
+
+    sub = _command(commands, ingest)
+    sub.add_argument("--wdi", type=Path, metavar="PATH",
+                     help="Wide indicator CSV (code [, region], year columns).")
+    sub.add_argument("--gbd", type=Path, metavar="PATH",
+                     help="Long outcome CSV "
+                          "(location,age_group,cause,measure,year,value).")
+    sub.add_argument("--region",
+                     help="Region label for region-less wide files, or a filter "
+                          "selecting one region from a multi-region file.")
+    sub.add_argument("--out", required=True, type=Path, metavar="PATH",
+                     help="Panel snapshot (JSON) to write.")
+
+    sub = _command(commands, analyze)
+    sub.add_argument("--panel", required=True, type=Path, metavar="PATH",
+                     help="Panel snapshot (JSON), wide CSV, or long outcome CSV.")
+    sub.add_argument("--config", required=True, type=Path, metavar="PATH",
+                     help="Battery configuration (JSON object).")
+    sub.add_argument("--out", required=True, type=Path, metavar="PATH",
+                     help="Output directory; one CSV and one SVG per matrix plus "
+                          "a bundle JSON.")
+
+    sub = _command(commands, burden)
+    sub.add_argument("--deaths", required=True, type=Path, metavar="PATH")
+    sub.add_argument("--prevalence", required=True, type=Path, metavar="PATH")
+    sub.add_argument("--life-table", required=True, type=Path, metavar="PATH")
+    sub.add_argument("--weights", required=True, type=Path, metavar="PATH")
+    sub.add_argument("--std-pop", type=Path, metavar="PATH",
+                     help="Standard-population weights; adds an age-standardized "
+                          "rate.")
+    sub.add_argument("--condition",
+                     help="Condition to read from the weights file (defaults to "
+                          "the only condition present).")
+
+    sub = _command(commands, fixture)
+    sub.add_argument("--out", type=Path, metavar="PATH",
+                     help="Write to a file instead of stdout.")
+    sub.add_argument("--with-outcomes", action="store_true",
+                     help="Append the synthetic outcome series for self-testing.")
+    return parser
 
 
 def main(argv=None) -> int:
+    parser = _parser()
     try:
-        cli.main(args=argv, standalone_mode=False, obj={})
-        return EXIT_OK
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        args = parser.parse_args(argv)
+        if not hasattr(args, "run"):
+            parser.error(f"missing command\n{parser.format_usage().rstrip()}")
+    except SystemExit as exc:  # --help and --version, after printing
+        return exc.code
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_INPUT
-    except click.exceptions.Abort:
-        return EXIT_INPUT
+    try:
+        args.run(args)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ParseError, NotFoundError, OSError) as exc:
-        click.echo(f"input error: {exc}", err=True)
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PanelDepError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .panel import AlignedPair
-
-STRATEGIES = ("equal-width", "equal-frequency")
-MIC_NORMALIZATIONS = ("min-entropy-grid", "max-entropy")
-
-DEFAULT_MIC_ALPHA = 0.6
-DEFAULT_MIC_CLUMPS = 15
+from .panel import (
+    DEFAULT_MIC_ALPHA,
+    DEFAULT_MIC_CLUMPS,
+    MIC_NORMALIZATIONS,
+    STRATEGIES,
+    AlignedPair,
+)
 
 
 def discretize(values, bins: int, strategy: str = "equal-frequency") -> np.ndarray:

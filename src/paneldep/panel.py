@@ -35,6 +35,15 @@ DEFAULT_REGION = "global"
 #: roughly ten annual points the lagged and grid-based methods are noise.
 DEFAULT_MIN_OVERLAP = 10
 
+#: Mutual-information binning strategies and MIC normalizations, with the
+#: MIC defaults. They live here, not in ``info``, so that configuration can
+#: be validated without importing numpy.
+STRATEGIES = ("equal-width", "equal-frequency")
+MIC_NORMALIZATIONS = ("min-entropy-grid", "max-entropy")
+
+DEFAULT_MIC_ALPHA = 0.6
+DEFAULT_MIC_CLUMPS = 15
+
 
 class AgeGroup(Enum):
     """The three age strata an outcome series may carry."""
@@ -209,26 +218,23 @@ def align_pair(a: AnnualSeries, b: AnnualSeries,
     """
     if min_overlap < 3:
         raise DomainError(f"min_overlap must be >= 3, got {min_overlap}")
-    if a.years == b.years and None not in a.values and None not in b.values:
-        # Gap-free over the same years: every year is jointly populated.
-        if len(a.years) < min_overlap:
-            raise InsufficientOverlapError(
-                f"only {len(a.years)} jointly populated years, need {min_overlap}",
-                overlap=len(a.years),
-            )
-        return AlignedPair(tuple(a.values), tuple(b.values), tuple(a.years))
-    pa, pb = a.present(), b.present()
-    common = [y for y in pa if y in pb]
-    if len(common) < min_overlap:
+    if a.years == b.years:
+        if None not in a.values and None not in b.values:
+            years, x, y = a.years, a.values, b.values
+        else:
+            rows = [row for row in zip(a.years, a.values, b.values)
+                    if row[1] is not None and row[2] is not None]
+            years, x, y = zip(*rows) if rows else ((), (), ())
+    else:
+        pa, pb = a.present(), b.present()
+        years = [year for year in pa if year in pb]
+        x, y = [pa[year] for year in years], [pb[year] for year in years]
+    if len(years) < min_overlap:
         raise InsufficientOverlapError(
-            f"only {len(common)} jointly populated years, need {min_overlap}",
-            overlap=len(common),
+            f"only {len(years)} jointly populated years, need {min_overlap}",
+            overlap=len(years),
         )
-    return AlignedPair(
-        x=tuple(pa[y] for y in common),
-        y=tuple(pb[y] for y in common),
-        years=tuple(common),
-    )
+    return AlignedPair(tuple(x), tuple(y), tuple(years))
 
 
 @dataclass

@@ -112,16 +112,16 @@ class TestRunBattery:
         assert len(calls) == 3 * 15  # outcomes x indicators, not x methods
 
     def test_gapped_pairs_share_one_granger_call(self, monkeypatch):
-        import paneldep.battery as battery
+        import paneldep.temporal as temporal
 
         batches = []
-        sweeps = battery.lag_sweeps
+        sweeps = temporal.lag_sweeps
 
         def recording_sweeps(pairs, *args):
             batches.append(list(pairs))
             return sweeps(pairs, *args)
 
-        monkeypatch.setattr(battery, "lag_sweeps", recording_sweeps)
+        monkeypatch.setattr(temporal, "lag_sweeps", recording_sweeps)
         ds, config = fixture_config(methods=("granger",))
         matrices = run_battery(ds, config)
         (pairs,) = batches  # one call for the whole run

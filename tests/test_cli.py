@@ -66,6 +66,30 @@ class TestIngest:
     def test_missing_file_exits_input_error(self, workdir):
         assert run("ingest", "--wdi", "missing.csv", "--out", "p.json") == 1
 
+    @pytest.mark.parametrize("rows", [
+        "E1,R1,1.0,2.0\n",
+        "E1,R1,1.0,2.0\nE1,R3,3.0,4.0\n",
+    ], ids=["one-region", "two-regions"])
+    def test_region_absent_from_wide_file_exits_input_error(self, workdir, capsys,
+                                                            rows):
+        (workdir / "wdi.csv").write_text("code,region,2000,2001\n" + rows)
+        assert run("ingest", "--wdi", "wdi.csv", "--region", "R2",
+                   "--out", "p.json") == 1
+        assert "input error: region 'R2' not in dataset" in capsys.readouterr().err
+        assert not (workdir / "p.json").exists()
+
+    @pytest.mark.parametrize("text", [
+        "code,2000,2001\nE1,1.0,2.0\n",
+        "code,region,2000,2001\nE1,R2,1.0,2.0\n",
+        "code,region,2000,2001\nE1,R1,1.0,2.0\nE1,R2,3.0,4.0\n",
+    ], ids=["region-less", "only-that-region", "two-regions"])
+    def test_region_option_on_wide_file(self, workdir, text):
+        (workdir / "wdi.csv").write_text(text)
+        assert run("ingest", "--wdi", "wdi.csv", "--region", "R2",
+                   "--out", "p.json") == 0
+        ds = PanelDataset.from_json((workdir / "p.json").read_text())
+        assert ds.regions == ("R2",)
+
 
 SNAPSHOT = {
     "regions": ["global"],
@@ -160,6 +184,22 @@ class TestAnalyze:
         }))
         assert run("analyze", "--panel", "panel.csv", "--config", "config.json",
                    "--out", "results") == 2
+
+    def test_outcomes_sharing_a_file_name_exit_config(self, workdir, capsys):
+        (workdir / "wdi.csv").write_text(
+            "code,2000,2001,2002,2003\n"
+            "E1,1.0,2.0,3.0,5.0\nX/a,4.0,3.0,2.5,1.0\nX a,1.0,1.5,1.0,2.0\n"
+        )
+        (workdir / "config.json").write_text(json.dumps({
+            "methods": ["pearson"], "outcomes": ["X/a", "X a"],
+            "indicators": ["E1"], "min_overlap": 3,
+        }))
+        assert run("analyze", "--panel", "wdi.csv", "--config", "config.json",
+                   "--out", "results") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "'X/a'" in err and "'X a'" in err
+        assert not (workdir / "results").exists()
 
     def test_bad_config_json_exits_one(self, workdir):
         run("fixture", "--out", "panel.csv")
@@ -404,4 +444,33 @@ class TestGlobalFlags:
 
     def test_version(self, workdir, capsys):
         assert run("--version") == 0
-        assert "paneldep" in capsys.readouterr().out
+        assert capsys.readouterr().out == "paneldep, version 0.1.0\n"
+
+
+class TestUsage:
+    """Exit codes and the stderr prefix match those of the click-based CLI."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["analyze", "--config", "config.json", "--out", "results"],
+        ["ingest", "--out"],
+        ["--seed", "x", "fixture"],
+    ], ids=["no-arguments", "unknown-command", "missing-panel", "out-without-value",
+            "seed-not-integer"])
+    def test_usage_error_exits_config(self, workdir, capsys, argv):
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not any(workdir.iterdir())
+
+    @pytest.mark.parametrize("argv, option", [
+        (["--help"], "--quiet"),
+        (["ingest", "--help"], "--wdi"),
+    ], ids=["top-level", "ingest"])
+    def test_help_exits_zero(self, workdir, capsys, argv, option):
+        assert run(*argv) == 0
+        captured = capsys.readouterr()
+        assert option in captured.out
+        assert captured.err == ""
