@@ -27,9 +27,9 @@ _EXPORTS = {
               "load_fixture", "parse_gbd_long", "parse_wdi_wide"),
     "report": ("ExportBundle", "build_bundle", "export_csv", "export_json",
                "render_heatmap_svg"),
-    "temporal": ("GrangerResult", "LagDesign", "LagSweep", "SkippedLag",
-                 "build_lag_design", "f_sf", "first_difference", "granger_test",
-                 "lag_sweep", "nested_rss"),
+    "special": ("f_sf",),
+    "temporal": ("GrangerResult", "LagSweep", "SkippedLag", "first_difference",
+                 "granger_test", "lag_sweep", "nested_rss"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .battery import BatteryConfig, run_battery
+from .battery import METHODS, BatteryConfig, run_battery
 from .burden import (
     BurdenInput,
     LifeTable,
@@ -136,6 +137,13 @@ def analyze(args) -> None:
     matrices = run_battery(dataset, config)
     stems = _file_stems(matrices)
     out_dir = args.out
+    # a matrix file left by another run would sit beside a bundle.json that omits it
+    written = {f"{stem}{suffix}" for stem in stems for suffix in (".csv", ".svg")}
+    stale = sorted(path for method in METHODS for path in out_dir.glob(f"{method}__*")
+                   if path.suffix in (".csv", ".svg") and path.name not in written)
+    if stale:
+        raise ConfigError(f"{stale[0]} is not an output of this run; remove it "
+                          f"or choose another --out")
     out_dir.mkdir(parents=True, exist_ok=True)
     for matrix, stem in zip(matrices, stems):
         (out_dir / f"{stem}.csv").write_text(export_csv(matrix))
@@ -148,21 +156,10 @@ def analyze(args) -> None:
 def _fill_config_defaults(config: BatteryConfig,
                           dataset: PanelDataset) -> BatteryConfig:
     """Empty outcome/indicator lists mean "everything of that kind"."""
-    if config.outcomes and config.indicators:
-        return config
-    outcomes = list(config.outcomes)
-    indicators = list(config.indicators)
-    for ind in dataset.indicators:
-        if ind.category == "MentalHealth":
-            if not config.outcomes:
-                outcomes.append(ind.code)
-        elif not config.indicators:
-            indicators.append(ind.code)
-    return BatteryConfig.from_dict({
-        **config.to_dict(),
-        "outcomes": outcomes,
-        "indicators": indicators,
-    })
+    outcomes = tuple(i.code for i in dataset.indicators if i.category == "MentalHealth")
+    indicators = tuple(i.code for i in dataset.indicators if i.category != "MentalHealth")
+    return replace(config, outcomes=config.outcomes or outcomes,
+                   indicators=config.indicators or indicators)
 
 
 def burden(args) -> None:

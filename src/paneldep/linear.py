@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InsufficientDataError
 from .panel import AlignedPair
-from .special import regularized_betas
+from .special import f_sfs
 
 
 @dataclass(frozen=True)
@@ -22,30 +22,26 @@ class PearsonResult:
 def t_sfs(ts, dofs) -> list[float]:
     """``t_sf`` over equal-length sequences, with one incomplete-beta batch.
 
-    Each value has the bits of its own ``t_sf`` call.
+    Each value has the bits of its own ``t_sf`` call. Above one degree of
+    freedom the upper tail is half the F(1, dof) tail of t*t.
     """
     out: list[float] = []
-    pending: list[int] = []  # positions whose tail needs the incomplete beta
-    a, x, y = [], [], []
+    pending: list[int] = []  # positions whose tail is the F tail of t*t
     for i, (t, dof) in enumerate(zip(ts, dofs)):
         if dof < 1:
             raise DomainError(f"dof must be >= 1, got {dof}")
         if math.isnan(t):
             raise DomainError("t statistic is NaN")
-        if t == 0.0:
-            out.append(0.5)
-        elif dof == 1:
+        if dof == 1:
             upper = 0.5 - math.atan(abs(t)) / math.pi
             out.append(1.0 - upper if t < 0.0 else upper)
         else:
-            t2 = t * t
             out.append(math.nan)
             pending.append(i)
-            a.append(dof / 2.0)
-            x.append(dof / (dof + t2))
-            y.append(t2 / (dof + t2))
-    for i, beta in zip(pending, regularized_betas(a, [0.5] * len(a), x, y)):
-        upper = 0.5 * beta
+    tails = f_sfs([ts[i] * ts[i] for i in pending], [1] * len(pending),
+                  [dofs[i] for i in pending])
+    for i, tail in zip(pending, tails):
+        upper = 0.5 * tail
         out[i] = 1.0 - upper if ts[i] < 0.0 else upper
     return out
 

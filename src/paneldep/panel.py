@@ -246,7 +246,12 @@ class PanelDataset:
     cells: dict[tuple[str, str], AnnualSeries] = field(default_factory=dict)
 
     def __post_init__(self):
-        known = {ind.code for ind in self.indicators}
+        codes = self.codes()
+        for what, names in (("regions", self.regions), ("indicators", codes)):
+            if len(set(names)) < len(names):
+                repeated = sorted({name for name in names if names.count(name) > 1})
+                raise DomainError(f"{what} list {repeated} more than once")
+        known = set(codes)
         regions = set(self.regions)
         for region, code in self.cells:
             if code not in known:
@@ -292,9 +297,10 @@ class PanelDataset:
 
     # -- serialization ----------------------------------------------------
 
-    def _snapshot_doc(self) -> dict:
-        """The snapshot's JSON document, shared by to_json and fingerprint."""
-        return {
+    def to_json(self) -> str:
+        """Canonical full-fidelity snapshot: the panel as one line of compact
+        JSON plus a newline; see from_json for the inverse."""
+        doc = {
             "regions": list(self.regions),
             "indicators": [
                 {"code": i.code, "name": i.name,
@@ -311,15 +317,13 @@ class PanelDataset:
                 for (region, code), s in self.cells.items()
             ],
         }
-
-    def to_json(self) -> str:
-        """Canonical full-fidelity snapshot; see from_json for the inverse."""
-        return json.dumps(self._snapshot_doc(), indent=1, sort_keys=False) + "\n"
+        return json.dumps(doc, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "PanelDataset":
-        """Inverse of to_json. Values must be finite numbers or null and
-        years integers; anything else in the snapshot is a ParseError."""
+        """Inverse of to_json, whatever the text's JSON whitespace. Values
+        must be finite numbers or null, years integers, and regions and
+        indicator codes unrepeated; anything else is a ParseError."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -361,15 +365,9 @@ class PanelDataset:
         return out.getvalue()
 
     def fingerprint(self) -> str:
-        """Content hash of the panel (reproducibility anchor).
-
-        The sha256 of the snapshot document in compact JSON (separators
-        "," and ":", no whitespace), so it depends on the panel's content
-        and order only, not on how a snapshot file is indented. It is not
-        the sha256 of the ``to_json`` text.
-        """
-        text = json.dumps(self._snapshot_doc(), separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()
+        """Content hash of the panel (reproducibility anchor): the sha256 of
+        the ``to_json`` line without its final newline."""
+        return hashlib.sha256(self.to_json()[:-1].encode()).hexdigest()
 
 
 def _snapshot_value(value) -> float | None:
@@ -452,10 +450,6 @@ def parse_wdi_wide(text: str, default_region: str = DEFAULT_REGION) -> PanelData
     if any(b <= a for a, b in zip(years, years[1:])):
         raise ParseError("line 1: year columns must be strictly increasing")
 
-    regions: list[str] = []
-    seen_regions: set[str] = set()
-    indicators: list[IndicatorCode] = []
-    seen_codes: set[str] = set()
     cells: dict[tuple[str, str], AnnualSeries] = {}
     for line_no, row in rows[1:]:
         if len(row) != len(header):
@@ -480,15 +474,9 @@ def parse_wdi_wide(text: str, default_region: str = DEFAULT_REGION) -> PanelData
         if all(v is None for v in values):
             raise ParseError(f"line {line_no}: series {code!r} has no values")
         cells[key] = AnnualSeries(tuple(years), values)
-        if region not in seen_regions:
-            seen_regions.add(region)
-            regions.append(region)
-        if code not in seen_codes:
-            seen_codes.add(code)
-            indicators.append(_classify_code(code))
     if not cells:
         raise ParseError("no data rows after header")
-    return PanelDataset(tuple(regions), tuple(indicators), cells)
+    return _panel_of(cells)
 
 
 def _looks_like_year(cell: str) -> bool:
@@ -521,10 +509,6 @@ def parse_gbd_long(text: str) -> PanelDataset:
             f"got {','.join(header)!r}"
         )
 
-    regions: list[str] = []
-    seen_regions: set[str] = set()
-    codes: list[str] = []
-    seen_codes: set[str] = set()
     points: dict[tuple[str, str], dict[int, float]] = {}
     for line_no, row in records:
         if len(row) != len(GBD_HEADER):
@@ -553,23 +537,21 @@ def parse_gbd_long(text: str) -> PanelDataset:
                 f"{cause!r}, {age.value!r}, {measure!r}, year {year}"
             )
         series[year] = value
-        if location not in seen_regions:
-            seen_regions.add(location)
-            regions.append(location)
-        if code not in seen_codes:
-            seen_codes.add(code)
-            codes.append(code)
     if not points:
         raise ParseError("no data rows after header")
 
-    cells = {
+    return _panel_of({
         key: AnnualSeries(tuple(sorted(by_year)),
                           tuple(by_year[y] for y in sorted(by_year)))
         for key, by_year in points.items()
-    }
+    })
+
+
+def _panel_of(cells: dict[tuple[str, str], AnnualSeries]) -> PanelDataset:
+    """A parsed panel; regions and codes in the order their first cell came."""
     return PanelDataset(
-        tuple(regions),
-        tuple(_classify_code(c) for c in codes),
+        tuple(dict.fromkeys(region for region, _ in cells)),
+        tuple(map(_classify_code, dict.fromkeys(code for _, code in cells))),
         cells,
     )
 

@@ -27,9 +27,7 @@ METHOD_SCALARS = {
     "mic": "mic",
 }
 
-PALETTES = ("diverging", "sequential", "p-value")
-
-_DEFAULT_PALETTE = {
+_PALETTE = {
     "pearson": "diverging",
     "mutual_information": "sequential",
     "mic": "sequential",
@@ -177,8 +175,7 @@ def _p_ramp(p: float) -> float:
     return -math.log10(p) / -math.log10(_P_FLOOR)
 
 
-def render_heatmap_svg(matrix: ResultMatrix, palette: str | None = None,
-                       p_mask: float | None = None) -> str:
+def render_heatmap_svg(matrix: ResultMatrix, p_mask: float | None = None) -> str:
     """Grid heatmap: indicators across, regions down.
 
     Signed scalars use the diverging palette on a fixed [-1, 1] scale;
@@ -190,10 +187,7 @@ def render_heatmap_svg(matrix: ResultMatrix, palette: str | None = None,
     """
     if not matrix.rows or not matrix.cols:
         raise DomainError("cannot render an empty matrix")
-    if palette is None:
-        palette = _DEFAULT_PALETTE[matrix.method]
-    if palette not in PALETTES:
-        raise DomainError(f"palette must be one of {PALETTES}, got {palette!r}")
+    palette = _PALETTE[matrix.method]
 
     peak = max(
         (v for key in matrix.cells if (v := cell_scalar(matrix, key)) is not None),

@@ -1,4 +1,4 @@
-"""Regularized incomplete beta function, the kernel of the t and F tails.
+"""Regularized incomplete beta function and the F tail built on it.
 
 Every p-value the battery writes comes from here, so the bundle bytes
 depend on this module's arithmetic and the platform's libm, not on a
@@ -10,7 +10,8 @@ log B computed after DiDonato & Morris (1992, ACM TOMS 708, ``betaln`` and
 cancelled analytically through Stirling's series instead of subtracted.
 The fractions of a batch of arguments run as one numpy iteration of
 correctly rounded elementwise operations, so each element's value is the
-one it gets alone.
+one it gets alone. The t tail (``linear.t_sfs``) is taken from the F tail,
+as t*t ~ F(1, dof).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 #: At and above this argument the Stirling series below is truncated at
@@ -152,3 +153,45 @@ def regularized_beta(a: float, b: float, x: float, y: float) -> float:
     near x = 1.
     """
     return regularized_betas((a,), (b,), (x,), (y,))[0]
+
+
+def f_sfs(fs, d1s, d2s) -> list[float]:
+    """``f_sf`` over equal-length sequences, with one incomplete-beta batch.
+
+    Each value has the bits of its own ``f_sf`` call.
+    """
+    out: list[float] = []
+    pending: list[int] = []  # positions whose tail needs the incomplete beta
+    a, b, x, y = [], [], [], []
+    for i, (f, d1, d2) in enumerate(zip(fs, d1s, d2s)):
+        if d1 < 1 or d2 < 1:
+            raise DomainError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
+        if math.isnan(f) or f < 0:
+            raise DomainError(f"F statistic must be >= 0, got {f}")
+        if f == 0.0:
+            out.append(1.0)
+        elif math.isinf(f):
+            out.append(0.0)
+        elif f == 1.0 and d1 == d2:
+            out.append(0.5)
+        else:
+            fd = d1 * f
+            out.append(math.nan)
+            pending.append(i)
+            a.append(d2 / 2.0)
+            b.append(d1 / 2.0)
+            x.append(d2 / (d2 + fd))
+            y.append(fd / (d2 + fd))
+    for i, tail in zip(pending, regularized_betas(a, b, x, y)):
+        out[i] = tail
+    return out
+
+
+def f_sf(f: float, d1: float, d2: float) -> float:
+    """Upper-tail probability of the F distribution.
+
+    Evaluated through the regularized incomplete beta function. The
+    equal-dof statistic at 1 sits on the symmetry point and is returned
+    exactly.
+    """
+    return f_sfs((f,), (d1,), (d2,))[0]

@@ -22,7 +22,7 @@ from .errors import (
     SingularDesignError,
 )
 from .panel import AlignedPair
-from .special import regularized_betas
+from .special import f_sfs
 
 
 def first_difference(series) -> tuple[float, ...]:
@@ -55,8 +55,15 @@ def _split_rss(R: np.ndarray, restricted_cols: int, cols: int) -> tuple[float, f
     return float(gain @ gain), float(R[cols, cols] ** 2)
 
 
-def _gain_and_rss(design, response, restricted_cols: int) -> tuple[float, float]:
-    """(rss_r - rss_ur, rss_ur) of the nested fits described in nested_rss."""
+def nested_rss(design, response, restricted_cols: int) -> tuple[float, float]:
+    """Residual sums (rss_r, rss_ur) of two nested least-squares fits.
+
+    The restricted fit uses the first ``restricted_cols`` of the p design
+    columns. One QR of [design | response] gives both: R[p, p]^2 is rss_ur,
+    ||R[restricted_cols:p, p]||^2 is rss_r - rss_ur. Any |diag R| at or
+    below max(rows, cols) * eps * max|diag R|, the default rank cutoff of
+    least squares, raises SingularDesignError with the rank.
+    """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     if X.ndim != 2:
@@ -74,73 +81,8 @@ def _gain_and_rss(design, response, restricted_cols: int) -> tuple[float, float]
     rank = int(_ranks(R, rows, cols))
     if rank < cols:
         raise _rank_deficient(rank, cols)
-    return _split_rss(R, restricted_cols, cols)
-
-
-def nested_rss(design, response, restricted_cols: int) -> tuple[float, float]:
-    """Residual sums (rss_r, rss_ur) of two nested least-squares fits.
-
-    The restricted fit uses the first ``restricted_cols`` of the p design
-    columns. One QR of [design | response] gives both: R[p, p]^2 is rss_ur,
-    ||R[restricted_cols:p, p]||^2 is rss_r - rss_ur. Any |diag R| at or
-    below max(rows, cols) * eps * max|diag R|, the default rank cutoff of
-    least squares, raises SingularDesignError with the rank.
-    """
-    gain, rss_ur = _gain_and_rss(design, response, restricted_cols)
+    gain, rss_ur = _split_rss(R, restricted_cols, cols)
     return rss_ur + gain, rss_ur
-
-
-def f_sfs(fs, d1s, d2s) -> list[float]:
-    """``f_sf`` over equal-length sequences, with one incomplete-beta batch.
-
-    Each value has the bits of its own ``f_sf`` call.
-    """
-    out: list[float] = []
-    pending: list[int] = []  # positions whose tail needs the incomplete beta
-    a, b, x, y = [], [], [], []
-    for i, (f, d1, d2) in enumerate(zip(fs, d1s, d2s)):
-        if d1 < 1 or d2 < 1:
-            raise DomainError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
-        if math.isnan(f) or f < 0:
-            raise DomainError(f"F statistic must be >= 0, got {f}")
-        if f == 0.0:
-            out.append(1.0)
-        elif math.isinf(f):
-            out.append(0.0)
-        elif f == 1.0 and d1 == d2:
-            out.append(0.5)
-        else:
-            fd = d1 * f
-            out.append(math.nan)
-            pending.append(i)
-            a.append(d2 / 2.0)
-            b.append(d1 / 2.0)
-            x.append(d2 / (d2 + fd))
-            y.append(fd / (d2 + fd))
-    for i, tail in zip(pending, regularized_betas(a, b, x, y)):
-        out[i] = tail
-    return out
-
-
-def f_sf(f: float, d1: float, d2: float) -> float:
-    """Upper-tail probability of the F distribution.
-
-    Evaluated through the regularized incomplete beta function. The
-    equal-dof statistic at 1 sits on the symmetry point and is returned
-    exactly.
-    """
-    return f_sfs((f,), (d1,), (d2,))[0]
-
-
-@dataclass(frozen=True)
-class LagDesign:
-    """Regression pieces for one lag order on one aligned pair."""
-
-    response: np.ndarray
-    #: [1 | y lags | x lags]; the restricted model is the first 1 + lag.
-    predictors: np.ndarray
-    lag: int
-    n_eff: int
 
 
 @dataclass(frozen=True)
@@ -196,20 +138,6 @@ def _lag_designs(x: np.ndarray, y: np.ndarray, lag: int) -> np.ndarray:
     out[:, :, lag + 1:cols] = x[:, shifted]
     out[:, :, cols] = y[:, lag:]
     return out
-
-
-def build_lag_design(x, y, lag: int) -> LagDesign:
-    """Stack intercept and lag columns for the nested model pair.
-
-    Restricted: intercept + ``lag`` lags of y. Unrestricted: those plus
-    ``lag`` lags of x, appended so the restricted columns are a prefix.
-    Requires n - lag > 1 + 2*lag usable rows.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n_eff = _usable_rows(len(y), lag)
-    design = _lag_designs(x[None], y[None], lag)[0]
-    return LagDesign(design[:, -1], design[:, :-1], lag, n_eff)
 
 
 def _series(pair: AlignedPair, difference_first: bool) -> tuple[tuple, tuple]:

@@ -16,7 +16,8 @@ from paneldep.cli import main as cli_main
 from paneldep.info import mic, mutual_information, JointHistogram
 from paneldep.linear import pearson, t_sf
 from paneldep.panel import align_pair, load_fixture
-from paneldep.temporal import f_sf, granger_test, lag_sweep
+from paneldep.special import f_sf
+from paneldep.temporal import granger_test, lag_sweep
 
 from conftest import DATA, json_differences, make_pair
 from oracles import brute_force_mic

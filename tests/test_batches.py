@@ -14,7 +14,8 @@ from paneldep.errors import ConvergenceError
 from paneldep.info import mutual_informations
 from paneldep.linear import pearsons, t_sf, t_sfs
 from paneldep.panel import AlignedPair
-from paneldep.temporal import f_sf, f_sfs, lag_sweeps
+from paneldep.special import f_sf, f_sfs
+from paneldep.temporal import lag_sweeps
 
 from oracles import (
     reference_f_sf,
@@ -92,6 +93,12 @@ def test_tail_batches_match_each_element(args):
         [repr(reference_t_sf(t, dof)) for t, dof in zip(ts, dofs)]
     assert [repr(v) for v in f_sfs(fs, d1s, dofs)] == \
         [repr(reference_f_sf(f, d1, d2)) for f, d1, d2 in zip(fs, d1s, dofs)]
+    # t*t ~ F(1, dof): above one degree of freedom the upper t tail is half
+    # the F tail, to the bit
+    upper = [(abs(t), dof) for t, dof in zip(ts, dofs) if dof > 1]
+    assert [repr(v) for v in t_sfs([t for t, _ in upper], [dof for _, dof in upper])] == \
+        [repr(0.5 * v) for v in f_sfs([t * t for t, _ in upper], [1] * len(upper),
+                                      [dof for _, dof in upper])]
 
 
 def test_squares_are_rounded_as_python_pow():

@@ -125,9 +125,11 @@ class TestSnapshotValidation:
         _snapshot_with("indicators", "category", "Finance"),
         _snapshot_with("cells", "years", ["2000", "2001", "2002", "2003"]),
         _snapshot_with("cells", "code", "S1"),
+        json.dumps({**SNAPSHOT, "regions": ["global", "global"]}),
+        json.dumps({**SNAPSHOT, "indicators": SNAPSHOT["indicators"] * 2}),
     ], ids=["string-value", "nan", "infinity", "overflow", "years-not-increasing",
             "length-mismatch", "unknown-code", "bad-category", "string-years",
-            "repeated-cell"])
+            "repeated-cell", "repeated-region", "repeated-code"])
     def test_malformed_snapshot_exits_input_error(self, workdir, capsys, text):
         (workdir / "panel.json").write_text(text)
         (workdir / "config.json").write_text(json.dumps({
@@ -240,6 +242,19 @@ class TestAnalyze:
                    "--out", "results") == 2
         assert "more than once" in capsys.readouterr().err
         assert not (workdir / "results").exists()
+
+    def test_matrix_file_of_another_run_in_out_exits_config(self, workdir, capsys):
+        run("fixture", "--with-outcomes", "--out", "panel.csv")
+        for methods, code in ((["pearson", "granger"], 0), (["pearson", "granger"], 0),
+                              (["pearson"], 2)):
+            (workdir / "config.json").write_text(json.dumps({"methods": methods}))
+            before = {p.name: p.read_bytes() for p in (workdir / "results").glob("*")}
+            assert run("--quiet", "analyze", "--panel", "panel.csv", "--config",
+                       "config.json", "--out", "results") == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "granger__" in err
+        assert {p.name: p.read_bytes() for p in (workdir / "results").glob("*")} == before
+        assert len(before) == 13  # 2 methods x 3 outcomes x (csv, svg) + bundle
 
     def test_panel_snapshot_accepted(self, workdir):
         (workdir / "wdi.csv").write_text(WDI)

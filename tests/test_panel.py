@@ -495,6 +495,12 @@ class TestFingerprint:
         assert ds.fingerprint() == hashlib.sha256(compact.encode()).hexdigest()
         assert ds.fingerprint() != hashlib.sha256(ds.to_json().encode()).hexdigest()
 
+    def test_snapshot_is_one_line_that_hashes_to_it(self):
+        text = load_fixture(with_outcomes=True).to_json()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        ds = PanelDataset.from_json(text)
+        assert ds.fingerprint() == hashlib.sha256(text[:-1].encode()).hexdigest()
+
     @given(panel_datasets())
     def test_invariant_under_snapshot_roundtrip(self, ds):
         assert PanelDataset.from_json(ds.to_json()).fingerprint() == ds.fingerprint()

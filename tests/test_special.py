@@ -6,7 +6,7 @@ import pytest
 from paneldep import special
 from paneldep.errors import ConvergenceError
 from paneldep.linear import t_sf
-from paneldep.temporal import f_sf
+from paneldep.special import f_sf
 
 #: Relative bound on the dense grid, which reaches p ~ 1e-100.
 DENSE_RTOL = 2e-13

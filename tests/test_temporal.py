@@ -11,8 +11,8 @@ from paneldep.errors import (
     SingularDesignError,
 )
 from paneldep.panel import AlignedPair, align_pair, load_fixture
+from paneldep.special import f_sf
 from paneldep.temporal import (
-    f_sf,
     first_difference,
     granger_test,
     lag_sweep,
