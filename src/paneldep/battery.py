@@ -90,10 +90,9 @@ class BatteryConfig:
         return cls(**doc)
 
     @classmethod
-    def from_file(cls, path) -> "BatteryConfig":
+    def from_json(cls, text: str) -> "BatteryConfig":
         try:
-            with open(path, encoding="utf-8-sig") as fh:
-                doc = json.load(fh)
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"config is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
@@ -190,15 +189,13 @@ _SKIP_TAGS = {
 _SKIP_EXCEPTIONS = tuple(_SKIP_TAGS)
 
 
-def _method_cells(method: str, pairs, regions, config: BatteryConfig
-                  ) -> list[MatrixCell | str]:
-    """A cell or a skip tag for each aligned pair of the run.
+def _method_cells(method: str, pairs, config: BatteryConfig) -> list[MatrixCell | str]:
+    """A cell or a skip tag for each aligned pair of the run, from one batch
+    call over every pair.
 
-    Pearson, mutual information and Granger each make one batch call over
-    every pair; MIC runs pair by pair, sharing one MicCache per region.
     The kernels, and numpy with them, are imported on the first call.
     """
-    from .info import MicCache, mutual_informations
+    from .info import mics, mutual_informations
     from .linear import pearsons
     from .temporal import lag_sweeps
 
@@ -208,21 +205,14 @@ def _method_cells(method: str, pairs, regions, config: BatteryConfig
         results = mutual_informations(pairs, config.mi_bins, config.mi_strategy)
     elif method == "granger":
         directed = [pair.swapped() for pair in pairs] if config.granger_reverse else pairs
+        # lag L fits n points only when n - L > 1 + 2L; a longer lag is a
+        # skip in every pair and changes no pair's best lag
+        max_lag = min(config.max_lag, max([1, *((pair.n - 2) // 3 for pair in pairs)]))
         results = [sweep if isinstance(sweep, Exception) else sweep.best
-                   for sweep in lag_sweeps(directed, config.max_lag,
-                                           config.difference_first)]
+                   for sweep in lag_sweeps(directed, max_lag, config.difference_first)]
     else:
-        results = []
-        mic_cache, cache_region = None, None
-        for pair, region in zip(pairs, regions):
-            if region != cache_region:  # nothing is shared across regions
-                mic_cache, cache_region = MicCache(), region
-            try:
-                results.append(mic_cache.mic(pair, config.mic_alpha, config.mic_clumps,
-                                             config.mic_normalization))
-            except _SKIP_EXCEPTIONS as exc:
-                # kept without its traceback, which would hold this frame in a cycle
-                results.append(exc.with_traceback(None))
+        results = mics(pairs, config.mic_alpha, config.mic_clumps,
+                       config.mic_normalization)
     return [_SKIP_TAGS[type(result)] if isinstance(result, Exception)
             else MatrixCell(pair.n, result)
             for pair, result in zip(pairs, results)]
@@ -264,10 +254,8 @@ def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatr
                         skip = _SKIP_TAGS[type(exc)]
                 for row in grid:
                     row[i].skips[key] = skip
-    regions = [key[0] for _, key in places]
     for row in grid:
-        for (i, key), out in zip(places, _method_cells(row[0].method, pairs, regions,
-                                                       config)):
+        for (i, key), out in zip(places, _method_cells(row[0].method, pairs, config)):
             if isinstance(out, str):
                 row[i].skips[key] = out
             else:

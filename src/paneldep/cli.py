@@ -35,6 +35,7 @@ from .errors import (
 from .panel import (
     GBD_HEADER,
     PanelDataset,
+    age_group_of_code,
     load_fixture,
     parse_gbd_long,
     parse_wdi_wide,
@@ -70,8 +71,11 @@ def _say(args, message: str) -> None:
 
 
 def _read_input(path: Path) -> str:
-    """Text of an input file; a leading UTF-8 byte-order mark is dropped."""
-    return path.read_text(encoding="utf-8-sig")
+    """Text of a UTF-8 input file; a leading byte-order mark is dropped."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _load_panel(path: Path) -> PanelDataset:
@@ -113,29 +117,31 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text).strip("_") or "x"
 
 
-def _file_stems(matrices) -> list[str]:
-    """Each matrix's output file name without extension.
+def _file_stems(config: BatteryConfig) -> list[str]:
+    """The output file name, without extension, of each matrix the run
+    makes, in ``run_battery``'s method-major, outcome-minor order.
 
     Raises ConfigError when two outcomes would share one, since the second
     matrix's files would overwrite the first's.
     """
     owners: dict[str, str] = {}
-    for matrix in matrices:
-        stem = f"{matrix.method}__{_slug(matrix.outcome)}__{_slug(matrix.age_group.value)}"
-        owner = owners.setdefault(stem, matrix.outcome)
-        if owner != matrix.outcome:
-            raise ConfigError(f"outcomes {owner!r} and {matrix.outcome!r} both "
-                              f"write files named {stem}.*; rename one")
+    for method in config.methods:
+        for outcome in config.outcomes:
+            stem = f"{method}__{_slug(outcome)}__{_slug(age_group_of_code(outcome).value)}"
+            owner = owners.setdefault(stem, outcome)
+            if owner != outcome:
+                raise ConfigError(f"outcomes {owner!r} and {outcome!r} both "
+                                  f"write files named {stem}.*; rename one")
     return list(owners)
 
 
 def analyze(args) -> None:
     """Run the configured battery and write matrices, heatmaps, bundle."""
     dataset = _load_panel(args.panel)
-    config = BatteryConfig.from_file(args.config)
+    config = BatteryConfig.from_json(_read_input(args.config))
     config = _fill_config_defaults(config, dataset)
-    matrices = run_battery(dataset, config)
-    stems = _file_stems(matrices)
+    config.validate(dataset)
+    stems = _file_stems(config)
     out_dir = args.out
     # a matrix file left by another run would sit beside a bundle.json that omits it
     written = {f"{stem}{suffix}" for stem in stems for suffix in (".csv", ".svg")}
@@ -144,6 +150,7 @@ def analyze(args) -> None:
     if stale:
         raise ConfigError(f"{stale[0]} is not an output of this run; remove it "
                           f"or choose another --out")
+    matrices = run_battery(dataset, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     for matrix, stem in zip(matrices, stems):
         (out_dir / f"{stem}.csv").write_text(export_csv(matrix))

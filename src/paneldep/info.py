@@ -179,6 +179,41 @@ def grid_bound(n: int, alpha: float) -> int:
     return int(math.ceil(n ** alpha))
 
 
+def mics(pairs, alpha: float = DEFAULT_MIC_ALPHA, clumps: int = DEFAULT_MIC_CLUMPS,
+         normalization: str = "min-entropy-grid"
+         ) -> list[MicResult | InsufficientDataError]:
+    """``mic`` over many pairs: each pair's result, or the error its own
+    call raises.
+
+    A series' axis depends only on its values, so every pair, and both
+    orientations, that hold the same aligned series reuse one axis; the
+    axes and the per-size tables live for this call only. A bad
+    ``alpha``, ``clumps`` or ``normalization`` raises.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
+    if clumps < 1:
+        raise DomainError(f"clumps must be >= 1, got {clumps}")
+    if normalization not in MIC_NORMALIZATIONS:
+        raise DomainError(
+            f"normalization must be one of {MIC_NORMALIZATIONS}, got {normalization!r}"
+        )
+    tables = _Tables()
+    axes: dict[tuple, _Axis] = {}
+    out: list = []
+    for pair in pairs:
+        if pair.n < 25:
+            out.append(InsufficientDataError(
+                f"need at least 25 observations, got {pair.n}"))
+            continue
+        for values in (pair.x, pair.y):
+            if values not in axes:
+                axes[values] = _Axis(values)
+        out.append(_search(tables, axes[pair.x], axes[pair.y],
+                           grid_bound(pair.n, alpha), clumps, normalization))
+    return out
+
+
 def mic(pair: AlignedPair, alpha: float = DEFAULT_MIC_ALPHA,
         clumps: int = DEFAULT_MIC_CLUMPS,
         normalization: str = "min-entropy-grid") -> MicResult:
@@ -190,73 +225,45 @@ def mic(pair: AlignedPair, alpha: float = DEFAULT_MIC_ALPHA,
     log2(min(b1, b2)); "max-entropy" divides by the larger marginal
     entropy of the maximizing grid instead.
     """
-    return MicCache()._search(_Axis(pair.x), _Axis(pair.y), alpha, clumps,
-                              normalization)
+    (result,) = mics([pair], alpha, clumps, normalization)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-class MicCache:
-    """Work shared by the MIC searches of one battery region.
+def _search(tables: _Tables, x: _Axis, y: _Axis, bound: int, clumps: int,
+            normalization: str) -> MicResult:
+    """The grid search behind ``mic``, over two prepared axes of one length."""
+    if len(x.runs) == 1 or len(y.runs) == 1:  # one tie run: a constant axis
+        return MicResult(0.0, 0, 0, bound, normalization, degenerate=True)
 
-    A series' axis depends only on its values, so every pair, and both
-    orientations, that hold the same aligned series reuse one axis. The
-    index and x*log2(x) tables are kept per size. Nothing outlives the
-    object, so a battery makes one per region.
-    """
+    eq7 = normalization == "max-entropy"
+    cells: dict[tuple[int, int], float] = {}
+    _fill_cells(tables, cells, x, y, bound, clumps, eq7, transpose=False)
+    _fill_cells(tables, cells, y, x, bound, clumps, eq7, transpose=True)
+
+    # Reduce after the full sweep so evaluation order cannot matter; ties
+    # go to the lexicographically smallest resolution.
+    best_key, best_val = None, -math.inf
+    for key in sorted(cells):
+        if cells[key] > best_val:
+            best_key, best_val = key, cells[key]
+    assert best_key is not None
+    return MicResult(
+        mic=min(1.0, max(0.0, best_val)),
+        best_b1=best_key[0],
+        best_b2=best_key[1],
+        grid_bound=bound,
+        normalization=normalization,
+    )
+
+
+class _Tables:
+    """The index and x*log2(x) tables of one ``mics`` call, kept per size."""
 
     def __init__(self):
-        self._axes: dict[tuple, _Axis] = {}
         self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._xlog2x: dict[int, np.ndarray] = {}
-
-    def mic(self, pair: AlignedPair, alpha: float, clumps: int,
-            normalization: str) -> MicResult:
-        """``mic(pair, ...)``, with the axes of pair.x and pair.y cached."""
-        return self._search(self._axis(pair.x), self._axis(pair.y), alpha, clumps,
-                            normalization)
-
-    def _axis(self, values: tuple) -> _Axis:
-        axis = self._axes.get(values)
-        if axis is None:
-            axis = self._axes[values] = _Axis(values)
-        return axis
-
-    def _search(self, x: _Axis, y: _Axis, alpha: float, clumps: int,
-                normalization: str) -> MicResult:
-        """The grid search behind ``mic``, over two prepared axes."""
-        if not 0.0 < alpha <= 1.0:
-            raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-        if clumps < 1:
-            raise DomainError(f"clumps must be >= 1, got {clumps}")
-        if normalization not in MIC_NORMALIZATIONS:
-            raise DomainError(
-                f"normalization must be one of {MIC_NORMALIZATIONS}, got {normalization!r}"
-            )
-        n = x.n
-        if n < 25:
-            raise InsufficientDataError(f"need at least 25 observations, got {n}")
-        bound = grid_bound(n, alpha)
-        if len(x.runs) == 1 or len(y.runs) == 1:  # one tie run: a constant axis
-            return MicResult(0.0, 0, 0, bound, normalization, degenerate=True)
-
-        eq7 = normalization == "max-entropy"
-        cells: dict[tuple[int, int], float] = {}
-        _fill_cells(self, cells, x, y, bound, clumps, eq7, transpose=False)
-        _fill_cells(self, cells, y, x, bound, clumps, eq7, transpose=True)
-
-        # Reduce after the full sweep so evaluation order cannot matter; ties
-        # go to the lexicographically smallest resolution.
-        best_key, best_val = None, -math.inf
-        for key in sorted(cells):
-            if cells[key] > best_val:
-                best_key, best_val = key, cells[key]
-        assert best_key is not None
-        return MicResult(
-            mic=min(1.0, max(0.0, best_val)),
-            best_b1=best_key[0],
-            best_b2=best_key[1],
-            grid_bound=bound,
-            normalization=normalization,
-        )
 
     def xlog2x(self, n: int) -> np.ndarray:
         """c * log2(c) for c = 0..n (0 at c = 0)."""
@@ -373,7 +380,7 @@ def _entropy_counts(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def _optimize_axis(cache: MicCache, cum: np.ndarray, ends: np.ndarray, n: int,
+def _optimize_axis(tables: _Tables, cum: np.ndarray, ends: np.ndarray, n: int,
                    max_cols: int, hq: float, want_partitions: bool):
     """Exact DP over the boundary set: best I(P;Q) per column count.
 
@@ -387,8 +394,8 @@ def _optimize_axis(cache: MicCache, cum: np.ndarray, ends: np.ndarray, n: int,
     {l: column sizes of the maximizing partition}.
     """
     k = len(ends) - 1
-    xlog2x = cache.xlog2x(n)
-    s, t = cache.triu(k)
+    xlog2x = tables.xlog2x(n)
+    s, t = tables.triu(k)
     G = np.full((k + 1, k + 1), -np.inf)
     G[s, t] = xlog2x[cum[t] - cum[s]].sum(axis=1) - xlog2x[ends[t] - ends[s]]
 
@@ -416,7 +423,7 @@ def _optimize_axis(cache: MicCache, cum: np.ndarray, ends: np.ndarray, n: int,
     return scores, partitions
 
 
-def _fill_cells(cache: MicCache, cells: dict, cols: _Axis, rows: _Axis,
+def _fill_cells(tables: _Tables, cells: dict, cols: _Axis, rows: _Axis,
                 bound: int, clumps: int, eq7: bool, transpose: bool) -> None:
     n = cols.n
     for n_rows in range(2, bound // 2 + 1):
@@ -430,7 +437,7 @@ def _fill_cells(cache: MicCache, cells: dict, cols: _Axis, rows: _Axis,
         cum = np.zeros((n + 1, row_count), dtype=np.intp)
         np.cumsum(rows_x_order[:, None] == np.arange(row_count), axis=0,
                   out=cum[1:])
-        scores, partitions = _optimize_axis(cache, cum[ends], ends, n, max_cols,
+        scores, partitions = _optimize_axis(tables, cum[ends], ends, n, max_cols,
                                             hq, eq7)
         for l in range(2, max_cols + 1):
             raw = scores[l]

@@ -110,12 +110,15 @@ def _fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def regularized_betas(a, b, x, y) -> list[float]:
-    """``regularized_beta`` over equal-length sequences of arguments.
+    """Regularized incomplete beta I_x(a, b) of each element of
+    equal-length sequences, for a, b > 0 and x in [0, 1].
 
-    The prefactor is formed per element with ``math``; the continued
-    fractions of all elements run as one numpy iteration. Each element's
-    value has the bits of its own ``regularized_beta`` call. Any element
-    whose fraction does not converge raises ConvergenceError.
+    ``y`` is ``1 - x``, passed separately so that a caller who can form
+    it without cancellation (the t and F tails can) keeps its precision
+    near x = 1. The prefactor is formed per element with ``math``; the
+    continued fractions of all elements run as one numpy iteration. Each
+    element's value has the bits of a batch of one. Any element whose
+    fraction does not converge raises ConvergenceError.
     """
     out = [0.0] * len(x)
     pending = []  # (position, prefactor, divisor, swapped)
@@ -143,16 +146,6 @@ def regularized_betas(a, b, x, y) -> list[float]:
     for (i, front, divisor, swapped), h in zip(pending, fractions.tolist()):
         out[i] = 1.0 - front * h / divisor if swapped else front * h / divisor
     return out
-
-
-def regularized_beta(a: float, b: float, x: float, y: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1].
-
-    ``y`` is ``1 - x``, passed separately so that a caller who can form
-    it without cancellation (the t and F tails can) keeps its precision
-    near x = 1.
-    """
-    return regularized_betas((a,), (b,), (x,), (y,))[0]
 
 
 def f_sfs(fs, d1s, d2s) -> list[float]:

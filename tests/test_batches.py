@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from paneldep import special
 from paneldep.errors import ConvergenceError
-from paneldep.info import mutual_informations
+from paneldep.info import mics, mutual_informations
 from paneldep.linear import pearsons, t_sf, t_sfs
 from paneldep.panel import AlignedPair
 from paneldep.special import f_sf, f_sfs
@@ -61,6 +61,7 @@ def test_batches_match_batches_of_one(pairs, rnd, bins, max_lag, difference_firs
         **{f"mi {b} {s}": (lambda ps, b=b, s=s: mutual_informations(ps, b, s))
            for b in (None, bins) for s in ("equal-frequency", "equal-width")},
         "granger": lambda ps: lag_sweeps(ps, max_lag, difference_first),
+        "mic": mics,
     }
     for name, batch in batches.items():
         for pair, result in zip(shuffled, batch(shuffled)):
@@ -136,5 +137,6 @@ def test_empty_batches():
     assert pearsons([]) == []
     assert mutual_informations([], None) == []
     assert lag_sweeps([], 3) == []
+    assert mics([]) == []
     assert t_sfs([], []) == [] and f_sfs([], [], []) == []
     assert special.regularized_betas([], [], [], []) == []

@@ -137,6 +137,21 @@ class TestRunBattery:
                 cells += 1
         assert cells == len(pairs)
 
+    def test_lags_no_pair_can_fit_change_nothing(self):
+        # the fixture's longest pair has 33 years, so no lag past 10 fits;
+        # differenced, lag 10 is the best lag of some pairs
+        ds, unbounded = fixture_config(methods=("granger",), max_lag=10**9,
+                                       difference_first=True)
+        _, fitted = fixture_config(methods=("granger",), max_lag=10,
+                                   difference_first=True)
+        matrices = run_battery(ds, unbounded)
+        assert matrices == run_battery(ds, fitted)
+        for matrix in matrices:
+            for (region, code), cell in matrix.cells.items():
+                pair = align_pair(ds.series(region, code),
+                                  ds.series(region, matrix.outcome))
+                assert repr(cell.result) == repr(lag_sweep(pair, 10, True).best)
+
     def test_mic_skips_short_series(self):
         ds, config = fixture_config(methods=("mic",))
         matrix = run_battery(ds, config)[0]

@@ -453,6 +453,39 @@ class TestBurden:
         assert "DALY" not in captured.out
 
 
+BURDEN_ARGS = ("burden", "--deaths", "d.csv", "--prevalence", "p.csv", "--life-table",
+               "l.csv", "--weights", "w.csv", "--std-pop", "s.csv")
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("argv, latin1", [
+        (("ingest", "--wdi", "in.csv", "--out", "p.json"), "in.csv"),
+        (("ingest", "--gbd", "in.csv", "--out", "p.json"), "in.csv"),
+        (("analyze", "--panel", "in.csv", "--config", "c.json", "--out", "r"), "in.csv"),
+        (("analyze", "--panel", "panel.csv", "--config", "c.json", "--out", "r"),
+         "c.json"),
+        (BURDEN_ARGS, "d.csv"),
+        (BURDEN_ARGS, "p.csv"),
+        (BURDEN_ARGS, "l.csv"),
+        (BURDEN_ARGS, "w.csv"),
+        (BURDEN_ARGS, "s.csv"),
+    ], ids=["wdi", "gbd", "panel", "config", "deaths", "prevalence", "life-table",
+            "weights", "std-pop"])
+    def test_non_utf8_file_exits_input_error(self, workdir, capsys, argv, latin1):
+        run("fixture", "--with-outcomes", "--out", "panel.csv")
+        for name, text in (("d.csv", BANDS), ("p.csv", PREV), ("l.csv", LIFE),
+                           ("w.csv", WEIGHTS), ("s.csv", STD),
+                           ("c.json", json.dumps({"methods": ["pearson"]}))):
+            (workdir / name).write_text(text)
+        (workdir / latin1).write_bytes("code,region,2000\nE1,S\xe3o Paulo,1.0\n"
+                                       .encode("latin-1"))
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"input error: {latin1}: 'utf-8' codec can't "
+                                       f"decode byte 0xe3")
+        assert captured.out == ""
+
+
 class TestGlobalFlags:
     def test_seed_accepted(self, workdir, capsys):
         assert run("--seed", "42", "fixture") == 0

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from paneldep.errors import DomainError, InsufficientDataError
 from paneldep.info import (
     JointHistogram,
-    MicCache,
     _Axis,
     default_mi_bins,
     discretize,
     entropy,
     grid_bound,
     mic,
+    mics,
     mutual_information,
 )
 from paneldep.linear import pearson
@@ -250,17 +250,26 @@ class TestSharedAxes:
     @settings(max_examples=40)
     @given(st.data())
     def test_cached_axes_match_public_mic(self, data):
-        """One cache over pairs sharing y, as a battery region uses it,
-        gives each pair exactly what mic() gives it alone."""
+        """One batch over pairs sharing y, in both orientations, gives each
+        pair exactly what mic() gives it alone."""
         y = data.draw(tied_values)
         n = len(y)
         xs = data.draw(st.lists(st.lists(st.integers(-4, 4).map(lambda v: v / 2),
                                          min_size=n, max_size=n),
                                 min_size=2, max_size=3))
         xs.append(y)  # a series paired with itself shares one axis
+        # every axis is met again later in the batch
+        pairs = [pair for x in xs + xs[::-1]
+                 for pair in (make_pair(x, y), make_pair(y, x))]
         for normalization in ("min-entropy-grid", "max-entropy"):
-            cache = MicCache()
-            for x in xs + xs[::-1]:  # every axis is met again from the cache
-                for pair in (make_pair(x, y), make_pair(y, x)):
-                    assert repr(cache.mic(pair, 0.6, 15, normalization)) == \
-                        repr(mic(pair, 0.6, 15, normalization))
+            for pair, result in zip(pairs, mics(pairs, 0.6, 15, normalization)):
+                assert repr(result) == repr(mic(pair, 0.6, 15, normalization))
+
+    def test_bad_argument_fails_the_batch_before_short_pairs(self):
+        short, full = make_pair(range(24), range(24)), make_pair(range(30), range(30))
+        assert isinstance(mics([short, full])[0], InsufficientDataError)
+        for kwargs in ({"alpha": 0.0}, {"clumps": 0}, {"normalization": "grid"}):
+            with pytest.raises(DomainError):
+                mics([short, full], **kwargs)
+            with pytest.raises(DomainError):
+                mics([], **kwargs)

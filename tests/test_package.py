@@ -53,6 +53,8 @@ steps["import paneldep.cli"] = loaded()
 steps["fixture"] = main(["fixture", "--with-outcomes", "--out", "panel.csv"]), loaded()
 steps["ingest"] = main(["--quiet", "ingest", "--wdi", "panel.csv",
                         "--out", "panel.json"]), loaded()
+steps["refused analyze"] = main(["--quiet", "analyze", "--panel", "panel.json",
+                                 "--config", "config.json", "--out", "stale"]), loaded()
 steps["analyze"] = main(["--quiet", "analyze", "--panel", "panel.json",
                          "--config", "config.json", "--out", "results"]), loaded()
 print(json.dumps(steps))
@@ -61,6 +63,9 @@ print(json.dumps(steps))
 
 def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
     (tmp_path / "config.json").write_text(json.dumps({"methods": ["pearson"]}))
+    # a matrix file of another run: analyze refuses it before any kernel runs
+    (tmp_path / "stale").mkdir()
+    (tmp_path / "stale" / "granger__old__all.csv").write_text("")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), path]))}
@@ -73,5 +78,6 @@ def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
         "import paneldep.cli": [],
         "fixture": [0, []],
         "ingest": [0, []],
+        "refused analyze": [2, []],
         "analyze": [0, ["numpy"]],
     }
