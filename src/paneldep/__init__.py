@@ -15,8 +15,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "battery": ("BatteryConfig", "MatrixCell", "ResultMatrix", "run_battery",
-                "summarize_lags"),
+    "battery": ("BatteryConfig", "MatrixCell", "ResultMatrix", "plan_battery",
+                "run_battery", "summarize_lags"),
     "burden": ("BurdenInput", "BurdenSummary", "DisabilityWeights", "LifeTable",
                "age_standardize", "compute_daly", "compute_yld", "compute_yll"),
     "info": ("JointHistogram", "MicResult", "MutualInfoResult", "discretize",

@@ -9,6 +9,7 @@ are computed.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
@@ -170,6 +171,15 @@ class ResultMatrix:
     def complete(self) -> bool:
         return len(self.cells) + len(self.skips) == len(self.rows) * len(self.cols)
 
+    @property
+    def stem(self) -> str:
+        """The name of this matrix's output files, without extension."""
+        return f"{self.method}__{_slug(self.outcome)}__{_slug(self.age_group.value)}"
+
+
+def _slug(text: str) -> str:
+    return re.sub(r"[^A-Za-z0-9._-]+", "_", text).strip("_") or "x"
+
 
 def canonical_columns(codes) -> tuple[str, ...]:
     """Built-in codes in registry order first, then the rest as given."""
@@ -218,8 +228,29 @@ def _method_cells(method: str, pairs, config: BatteryConfig) -> list[MatrixCell 
             for pair, result in zip(pairs, results)]
 
 
+def plan_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatrix]:
+    """The run's matrices, empty, in ``run_battery``'s order.
+
+    Validates the config first. Raises ConfigError when two outcomes would
+    write files under one stem, since the second matrix's files would
+    overwrite the first's.
+    """
+    config.validate(dataset)
+    cols = canonical_columns(config.indicators)
+    matrices = [ResultMatrix(method=method, age_group=age_group_of_code(outcome),
+                             outcome=outcome, rows=dataset.regions, cols=cols)
+                for method in config.methods for outcome in config.outcomes]
+    owners: dict[str, str] = {}
+    for matrix in matrices:
+        owner = owners.setdefault(matrix.stem, matrix.outcome)
+        if owner != matrix.outcome:
+            raise ConfigError(f"outcomes {owner!r} and {matrix.outcome!r} both "
+                              f"write files named {matrix.stem}.*; rename one")
+    return matrices
+
+
 def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatrix]:
-    """One ResultMatrix per configured method and outcome.
+    """``plan_battery``'s matrices, filled: one per configured method and outcome.
 
     Deterministic for a fixed (dataset, config): matrices come out in
     method-major, outcome-minor configuration order, rows in dataset
@@ -227,20 +258,14 @@ def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatr
     once; a pair-level skip lands in every method's matrix. Each method
     then runs once over all of the run's aligned pairs.
     """
-    config.validate(dataset)
-    cols = canonical_columns(config.indicators)
-    grid = [  # grid[method][outcome], in configuration order
-        [ResultMatrix(method=method, age_group=age_group_of_code(outcome),
-                      outcome=outcome, rows=dataset.regions, cols=cols)
-         for outcome in config.outcomes]
-        for method in config.methods
-    ]
+    matrices = plan_battery(dataset, config)
+    per_method = len(config.outcomes)
     places = []  # (outcome index, cell key) of each aligned pair
     pairs = []
     for region in dataset.regions:
         for i, outcome in enumerate(config.outcomes):
             outcome_series = dataset.series(region, outcome)
-            for code in cols:
+            for code in matrices[0].cols:
                 key = (region, code)
                 indicator_series = dataset.series(region, code)
                 skip = SKIP_MISSING_SERIES
@@ -252,15 +277,16 @@ def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatr
                         continue
                     except _SKIP_EXCEPTIONS as exc:
                         skip = _SKIP_TAGS[type(exc)]
-                for row in grid:
-                    row[i].skips[key] = skip
-    for row in grid:
+                for matrix in matrices[i::per_method]:
+                    matrix.skips[key] = skip
+    for start in range(0, len(matrices), per_method):
+        row = matrices[start:start + per_method]
         for (i, key), out in zip(places, _method_cells(row[0].method, pairs, config)):
             if isinstance(out, str):
                 row[i].skips[key] = out
             else:
                 row[i].cells[key] = out
-    return [matrix for row in grid for matrix in row]
+    return matrices
 
 
 def summarize_lags(matrices) -> dict[tuple[str, str], dict[int, int]]:

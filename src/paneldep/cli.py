@@ -7,12 +7,11 @@ error, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .battery import METHODS, BatteryConfig, run_battery
+from .battery import METHODS, BatteryConfig, plan_battery, run_battery
 from .burden import (
     BurdenInput,
     LifeTable,
@@ -35,7 +34,6 @@ from .errors import (
 from .panel import (
     GBD_HEADER,
     PanelDataset,
-    age_group_of_code,
     load_fixture,
     parse_gbd_long,
     parse_wdi_wide,
@@ -108,31 +106,9 @@ def ingest(args) -> None:
         if region is not None:
             outcomes = outcomes.restrict_region(region)
         dataset = outcomes if dataset is None else dataset.merge(outcomes)
-    out.write_text(dataset.to_json())
+    out.write_text(dataset.to_json(), encoding="utf-8")
     _say(args, f"wrote {out}: {len(dataset.regions)} region(s), "
                f"{len(dataset.indicators)} series")
-
-
-def _slug(text: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", text).strip("_") or "x"
-
-
-def _file_stems(config: BatteryConfig) -> list[str]:
-    """The output file name, without extension, of each matrix the run
-    makes, in ``run_battery``'s method-major, outcome-minor order.
-
-    Raises ConfigError when two outcomes would share one, since the second
-    matrix's files would overwrite the first's.
-    """
-    owners: dict[str, str] = {}
-    for method in config.methods:
-        for outcome in config.outcomes:
-            stem = f"{method}__{_slug(outcome)}__{_slug(age_group_of_code(outcome).value)}"
-            owner = owners.setdefault(stem, outcome)
-            if owner != outcome:
-                raise ConfigError(f"outcomes {owner!r} and {outcome!r} both "
-                                  f"write files named {stem}.*; rename one")
-    return list(owners)
 
 
 def analyze(args) -> None:
@@ -140,23 +116,23 @@ def analyze(args) -> None:
     dataset = _load_panel(args.panel)
     config = BatteryConfig.from_json(_read_input(args.config))
     config = _fill_config_defaults(config, dataset)
-    config.validate(dataset)
-    stems = _file_stems(config)
     out_dir = args.out
     # a matrix file left by another run would sit beside a bundle.json that omits it
-    written = {f"{stem}{suffix}" for stem in stems for suffix in (".csv", ".svg")}
+    written = {f"{matrix.stem}{suffix}" for matrix in plan_battery(dataset, config)
+               for suffix in (".csv", ".svg")}
     stale = sorted(path for method in METHODS for path in out_dir.glob(f"{method}__*")
                    if path.suffix in (".csv", ".svg") and path.name not in written)
     if stale:
         raise ConfigError(f"{stale[0]} is not an output of this run; remove it "
                           f"or choose another --out")
-    matrices = run_battery(dataset, config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for matrix, stem in zip(matrices, stems):
-        (out_dir / f"{stem}.csv").write_text(export_csv(matrix))
-        (out_dir / f"{stem}.svg").write_text(render_heatmap_svg(matrix))
+    matrices = run_battery(dataset, config)
+    for matrix in matrices:
+        (out_dir / f"{matrix.stem}.csv").write_text(export_csv(matrix), encoding="utf-8")
+        (out_dir / f"{matrix.stem}.svg").write_text(render_heatmap_svg(matrix),
+                                                    encoding="utf-8")
     bundle = build_bundle(matrices, dataset, config)
-    (out_dir / "bundle.json").write_text(export_json(bundle))
+    (out_dir / "bundle.json").write_text(export_json(bundle), encoding="utf-8")
     _say(args, f"wrote {len(matrices)} matrices to {out_dir}")
 
 
@@ -212,7 +188,7 @@ def fixture(args) -> None:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        args.out.write_text(text)
+        args.out.write_text(text, encoding="utf-8")
 
 
 def _command(commands, run) -> argparse.ArgumentParser:

@@ -81,3 +81,11 @@ class ConvergenceError(PanelDepError):
 
 class ConfigError(PanelDepError):
     """Invalid analysis configuration."""
+
+
+def _only(results: list):
+    """The result of a batch of one, raised when it is the element's error."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, _only
 from .panel import (
     DEFAULT_MIC_ALPHA,
     DEFAULT_MIC_CLUMPS,
@@ -154,10 +154,7 @@ def mutual_informations(pairs, bins: int | None,
 def mutual_information(pair: AlignedPair, bins: int,
                        strategy: str = "equal-frequency") -> MutualInfoResult:
     """Discretize both sequences and measure their shared information."""
-    (result,) = mutual_informations([pair], bins, strategy)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _only(mutual_informations([pair], bins, strategy))
 
 
 def default_mi_bins(n: int) -> int:
@@ -225,10 +222,7 @@ def mic(pair: AlignedPair, alpha: float = DEFAULT_MIC_ALPHA,
     log2(min(b1, b2)); "max-entropy" divides by the larger marginal
     entropy of the maximizing grid instead.
     """
-    (result,) = mics([pair], alpha, clumps, normalization)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _only(mics([pair], alpha, clumps, normalization))
 
 
 def _search(tables: _Tables, x: _Axis, y: _Axis, bound: int, clumps: int,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, InsufficientDataError
+from .errors import DegenerateInputError, DomainError, InsufficientDataError, _only
 from .panel import AlignedPair
 from .special import f_sfs
 
@@ -104,7 +104,4 @@ def pearson(pair: AlignedPair) -> PearsonResult:
     products) is kept deliberately: annual series are often near-constant
     and the single-pass expansion loses precision there.
     """
-    (result,) = pearsons([pair])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _only(pearsons([pair]))

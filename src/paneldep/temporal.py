@@ -20,6 +20,7 @@ from .errors import (
     NonContiguousYearsError,
     PanelDepError,
     SingularDesignError,
+    _only,
 )
 from .panel import AlignedPair
 from .special import f_sfs
@@ -273,7 +274,4 @@ def lag_sweep(pair: AlignedPair, max_lag: int,
     skipped for a rank-deficient design, InsufficientDataError otherwise.
     Best lag is the smallest p-value, ties going to the shorter lag.
     """
-    (sweep,) = lag_sweeps([pair], max_lag, difference_first)
-    if isinstance(sweep, Exception):
-        raise sweep
-    return sweep
+    return _only(lag_sweeps([pair], max_lag, difference_first))

@@ -4,6 +4,7 @@ import pytest
 from paneldep.battery import (
     BatteryConfig,
     canonical_columns,
+    plan_battery,
     run_battery,
     summarize_lags,
 )
@@ -69,6 +70,32 @@ class TestRunBattery:
             assert matrix.rows == ("global",)
             assert len(matrix.cols) == 15
             assert matrix.complete()
+
+    def test_plan_is_the_run_layout(self):
+        ds, config = fixture_config()
+        plan = plan_battery(ds, config)
+
+        def layout(matrices):
+            return [(m.method, m.outcome, m.stem) for m in matrices]
+
+        assert layout(plan) == layout(run_battery(ds, config))
+        assert all(not m.cells and not m.skips for m in plan)
+        assert plan[0].stem == "pearson__synthetic-burden_DALYs_all__all"
+
+    def test_outcomes_sharing_a_stem_are_refused(self):
+        ds = PanelDataset(
+            regions=("global",),
+            indicators=tuple(_classify_code(c) for c in ("E1", "X/a", "X a")),
+            cells={("global", c): AnnualSeries((2000, 2001, 2002), (1.0, 2.0, v))
+                   for c, v in (("E1", 3.0), ("X/a", 5.0), ("X a", 4.0))},
+        )
+        config = BatteryConfig(methods=("pearson",), outcomes=("X/a", "X a"),
+                               indicators=("E1",), min_overlap=3)
+        with pytest.raises(ConfigError, match=r"'X/a' and 'X a' both write files "
+                                              r"named pearson__X_a__all\.\*"):
+            plan_battery(ds, config)
+        with pytest.raises(ConfigError, match="'X/a' and 'X a'"):
+            run_battery(ds, config)
 
     def test_one_matrix_per_method_age_outcome(self):
         ds, config = fixture_config()

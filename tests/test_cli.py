@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import paneldep
+from paneldep.battery import BatteryConfig, plan_battery
 from paneldep.cli import main
-from paneldep.panel import PanelDataset
+from paneldep.panel import PanelDataset, parse_wdi_wide
 
 
 @pytest.fixture()
@@ -173,11 +179,13 @@ class TestAnalyze:
         }))
         assert run("--quiet", "analyze", "--panel", "panel.csv",
                    "--config", "config.json", "--out", "results") == 0
-        files = sorted(p.name for p in (workdir / "results").iterdir())
-        assert "bundle.json" in files
-        csvs = [f for f in files if f.endswith(".csv")]
-        svgs = [f for f in files if f.endswith(".svg")]
-        assert len(csvs) == len(svgs) == 6  # 2 methods x 3 outcomes
+        files = {p.name for p in (workdir / "results").iterdir()}
+        bundle = json.loads((workdir / "results" / "bundle.json").read_text())
+        config = BatteryConfig.from_dict(bundle["metadata"]["config"])
+        plan = plan_battery(parse_wdi_wide((workdir / "panel.csv").read_text()), config)
+        assert len(plan) == 6  # 2 methods x 3 outcomes
+        assert files == {"bundle.json", *(f"{m.stem}{suffix}" for m in plan
+                                          for suffix in (".csv", ".svg"))}
 
     def test_unknown_code_exits_config(self, workdir):
         run("fixture", "--with-outcomes", "--out", "panel.csv")
@@ -484,6 +492,28 @@ class TestInputEncoding:
         assert captured.err.startswith(f"input error: {latin1}: 'utf-8' codec can't "
                                        f"decode byte 0xe3")
         assert captured.out == ""
+
+
+class TestOutputEncoding:
+    def test_ascii_locale_writes_utf8(self, workdir):
+        (workdir / "wdi.csv").write_text("code,region,2000,2001,2002,2003\n"
+                                         "X,São,1.0,3.0,2.0,5.0\n"
+                                         "E1,São,1.0,2.0,3.0,4.0\n", encoding="utf-8")
+        (workdir / "config.json").write_text(json.dumps({
+            "methods": ["pearson"], "outcomes": ["X"], "indicators": ["E1"],
+            "min_overlap": 3,
+        }))
+        path = [str(Path(paneldep.__file__).resolve().parents[1]),
+                os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "paneldep.cli",
+                               "analyze", "--panel", "wdi.csv", "--config", "config.json",
+                               "--out", "out"], cwd=workdir, env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        for name in ("pearson__X__all.csv", "pearson__X__all.svg"):
+            assert "São" in (workdir / "out" / name).read_bytes().decode("utf-8")
 
 
 class TestGlobalFlags:

@@ -55,6 +55,8 @@ steps["ingest"] = main(["--quiet", "ingest", "--wdi", "panel.csv",
                         "--out", "panel.json"]), loaded()
 steps["refused analyze"] = main(["--quiet", "analyze", "--panel", "panel.json",
                                  "--config", "config.json", "--out", "stale"]), loaded()
+steps["file out"] = main(["--quiet", "analyze", "--panel", "panel.json",
+                          "--config", "config.json", "--out", "panel.csv"]), loaded()
 steps["analyze"] = main(["--quiet", "analyze", "--panel", "panel.json",
                          "--config", "config.json", "--out", "results"]), loaded()
 print(json.dumps(steps))
@@ -79,5 +81,6 @@ def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
         "fixture": [0, []],
         "ingest": [0, []],
         "refused analyze": [2, []],
+        "file out": [1, []],
         "analyze": [0, ["numpy"]],
     }
