@@ -6,7 +6,8 @@ values. The MIC search walks every grid resolution (b1, b2) with
 b1*b2 <= ceil(n**alpha) and, per resolution, equipartitions one axis and
 optimizes the other with an exact dynamic program over clump boundaries;
 both orientations are evaluated and the larger kept, which also makes the
-score symmetric in its arguments.
+score symmetric in its arguments. Pairs of one length are searched as one
+stack, with the bits of a one-pair search.
 """
 
 from __future__ import annotations
@@ -184,8 +185,9 @@ def mics(pairs, alpha: float = DEFAULT_MIC_ALPHA, clumps: int = DEFAULT_MIC_CLUM
 
     A series' axis depends only on its values, so every pair, and both
     orientations, that hold the same aligned series reuse one axis; the
-    axes and the per-size tables live for this call only. A bad
-    ``alpha``, ``clumps`` or ``normalization`` raises.
+    axes and the per-size tables live for this call only. Pairs of one
+    length are searched as stacks (see ``_search``). A bad ``alpha``,
+    ``clumps`` or ``normalization`` raises.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
@@ -197,17 +199,37 @@ def mics(pairs, alpha: float = DEFAULT_MIC_ALPHA, clumps: int = DEFAULT_MIC_CLUM
         )
     tables = _Tables()
     axes: dict[tuple, _Axis] = {}
-    out: list = []
-    for pair in pairs:
+    out: list = [None] * len(pairs)
+    by_length: dict[int, list[int]] = {}
+    for i, pair in enumerate(pairs):
         if pair.n < 25:
-            out.append(InsufficientDataError(
-                f"need at least 25 observations, got {pair.n}"))
+            out[i] = InsufficientDataError(
+                f"need at least 25 observations, got {pair.n}")
+            continue
+        bound = grid_bound(pair.n, alpha)
+        if bound < 4:
+            out[i] = InsufficientDataError(
+                f"grid bound B = {bound} at n = {pair.n} fits no 2x2 grid; need B >= 4")
             continue
         for values in (pair.x, pair.y):
             if values not in axes:
                 axes[values] = _Axis(values)
-        out.append(_search(tables, axes[pair.x], axes[pair.y],
-                           grid_bound(pair.n, alpha), clumps, normalization))
+        if len(axes[pair.x].runs) == 1 or len(axes[pair.y].runs) == 1:
+            # one tie run: a constant axis
+            out[i] = MicResult(0.0, 0, 0, bound, normalization, degenerate=True)
+        else:
+            by_length.setdefault(pair.n, []).append(i)
+    for n, members in by_length.items():
+        bound = grid_bound(n, alpha)
+        # a stack's prefix counts hold (n + 1) * (B // 2) integers per pair
+        size = max(1, _STACK_ELEMENTS // ((n + 1) * (bound // 2)))
+        for start in range(0, len(members), size):
+            part = members[start:start + size]
+            found = _search(tables, [axes[pairs[i].x] for i in part],
+                            [axes[pairs[i].y] for i in part], bound, clumps,
+                            normalization)
+            for i, result in zip(part, found):
+                out[i] = result
     return out
 
 
@@ -225,38 +247,47 @@ def mic(pair: AlignedPair, alpha: float = DEFAULT_MIC_ALPHA,
     return _only(mics([pair], alpha, clumps, normalization))
 
 
-def _search(tables: _Tables, x: _Axis, y: _Axis, bound: int, clumps: int,
-            normalization: str) -> MicResult:
-    """The grid search behind ``mic``, over two prepared axes of one length."""
-    if len(x.runs) == 1 or len(y.runs) == 1:  # one tie run: a constant axis
-        return MicResult(0.0, 0, 0, bound, normalization, degenerate=True)
+#: The most elements a stacked array of the grid search holds: the prefix
+#: counts of a stack of one length, and each DP stack's G. A larger stack
+#: is searched in slices of pairs, which still share the call's axes. On a
+#: 10-region replica (270 pairs of 33 points) the cap holds the batch's
+#: traced peak to 1.2 MB, against 1.9 MB with no cap and 0.6 MB pair by pair.
+_STACK_ELEMENTS = 16_384
 
+
+def _search(tables: _Tables, xs: list[_Axis], ys: list[_Axis], bound: int,
+            clumps: int, normalization: str) -> list[MicResult]:
+    """The grid search behind ``mic`` for a stack of pairs of one length,
+    none of them with a constant axis.
+
+    Each resolution's score of each pair has the bits of a one-pair search:
+    the stacks run the same elementwise operations, and add each interval's
+    row terms in the order numpy sums one pair's contiguous row axis.
+    """
+    keys = sorted({key for n_rows in range(2, bound // 2 + 1)
+                   for l in range(2, bound // n_rows + 1)
+                   for key in ((l, n_rows), (n_rows, l))})
+    column = {key: j for j, key in enumerate(keys)}
+    cells = np.full((2, len(xs), len(keys)), -np.inf)  # one per orientation
     eq7 = normalization == "max-entropy"
-    cells: dict[tuple[int, int], float] = {}
-    _fill_cells(tables, cells, x, y, bound, clumps, eq7, transpose=False)
-    _fill_cells(tables, cells, y, x, bound, clumps, eq7, transpose=True)
+    _fill_cells(tables, cells[0], column, xs, ys, bound, clumps, eq7, transpose=False)
+    _fill_cells(tables, cells[1], column, ys, xs, bound, clumps, eq7, transpose=True)
+    cells = np.maximum(cells[0], cells[1])
 
-    # Reduce after the full sweep so evaluation order cannot matter; ties
-    # go to the lexicographically smallest resolution.
-    best_key, best_val = None, -math.inf
-    for key in sorted(cells):
-        if cells[key] > best_val:
-            best_key, best_val = key, cells[key]
-    assert best_key is not None
-    return MicResult(
-        mic=min(1.0, max(0.0, best_val)),
-        best_b1=best_key[0],
-        best_b2=best_key[1],
-        grid_bound=bound,
-        normalization=normalization,
-    )
+    # Reduce after the full sweep so evaluation order cannot matter; the
+    # columns are in (b1, b2) order, so ties go to the smallest resolution.
+    best = cells.argmax(axis=1)
+    values = cells[np.arange(len(xs)), best].tolist()
+    return [MicResult(mic=min(1.0, max(0.0, value)), best_b1=keys[j][0],
+                      best_b2=keys[j][1], grid_bound=bound, normalization=normalization)
+            for j, value in zip(best.tolist(), values)]
 
 
 class _Tables:
     """The index and x*log2(x) tables of one ``mics`` call, kept per size."""
 
     def __init__(self):
-        self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._intervals: dict[tuple[int, bool], tuple[np.ndarray, ...]] = {}
         self._xlog2x: dict[int, np.ndarray] = {}
 
     def xlog2x(self, n: int) -> np.ndarray:
@@ -267,12 +298,18 @@ class _Tables:
             table = self._xlog2x[n] = np.concatenate(([0.0], c * np.log2(c)))
         return table
 
-    def triu(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every (s, t) with 0 <= s < t <= k."""
-        pairs = self._triu.get(k)
-        if pairs is None:
-            pairs = self._triu[k] = np.triu_indices(k + 1, 1)
-        return pairs
+    def intervals(self, k: int, full: bool) -> tuple[np.ndarray, ...]:
+        """Clump intervals (s, t], 0 <= s < t <= k, and s * (k + 1) + t:
+        every one when ``full``, else those with s = 0 or t = k."""
+        found = self._intervals.get((k, full))
+        if found is None:
+            if full:
+                s, t = np.triu_indices(k + 1, 1)
+            else:
+                s = np.concatenate((np.zeros(k, dtype=np.intp), np.arange(1, k)))
+                t = np.concatenate((np.arange(1, k + 1), np.full(k - 1, k)))
+            found = self._intervals[(k, full)] = (s, t, s * (k + 1) + t)
+        return found
 
 
 # -- grid-search internals --------------------------------------------------
@@ -290,25 +327,35 @@ def _run_ends(sorted_values: np.ndarray) -> np.ndarray:
 def _group_runs(lengths: np.ndarray, k: int) -> np.ndarray:
     """Assign consecutive runs to at most k ordered groups of near-equal size.
 
-    A run never splits. The running target size is re-estimated from the
+    A run never splits: run r opens a new group when adding it would leave
+    the current group no closer to the target size, |in_group + tie -
+    desired| >= |in_group - desired|. The target is re-estimated from the
     remaining points whenever a group closes.
     """
-    n = int(lengths.sum())
-    groups = np.empty(len(lengths), dtype=np.intp)
-    group = 0
-    in_group = 0
-    desired = n / k
-    placed = 0
-    for r, tie in enumerate(lengths.tolist()):
-        if (in_group > 0 and group < k - 1
-                and abs(in_group + tie - desired) >= abs(in_group - desired)):
-            group += 1
-            in_group = 0
-            desired = (n - placed) / (k - group)
-        groups[r] = group
-        in_group += tie
-        placed += tie
-    return groups
+    sizes = lengths.tolist()
+    opens = np.zeros(len(sizes), dtype=np.intp)  # 1 where a group opens
+    if k > 1:
+        n = sum(sizes)
+        group = start = 0  # start: the points before the current group
+        in_group = sizes[0]
+        desired = n / k
+        # |in_group - desired|, carried over as the float it was computed as
+        gap = abs(in_group - desired)
+        for r in range(1, len(sizes)):
+            grown = in_group + sizes[r]
+            grown_gap = abs(grown - desired)
+            if grown_gap >= gap:
+                opens[r] = 1
+                group += 1
+                if group == k - 1:  # the last group takes every remaining run
+                    break
+                start += in_group
+                in_group = sizes[r]
+                desired = (n - start) / (k - group)
+                gap = abs(in_group - desired)
+            else:
+                in_group, gap = grown, grown_gap
+    return np.cumsum(opens)
 
 
 class _Axis:
@@ -346,101 +393,166 @@ class _Axis:
         return found
 
 
-def _clump_ends(cols: _Axis, rows: np.ndarray) -> np.ndarray:
-    """Prefix point counts at clump boundaries (index 0 is the empty prefix).
-
-    ``rows`` gives the row of each point in the column axis's order. A
-    clump is a maximal run of column-consecutive points sharing a row; a
-    tie run whose rows disagree is pinned as an unmergeable clump of its own.
-    """
-    low = np.minimum.reduceat(rows, cols.starts)
-    token = np.where(low == np.maximum.reduceat(rows, cols.starts), low,
-                     -1 - cols.starts)
-    return np.concatenate(([0], cols.runs[:-1][token[1:] != token[:-1]],
-                           cols.runs[-1:]))
-
-
-def _superclump_ends(ends: np.ndarray, budget: int) -> np.ndarray:
-    """Merge clumps down to at most ``budget`` candidates, clumps intact."""
-    if len(ends) - 1 <= budget:
-        return ends
-    groups = _group_runs(np.diff(ends), budget)
-    return ends[np.concatenate(([True], groups[1:] != groups[:-1], [True]))]
-
-
 def _entropy_counts(counts: np.ndarray) -> float:
     total = counts.sum()
     p = counts[counts > 0] / total
     return float(-np.sum(p * np.log2(p)))
 
 
-def _optimize_axis(tables: _Tables, cum: np.ndarray, ends: np.ndarray, n: int,
-                   max_cols: int, hq: float, want_partitions: bool):
-    """Exact DP over the boundary set: best I(P;Q) per column count.
+def _fill_cells(tables: _Tables, cells: np.ndarray, column: dict, cols: list[_Axis],
+                rows: list[_Axis], bound: int, clumps: int, eq7: bool,
+                transpose: bool) -> None:
+    """Score every resolution of one orientation for a stack of pairs.
 
-    ``cum[t, r]`` is the integer count of points of row r in the first t
-    clumps, and ``ends[t]`` the count of all points in them, so every
-    x*log2(x) term is a lookup in one table. For an interval (s, t]
-    forming one column, the contribution sum_r c_r*log2(c_r) - m*log2(m)
-    is additive across columns, so prefix optima compose exactly.
-    Returns {l: score} for l = 2..max_cols (column counts beyond the
-    number of clumps reuse the best achievable) and, when asked,
-    {l: column sizes of the maximizing partition}.
+    Per row count, the whole stack's rows in column order, clump ends and
+    prefix counts come from one array program each, over the pairs laid
+    end to end; the exact DP then runs once per stack of pairs with one
+    row count and one boundary count. Each cell gets one value.
     """
-    k = len(ends) - 1
+    P, n = len(cols), cols[0].n
+    order = (np.array([axis.order for axis in cols])
+             + np.arange(0, P * n, n)[:, None]).ravel()
+    runs = [len(axis.runs) for axis in cols]
+    run_pair = np.repeat(np.arange(P), runs)
+    run_starts = np.concatenate([axis.starts for axis in cols]) + run_pair * n
+    pinned = -1 - run_starts
+    # positions in the prefix counts below, which give each pair n + 1 rows
+    prefix_at = np.arange(0, P * (n + 1), n + 1)
+    run_ends = np.concatenate([axis.runs for axis in cols]) + prefix_at[run_pair]
+    run_first = np.cumsum(runs) - runs
+    last_run = run_first + runs - 1
+    closes = np.empty(len(run_ends), dtype=bool)
+    for n_rows in range(2, bound // 2 + 1):
+        max_cols = bound // n_rows
+        found = [axis.partition(n_rows) for axis in rows]
+        rows_x_order = np.concatenate([f[0] for f in found])[order]
+
+        # A clump is a maximal run of column-consecutive points sharing a
+        # row; a tie run whose rows disagree is pinned as an unmergeable
+        # clump of its own, and a pair's last run closes its last clump.
+        low = np.minimum.reduceat(rows_x_order, run_starts)
+        high = np.maximum.reduceat(rows_x_order, run_starts)
+        token = np.where(low == high, low, pinned)
+        np.not_equal(token[1:], token[:-1], out=closes[:-1])
+        closes[last_run] = True
+        ends = run_ends[closes]  # each pair's clump ends, without the leading 0
+        k = np.add.reduceat(closes, run_first, dtype=np.intp)
+        first = np.cumsum(k) - k
+        budget = max(clumps * max_cols, max_cols)
+        over = np.flatnonzero(k > budget).tolist()
+        if over:  # merge clumps down to the budget, clumps intact
+            keep = np.ones(len(ends), dtype=bool)
+            for p in over:
+                lo, hi = int(first[p]), int(first[p] + k[p])
+                sizes = ends[lo:hi].copy()
+                sizes[1:] -= ends[lo:hi - 1]
+                sizes[0] -= prefix_at[p]
+                groups = _group_runs(sizes, budget)
+                keep[lo:hi - 1] = groups[1:] != groups[:-1]
+                k[p] = groups[-1] + 1
+            ends = ends[keep]
+            first = np.cumsum(k) - k
+
+        cum = np.zeros((P, n + 1, n_rows), dtype=np.intp)
+        np.cumsum(rows_x_order.reshape(P, n, 1) == np.arange(n_rows), axis=1,
+                  out=cum[:, 1:])
+        cum = cum.reshape(P * (n + 1), n_rows)
+
+        hq = np.array([f[2] for f in found])
+        js = [column[(n_rows, l) if transpose else (l, n_rows)]
+              for l in range(2, max_cols + 1)]
+        log_grid = np.array([math.log2(min(l, n_rows)) for l in range(2, max_cols + 1)])
+        stacks: dict[tuple[int, int], list[int]] = {}
+        for p, key in enumerate(zip([f[1] for f in found], k.tolist())):
+            stacks.setdefault(key, []).append(p)
+        for (row_count, width), members in stacks.items():
+            # G and each DP level hold (k + 1)^2 floats per pair, the row
+            # terms k (k + 1) / 2 * row_count
+            size = max(1, _STACK_ELEMENTS // ((width + 1) ** 2 * row_count))
+            for start in range(0, len(members), size):
+                part = np.array(members[start:start + size])
+                at = np.empty((len(part), width + 1), dtype=np.intp)
+                at[:, 0] = prefix_at[part]
+                at[:, 1:] = ends[first[part, None] + np.arange(width)]
+                counts = np.take(cum, at, axis=0)[:, :, :row_count]
+                scores, partitions = _optimize_axis(tables, counts, at, n, max_cols,
+                                                    hq[part], eq7)
+                if eq7:
+                    cells[part[:, None], js] = _max_entropy_scores(scores, partitions,
+                                                                   hq[part])
+                else:
+                    cells[part[:, None], js] = scores / log_grid
+
+
+def _optimize_axis(tables: _Tables, cum: np.ndarray, ends: np.ndarray, n: int,
+                   max_cols: int, hq: np.ndarray, want_partitions: bool):
+    """Exact DP over the boundary sets of a stack: best I(P;Q) per column count.
+
+    ``cum[p, t, r]`` is the integer count of points of row r in pair p's
+    first t clumps, and ``ends[p, t]`` the count of all points in them
+    (plus an offset per pair), so every x*log2(x) term is a lookup in one
+    table. For an interval (s, t] forming one column, the contribution
+    sum_r c_r*log2(c_r) - m*log2(m) is additive across columns, so prefix
+    optima compose exactly. Returns each pair's score for l = 2..max_cols
+    columns (column counts beyond the number of clumps reuse the best
+    achievable) and, when asked, each pair's column sizes of the
+    maximizing partition per l.
+    """
+    P, k = ends.shape[0], ends.shape[1] - 1
+    levels = min(max_cols, k)
+    # Only the scores are read at the last level, so it forms column t = k
+    # alone; with two levels, G is read in row 0 and column k only.
+    last_column = not want_partitions
     xlog2x = tables.xlog2x(n)
-    s, t = tables.triu(k)
-    G = np.full((k + 1, k + 1), -np.inf)
-    G[s, t] = xlog2x[cum[t] - cum[s]].sum(axis=1) - xlog2x[ends[t] - ends[s]]
+    s, t, st = tables.intervals(k, full=levels > 2 or not last_column)
 
-    W = G[0].copy()
-    argmax_at: dict[int, np.ndarray] = {}
-    best_w: dict[int, float] = {}
-    for level in range(2, min(max_cols, k) + 1):
-        M = W[:, None] + G
-        if want_partitions:
-            argmax_at[level] = M.argmax(axis=0)
-        W = M.max(axis=0)
-        best_w[level] = W[k]
+    # np.take gathers whole rows far faster than fancy indexing does
+    terms = xlog2x[np.take(cum, t, axis=1) - np.take(cum, s, axis=1)]
+    # The row sum must have the bits of numpy's sum over a contiguous row
+    # axis, as one pair's (intervals, rows) array is summed. Below 8 terms
+    # numpy adds left to right, which a running sum repeats faster.
+    if terms.shape[2] < 8:
+        inner = terms[:, :, 0] + terms[:, :, 1]
+        for r in range(2, terms.shape[2]):
+            inner += terms[:, :, r]
+    else:
+        inner = terms.sum(axis=2)
+    G = np.full((P, k + 1, k + 1), -np.inf)
+    G.reshape(P, -1)[:, st] = inner - xlog2x[np.take(ends, t, axis=1)
+                                             - np.take(ends, s, axis=1)]
 
-    scores: dict[int, float] = {}
-    partitions: dict[int, np.ndarray] = {}
-    for l in range(2, max_cols + 1):
-        reach = min(l, k)
-        scores[l] = hq + best_w[reach] / n
+    best_w = np.empty((P, levels - 1))
+    argmax_at = []
+    W = G[:, 0]
+    for level in range(2, levels + 1):
+        M = W[:, :, None] + (G[:, :, k:] if last_column and level == levels else G)
         if want_partitions:
-            chain = [k]
-            for level in range(reach, 1, -1):
-                chain.append(int(argmax_at[level][chain[-1]]))
-            chain.append(0)
-            partitions[l] = np.diff(ends[np.asarray(chain[::-1])])
+            argmax_at.append(M.argmax(axis=1))
+        W = M.max(axis=1)
+        best_w[:, level - 2] = W[:, -1]
+    scores = hq[:, None] + best_w[:, np.minimum(np.arange(2, max_cols + 1), k) - 2] / n
+
+    partitions = []
+    if want_partitions:
+        for p in range(P):
+            sizes = []
+            for l in range(2, max_cols + 1):
+                chain = [k]
+                for level in range(min(l, k), 1, -1):
+                    chain.append(int(argmax_at[level - 2][p, chain[-1]]))
+                chain.append(0)
+                sizes.append(np.diff(ends[p, chain[::-1]]))
+            partitions.append(sizes)
     return scores, partitions
 
 
-def _fill_cells(tables: _Tables, cells: dict, cols: _Axis, rows: _Axis,
-                bound: int, clumps: int, eq7: bool, transpose: bool) -> None:
-    n = cols.n
-    for n_rows in range(2, bound // 2 + 1):
-        max_cols = bound // n_rows
-        if max_cols < 2:
-            break
-        row_assign, row_count, hq = rows.partition(n_rows)
-        rows_x_order = row_assign[cols.order]
-        ends = _superclump_ends(_clump_ends(cols, rows_x_order),
-                                max(clumps * max_cols, max_cols))
-        cum = np.zeros((n + 1, row_count), dtype=np.intp)
-        np.cumsum(rows_x_order[:, None] == np.arange(row_count), axis=0,
-                  out=cum[1:])
-        scores, partitions = _optimize_axis(tables, cum[ends], ends, n, max_cols,
-                                            hq, eq7)
-        for l in range(2, max_cols + 1):
-            raw = scores[l]
-            if eq7:
-                hp = _entropy_counts(partitions[l])
-                denom = max(hp, hq)
-                value = raw / denom if denom > 0 else 0.0
-            else:
-                value = raw / math.log2(min(l, n_rows))
-            key = (n_rows, l) if transpose else (l, n_rows)
-            if value > cells.get(key, -math.inf):
-                cells[key] = value
+def _max_entropy_scores(scores: np.ndarray, partitions: list,
+                        hq: np.ndarray) -> np.ndarray:
+    """Each score over the larger marginal entropy of its maximizing grid."""
+    value = np.zeros(scores.shape)
+    for p, h in enumerate(hq.tolist()):
+        for j, sizes in enumerate(partitions[p]):
+            denom = max(_entropy_counts(sizes), h)
+            if denom > 0:
+                value[p, j] = scores[p, j] / denom
+    return value

@@ -6,7 +6,6 @@ import math
 import numpy as np
 
 from paneldep.errors import DomainError, InsufficientOverlapError
-from paneldep.info import grid_bound
 from paneldep.panel import AlignedPair
 from paneldep.special import log_beta
 
@@ -51,7 +50,7 @@ def brute_force_mic(x, y, alpha: float = 0.6) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
-    bound = grid_bound(n, alpha)
+    bound = int(math.ceil(n ** alpha))
     cells: dict[tuple[int, int], float] = {}
     for col_vals, row_vals, flip in ((x, y, False), (y, x, True)):
         order = np.argsort(col_vals, kind="stable")
@@ -217,3 +216,156 @@ def reference_align_pair(a, b, min_overlap: int):
         y=tuple(pb[y] for y in common),
         years=tuple(common),
     )
+
+
+# -- MIC one pair at a time ---------------------------------------------------
+#
+# The grid search with one pair, one orientation and one row count per step,
+# where ``info.mics`` stacks pairs. It has its own copies of the helpers, so
+# a fault in the package's cannot hide here.
+
+def reference_mic(x, y, alpha: float, clumps: int, normalization: str) -> dict | None:
+    """The fields of ``mic``'s MicResult for one pair, or None where ``mic``
+    raises InsufficientDataError (under 25 points, or a grid bound under 4)."""
+    n = len(x)
+    bound = int(math.ceil(n ** alpha))
+    if n < 25 or bound < 4:
+        return None
+    xa, ya = _RefAxis(x), _RefAxis(y)
+    if len(xa.runs) == 1 or len(ya.runs) == 1:  # one tie run: a constant axis
+        return {"mic": 0.0, "best_b1": 0, "best_b2": 0, "grid_bound": bound,
+                "normalization": normalization, "degenerate": True}
+
+    eq7 = normalization == "max-entropy"
+    cells: dict[tuple[int, int], float] = {}
+    _ref_fill_cells(cells, xa, ya, bound, clumps, eq7, transpose=False)
+    _ref_fill_cells(cells, ya, xa, bound, clumps, eq7, transpose=True)
+
+    # ties go to the lexicographically smallest resolution
+    best_key, best_val = None, -math.inf
+    for key in sorted(cells):
+        if cells[key] > best_val:
+            best_key, best_val = key, cells[key]
+    return {"mic": float(min(1.0, max(0.0, best_val))), "best_b1": best_key[0],
+            "best_b2": best_key[1], "grid_bound": bound,
+            "normalization": normalization, "degenerate": False}
+
+
+def _ref_group_runs(lengths: np.ndarray, k: int) -> np.ndarray:
+    n = int(lengths.sum())
+    groups = np.empty(len(lengths), dtype=np.intp)
+    group = 0
+    in_group = 0
+    desired = n / k
+    placed = 0
+    for r, tie in enumerate(lengths.tolist()):
+        if (in_group > 0 and group < k - 1
+                and abs(in_group + tie - desired) >= abs(in_group - desired)):
+            group += 1
+            in_group = 0
+            desired = (n - placed) / (k - group)
+        groups[r] = group
+        in_group += tie
+        placed += tie
+    return groups
+
+
+def _ref_entropy_counts(counts: np.ndarray) -> float:
+    total = counts.sum()
+    p = counts[counts > 0] / total
+    return float(-np.sum(p * np.log2(p)))
+
+
+class _RefAxis:
+    def __init__(self, values):
+        values = np.asarray(values, dtype=float)
+        self.n = len(values)
+        self.order = np.argsort(values, kind="stable")
+        sorted_values = values[self.order]
+        change = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
+        self.runs = np.append(change, self.n)
+        self.starts = np.concatenate(([0], self.runs[:-1]))
+        self.lengths = self.runs - self.starts
+
+    def partition(self, k: int) -> tuple[np.ndarray, int, float]:
+        groups = _ref_group_runs(self.lengths, k)
+        assign = np.empty(self.n, dtype=np.intp)
+        assign[self.order] = np.repeat(groups, self.lengths)
+        used = int(groups[-1]) + 1
+        return assign, used, _ref_entropy_counts(np.bincount(assign, minlength=used))
+
+
+def _ref_clump_ends(cols: _RefAxis, rows: np.ndarray) -> np.ndarray:
+    low = np.minimum.reduceat(rows, cols.starts)
+    token = np.where(low == np.maximum.reduceat(rows, cols.starts), low,
+                     -1 - cols.starts)
+    return np.concatenate(([0], cols.runs[:-1][token[1:] != token[:-1]],
+                           cols.runs[-1:]))
+
+
+def _ref_superclump_ends(ends: np.ndarray, budget: int) -> np.ndarray:
+    if len(ends) - 1 <= budget:
+        return ends
+    groups = _ref_group_runs(np.diff(ends), budget)
+    return ends[np.concatenate(([True], groups[1:] != groups[:-1], [True]))]
+
+
+def _ref_optimize_axis(cum: np.ndarray, ends: np.ndarray, n: int, max_cols: int,
+                       hq: float, want_partitions: bool):
+    k = len(ends) - 1
+    c = np.arange(1, n + 1, dtype=float)
+    xlog2x = np.concatenate(([0.0], c * np.log2(c)))
+    s, t = np.triu_indices(k + 1, 1)
+    G = np.full((k + 1, k + 1), -np.inf)
+    G[s, t] = xlog2x[cum[t] - cum[s]].sum(axis=1) - xlog2x[ends[t] - ends[s]]
+
+    W = G[0].copy()
+    argmax_at: dict[int, np.ndarray] = {}
+    best_w: dict[int, float] = {}
+    for level in range(2, min(max_cols, k) + 1):
+        M = W[:, None] + G
+        if want_partitions:
+            argmax_at[level] = M.argmax(axis=0)
+        W = M.max(axis=0)
+        best_w[level] = W[k]
+
+    scores: dict[int, float] = {}
+    partitions: dict[int, np.ndarray] = {}
+    for l in range(2, max_cols + 1):
+        reach = min(l, k)
+        scores[l] = hq + best_w[reach] / n
+        if want_partitions:
+            chain = [k]
+            for level in range(reach, 1, -1):
+                chain.append(int(argmax_at[level][chain[-1]]))
+            chain.append(0)
+            partitions[l] = np.diff(ends[np.asarray(chain[::-1])])
+    return scores, partitions
+
+
+def _ref_fill_cells(cells: dict, cols: _RefAxis, rows: _RefAxis, bound: int,
+                    clumps: int, eq7: bool, transpose: bool) -> None:
+    n = cols.n
+    for n_rows in range(2, bound // 2 + 1):
+        max_cols = bound // n_rows
+        if max_cols < 2:
+            break
+        row_assign, row_count, hq = rows.partition(n_rows)
+        rows_x_order = row_assign[cols.order]
+        ends = _ref_superclump_ends(_ref_clump_ends(cols, rows_x_order),
+                                    max(clumps * max_cols, max_cols))
+        cum = np.zeros((n + 1, row_count), dtype=np.intp)
+        np.cumsum(rows_x_order[:, None] == np.arange(row_count), axis=0,
+                  out=cum[1:])
+        scores, partitions = _ref_optimize_axis(cum[ends], ends, n, max_cols, hq, eq7)
+        for l in range(2, max_cols + 1):
+            raw = scores[l]
+            if eq7:
+                hp = _ref_entropy_counts(partitions[l])
+                denom = max(hp, hq)
+                value = raw / denom if denom > 0 else 0.0
+            else:
+                value = raw / math.log2(min(l, n_rows))
+            key = (n_rows, l) if transpose else (l, n_rows)
+            if value > cells.get(key, -math.inf):
+                cells[key] = value

@@ -6,19 +6,22 @@ not matter. The references in ``oracles`` are the one-pair loops the batch
 kernels stack, so agreement with them pins the bits as well.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paneldep import special
-from paneldep.errors import ConvergenceError
-from paneldep.info import mics, mutual_informations
+from paneldep.errors import ConvergenceError, InsufficientDataError
+from paneldep.info import _optimize_axis, _Tables, mics, mutual_informations
 from paneldep.linear import pearsons, t_sf, t_sfs
-from paneldep.panel import AlignedPair
+from paneldep.panel import MIC_NORMALIZATIONS, AlignedPair
 from paneldep.special import f_sf, f_sfs
 from paneldep.temporal import lag_sweeps
 
 from oracles import (
+    _ref_optimize_axis,
     reference_f_sf,
+    reference_mic,
     reference_mutual_information,
     reference_pearson,
     reference_t_sf,
@@ -82,6 +85,80 @@ def test_batches_match_scalar_references(pairs, bins):
             if pair.n >= max(bins, 4):
                 assert repr(result.mi) == repr(
                     reference_mutual_information(pair.x, pair.y, bins, strategy))
+
+
+@st.composite
+def mic_batches(draw):
+    """Shuffled pairs of one or two lengths from 25 to 90, plus short ones:
+    spread, tied, coarse and constant series, some of them met again in
+    later pairs (a pair of a series with itself ties many resolutions)."""
+    lengths = draw(st.lists(st.integers(25, 90), min_size=1, max_size=2))
+    seen: dict[int, list] = {}
+
+    def series(n):
+        kind = draw(st.sampled_from(("spread", "tied", "coarse", "constant", "again")))
+        if kind == "again" and seen.get(n):
+            return draw(st.sampled_from(seen[n]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "tied":
+            values = rng.integers(-4, 5, n) / 2
+        elif kind == "coarse":  # a few long tie runs
+            values = rng.integers(0, 3, n).astype(float)
+        elif kind == "constant":
+            values = np.full(n, 1.5)
+        else:
+            values = rng.normal(size=n)
+        seen.setdefault(n, []).append(tuple(values.tolist()))
+        return seen[n][-1]
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.sampled_from(lengths)) if draw(st.integers(0, 9)) else \
+            draw(st.integers(10, 24))
+        pairs.append(AlignedPair(series(n), series(n), tuple(range(2000, 2000 + n))))
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mic_batches(), st.sampled_from((1, 2, 15)), st.sampled_from((0.5, 0.6, 0.75)),
+       st.sampled_from(MIC_NORMALIZATIONS))
+def test_mic_batches_match_the_per_pair_reference(pairs, clumps, alpha, normalization):
+    """Every field of every stacked result is the one-pair search's, to the bit."""
+    for pair, result in zip(pairs, mics(pairs, alpha, clumps, normalization)):
+        expected = reference_mic(pair.x, pair.y, alpha, clumps, normalization)
+        if expected is None:
+            assert isinstance(result, InsufficientDataError)
+            continue
+        assert type(result.mic) is float
+        assert float.hex(result.mic) == float.hex(expected["mic"])
+        assert {**vars(result), "mic": None} == {**expected, "mic": None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 15),
+       st.integers(2, 30), st.integers(2, 8), st.booleans())
+def test_stacked_dp_matches_the_one_pair_dp(seed, pairs, rows, k, max_cols, partitions):
+    """Every score, not just each pair's best, at every row count: from 8
+    rows on numpy sums a row axis pairwise, and the stack must too."""
+    rng = np.random.default_rng(seed)
+    n = k + int(rng.integers(0, 40))
+    ends = np.array([np.concatenate(([0], np.sort(rng.choice(np.arange(1, n), k - 1,
+                                                             replace=False)), [n]))
+                     for _ in range(pairs)])
+    assign = rng.integers(0, rows, (pairs, n))
+    cum = np.zeros((pairs, n + 1, rows), dtype=np.intp)
+    np.cumsum(assign[:, :, None] == np.arange(rows), axis=1, out=cum[:, 1:])
+    cum = np.take_along_axis(cum, ends[:, :, None], axis=1)
+    hq = rng.random(pairs) * np.log2(rows)
+    scores, sizes = _optimize_axis(_Tables(), cum, ends, n, max_cols, hq, partitions)
+    for p in range(pairs):
+        ref_scores, ref_sizes = _ref_optimize_axis(cum[p], ends[p], n, max_cols,
+                                                   float(hq[p]), partitions)
+        assert [float.hex(float(v)) for v in scores[p]] == \
+            [float.hex(float(ref_scores[l])) for l in range(2, max_cols + 1)]
+        if partitions:
+            assert [v.tolist() for v in sizes[p]] == \
+                [ref_sizes[l].tolist() for l in range(2, max_cols + 1)]
 
 
 @settings(max_examples=60, deadline=None)

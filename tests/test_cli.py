@@ -211,6 +211,26 @@ class TestAnalyze:
         assert "'X/a'" in err and "'X a'" in err
         assert not (workdir / "results").exists()
 
+    def test_mic_grid_too_small_for_the_data_is_insufficient_data(self, workdir):
+        # the fixture's longest pairs hold 33 points: ceil(33 ** 0.3) = 3 < 4
+        run("fixture", "--with-outcomes", "--out", "panel.csv")
+        (workdir / "config.json").write_text(json.dumps({
+            "methods": ["pearson", "mic"], "mic_alpha": 0.3,
+        }))
+        assert run("--quiet", "analyze", "--panel", "panel.csv", "--config",
+                   "config.json", "--out", "results") == 0
+        matrices = json.loads((workdir / "results" / "bundle.json").read_text())["matrices"]
+        pearson = [m for m in matrices if m["method"] == "pearson"]
+        mic = [m for m in matrices if m["method"] == "mic"]
+        aligned = 0
+        for p, m in zip(pearson, mic, strict=True):
+            assert all(cell is None for row in m["cells"] for cell in row)
+            for p_cells, p_skips, m_skips in zip(p["cells"], p["skips"], m["skips"]):
+                for p_cell, p_skip, m_skip in zip(p_cells, p_skips, m_skips):
+                    aligned += p_cell is not None
+                    assert m_skip == ("insufficient-data" if p_cell else p_skip)
+        assert aligned > 0
+
     def test_bad_config_json_exits_one(self, workdir):
         run("fixture", "--out", "panel.csv")
         (workdir / "config.json").write_text("{never valid")

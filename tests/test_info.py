@@ -164,6 +164,29 @@ class TestMic:
         with pytest.raises(InsufficientDataError):
             mic(make_pair(range(24), range(24)))
 
+    def test_grid_bound_under_four_is_insufficient_data(self):
+        # ceil(30 ** 0.3) = 3 fits no 2x2 grid; ceil(100 ** 0.3) = 4 does
+        rng = np.random.default_rng(8)
+        short, full = (make_pair(rng.normal(size=n), rng.normal(size=n))
+                       for n in (30, 100))
+        error, result = mics([short, full], alpha=0.3)
+        assert isinstance(error, InsufficientDataError)
+        assert "B = 3 at n = 30" in str(error)
+        assert (result.grid_bound, result.best_b1, result.best_b2) == (4, 2, 2)
+        with pytest.raises(InsufficientDataError, match="B = 3 at n = 30"):
+            mic(short, alpha=0.3)
+
+    def test_score_is_a_python_float(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=60)
+        inside = mic(make_pair(x, rng.normal(size=60)))
+        clamped = mic(make_pair(x, x))
+        degenerate = mic(make_pair(x, np.full(60, 2.0)))
+        assert 0.0 < inside.mic < 1.0 and clamped.mic == 1.0 and degenerate.degenerate
+        for result in (inside, clamped, degenerate):
+            assert type(result.mic) is float
+        assert repr(inside).startswith("MicResult(mic=0.")
+
     def test_alpha_domain(self):
         x = np.arange(30, dtype=float)
         with pytest.raises(DomainError):
