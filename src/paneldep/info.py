@@ -508,18 +508,11 @@ def _optimize_axis(tables: _Tables, cum: np.ndarray, ends: np.ndarray, n: int,
 
     # np.take gathers whole rows far faster than fancy indexing does
     terms = xlog2x[np.take(cum, t, axis=1) - np.take(cum, s, axis=1)]
-    # The row sum must have the bits of numpy's sum over a contiguous row
-    # axis, as one pair's (intervals, rows) array is summed. Below 8 terms
-    # numpy adds left to right, which a running sum repeats faster.
-    if terms.shape[2] < 8:
-        inner = terms[:, :, 0] + terms[:, :, 1]
-        for r in range(2, terms.shape[2]):
-            inner += terms[:, :, r]
-    else:
-        inner = terms.sum(axis=2)
+    # Summed over the contiguous row axis, as one pair's (intervals, rows)
+    # array is, so each sum has the bits of the one-pair search.
     G = np.full((P, k + 1, k + 1), -np.inf)
-    G.reshape(P, -1)[:, st] = inner - xlog2x[np.take(ends, t, axis=1)
-                                             - np.take(ends, s, axis=1)]
+    G.reshape(P, -1)[:, st] = terms.sum(axis=2) - xlog2x[np.take(ends, t, axis=1)
+                                                         - np.take(ends, s, axis=1)]
 
     best_w = np.empty((P, levels - 1))
     argmax_at = []
