@@ -7,6 +7,7 @@ error, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -175,6 +176,10 @@ def burden(args) -> None:
             rate = age_standardize(band_rates(inputs, table, weights, condition), std)
         except NormalizationError as exc:
             raise ParseError(str(exc)) from None
+    for name, value in (("YLL", summary.yll), ("YLD", summary.yld),
+                        ("DALY", summary.daly), ("age-standardized rate", rate)):
+        if value is not None and not math.isfinite(value):
+            raise ParseError(f"{name} is {value}: the inputs overflow a float")
     print(f"YLL: {summary.yll:g}")
     print(f"YLD: {summary.yld:g}")
     print(f"DALY: {summary.daly:g}")

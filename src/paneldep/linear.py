@@ -59,12 +59,18 @@ def pearsons(pairs) -> list[PearsonResult | InsufficientDataError | DegenerateIn
     """``pearson`` over many pairs: each pair's result, or the error its own
     call raises.
 
-    Pairs of one length are stacked. The means and the sums of deviation
-    products are ``math.fsum`` over each pair's own floats; squares go
-    through libm ``pow``, as Python's ``** 2`` does, not ``d * d``, which
-    rounds some of them differently. Every p-value comes from one
-    ``t_sfs`` call, and each result has the bits of its own ``pearson``
-    call.
+    Pairs of one length are stacked. Each series is first scaled by the
+    power of two that brings its largest magnitude into [0.5, 1), exactly
+    for every element above the subnormal range. So the sums neither
+    overflow nor underflow at any scale, and scaling a series by a power
+    of two that keeps its elements normal leaves the result's bits as they
+    are. The means and the sums of deviation products are ``math.fsum`` over
+    each pair's own floats; squares go through libm ``pow``, as Python's
+    ``** 2`` does, not ``d * d``, which rounds some of them differently.
+    ``pow`` is not exact under scaling either, so the scaled squares can
+    round differently from squares at the input's own scale. Every p-value
+    comes from one ``t_sfs`` call, and each result has the bits of its own
+    ``pearson`` call.
     """
     out: list = [None] * len(pairs)
     by_length: dict[int, list[int]] = {}
@@ -75,10 +81,10 @@ def pearsons(pairs) -> list[PearsonResult | InsufficientDataError | DegenerateIn
             by_length.setdefault(pair.n, []).append(i)
     tested = []  # (position, r, n, t)
     for n, members in by_length.items():
-        members_x = [pairs[i].x for i in members]
-        members_y = [pairs[i].y for i in members]
-        dx = np.array(members_x) - np.array([math.fsum(x) / n for x in members_x])[:, None]
-        dy = np.array(members_y) - np.array([math.fsum(y) / n for y in members_y])[:, None]
+        xs = _unit_scaled(np.array([pairs[i].x for i in members]))
+        ys = _unit_scaled(np.array([pairs[i].y for i in members]))
+        dx = xs - np.array([math.fsum(x.tolist()) / n for x in xs])[:, None]
+        dy = ys - np.array([math.fsum(y.tolist()) / n for y in ys])[:, None]
         sxy = [math.fsum(row.tolist()) for row in dx * dy]
         sxx = [math.fsum(row.tolist()) for row in np.float_power(dx, 2.0)]
         syy = [math.fsum(row.tolist()) for row in np.float_power(dy, 2.0)]
@@ -95,6 +101,12 @@ def pearsons(pairs) -> list[PearsonResult | InsufficientDataError | DegenerateIn
     for (i, r, n, _), tail in zip(tested, tails):
         out[i] = PearsonResult(r=r, n=n, p_value=min(1.0, 2.0 * tail))
     return out
+
+
+def _unit_scaled(rows: np.ndarray) -> np.ndarray:
+    """Each row times the power of two that brings its largest magnitude
+    into [0.5, 1); an all-zero row stays as it is."""
+    return np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
 
 
 def pearson(pair: AlignedPair) -> PearsonResult:

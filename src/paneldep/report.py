@@ -58,11 +58,16 @@ def build_bundle(matrices: list[ResultMatrix], dataset: PanelDataset,
     )
 
 
-def cell_scalar(matrix: ResultMatrix, key) -> float | None:
-    cell = matrix.cells.get(key)
-    if cell is None:
-        return None
-    return getattr(cell.result, METHOD_SCALARS[matrix.method])
+def _scalars(matrix: ResultMatrix) -> list[float | None]:
+    """Each cell's plotted scalar in row-major order, None for an absent cell."""
+    name = METHOD_SCALARS[matrix.method]
+    cells = matrix.cells
+    out = []
+    for region in matrix.rows:
+        for code in matrix.cols:
+            cell = cells.get((region, code))
+            out.append(None if cell is None else getattr(cell.result, name))
+    return out
 
 
 def _escape(text: str) -> str:
@@ -81,13 +86,12 @@ def _fmt(value: float) -> str:
 
 def export_csv(matrix: ResultMatrix) -> str:
     """Header of indicator codes, one row per region, "-" for absent cells."""
+    scalars = _scalars(matrix)
+    width = len(matrix.cols)
     lines = ["region," + ",".join(matrix.cols)]
-    for region in matrix.rows:
-        row = [region]
-        for code in matrix.cols:
-            value = cell_scalar(matrix, (region, code))
-            row.append("-" if value is None else _fmt(value))
-        lines.append(",".join(row))
+    for ri, region in enumerate(matrix.rows):
+        row = scalars[ri * width:(ri + 1) * width]
+        lines.append(",".join([region, *("-" if v is None else _fmt(v) for v in row)]))
     return "\n".join(lines) + "\n"
 
 
@@ -151,28 +155,40 @@ _ABSENT_FILL = "#808080"
 _MASKED_FILL = "#d9d9d9"
 
 
-def _hex(r: float, g: float, b: float) -> str:
-    clamp = lambda c: max(0, min(255, int(round(c))))
-    return f"#{clamp(r):02x}{clamp(g):02x}{clamp(b):02x}"
+def _fills(palette: str, values, peak: float) -> list[str]:
+    """Each value's fill, from one array program over the matrix.
 
+    The float steps are the scalar palette's, in its order, so every
+    channel rounds the same double. Python's ``min(hi, v)`` keeps ``hi``
+    against NaN, which ``np.fmin`` does too. ``np.rint`` rounds half to
+    even, as ``round`` does. The p-value ramp takes libm's ``log10`` per
+    element, whose bits ``np.log10`` does not promise.
 
-def _diverging(v: float) -> str:
-    """[-1, 1] onto blue-white-red; the sign picks the hue."""
-    v = max(-1.0, min(1.0, v))
-    if v >= 0:
-        return _hex(255, 255 * (1 - v), 255 * (1 - v))
-    return _hex(255 * (1 + v), 255 * (1 + v), 255)
+    - diverging: [-1, 1] onto blue-white-red, the sign picks the hue;
+    - sequential: [0, 1] of the matrix maximum onto white-to-navy;
+    - p-value: -log10 of p in [_P_FLOOR, 1] onto the sequential ramp,
+      darker for smaller p.
+    """
+    import numpy as np
 
-
-def _sequential(t: float) -> str:
-    """[0, 1] onto white-to-navy."""
-    t = max(0.0, min(1.0, t))
-    return _hex(255 + t * (8 - 255), 255 + t * (48 - 255), 255 + t * (107 - 255))
-
-
-def _p_ramp(p: float) -> float:
-    p = max(_P_FLOOR, min(1.0, p))
-    return -math.log10(p) / -math.log10(_P_FLOOR)
+    v = np.array(values, dtype=float)
+    with np.errstate(all="ignore"):
+        if palette == "diverging":
+            v = np.maximum(-1.0, np.fmin(1.0, v))
+            pos = v >= 0
+            fade = np.where(pos, 255 * (1 - v), 255 * (1 + v))
+            channels = (np.where(pos, 255.0, fade), fade, np.where(pos, fade, 255.0))
+        else:
+            if palette == "sequential":
+                t = v / peak if peak > 0 else np.zeros_like(v)
+            else:
+                p = np.maximum(_P_FLOOR, np.fmin(1.0, v)).tolist()
+                t = -np.array([math.log10(q) for q in p]) / -math.log10(_P_FLOOR)
+            t = np.maximum(0.0, np.fmin(1.0, t))
+            channels = [255 + t * (end - 255) for end in (8, 48, 107)]
+    digits = np.array(["%02x" % c for c in range(256)], dtype=object)
+    r, g, b = (digits[np.clip(np.rint(c), 0, 255).astype(np.intp)] for c in channels)
+    return ("#" + r + g + b).tolist()
 
 
 def render_heatmap_svg(matrix: ResultMatrix, p_mask: float | None = None) -> str:
@@ -187,12 +203,9 @@ def render_heatmap_svg(matrix: ResultMatrix, p_mask: float | None = None) -> str
     """
     if not matrix.rows or not matrix.cols:
         raise DomainError("cannot render an empty matrix")
-    palette = _PALETTE[matrix.method]
-
-    peak = max(
-        (v for key in matrix.cells if (v := cell_scalar(matrix, key)) is not None),
-        default=0.0,
-    )
+    scalars = _scalars(matrix)
+    peak = max((v for v in scalars if v is not None), default=0.0)
+    fills = _fills(_PALETTE[matrix.method], scalars, peak)
     width = LEFT + CELL * len(matrix.cols) + 10
     height = TOP + CELL * len(matrix.rows) + BOTTOM
 
@@ -202,47 +215,42 @@ def render_heatmap_svg(matrix: ResultMatrix, p_mask: float | None = None) -> str
         f"<title>{_escape(matrix.method)}: {_escape(matrix.outcome)} "
         f"(ages {_escape(matrix.age_group.value)})</title>",
     ]
-    for ci, code in enumerate(matrix.cols):
-        x = LEFT + ci * CELL + CELL // 2
+    codes = [_escape(code) for code in matrix.cols]
+    xs = [LEFT + ci * CELL for ci in range(len(codes))]
+    for x, code in zip(xs, codes):
         parts.append(
-            f'<text x="{x}" y="{TOP - 8}" text-anchor="middle" '
-            f'font-size="11">{_escape(code)}</text>'
+            f'<text x="{x + CELL // 2}" y="{TOP - 8}" text-anchor="middle" '
+            f'font-size="11">{code}</text>'
         )
+    masked_title = _escape(f"masked: p > {p_mask:g}") if p_mask is not None else None
+    i = 0
     for ri, region in enumerate(matrix.rows):
-        y = TOP + ri * CELL + CELL // 2 + 4
+        y0 = TOP + ri * CELL
         parts.append(
-            f'<text x="{LEFT - 6}" y="{y}" text-anchor="end" '
+            f'<text x="{LEFT - 6}" y="{y0 + CELL // 2 + 4}" text-anchor="end" '
             f'font-size="11">{_escape(region)}</text>'
         )
-        for ci, code in enumerate(matrix.cols):
-            key = (region, code)
-            x = LEFT + ci * CELL
-            y0 = TOP + ri * CELL
-            value = cell_scalar(matrix, key)
+        for x, code, col in zip(xs, codes, matrix.cols):
+            value = scalars[i]
             if value is None:
                 fill = _ABSENT_FILL
-                title = matrix.skips.get(key, "absent")
-            elif p_mask is not None and _masked(matrix, key, p_mask):
+                title = _escape(matrix.skips.get((region, col), "absent"))
+            elif p_mask is not None and _masked(matrix.cells[region, col], p_mask):
                 fill = _MASKED_FILL
-                title = f"masked: p > {p_mask:g}"
+                title = masked_title
             else:
-                if palette == "diverging":
-                    fill = _diverging(value)
-                elif palette == "sequential":
-                    fill = _sequential(value / peak if peak > 0 else 0.0)
-                else:
-                    fill = _sequential(_p_ramp(value))
-                title = f"{code} = {_fmt(value)}"
+                fill = fills[i]
+                title = f"{code} = {_fmt(value)}"  # %#.6g emits no &, < or >
             parts.append(
                 f'<rect class="cell" x="{x}" y="{y0}" width="{CELL}" '
                 f'height="{CELL}" fill="{fill}" stroke="#ffffff">'
-                f"<title>{_escape(title)}</title></rect>"
+                f"<title>{title}</title></rect>"
             )
+            i += 1
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _masked(matrix: ResultMatrix, key, p_mask: float) -> bool:
-    result = matrix.cells[key].result
-    p = getattr(result, "p_value", None)
+def _masked(cell, p_mask: float) -> bool:
+    p = getattr(cell.result, "p_value", None)
     return p is not None and p > p_mask

@@ -67,6 +67,15 @@ def brute_force_mic(x, y, alpha: float = 0.6) -> float:
             pq = row_counts / n
             hq = float(-np.sum(pq[pq > 0] * np.log2(pq[pq > 0])))
             rows_sorted = assign[order]
+            # every segment's term, once: segments run between edges
+            edges_all = [0] + legal_cuts + [n]
+            term = {}
+            for ai, a in enumerate(edges_all):
+                for b in edges_all[ai + 1:]:
+                    seg = np.bincount(rows_sorted[a:b],
+                                      minlength=len(row_counts)).astype(float)
+                    nz = seg[seg > 0]
+                    term[a, b] = float(np.sum(nz * np.log2(nz))) - (b - a) * np.log2(b - a)
             prev_best = -np.inf
             for cols in range(2, max_cols + 1):
                 best = -np.inf
@@ -74,10 +83,7 @@ def brute_force_mic(x, y, alpha: float = 0.6) -> float:
                     edges = (0,) + cuts + (n,)
                     gain = 0.0
                     for a, b in zip(edges, edges[1:]):
-                        seg = np.bincount(rows_sorted[a:b],
-                                          minlength=len(row_counts)).astype(float)
-                        nz = seg[seg > 0]
-                        gain += float(np.sum(nz * np.log2(nz))) - (b - a) * np.log2(b - a)
+                        gain += term[a, b]
                     best = max(best, hq + gain / n)
                 if best == -np.inf:
                     best = prev_best  # fewer distinct values than columns
@@ -160,9 +166,18 @@ def reference_f_sf(f: float, d1: float, d2: float) -> float:
     return reference_regularized_beta(d2 / 2.0, d1 / 2.0, d2 / (d2 + fd), fd / (d2 + fd))
 
 
+def _ref_unit_scaled(series) -> list[float]:
+    e = math.frexp(max(map(abs, series)))[1]
+    return [math.ldexp(v, -e) for v in series]
+
+
 def reference_pearson(x, y) -> tuple[float, float] | None:
-    """(r, p) by the two-pass form, or None for a constant sequence."""
+    """(r, p) by the two-pass form, or None for a constant sequence.
+
+    Each series is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1)."""
     n = len(x)
+    x, y = _ref_unit_scaled(x), _ref_unit_scaled(y)
     mean_x = math.fsum(x) / n
     mean_y = math.fsum(y) / n
     sxy = math.fsum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
@@ -369,3 +384,123 @@ def _ref_fill_cells(cells: dict, cols: _RefAxis, rows: _RefAxis, bound: int,
             key = (n_rows, l) if transpose else (l, n_rows)
             if value > cells.get(key, -math.inf):
                 cells[key] = value
+
+
+# -- the heatmap one cell at a time ---------------------------------------------
+#
+# The renderer as it was before its fills became one array program per
+# matrix: per-cell scalar reads and the scalar colour helpers. It has its own
+# copies of the layout, the palettes and the formatting, so that a fault in
+# the package's cannot hide here.
+
+_REF_SCALARS = {"pearson": "r", "mutual_information": "mi", "granger": "p_value",
+                "mic": "mic"}
+_REF_PALETTE = {"pearson": "diverging", "mutual_information": "sequential",
+                "mic": "sequential", "granger": "p-value"}
+_REF_P_FLOOR = 1e-10
+_REF_CELL, _REF_LEFT, _REF_TOP, _REF_BOTTOM = 30, 130, 46, 26
+
+
+def _ref_cell_scalar(matrix, key):
+    cell = matrix.cells.get(key)
+    if cell is None:
+        return None
+    return getattr(cell.result, _REF_SCALARS[matrix.method])
+
+
+def _ref_escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _ref_fmt(value: float) -> str:
+    return "%#.6g" % value
+
+
+def reference_hex(r: float, g: float, b: float) -> str:
+    clamp = lambda c: max(0, min(255, int(round(c))))
+    return f"#{clamp(r):02x}{clamp(g):02x}{clamp(b):02x}"
+
+
+def reference_diverging(v: float) -> str:
+    """[-1, 1] onto blue-white-red; the sign picks the hue."""
+    v = max(-1.0, min(1.0, v))
+    if v >= 0:
+        return reference_hex(255, 255 * (1 - v), 255 * (1 - v))
+    return reference_hex(255 * (1 + v), 255 * (1 + v), 255)
+
+
+def reference_sequential(t: float) -> str:
+    """[0, 1] onto white-to-navy."""
+    t = max(0.0, min(1.0, t))
+    return reference_hex(255 + t * (8 - 255), 255 + t * (48 - 255),
+                         255 + t * (107 - 255))
+
+
+def reference_p_ramp(p: float) -> float:
+    p = max(_REF_P_FLOOR, min(1.0, p))
+    return -math.log10(p) / -math.log10(_REF_P_FLOOR)
+
+
+def reference_heatmap_svg(matrix, p_mask: float | None = None) -> str:
+    if not matrix.rows or not matrix.cols:
+        raise DomainError("cannot render an empty matrix")
+    palette = _REF_PALETTE[matrix.method]
+    CELL, LEFT, TOP, BOTTOM = _REF_CELL, _REF_LEFT, _REF_TOP, _REF_BOTTOM
+
+    peak = max(
+        (v for key in matrix.cells if (v := _ref_cell_scalar(matrix, key)) is not None),
+        default=0.0,
+    )
+    width = LEFT + CELL * len(matrix.cols) + 10
+    height = TOP + CELL * len(matrix.rows) + BOTTOM
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f"<title>{_ref_escape(matrix.method)}: {_ref_escape(matrix.outcome)} "
+        f"(ages {_ref_escape(matrix.age_group.value)})</title>",
+    ]
+    for ci, code in enumerate(matrix.cols):
+        x = LEFT + ci * CELL + CELL // 2
+        parts.append(
+            f'<text x="{x}" y="{TOP - 8}" text-anchor="middle" '
+            f'font-size="11">{_ref_escape(code)}</text>'
+        )
+    for ri, region in enumerate(matrix.rows):
+        y = TOP + ri * CELL + CELL // 2 + 4
+        parts.append(
+            f'<text x="{LEFT - 6}" y="{y}" text-anchor="end" '
+            f'font-size="11">{_ref_escape(region)}</text>'
+        )
+        for ci, code in enumerate(matrix.cols):
+            key = (region, code)
+            x = LEFT + ci * CELL
+            y0 = TOP + ri * CELL
+            value = _ref_cell_scalar(matrix, key)
+            if value is None:
+                fill = "#808080"
+                title = matrix.skips.get(key, "absent")
+            elif p_mask is not None and _ref_masked(matrix, key, p_mask):
+                fill = "#d9d9d9"
+                title = f"masked: p > {p_mask:g}"
+            else:
+                if palette == "diverging":
+                    fill = reference_diverging(value)
+                elif palette == "sequential":
+                    fill = reference_sequential(value / peak if peak > 0 else 0.0)
+                else:
+                    fill = reference_sequential(reference_p_ramp(value))
+                title = f"{code} = {_ref_fmt(value)}"
+            parts.append(
+                f'<rect class="cell" x="{x}" y="{y0}" width="{CELL}" '
+                f'height="{CELL}" fill="{fill}" stroke="#ffffff">'
+                f"<title>{_ref_escape(title)}</title></rect>"
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _ref_masked(matrix, key, p_mask: float) -> bool:
+    result = matrix.cells[key].result
+    p = getattr(result, "p_value", None)
+    return p is not None and p > p_mask

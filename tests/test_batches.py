@@ -181,8 +181,9 @@ def test_tail_batches_match_each_element(args):
 
 def test_squares_are_rounded_as_python_pow():
     # glibc's pow(d, 2.0), behind Python's ``d ** 2``, and d * d round some
-    # of this pair's squared deviations differently, and r with them
-    x, y = (-95.664, -74.633, 82.905, 82.854), (61.4, 90.928, -22.664, 70.769)
+    # of this pair's squared deviations, taken after the power-of-two
+    # scaling, differently, and r with them
+    x, y = (-40.79, -51.879, -69.011, 35.518), (1.745, 79.726, -28.247, 54.703)
     (result,) = pearsons([AlignedPair(x, y, (2000, 2001, 2002, 2003))])
     assert repr(result.r) == repr(reference_pearson(x, y)[0])
 

@@ -480,6 +480,24 @@ class TestBurden:
         assert message in captured.err
         assert "DALY" not in captured.out
 
+    @pytest.mark.parametrize("deaths, prevalence, weights, component", [
+        ("band,value\na1,1e200\na2,5\n", PREV, WEIGHTS, "YLL is inf"),
+        (BANDS, "band,value\na1,1e308\na2,1e308\n",
+         "condition,band,value\ndep,a1,0.9\ndep,a2,0.9\n", "YLD is inf"),
+        ("band,value\na1,1e108\na2,0\n", "band,value\na1,1e308\na2,0\n",
+         "condition,band,value\ndep,a1,1\ndep,a2,1\n", "DALY is inf"),
+    ], ids=["yll", "yld", "daly"])
+    def test_overflowing_component_exits_input_error(self, workdir, capsys, deaths,
+                                                     prevalence, weights, component):
+        for name, text in (("d.csv", deaths), ("p.csv", prevalence),
+                           ("l.csv", "band,value\na1,1e200\na2,10\n"),
+                           ("w.csv", weights), ("s.csv", STD)):
+            (workdir / name).write_text(text)
+        assert run(*BURDEN_ARGS) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"input error: {component}")
+        assert captured.out == ""
+
 
 BURDEN_ARGS = ("burden", "--deaths", "d.csv", "--prevalence", "p.csv", "--life-table",
                "l.csv", "--weights", "w.csv", "--std-pop", "s.csv")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paneldep.errors import DegenerateInputError, DomainError, InsufficientDataError
 from paneldep.linear import pearson, t_sf
@@ -81,6 +82,41 @@ class TestPearson:
             y = rng.normal(size=n) + 0.3 * x
             got = pearson(make_pair(x, y)).r
             assert abs(got - definitional_r(x, y)) < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-160, 1e-100, 1e76, 1e100,
+                                       1e150, 1e200, 1e300])
+    def test_far_scales_keep_r(self, scale):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=33)
+        y = x + 0.8 * rng.normal(size=33)
+        base = pearson(make_pair(x, y))
+        scaled = pearson(make_pair(x * scale, y))
+        assert scaled.r == pytest.approx(base.r, rel=1e-13)
+        assert scaled.p_value == pytest.approx(base.p_value, rel=1e-9)
+        assert pearson(make_pair(x * scale, y * scale)).r == pytest.approx(base.r, rel=1e-13)
+
+
+# far enough from zero that x * 2**-900 is a normal float, so the scaling is exact
+_coordinate = st.one_of(st.just(0.0), st.integers(-5, 5).map(float),
+                        st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 40).flatmap(
+           lambda n: st.tuples(*[st.lists(_coordinate, min_size=n, max_size=n)] * 2)),
+       st.integers(-900, 900), st.integers(-900, 900))
+def test_power_of_two_scaling_keeps_the_bits(xy, i, j):
+    x, y = xy
+    scaled_x, scaled_y = [math.ldexp(v, i) for v in x], [math.ldexp(v, j) for v in y]
+    try:
+        base = repr(pearson(make_pair(x, y)))
+    except DegenerateInputError as exc:
+        base = repr(exc)
+    try:
+        scaled = repr(pearson(make_pair(scaled_x, scaled_y)))
+    except DegenerateInputError as exc:
+        scaled = repr(exc)
+    assert scaled == base
 
 
 class TestTTail:

@@ -1,12 +1,17 @@
 import json
+import math
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from paneldep.battery import BatteryConfig, run_battery
+from oracles import reference_heatmap_svg
+from paneldep.battery import BatteryConfig, MatrixCell, ResultMatrix, run_battery
 from paneldep.errors import DomainError
-from paneldep.panel import load_fixture
+from paneldep.panel import AgeGroup, load_fixture
 from paneldep.report import (
+    METHOD_SCALARS,
     ExportBundle,
     build_bundle,
     export_csv,
@@ -135,14 +140,14 @@ class TestSvg:
         assert "<title>insufficient-data</title>" in text
 
     def test_lower_p_is_darker(self):
-        from paneldep.report import _p_ramp, _sequential
-        assert _p_ramp(1.0) == 0.0
-        assert _p_ramp(1e-10) == 1.0
-        assert _p_ramp(1e-12) == 1.0  # clamped at the floor
-        ramps = [_p_ramp(p) for p in (1.0, 0.1, 0.01, 1e-5, 1e-10)]
-        assert ramps == sorted(ramps)
-        assert _sequential(0.0) == "#ffffff"
-        assert _sequential(1.0) == "#08306b"
+        from paneldep.report import _fills
+        ps = [1.0, 0.1, 0.01, 1e-5, 1e-10, 1e-12]
+        fills = _fills("p-value", ps, peak=1.0)
+        assert fills[0] == "#ffffff"
+        assert fills[-2] == fills[-1] == "#08306b"  # clamped at the floor
+        red = [int(fill[1:3], 16) for fill in fills]
+        assert red == sorted(red, reverse=True)
+        assert _fills("sequential", [0.0, 1.0], peak=1.0) == ["#ffffff", "#08306b"]
 
     def test_empty_matrix_rejected(self, fixture_run):
         _, _, matrices = fixture_run
@@ -171,3 +176,80 @@ class TestSvg:
         from xml.sax.saxutils import escape
         from paneldep.report import _escape
         assert _escape(text) == escape(text)
+
+
+# -- the SVG bytes against the per-cell reference ------------------------------
+
+_HAS_P = ("pearson", "granger")
+
+#: Values whose fills sit on a rounding edge of either palette: the
+#: diverging channel is 255 * (1 -+ v), the sequential 255 + t * (end - 255).
+_EDGES = sorted(
+    {k / 255 - 1 for k in range(256)} | {1 - k / 255 for k in range(256)}
+    | {(k + 0.5) / 255 - 1 for k in range(255)} | {1 - (k + 0.5) / 255 for k in range(255)}
+    | {(k + 0.5) / 247 for k in range(247)}
+)
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 1.5, -2.0, 1e300, -1e300, 5e-324, 1e-10, 1e-12,
+            math.inf, -math.inf, math.nan)
+_values = st.one_of(st.sampled_from(_EDGES), st.sampled_from(_SPECIAL),
+                    st.floats(-3.0, 3.0), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _matrix(method, rows, cols, values, p_values, skips):
+    """A matrix whose cells are filled row-major, as ``run_battery`` fills them."""
+    matrix = ResultMatrix(method=method, age_group=AgeGroup.ALL_AGES,
+                          outcome="o<&>", rows=tuple(rows), cols=tuple(cols))
+    cells = iter(zip(values, p_values, skips))
+    for region in rows:
+        for code in cols:
+            value, p, skip = next(cells)
+            if skip is not None:
+                if skip != "absent":
+                    matrix.skips[region, code] = skip
+                continue
+            fields = {METHOD_SCALARS[method]: value}
+            if method in _HAS_P:
+                fields["p_value"] = p if method == "pearson" else value
+            matrix.cells[region, code] = MatrixCell(30, SimpleNamespace(**fields))
+    return matrix
+
+
+@st.composite
+def synthetic_matrices(draw):
+    method = draw(st.sampled_from(sorted(METHOD_SCALARS)))
+    rows = draw(st.lists(st.sampled_from(["r1", "R&D", "<r>", "São"]),
+                         min_size=1, max_size=4, unique=True))
+    cols = draw(st.lists(st.sampled_from(["E1", "a&b", "<x>", "T5", "S1"]),
+                         min_size=1, max_size=5, unique=True))
+    size = len(rows) * len(cols)
+    zero = draw(st.booleans())  # every drawn value zero: a zero peak
+    values = draw(st.lists(st.just(0.0) if zero else _values,
+                           min_size=size, max_size=size))
+    p_values = draw(st.lists(_values, min_size=size, max_size=size))
+    skips = draw(st.lists(st.sampled_from([None] * 4 + ["insufficient-data", "a<b", "absent"]),
+                          min_size=size, max_size=size))
+    return _matrix(method, rows, cols, values, p_values, skips)
+
+
+@settings(max_examples=300, deadline=None)
+@given(synthetic_matrices(), st.sampled_from([None, 0.05, 1e-300, 0.5, 1.0]))
+def test_svg_matches_the_per_cell_reference(matrix, p_mask):
+    assert render_heatmap_svg(matrix, p_mask) == reference_heatmap_svg(matrix, p_mask)
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_SCALARS))
+def test_svg_matches_the_reference_on_every_rounding_edge(method):
+    """One row of every edge value, with 1.0 among them so that the
+    sequential ramp's peak is 1 and its edges land on .5 exactly."""
+    values = [*_EDGES, *_SPECIAL]
+    cols = [f"c{i}" for i in range(len(values))]
+    matrix = _matrix(method, ["r"], cols, values, values, [None] * len(values))
+    assert render_heatmap_svg(matrix) == reference_heatmap_svg(matrix)
+
+
+@pytest.mark.parametrize("p_mask", [None, 0.05])
+def test_svg_matches_the_reference_on_the_fixture_run(fixture_run, p_mask):
+    _, _, matrices = fixture_run
+    assert len(matrices) == 12
+    for matrix in matrices:
+        assert render_heatmap_svg(matrix, p_mask) == reference_heatmap_svg(matrix, p_mask)
