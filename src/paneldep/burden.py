@@ -7,6 +7,7 @@ burden. Bands are plain labels, never parsed or compared numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -103,7 +104,7 @@ def compute_yll(deaths: Mapping[str, float], table: LifeTable) -> float:
         if d < 0:
             raise DomainError(f"deaths for band {band!r} is negative")
         total += d * table.expectancy(band)
-    return total
+    return _finite("YLL", total)
 
 
 def compute_yld(prevalence: Mapping[str, float], weights: DisabilityWeights,
@@ -114,13 +115,13 @@ def compute_yld(prevalence: Mapping[str, float], weights: DisabilityWeights,
         if p < 0:
             raise DomainError(f"prevalence for band {band!r} is negative")
         total += p * weights.weight(condition, band)
-    return total
+    return _finite("YLD", total)
 
 
 def compute_daly(yll: float, yld: float) -> BurdenSummary:
     if yll < 0 or yld < 0:
         raise DomainError("yll and yld must be non-negative")
-    return BurdenSummary(yll=yll, yld=yld, daly=yll + yld)
+    return BurdenSummary(yll=yll, yld=yld, daly=_finite("DALY", yll + yld))
 
 
 def age_standardize(rates: Mapping[str, float],
@@ -139,7 +140,14 @@ def age_standardize(rates: Mapping[str, float],
         if band not in weights:
             raise MissingBandError(f"no standard-population weight for band {band!r}")
         result += rate * weights[band]
-    return result
+    return _finite("age-standardized rate", result)
+
+
+def _finite(name: str, total: float) -> float:
+    """``total``, or a DomainError when the sum that made it overflowed."""
+    if not math.isfinite(total):
+        raise DomainError(f"{name} is {total}: the inputs overflow a float")
+    return total
 
 
 def band_rates(inputs: BurdenInput, table: LifeTable,

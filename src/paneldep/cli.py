@@ -7,7 +7,7 @@ error, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
+import gc
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -166,20 +166,15 @@ def burden(args) -> None:
                 f"{list(conditions)}; pick one with --condition"
             )
         condition = conditions[0]
-    yll = compute_yll(inputs.deaths, table)
-    yld = compute_yld(inputs.prevalence, weights, condition)
-    summary = compute_daly(yll, yld)
     rate = None
-    if args.std_pop is not None:
-        std = load_band_csv(_read_input(args.std_pop))
-        try:
+    try:  # the inputs are checked, so a DomainError here is a total that overflows
+        summary = compute_daly(compute_yll(inputs.deaths, table),
+                               compute_yld(inputs.prevalence, weights, condition))
+        if args.std_pop is not None:
+            std = load_band_csv(_read_input(args.std_pop))
             rate = age_standardize(band_rates(inputs, table, weights, condition), std)
-        except NormalizationError as exc:
-            raise ParseError(str(exc)) from None
-    for name, value in (("YLL", summary.yll), ("YLD", summary.yld),
-                        ("DALY", summary.daly), ("age-standardized rate", rate)):
-        if value is not None and not math.isfinite(value):
-            raise ParseError(f"{name} is {value}: the inputs overflow a float")
+    except (DomainError, NormalizationError) as exc:
+        raise ParseError(str(exc)) from None
     print(f"YLL: {summary.yll:g}")
     print(f"YLD: {summary.yld:g}")
     print(f"DALY: {summary.daly:g}")
@@ -270,6 +265,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # A command's objects live until it returns, so a cyclic collection
+    # during it frees nothing; the caller's setting is restored on every exit.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args.run(args)
     except ConfigError as exc:
@@ -281,8 +280,20 @@ def main(argv=None) -> int:
     except PanelDepError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        if collecting:
+            gc.enable()
     return EXIT_OK
 
 
+def entry() -> int:
+    """Process entry point: ``main()``, then a frozen heap, so that the
+    interpreter's collection at exit does not walk the command's objects.
+    In-process callers use ``main``, which leaves the heap unfrozen."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

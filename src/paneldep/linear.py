@@ -64,13 +64,14 @@ def pearsons(pairs) -> list[PearsonResult | InsufficientDataError | DegenerateIn
     for every element above the subnormal range. So the sums neither
     overflow nor underflow at any scale, and scaling a series by a power
     of two that keeps its elements normal leaves the result's bits as they
-    are. The means and the sums of deviation products are ``math.fsum`` over
-    each pair's own floats; squares go through libm ``pow``, as Python's
-    ``** 2`` does, not ``d * d``, which rounds some of them differently.
-    ``pow`` is not exact under scaling either, so the scaled squares can
-    round differently from squares at the input's own scale. Every p-value
-    comes from one ``t_sfs`` call, and each result has the bits of its own
-    ``pearson`` call.
+    are. A series' deviations and sum of squares are computed once for
+    every pair that holds it. The means and the sums of deviation products
+    are ``math.fsum`` over each pair's own floats; squares go through libm
+    ``pow``, as Python's ``** 2`` does, not ``d * d``, which rounds some of
+    them differently. ``pow`` is not exact under scaling either, so the
+    scaled squares can round differently from squares at the input's own
+    scale. Every p-value comes from one ``t_sfs`` call, and each result has
+    the bits of its own ``pearson`` call.
     """
     out: list = [None] * len(pairs)
     by_length: dict[int, list[int]] = {}
@@ -81,13 +82,9 @@ def pearsons(pairs) -> list[PearsonResult | InsufficientDataError | DegenerateIn
             by_length.setdefault(pair.n, []).append(i)
     tested = []  # (position, r, n, t)
     for n, members in by_length.items():
-        xs = _unit_scaled(np.array([pairs[i].x for i in members]))
-        ys = _unit_scaled(np.array([pairs[i].y for i in members]))
-        dx = xs - np.array([math.fsum(x.tolist()) / n for x in xs])[:, None]
-        dy = ys - np.array([math.fsum(y.tolist()) / n for y in ys])[:, None]
+        dx, sxx = _deviations(np.array([pairs[i].x for i in members]))
+        dy, syy = _deviations(np.array([pairs[i].y for i in members]))
         sxy = [math.fsum(row.tolist()) for row in dx * dy]
-        sxx = [math.fsum(row.tolist()) for row in np.float_power(dx, 2.0)]
-        syy = [math.fsum(row.tolist()) for row in np.float_power(dy, 2.0)]
         for i, sxy_i, sxx_i, syy_i in zip(members, sxy, sxx, syy):
             if sxx_i == 0.0 or syy_i == 0.0:
                 out[i] = DegenerateInputError("correlation undefined for a constant sequence")
@@ -101,6 +98,22 @@ def pearsons(pairs) -> list[PearsonResult | InsufficientDataError | DegenerateIn
     for (i, r, n, _), tail in zip(tested, tails):
         out[i] = PearsonResult(r=r, n=n, p_value=min(1.0, 2.0 * tail))
     return out
+
+
+def _deviations(rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Each row's scaled deviations from its mean and their sum of squares.
+
+    They depend on the row alone, so they are computed once per distinct
+    row and gathered back. Rows are told apart by their bits: 0.0 and -0.0
+    compare equal but can give deviations of either sign.
+    """
+    n = rows.shape[1]
+    keys = rows.view(np.dtype((np.void, rows.itemsize * n)))[:, 0]
+    _, firsts, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    scaled = _unit_scaled(rows[firsts])
+    dev = scaled - np.array([math.fsum(row.tolist()) / n for row in scaled])[:, None]
+    squares = [math.fsum(row.tolist()) for row in np.float_power(dev, 2.0)]
+    return dev[inverse], [squares[k] for k in inverse.tolist()]
 
 
 def _unit_scaled(rows: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -179,9 +180,9 @@ class AnnualSeries:
     def __post_init__(self):
         if len(self.years) != len(self.values):
             raise DomainError("years and values differ in length")
-        if any(b <= a for a, b in zip(self.years, self.years[1:])):
+        if any(map(operator.le, self.years[1:], self.years)):
             raise DomainError("years must be strictly increasing")
-        if all(v is None for v in self.values):
+        if self.values.count(None) == len(self.values):
             raise DomainError("series has no values at all")
 
     def present(self) -> dict[int, float]:
@@ -385,9 +386,14 @@ def _snapshot_value(value) -> float | None:
 def _snapshot_series(key, years, values) -> AnnualSeries:
     """One snapshot cell; integer years, finite values, as the CSVs require."""
     try:
-        if any(type(year) is not int for year in years):
+        if not set(map(type, years)) <= {int}:
             raise ParseError("years must be integers")
-        return AnnualSeries(tuple(years), tuple(map(_snapshot_value, values)))
+        # floats whose sum is finite are all finite, and are taken as they are
+        if set(map(type, values)) <= {float} and (total := sum(values)) - total == 0.0:
+            values = tuple(values)
+        else:  # the exact error, int conversion, or a sum that overflows
+            values = tuple(map(_snapshot_value, values))
+        return AnnualSeries(tuple(years), values)
     except (ParseError, DomainError, OverflowError) as exc:
         raise ParseError(f"panel snapshot cell {key}: {exc}") from None
 

@@ -89,6 +89,27 @@ def test_daly_negative_rejected():
         compute_daly(-1, 0)
 
 
+@pytest.mark.parametrize("compute, component", [
+    (lambda: compute_yll({"a1": 1e200}, LifeTable({"a1": 1e200})), "YLL"),
+    (lambda: compute_yld({"a1": 1e308, "a2": 1e308},
+                         DisabilityWeights({("dep", "a1"): 0.9, ("dep", "a2"): 0.9}),
+                         "dep"), "YLD"),
+    (lambda: compute_daly(1e308, 1e308), "DALY"),
+    (lambda: age_standardize({"a1": 1e308, "a2": 0.0}, {"a1": 2.0, "a2": -1.0}),
+     "age-standardized rate"),
+], ids=["yll", "yld", "daly", "age-standardized"])
+def test_overflowing_total_rejected(compute, component):
+    # every input is finite; only the total overflows
+    with pytest.raises(DomainError, match=f"^{component} is inf: the inputs "
+                                          "overflow a float$"):
+        compute()
+
+
+def test_largest_finite_totals_returned():
+    assert compute_yll({"a1": 1e154}, LifeTable({"a1": 1e154})) == 1e308
+    assert compute_daly(1e308, 0.0).daly == 1e308
+
+
 def test_age_standardize_symmetric_average():
     assert age_standardize({"a1": 10, "a2": 20}, {"a1": 0.5, "a2": 0.5}) == 15
 

@@ -1,4 +1,6 @@
+import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import paneldep
-from paneldep.battery import BatteryConfig, plan_battery
+import paneldep.linear
+from paneldep.battery import BatteryConfig, plan_battery, run_battery
 from paneldep.cli import main
+from paneldep.errors import PanelDepError
 from paneldep.panel import PanelDataset, parse_wdi_wide
 
 
@@ -133,9 +137,10 @@ class TestSnapshotValidation:
         _snapshot_with("cells", "code", "S1"),
         json.dumps({**SNAPSHOT, "regions": ["global", "global"]}),
         json.dumps({**SNAPSHOT, "indicators": SNAPSHOT["indicators"] * 2}),
+        _snapshot_with("cells", "values", [1.0, True, 3.0, 5.0]),
     ], ids=["string-value", "nan", "infinity", "overflow", "years-not-increasing",
             "length-mismatch", "unknown-code", "bad-category", "string-years",
-            "repeated-cell", "repeated-region", "repeated-code"])
+            "repeated-cell", "repeated-region", "repeated-code", "bool-value"])
     def test_malformed_snapshot_exits_input_error(self, workdir, capsys, text):
         (workdir / "panel.json").write_text(text)
         (workdir / "config.json").write_text(json.dumps({
@@ -145,6 +150,26 @@ class TestSnapshotValidation:
         assert run("--quiet", "analyze", "--panel", "panel.json",
                    "--config", "config.json", "--out", "results") == 1
         assert "input error: panel snapshot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [[1, 2, 3, 5], [1, 2.0, None, 5]],
+                             ids=["all-ints", "mixed"])
+    def test_integer_values_read_as_their_floats(self, values):
+        read = PanelDataset.from_json(_snapshot_with("cells", "values", values))
+        floats = [None if v is None else float(v) for v in values]
+        assert read == PanelDataset.from_json(_snapshot_with("cells", "values", floats))
+        assert all(type(v) is float for v in read.cells[("global", "E1")].values
+                   if v is not None)
+
+    def test_values_whose_sum_overflows_accepted(self):
+        values = [1e308, 1e308, -1e308, 1e308]
+        read = PanelDataset.from_json(_snapshot_with("cells", "values", values))
+        assert read.cells[("global", "E1")].values == tuple(values)
+
+    def test_negative_zero_keeps_its_sign(self):
+        text = _snapshot_with("cells", "values", [1.0, -0.0, 3.0, 5.0])
+        read = PanelDataset.from_json(text)
+        assert math.copysign(1.0, read.cells[("global", "E1")].values[1]) == -1.0
+        assert '"values":[1.0,-0.0,3.0,5.0]' in read.to_json().replace(" ", "")
 
     def test_well_formed_snapshot_runs(self, workdir):
         (workdir / "panel.json").write_text(json.dumps(SNAPSHOT))
@@ -560,6 +585,67 @@ class TestGlobalFlags:
 
     def test_version(self, workdir, capsys):
         assert run("--version") == 0
+        assert capsys.readouterr().out == "paneldep, version 0.1.0\n"
+
+
+class TestGarbageCollection:
+    """Commands run with automatic collection off, and the caller's setting
+    comes back on every exit path."""
+
+    ANALYZE = ("analyze", "--panel", "wdi.csv", "--config", "config.json",
+               "--out", "out")
+
+    @pytest.fixture()
+    def inputs(self, workdir):
+        (workdir / "wdi.csv").write_text(WDI)
+        (workdir / "config.json").write_text(json.dumps({
+            "methods": ["pearson"], "outcomes": ["S1"], "indicators": ["E1"],
+            "min_overlap": 3,
+        }))
+        enabled = gc.isenabled()
+        yield workdir
+        (gc.enable if enabled else gc.disable)()
+
+    def test_battery_runs_with_collection_off(self, inputs, monkeypatch):
+        seen = []
+
+        def recording(dataset, config):
+            seen.append(gc.isenabled())
+            return run_battery(dataset, config)
+
+        monkeypatch.setattr(paneldep.cli, "run_battery", recording)
+        gc.enable()
+        assert run("--quiet", *self.ANALYZE) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("argv, code", [
+        (("fixture", "--out", "fixture.csv"), 0),
+        (("ingest", "--wdi", "missing.csv", "--out", "p.json"), 1),
+        (("ingest", "--out", "p.json"), 2),
+        (ANALYZE, 3),
+        (("--help",), 0),
+    ], ids=["ok", "input-error", "config-error", "numerical-failure", "help"])
+    def test_setting_restored(self, inputs, monkeypatch, capsys, enabled, argv, code):
+        def failing(pairs):
+            raise PanelDepError("kernel failed")
+
+        monkeypatch.setattr(paneldep.linear, "pearsons", failing)
+        (gc.enable if enabled else gc.disable)()
+        assert run(*argv) == code
+        assert gc.isenabled() is enabled
+        if code == 3:
+            assert "numerical failure: kernel failed" in capsys.readouterr().err
+
+    def test_entry_freezes_the_heap_after_main(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["paneldep", "--version"])
+        assert gc.get_freeze_count() == 0
+        try:
+            assert paneldep.cli.entry() == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
         assert capsys.readouterr().out == "paneldep, version 0.1.0\n"
 
 
