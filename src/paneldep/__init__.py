@@ -12,6 +12,7 @@ not import numpy.
 
 import importlib
 
+#: The one copy of the version: pyproject.toml and report.TOOL_VERSION read it.
 __version__ = "0.1.0"
 
 _EXPORTS = {
@@ -25,8 +26,8 @@ _EXPORTS = {
     "panel": ("AgeGroup", "AlignedPair", "AnnualSeries", "BUILTIN_INDICATORS",
               "IndicatorCode", "PanelDataset", "align_pair", "indicator_lookup",
               "load_fixture", "parse_gbd_long", "parse_wdi_wide"),
-    "report": ("ExportBundle", "build_bundle", "export_csv", "export_json",
-               "render_heatmap_svg"),
+    "report": ("ExportBundle", "build_bundle", "cell_scalars", "export_csv",
+               "export_json", "render_heatmap_svg"),
     "special": ("f_sf",),
     "temporal": ("GrangerResult", "LagSweep", "SkippedLag", "first_difference",
                  "granger_test", "lag_sweep", "nested_rss"),

@@ -17,7 +17,6 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     InsufficientDataError,
-    InsufficientOverlapError,
     NonContiguousYearsError,
     ParseError,
     SingularDesignError,
@@ -32,13 +31,13 @@ from .panel import (
     AgeGroup,
     PanelDataset,
     age_group_of_code,
-    align_pair,
     _classify_code,
 )
 
 if TYPE_CHECKING:
     from .info import MicResult, MutualInfoResult
     from .linear import PearsonResult
+    from .table import PairTable
     from .temporal import GrangerResult
 
 METHODS = ("pearson", "mutual_information", "granger", "mic")
@@ -190,42 +189,37 @@ def canonical_columns(codes) -> tuple[str, ...]:
 
 
 _SKIP_TAGS = {
-    InsufficientOverlapError: SKIP_INSUFFICIENT_OVERLAP,
     DegenerateInputError: SKIP_DEGENERATE,
     NonContiguousYearsError: SKIP_NON_CONTIGUOUS,
     InsufficientDataError: SKIP_INSUFFICIENT_DATA,
     SingularDesignError: SKIP_SINGULAR,
 }
-_SKIP_EXCEPTIONS = tuple(_SKIP_TAGS)
 
 
-def _method_cells(method: str, pairs, config: BatteryConfig) -> list[MatrixCell | str]:
-    """A cell or a skip tag for each aligned pair of the run, from one batch
-    call over every pair.
+def _method_results(method: str, table: PairTable, config: BatteryConfig) -> list:
+    """Each place's method result or error, from one batch call over every
+    pair of the run's table (None at a place with no pair).
 
-    The kernels, and numpy with them, are imported on the first call.
+    The kernels are imported on the first call, as the table is in
+    ``run_battery``, so that numpy loads only when a kernel runs.
     """
-    from .info import mics, mutual_informations
-    from .linear import pearsons
-    from .temporal import lag_sweeps
+    from .info import mics_over, mutual_informations_over
+    from .linear import pearsons_over
+    from .temporal import LagSweep, lag_sweeps_over
 
     if method == "pearson":
-        results = pearsons(pairs)
-    elif method == "mutual_information":
-        results = mutual_informations(pairs, config.mi_bins, config.mi_strategy)
-    elif method == "granger":
-        directed = [pair.swapped() for pair in pairs] if config.granger_reverse else pairs
+        return pearsons_over(table)
+    if method == "mutual_information":
+        return mutual_informations_over(table, config.mi_bins, config.mi_strategy)
+    if method == "granger":
+        directed = table.swapped() if config.granger_reverse else table
         # lag L fits n points only when n - L > 1 + 2L; a longer lag is a
         # skip in every pair and changes no pair's best lag
-        max_lag = min(config.max_lag, max([1, *((pair.n - 2) // 3 for pair in pairs)]))
-        results = [sweep if isinstance(sweep, Exception) else sweep.best
-                   for sweep in lag_sweeps(directed, max_lag, config.difference_first)]
-    else:
-        results = mics(pairs, config.mic_alpha, config.mic_clumps,
-                       config.mic_normalization)
-    return [_SKIP_TAGS[type(result)] if isinstance(result, Exception)
-            else MatrixCell(pair.n, result)
-            for pair, result in zip(pairs, results)]
+        max_lag = min(config.max_lag,
+                      max([1, *((group.n - 2) // 3 for group in table.groups)]))
+        return [sweep.best if isinstance(sweep, LagSweep) else sweep
+                for sweep in lag_sweeps_over(directed, max_lag, config.difference_first)]
+    return mics_over(table, config.mic_alpha, config.mic_clumps, config.mic_normalization)
 
 
 def plan_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatrix]:
@@ -254,38 +248,43 @@ def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatr
 
     Deterministic for a fixed (dataset, config): matrices come out in
     method-major, outcome-minor configuration order, rows in dataset
-    region order, columns in canonical indicator order. Each pair is aligned
-    once; a pair-level skip lands in every method's matrix. Each method
-    then runs once over all of the run's aligned pairs.
+    region order, columns in canonical indicator order. The run is
+    planned, then its pair table is built: each (region, outcome,
+    indicator) is placed once, and a pair-level skip lands in every
+    method's matrix before any kernel runs. Each method then runs once
+    over the whole table.
     """
     matrices = plan_battery(dataset, config)
+    from .table import PairTable  # numpy loads here, just before the kernels
+
+    cols = matrices[0].cols
+    table = PairTable.of_panel(dataset, config.outcomes, cols, config.min_overlap)
     per_method = len(config.outcomes)
-    places = []  # (outcome index, cell key) of each aligned pair
-    pairs = []
-    for region in dataset.regions:
-        for i, outcome in enumerate(config.outcomes):
-            outcome_series = dataset.series(region, outcome)
-            for code in matrices[0].cols:
-                key = (region, code)
-                indicator_series = dataset.series(region, code)
-                skip = SKIP_MISSING_SERIES
-                if outcome_series is not None and indicator_series is not None:
-                    try:
-                        pairs.append(align_pair(indicator_series, outcome_series,
-                                                config.min_overlap))
-                        places.append((i, key))
-                        continue
-                    except _SKIP_EXCEPTIONS as exc:
-                        skip = _SKIP_TAGS[type(exc)]
-                for matrix in matrices[i::per_method]:
-                    matrix.skips[key] = skip
+
+    def located(place: int) -> tuple[int, tuple[str, str]]:
+        """(outcome index, cell key) of a place."""
+        rest, col = divmod(place, len(cols))
+        region, outcome = divmod(rest, per_method)
+        return outcome, (dataset.regions[region], cols[col])
+
+    skipped = sorted([*((place, SKIP_MISSING_SERIES) for place in table.missing.tolist()),
+                      *((place, SKIP_INSUFFICIENT_OVERLAP) for place in table.short.tolist())])
+    for place, tag in skipped:
+        i, key = located(place)
+        for matrix in matrices[i::per_method]:
+            matrix.skips[key] = tag
+    paired = sorted((place, group.n) for group in table.groups
+                    for place in group.places.tolist())
+    paired = [(place, n, *located(place)) for place, n in paired]
     for start in range(0, len(matrices), per_method):
         row = matrices[start:start + per_method]
-        for (i, key), out in zip(places, _method_cells(row[0].method, pairs, config)):
-            if isinstance(out, str):
-                row[i].skips[key] = out
+        results = _method_results(row[0].method, table, config)
+        for place, n, i, key in paired:
+            result = results[place]
+            if isinstance(result, Exception):
+                row[i].skips[key] = _SKIP_TAGS[type(result)]
             else:
-                row[i].cells[key] = out
+                row[i].cells[key] = MatrixCell(n, result)
     return matrices
 
 

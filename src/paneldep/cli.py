@@ -42,6 +42,7 @@ from .panel import (
 from .report import (
     TOOL_VERSION,
     build_bundle,
+    cell_scalars,
     export_csv,
     export_json,
     render_heatmap_svg,
@@ -129,9 +130,11 @@ def analyze(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     matrices = run_battery(dataset, config)
     for matrix in matrices:
-        (out_dir / f"{matrix.stem}.csv").write_text(export_csv(matrix), encoding="utf-8")
-        (out_dir / f"{matrix.stem}.svg").write_text(render_heatmap_svg(matrix),
+        scalars = cell_scalars(matrix)  # each value formatted once, for both files
+        (out_dir / f"{matrix.stem}.csv").write_text(export_csv(matrix, scalars),
                                                     encoding="utf-8")
+        (out_dir / f"{matrix.stem}.svg").write_text(
+            render_heatmap_svg(matrix, scalars=scalars), encoding="utf-8")
     bundle = build_bundle(matrices, dataset, config)
     (out_dir / "bundle.json").write_text(export_json(bundle), encoding="utf-8")
     _say(args, f"wrote {len(matrices)} matrices to {out_dir}")

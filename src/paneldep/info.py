@@ -25,6 +25,7 @@ from .panel import (
     STRATEGIES,
     AlignedPair,
 )
+from .table import PairTable
 
 
 def discretize(values, bins: int, strategy: str = "equal-frequency") -> np.ndarray:
@@ -126,29 +127,38 @@ def mutual_informations(pairs, bins: int | None,
                         strategy: str = "equal-frequency"
                         ) -> list[MutualInfoResult | InsufficientDataError]:
     """``mutual_information`` over many pairs: each pair's result, or the
-    error its own call raises.
+    error its own call raises. See ``mutual_informations_over``."""
+    return mutual_informations_over(PairTable.of_pairs(pairs), bins, strategy)
 
-    ``bins`` None gives each pair ``default_mi_bins(pair.n)``. Pairs of one
-    length are discretized as one stack and their joint counts come from
-    one ``bincount``; each result has the bits of its own call.
+
+def mutual_informations_over(table: PairTable, bins: int | None,
+                             strategy: str = "equal-frequency") -> list:
+    """``mutual_information`` of each pair of a table, by place (None at a
+    place with no pair).
+
+    ``bins`` None gives each pair ``default_mi_bins(n)``. Each distinct
+    aligned series of a length group is discretized once, and the group's
+    joint counts come from one ``bincount``; each result has the bits of
+    its own call.
     """
-    out: list = [None] * len(pairs)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, pair in enumerate(pairs):
-        k = default_mi_bins(pair.n) if bins is None else bins
-        if pair.n < max(k, 4):
-            out[i] = InsufficientDataError(
-                f"need at least max(bins, 4) = {max(k, 4)} observations, got {pair.n}"
-            )
-        else:
-            groups.setdefault((pair.n, k), []).append(i)
-    for (n, k), members in groups.items():
-        lx = _discretize_rows(np.array([pairs[i].x for i in members]), k, strategy)
-        ly = _discretize_rows(np.array([pairs[i].y for i in members]), k, strategy)
-        cell = (np.arange(len(members))[:, None] * k + lx) * k + ly
-        counts = np.bincount(cell.ravel(), minlength=len(members) * k * k)
-        for i, mi in zip(members, _mi_bits(counts.reshape(-1, k, k), n)):
-            out[i] = MutualInfoResult(mi=mi, bins_x=k, bins_y=k, strategy=strategy)
+    out: list = [None] * table.size
+    for group in table.groups:
+        n = group.n
+        k = default_mi_bins(n) if bins is None else bins
+        if n < max(k, 4):
+            for place in group.places.tolist():
+                out[place] = InsufficientDataError(
+                    f"need at least max(bins, 4) = {max(k, 4)} observations, got {n}")
+            continue
+        labels = _discretize_rows(group.rows, k, strategy)
+        pairs = len(group.places)
+        cell = labels[group.xi]  # (pair * k + x label) * k + y label, in place
+        cell += np.arange(0, pairs * k, k)[:, None]
+        cell *= k
+        cell += labels[group.yi]
+        counts = np.bincount(cell.ravel(), minlength=pairs * k * k)
+        for place, mi in zip(group.places.tolist(), _mi_bits(counts.reshape(-1, k, k), n)):
+            out[place] = MutualInfoResult(mi=mi, bins_x=k, bins_y=k, strategy=strategy)
     return out
 
 
@@ -181,13 +191,21 @@ def mics(pairs, alpha: float = DEFAULT_MIC_ALPHA, clumps: int = DEFAULT_MIC_CLUM
          normalization: str = "min-entropy-grid"
          ) -> list[MicResult | InsufficientDataError]:
     """``mic`` over many pairs: each pair's result, or the error its own
-    call raises.
+    call raises. See ``mics_over``."""
+    return mics_over(PairTable.of_pairs(pairs), alpha, clumps, normalization)
 
-    A series' axis depends only on its values, so every pair, and both
-    orientations, that hold the same aligned series reuse one axis; the
-    axes and the per-size tables live for this call only. Pairs of one
-    length are searched as stacks (see ``_search``). A bad ``alpha``,
-    ``clumps`` or ``normalization`` raises.
+
+def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
+              clumps: int = DEFAULT_MIC_CLUMPS,
+              normalization: str = "min-entropy-grid") -> list:
+    """``mic`` of each pair of a table, by place (None at a place with no
+    pair).
+
+    An aligned series' axis depends only on its values, so every pair, and
+    both orientations, that hold the same aligned series (one row of its
+    group) reuse one axis; the axes and the per-size tables live for this
+    call only. Each length group is searched as stacks (see ``_search``). A bad
+    ``alpha``, ``clumps`` or ``normalization`` raises.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
@@ -198,38 +216,35 @@ def mics(pairs, alpha: float = DEFAULT_MIC_ALPHA, clumps: int = DEFAULT_MIC_CLUM
             f"normalization must be one of {MIC_NORMALIZATIONS}, got {normalization!r}"
         )
     tables = _Tables()
-    axes: dict[tuple, _Axis] = {}
-    out: list = [None] * len(pairs)
-    by_length: dict[int, list[int]] = {}
-    for i, pair in enumerate(pairs):
-        if pair.n < 25:
-            out[i] = InsufficientDataError(
-                f"need at least 25 observations, got {pair.n}")
-            continue
-        bound = grid_bound(pair.n, alpha)
-        if bound < 4:
-            out[i] = InsufficientDataError(
-                f"grid bound B = {bound} at n = {pair.n} fits no 2x2 grid; need B >= 4")
-            continue
-        for values in (pair.x, pair.y):
-            if values not in axes:
-                axes[values] = _Axis(values)
-        if len(axes[pair.x].runs) == 1 or len(axes[pair.y].runs) == 1:
-            # one tie run: a constant axis
-            out[i] = MicResult(0.0, 0, 0, bound, normalization, degenerate=True)
-        else:
-            by_length.setdefault(pair.n, []).append(i)
-    for n, members in by_length.items():
+    out: list = [None] * table.size
+    for group in table.groups:
+        n = group.n
+        places = group.places.tolist()
         bound = grid_bound(n, alpha)
+        if n < 25 or bound < 4:
+            message = (f"need at least 25 observations, got {n}" if n < 25 else
+                       f"grid bound B = {bound} at n = {n} fits no 2x2 grid; need B >= 4")
+            for place in places:
+                out[place] = InsufficientDataError(message)
+            continue
+        axes = [_Axis(row) for row in group.rows]
+        members, xs, ys = [], [], []  # the searched pairs and their axes
+        for place, i, j in zip(places, group.xi.tolist(), group.yi.tolist()):
+            x_axis, y_axis = axes[i], axes[j]
+            if len(x_axis.runs) == 1 or len(y_axis.runs) == 1:
+                # one tie run: a constant axis
+                out[place] = MicResult(0.0, 0, 0, bound, normalization, degenerate=True)
+            else:
+                members.append(place)
+                xs.append(x_axis)
+                ys.append(y_axis)
         # a stack's prefix counts hold (n + 1) * (B // 2) integers per pair
         size = max(1, _STACK_ELEMENTS // ((n + 1) * (bound // 2)))
         for start in range(0, len(members), size):
-            part = members[start:start + size]
-            found = _search(tables, [axes[pairs[i].x] for i in part],
-                            [axes[pairs[i].y] for i in part], bound, clumps,
-                            normalization)
-            for i, result in zip(part, found):
-                out[i] = result
+            found = _search(tables, xs[start:start + size], ys[start:start + size],
+                            bound, clumps, normalization)
+            for place, result in zip(members[start:start + size], found):
+                out[place] = result
     return out
 
 

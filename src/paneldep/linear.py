@@ -10,6 +10,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, InsufficientDataError, _only
 from .panel import AlignedPair
 from .special import f_sfs
+from .table import PairTable
 
 
 @dataclass(frozen=True)
@@ -57,63 +58,64 @@ def t_sf(t: float, dof: float) -> float:
 
 def pearsons(pairs) -> list[PearsonResult | InsufficientDataError | DegenerateInputError]:
     """``pearson`` over many pairs: each pair's result, or the error its own
-    call raises.
+    call raises. See ``pearsons_over``."""
+    return pearsons_over(PairTable.of_pairs(pairs))
 
-    Pairs of one length are stacked. Each series is first scaled by the
-    power of two that brings its largest magnitude into [0.5, 1), exactly
-    for every element above the subnormal range. So the sums neither
-    overflow nor underflow at any scale, and scaling a series by a power
-    of two that keeps its elements normal leaves the result's bits as they
-    are. A series' deviations and sum of squares are computed once for
-    every pair that holds it. The means and the sums of deviation products
-    are ``math.fsum`` over each pair's own floats; squares go through libm
-    ``pow``, as Python's ``** 2`` does, not ``d * d``, which rounds some of
-    them differently. ``pow`` is not exact under scaling either, so the
-    scaled squares can round differently from squares at the input's own
-    scale. Every p-value comes from one ``t_sfs`` call, and each result has
-    the bits of its own ``pearson`` call.
+
+def pearsons_over(table: PairTable) -> list:
+    """``pearson`` of each pair of a table, by place (None at a place with
+    no pair).
+
+    Each series is first scaled by the power of two that brings its
+    largest magnitude into [0.5, 1), exactly for every element above the
+    subnormal range. So the sums neither overflow nor underflow at any
+    scale, and scaling a series by a power of two that keeps its elements
+    normal leaves the result's bits as they are. An aligned series'
+    deviations and sum of squares are computed once, for every pair of its
+    length group that holds it. The means and the sums of deviation
+    products are ``math.fsum`` over each pair's own floats; squares go
+    through libm ``pow``, as Python's ``** 2`` does, not ``d * d``, which
+    rounds some of them differently. ``pow`` is not exact under scaling
+    either, so the scaled squares can round differently from squares at
+    the input's own scale. Every p-value comes from one ``t_sfs`` call,
+    and each result has the bits of its own ``pearson`` call.
     """
-    out: list = [None] * len(pairs)
-    by_length: dict[int, list[int]] = {}
-    for i, pair in enumerate(pairs):
-        if pair.n < 3:
-            out[i] = InsufficientDataError(f"need at least 3 observations, got {pair.n}")
-        else:
-            by_length.setdefault(pair.n, []).append(i)
-    tested = []  # (position, r, n, t)
-    for n, members in by_length.items():
-        dx, sxx = _deviations(np.array([pairs[i].x for i in members]))
-        dy, syy = _deviations(np.array([pairs[i].y for i in members]))
-        sxy = [math.fsum(row.tolist()) for row in dx * dy]
-        for i, sxy_i, sxx_i, syy_i in zip(members, sxy, sxx, syy):
+    out: list = [None] * table.size
+    tested = []  # (place, r, n, t)
+    for group in table.groups:
+        n = group.n
+        places = group.places.tolist()
+        if n < 3:
+            for place in places:
+                out[place] = InsufficientDataError(f"need at least 3 observations, got {n}")
+            continue
+        dev, squares = _deviations(group.rows)
+        products = dev[group.xi]
+        products *= dev[group.yi]
+        sxy = [math.fsum(row.tolist()) for row in products]
+        for place, sxy_i, i, j in zip(places, sxy, group.xi.tolist(), group.yi.tolist()):
+            sxx_i, syy_i = squares[i], squares[j]
             if sxx_i == 0.0 or syy_i == 0.0:
-                out[i] = DegenerateInputError("correlation undefined for a constant sequence")
+                out[place] = DegenerateInputError(
+                    "correlation undefined for a constant sequence")
                 continue
             r = max(-1.0, min(1.0, sxy_i / math.sqrt(sxx_i * syy_i)))
             if abs(r) == 1.0:
-                out[i] = PearsonResult(r=r, n=n, p_value=0.0)
+                out[place] = PearsonResult(r=r, n=n, p_value=0.0)
             else:
-                tested.append((i, r, n, abs(r * math.sqrt((n - 2) / (1.0 - r * r)))))
+                tested.append((place, r, n, abs(r * math.sqrt((n - 2) / (1.0 - r * r)))))
     tails = t_sfs([t for *_, t in tested], [n - 2 for _, _, n, _ in tested])
-    for (i, r, n, _), tail in zip(tested, tails):
-        out[i] = PearsonResult(r=r, n=n, p_value=min(1.0, 2.0 * tail))
+    for (place, r, n, _), tail in zip(tested, tails):
+        out[place] = PearsonResult(r=r, n=n, p_value=min(1.0, 2.0 * tail))
     return out
 
 
 def _deviations(rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """Each row's scaled deviations from its mean and their sum of squares.
-
-    They depend on the row alone, so they are computed once per distinct
-    row and gathered back. Rows are told apart by their bits: 0.0 and -0.0
-    compare equal but can give deviations of either sign.
-    """
+    """Each row's scaled deviations from its mean and their sum of squares."""
     n = rows.shape[1]
-    keys = rows.view(np.dtype((np.void, rows.itemsize * n)))[:, 0]
-    _, firsts, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    scaled = _unit_scaled(rows[firsts])
+    scaled = _unit_scaled(rows)
     dev = scaled - np.array([math.fsum(row.tolist()) / n for row in scaled])[:, None]
-    squares = [math.fsum(row.tolist()) for row in np.float_power(dev, 2.0)]
-    return dev[inverse], [squares[k] for k in inverse.tolist()]
+    return dev, [math.fsum(row.tolist()) for row in np.float_power(dev, 2.0)]
 
 
 def _unit_scaled(rows: np.ndarray) -> np.ndarray:

@@ -170,14 +170,44 @@ def age_group_of_code(code: str) -> AgeGroup:
     return AgeGroup.ALL_AGES
 
 
+_FLOAT_OR_NONE = {float, type(None)}
+
+
+def _check_finite(values) -> None:
+    """Raise DomainError unless each value is None or a finite number.
+
+    Floats whose sum is finite are all finite, so a series of floats and
+    Nones passes with one sum; a NaN, an infinity, another type or a sum
+    that overflows sends every value through its own check.
+    """
+    if set(map(type, values)) <= _FLOAT_OR_NONE:
+        total = sum(filter(None, values))  # None and zeros add nothing
+        if total - total == 0.0:
+            return
+    for value in values:
+        if value is None:
+            continue
+        try:
+            finite = math.isfinite(value)
+        except (TypeError, OverflowError):
+            raise DomainError(f"value {value!r} is not a finite float") from None
+        if not finite:
+            raise DomainError("non-finite value")
+
+
 @dataclass(frozen=True)
 class AnnualSeries:
-    """Calendar years and one optional value per year."""
+    """Calendar years and one optional value per year.
+
+    A value is None (missing) or a finite number; NaN and infinities are a
+    DomainError.
+    """
 
     years: tuple[int, ...]
     values: tuple[float | None, ...]
 
     def __post_init__(self):
+        _check_finite(self.values)
         if len(self.years) != len(self.values):
             raise DomainError("years and values differ in length")
         if any(map(operator.le, self.years[1:], self.years)):
@@ -322,28 +352,35 @@ class PanelDataset:
 
     @classmethod
     def from_json(cls, text: str) -> "PanelDataset":
-        """Inverse of to_json, whatever the text's JSON whitespace. Values
-        must be finite numbers or null, years integers, and regions and
-        indicator codes unrepeated; anything else is a ParseError."""
+        """Inverse of to_json, whatever the text's JSON whitespace. Regions,
+        codes, names, categories and units must be strings, values finite
+        numbers or null, years integers, and regions and indicator codes
+        unrepeated; anything else is a ParseError."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"panel snapshot is not valid JSON: {exc}") from None
+        if type(doc) is not dict:
+            raise ParseError("panel snapshot: the document must be a JSON object")
         try:
+            regions = _snapshot_list(doc["regions"], "regions", str)
             indicators = tuple(
-                IndicatorCode(d["code"], d["name"], d["category"], d["units"])
-                for d in doc["indicators"]
+                IndicatorCode(*_snapshot_strings(d, "indicator",
+                                                 ("code", "name", "category", "units")))
+                for d in _snapshot_list(doc["indicators"], "indicators", dict)
             )
             cells = {}
-            for c in doc["cells"]:
+            for c in _snapshot_list(doc["cells"], "cells", dict):
                 key = (c["region"], c["code"])
+                if type(key[0]) is not str or type(key[1]) is not str:
+                    _snapshot_strings(c, "cell", ("region", "code"))  # raises
                 if key in cells:
                     raise DuplicateKeyError(f"panel snapshot repeats cell {key}")
                 cells[key] = _snapshot_series(key, c["years"], c["values"])
-            return cls(tuple(doc["regions"]), indicators, cells)
-        except (KeyError, TypeError) as exc:
+            return cls(tuple(regions), indicators, cells)
+        except KeyError as exc:
             raise ParseError(f"panel snapshot missing field: {exc}") from None
-        except DomainError as exc:
+        except (DomainError, TypeError) as exc:
             raise ParseError(f"panel snapshot: {exc}") from None
 
     def to_wdi_csv(self) -> str:
@@ -371,29 +408,49 @@ class PanelDataset:
         return hashlib.sha256(self.to_json()[:-1].encode()).hexdigest()
 
 
+_TYPE_NAMES = {str: "strings", dict: "objects"}
+
+
+def _snapshot_list(value, field: str, kind: type) -> list:
+    """A snapshot field that must be a list of ``kind``."""
+    if type(value) is not list or not all(type(item) is kind for item in value):
+        raise ParseError(f"panel snapshot: {field} must be a list of {_TYPE_NAMES[kind]}")
+    return value
+
+
+def _snapshot_strings(entry: dict, what: str, names: tuple[str, ...]) -> tuple[str, ...]:
+    """The fields ``names`` of a snapshot entry, each of which must be a string."""
+    values = tuple(entry[name] for name in names)
+    for name, value in zip(names, values):
+        if type(value) is not str:
+            raise ParseError(f"panel snapshot: {what} {name} must be a string, "
+                             f"got {type(value).__name__}")
+    return values
+
+
 def _snapshot_value(value) -> float | None:
-    """A snapshot value: null, or a number under _parse_number's finite rule."""
+    """A snapshot value: null, or a JSON number as its float."""
     if value is None:
         return None
     if type(value) is not float and type(value) is not int:
         raise ParseError(f"{value!r} is neither a number nor null")
-    value = float(value)
-    if math.isnan(value) or math.isinf(value):
-        raise ParseError("non-finite value")
-    return value
+    return float(value)
 
 
 def _snapshot_series(key, years, values) -> AnnualSeries:
-    """One snapshot cell; integer years, finite values, as the CSVs require."""
+    """One snapshot cell; integer years, finite values, as the CSVs require.
+
+    Floats and nulls are taken as they are; AnnualSeries rejects a
+    non-finite value.
+    """
     try:
+        if type(years) is not list or type(values) is not list:
+            raise ParseError("years and values must be lists")
         if not set(map(type, years)) <= {int}:
             raise ParseError("years must be integers")
-        # floats whose sum is finite are all finite, and are taken as they are
-        if set(map(type, values)) <= {float} and (total := sum(values)) - total == 0.0:
-            values = tuple(values)
-        else:  # the exact error, int conversion, or a sum that overflows
-            values = tuple(map(_snapshot_value, values))
-        return AnnualSeries(tuple(years), values)
+        if not set(map(type, values)) <= _FLOAT_OR_NONE:
+            values = map(_snapshot_value, values)
+        return AnnualSeries(tuple(years), tuple(values))
     except (ParseError, DomainError, OverflowError) as exc:
         raise ParseError(f"panel snapshot cell {key}: {exc}") from None
 
@@ -407,7 +464,7 @@ def _csv_records(text: str):
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         for row in reader:
-            if any(f.strip() for f in row):
+            if "".join(row).strip():
                 yield reader.line_num, row
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
@@ -455,6 +512,7 @@ def parse_wdi_wide(text: str, default_region: str = DEFAULT_REGION) -> PanelData
         raise ParseError("line 1: header contains no year columns")
     if any(b <= a for a, b in zip(years, years[1:])):
         raise ParseError("line 1: year columns must be strictly increasing")
+    years = tuple(years)
 
     cells: dict[tuple[str, str], AnnualSeries] = {}
     for line_no, row in rows[1:]:
@@ -473,13 +531,20 @@ def parse_wdi_wide(text: str, default_region: str = DEFAULT_REGION) -> PanelData
                 f"line {line_no}: duplicate series for region {region!r}, "
                 f"code {code!r}"
             )
-        values = tuple(
-            _parse_number(cell, line_no, str(year))
-            for year, cell in zip(years, row[first_year_col:])
-        )
-        if all(v is None for v in values):
-            raise ParseError(f"line {line_no}: series {code!r} has no values")
-        cells[key] = AnnualSeries(tuple(years), values)
+        try:  # every cell a number: one conversion, and finite if the sum is
+            values = tuple(map(float, row[first_year_col:]))
+            total = sum(values)
+            converted = total - total == 0.0
+        except ValueError:
+            converted = False
+        if not converted:  # the exact error, the missing markers, or an overflowing sum
+            values = tuple(
+                _parse_number(cell, line_no, str(year))
+                for year, cell in zip(years, row[first_year_col:])
+            )
+            if all(v is None for v in values):
+                raise ParseError(f"line {line_no}: series {code!r} has no values")
+        cells[key] = AnnualSeries(years, values)
     if not cells:
         raise ParseError("no data rows after header")
     return _panel_of(cells)
@@ -516,25 +581,33 @@ def parse_gbd_long(text: str) -> PanelDataset:
         )
 
     points: dict[tuple[str, str], dict[int, float]] = {}
+    outcomes: dict[tuple[str, str, str], tuple[str, AgeGroup]] = {}
     for line_no, row in records:
         if len(row) != len(GBD_HEADER):
             raise ParseError(f"line {line_no}: expected {len(GBD_HEADER)} fields")
-        location, age_text, cause, measure, year_text, value_text = (
-            f.strip() for f in row
-        )
-        if measure not in GBD_MEASURES:
-            raise ParseError(
-                f"line {line_no}: measure {measure!r} not in {GBD_MEASURES}"
-            )
-        age = parse_age_group(age_text)
+        location, age_text, cause, measure, year_text, value_text = map(str.strip, row)
+        outcome = outcomes.get((age_text, cause, measure))
+        if outcome is None:
+            if measure not in GBD_MEASURES:
+                raise ParseError(
+                    f"line {line_no}: measure {measure!r} not in {GBD_MEASURES}"
+                )
+            age = parse_age_group(age_text)
+            outcome = outcomes[age_text, cause, measure] = (
+                outcome_code(cause, measure, age), age)
+        code, age = outcome
         try:
             year = int(year_text)
         except ValueError:
             raise ParseError(f"line {line_no}: year {year_text!r} is not an integer") from None
-        value = _parse_number(value_text, line_no, "value")
-        if value is None:
-            raise ParseError(f"line {line_no}: value is missing")
-        code = outcome_code(cause, measure, age)
+        try:
+            value = float(value_text)
+        except ValueError:
+            value = math.nan  # the exact error, or the missing marker
+        if value - value != 0.0:
+            value = _parse_number(value_text, line_no, "value")
+            if value is None:
+                raise ParseError(f"line {line_no}: value is missing")
         key = (location, code)
         series = points.setdefault(key, {})
         if year in series:

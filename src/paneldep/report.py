@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
+from . import __version__
 from .battery import BatteryConfig, ResultMatrix
 from .errors import DomainError
 from .panel import PanelDataset
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 #: Scalar plotted/exported per method. The lagged test exports the p-value
 #: at its best lag; that convention is echoed in bundle metadata because
@@ -58,16 +60,21 @@ def build_bundle(matrices: list[ResultMatrix], dataset: PanelDataset,
     )
 
 
-def _scalars(matrix: ResultMatrix) -> list[float | None]:
-    """Each cell's plotted scalar in row-major order, None for an absent cell."""
+def cell_scalars(matrix: ResultMatrix) -> tuple[list[float | None], list[str | None]]:
+    """Each cell's plotted scalar in row-major order, and its text in the
+    CSV and the heatmap; None for an absent cell.
+
+    ``export_csv`` and ``render_heatmap_svg`` take them, so that a caller
+    writing both formats each value once.
+    """
     name = METHOD_SCALARS[matrix.method]
     cells = matrix.cells
-    out = []
+    values = []
     for region in matrix.rows:
         for code in matrix.cols:
             cell = cells.get((region, code))
-            out.append(None if cell is None else getattr(cell.result, name))
-    return out
+            values.append(None if cell is None else getattr(cell.result, name))
+    return values, [None if v is None else _fmt(v) for v in values]
 
 
 def _escape(text: str) -> str:
@@ -84,14 +91,17 @@ def _fmt(value: float) -> str:
     return "%#.6g" % value
 
 
-def export_csv(matrix: ResultMatrix) -> str:
-    """Header of indicator codes, one row per region, "-" for absent cells."""
-    scalars = _scalars(matrix)
+def export_csv(matrix: ResultMatrix, scalars=None) -> str:
+    """Header of indicator codes, one row per region, "-" for absent cells.
+
+    ``scalars`` is the matrix's ``cell_scalars``, computed when not given.
+    """
+    _, texts = scalars or cell_scalars(matrix)
     width = len(matrix.cols)
     lines = ["region," + ",".join(matrix.cols)]
     for ri, region in enumerate(matrix.rows):
-        row = scalars[ri * width:(ri + 1) * width]
-        lines.append(",".join([region, *("-" if v is None else _fmt(v) for v in row)]))
+        row = texts[ri * width:(ri + 1) * width]
+        lines.append(",".join([region, *("-" if t is None else t for t in row)]))
     return "\n".join(lines) + "\n"
 
 
@@ -101,7 +111,23 @@ def _jsonable(value):
     return value
 
 
-def _matrix_doc(matrix: ResultMatrix) -> dict:
+def _reader(kind: type):
+    """A function that gives a result of the dataclass ``kind`` as a dict
+    of its fields.
+
+    The fields are read by one attrgetter, not through ``vars``, which
+    would give every result object a dict of its own for the rest of the
+    run.
+    """
+    names = tuple(f.name for f in fields(kind))
+    get = operator.attrgetter(*names)
+    return lambda result: dict(zip(names, get(result)))
+
+
+def _matrix_doc(matrix: ResultMatrix, finite: bool) -> dict:
+    """The matrix as a JSON document; unless ``finite``, its non-finite
+    floats are written as strings (see ``_jsonable``)."""
+    readers: dict[type, object] = {}
     cells = []
     skips = []
     for region in matrix.rows:
@@ -114,7 +140,11 @@ def _matrix_doc(matrix: ResultMatrix) -> dict:
                 cell_row.append(None)
                 skip_row.append(matrix.skips.get(key))
             else:
-                doc = {k: _jsonable(v) for k, v in vars(cell.result).items()}
+                kind = type(cell.result)
+                read = readers.get(kind) or readers.setdefault(kind, _reader(kind))
+                doc = read(cell.result)
+                if not finite:
+                    doc = {k: _jsonable(v) for k, v in doc.items()}
                 doc["n"] = cell.n
                 cell_row.append(doc)
                 skip_row.append(None)
@@ -139,9 +169,13 @@ def export_json(bundle: ExportBundle) -> str:
     """
     doc = {
         "metadata": bundle.metadata,
-        "matrices": [_matrix_doc(m) for m in bundle.matrices],
+        "matrices": [_matrix_doc(m, finite=True) for m in bundle.matrices],
     }
-    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # a non-finite float in some cell
+        doc["matrices"] = [_matrix_doc(m, finite=False) for m in bundle.matrices]
+        return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 # -- heatmap ----------------------------------------------------------------
@@ -191,7 +225,8 @@ def _fills(palette: str, values, peak: float) -> list[str]:
     return ("#" + r + g + b).tolist()
 
 
-def render_heatmap_svg(matrix: ResultMatrix, p_mask: float | None = None) -> str:
+def render_heatmap_svg(matrix: ResultMatrix, p_mask: float | None = None,
+                       scalars=None) -> str:
     """Grid heatmap: indicators across, regions down.
 
     Signed scalars use the diverging palette on a fixed [-1, 1] scale;
@@ -199,13 +234,14 @@ def render_heatmap_svg(matrix: ResultMatrix, p_mask: float | None = None) -> str
     p-values a log ramp where darker means smaller. Absent cells are gray
     with the skip reason in their tooltip. ``p_mask`` optionally blanks
     cells whose p-value exceeds it (only meaningful for methods that carry
-    one).
+    one). ``scalars`` is the matrix's ``cell_scalars``, computed when not
+    given.
     """
     if not matrix.rows or not matrix.cols:
         raise DomainError("cannot render an empty matrix")
-    scalars = _scalars(matrix)
-    peak = max((v for v in scalars if v is not None), default=0.0)
-    fills = _fills(_PALETTE[matrix.method], scalars, peak)
+    values, texts = scalars or cell_scalars(matrix)
+    peak = max((v for v in values if v is not None), default=0.0)
+    fills = _fills(_PALETTE[matrix.method], values, peak)
     width = LEFT + CELL * len(matrix.cols) + 10
     height = TOP + CELL * len(matrix.rows) + BOTTOM
 
@@ -231,8 +267,7 @@ def render_heatmap_svg(matrix: ResultMatrix, p_mask: float | None = None) -> str
             f'font-size="11">{_escape(region)}</text>'
         )
         for x, code, col in zip(xs, codes, matrix.cols):
-            value = scalars[i]
-            if value is None:
+            if values[i] is None:
                 fill = _ABSENT_FILL
                 title = _escape(matrix.skips.get((region, col), "absent"))
             elif p_mask is not None and _masked(matrix.cells[region, col], p_mask):
@@ -240,7 +275,7 @@ def render_heatmap_svg(matrix: ResultMatrix, p_mask: float | None = None) -> str
                 title = masked_title
             else:
                 fill = fills[i]
-                title = f"{code} = {_fmt(value)}"  # %#.6g emits no &, < or >
+                title = f"{code} = {texts[i]}"  # %#.6g emits no &, < or >
             parts.append(
                 f'<rect class="cell" x="{x}" y="{y0}" width="{CELL}" '
                 f'height="{CELL}" fill="{fill}" stroke="#ffffff">'

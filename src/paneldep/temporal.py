@@ -24,6 +24,7 @@ from .errors import (
 )
 from .panel import AlignedPair
 from .special import f_sfs
+from .table import PairTable
 
 
 def first_difference(series) -> tuple[float, ...]:
@@ -141,17 +142,36 @@ def _lag_designs(x: np.ndarray, y: np.ndarray, lag: int) -> np.ndarray:
     return out
 
 
-def _series(pair: AlignedPair, difference_first: bool) -> tuple[tuple, tuple]:
-    """The (x, y) every lag of the pair is fitted on."""
-    years = pair.years
-    for a, b in zip(years, years[1:]):
-        if b - a != 1:
-            raise NonContiguousYearsError(
-                f"years jump from {a} to {b}; lags are meaningless across gaps"
-            )
-    if difference_first:
-        return first_difference(pair.x), first_difference(pair.y)
-    return pair.x, pair.y
+def _fitted_stacks(table: PairTable, difference_first: bool,
+                   out: list) -> list[tuple[int, list, np.ndarray, np.ndarray]]:
+    """(n, places, x, y) of each length group: the pairs' stacks that every
+    lag is fitted on. A pair that cannot be fitted gets its error in ``out``.
+
+    Every pair's years must be one contiguous run; the jump of each year
+    set is found once. ``np.diff`` rounds each difference as ``b - a`` does.
+    """
+    jumps = [next(((a, b) for a, b in zip(years, years[1:]) if b - a != 1), None)
+             for years in table.years]
+    gapped = np.array([jump is not None for jump in jumps], dtype=bool)
+    stacks = []
+    for group in table.groups:
+        bad = gapped[group.mask]
+        for place, mask in zip(group.places[bad].tolist(), group.mask[bad].tolist()):
+            a, b = jumps[mask]
+            out[place] = NonContiguousYearsError(
+                f"years jump from {a} to {b}; lags are meaningless across gaps")
+        places = group.places[~bad].tolist()
+        if not places:
+            continue
+        if difference_first and group.n < 2:
+            for place in places:
+                out[place] = InsufficientDataError("need at least 2 points to difference")
+            continue
+        x, y = group.rows[group.xi[~bad]], group.rows[group.yi[~bad]]
+        if difference_first:
+            x, y = np.diff(x, axis=1), np.diff(y, axis=1)
+        stacks.append((group.n, places, x, y))
+    return stacks
 
 
 def _fit_lag(x: np.ndarray, y: np.ndarray,
@@ -193,8 +213,12 @@ def granger_test(pair: AlignedPair, lag: int,
     designs are built (the caller's stationarity treatment; never applied
     silently).
     """
-    x, y = _series(pair, difference_first)
-    (fit,) = _fit_lag(np.array([x], dtype=float), np.array([y], dtype=float), lag)
+    out = [None]
+    stacks = _fitted_stacks(PairTable.of_pairs([pair]), difference_first, out)
+    if out[0] is not None:
+        raise out[0]
+    ((_, _, x, y),) = stacks
+    (fit,) = _fit_lag(x, y, lag)
     if isinstance(fit, SingularDesignError):
         raise fit
     return _with_p_values([fit])[0]
@@ -214,54 +238,49 @@ def _no_lag_fits(n: int, skipped: list[SkippedLag],
 def lag_sweeps(pairs, max_lag: int,
                difference_first: bool = False) -> list[LagSweep | PanelDepError]:
     """``lag_sweep`` over many pairs: each pair's sweep, or the error its own
-    call raises.
+    call raises. See ``lag_sweeps_over``."""
+    return lag_sweeps_over(PairTable.of_pairs(pairs), max_lag, difference_first)
 
-    Pairs whose fitted series have one length are stacked, so each lag's
-    designs of that length go through one QR, and every fit's F tail comes
-    from one ``f_sfs`` call; each sweep equals the pair's own
-    ``lag_sweep``, bit for bit. A bad ``max_lag`` raises.
+
+def lag_sweeps_over(table: PairTable, max_lag: int,
+                    difference_first: bool = False) -> list:
+    """``lag_sweep`` of each pair of a table, by place (None at a place with
+    no pair).
+
+    Each length group is one stack, so each lag's designs of that length
+    go through one QR, and every fit's F tail comes from one ``f_sfs``
+    call; each sweep equals the pair's own ``lag_sweep``, bit for bit. A
+    bad ``max_lag`` raises.
     """
     if max_lag < 1:
         raise DomainError(f"max_lag must be >= 1, got {max_lag}")
-    out: list = [None] * len(pairs)
-    series: list = [None] * len(pairs)
-    by_length: dict[int, list[int]] = {}
-    for i, pair in enumerate(pairs):
-        try:
-            series[i] = _series(pair, difference_first)
-        except (NonContiguousYearsError, InsufficientDataError) as exc:
-            # kept without its traceback, which would hold this frame in a cycle
-            out[i] = exc.with_traceback(None)
-            continue
-        by_length.setdefault(len(series[i][1]), []).append(i)
-    fits: list[list[GrangerResult]] = [[] for _ in pairs]
-    skipped: list[list[SkippedLag]] = [[] for _ in pairs]
-    singular: list[SingularDesignError | None] = [None] * len(pairs)
-    for members in by_length.values():
-        x = np.array([series[i][0] for i in members], dtype=float)
-        y = np.array([series[i][1] for i in members], dtype=float)
+    out: list = [None] * table.size
+    swept = []  # (n, place, fits, skipped lags, first singular error)
+    for n, places, x, y in _fitted_stacks(table, difference_first, out):
+        fits: list[list[GrangerResult]] = [[] for _ in places]
+        skipped: list[list[SkippedLag]] = [[] for _ in places]
+        singular: list[SingularDesignError | None] = [None] * len(places)
         for lag in range(1, max_lag + 1):
             try:
                 lag_fits = _fit_lag(x, y, lag)
             except InsufficientDataError as exc:
-                lag_fits = [exc.with_traceback(None)] * len(members)
-            for i, fit in zip(members, lag_fits):
+                lag_fits = [exc.with_traceback(None)] * len(places)
+            for j, fit in enumerate(lag_fits):
                 if isinstance(fit, GrangerResult):
-                    fits[i].append(fit)
+                    fits[j].append(fit)
                 else:
-                    skipped[i].append(SkippedLag(lag, str(fit)))
-                    if isinstance(fit, SingularDesignError) and singular[i] is None:
-                        singular[i] = fit
-    results = iter(_with_p_values([fit for pair_fits in fits for fit in pair_fits]))
-    for i, pair_fits in enumerate(fits):
-        if out[i] is not None:
+                    skipped[j].append(SkippedLag(lag, str(fit)))
+                    if isinstance(fit, SingularDesignError) and singular[j] is None:
+                        singular[j] = fit
+        swept += zip([n] * len(places), places, fits, skipped, singular)
+    results = iter(_with_p_values([fit for *_, fits, _, _ in swept for fit in fits]))
+    for n, place, fits, skipped, singular in swept:
+        if not fits:
+            out[place] = _no_lag_fits(n, skipped, singular)
             continue
-        if not pair_fits:
-            out[i] = _no_lag_fits(pairs[i].n, skipped[i], singular[i])
-            continue
-        fitted = tuple(next(results) for _ in pair_fits)
-        out[i] = LagSweep(fitted, tuple(skipped[i]),
-                          min(fitted, key=lambda res: res.p_value))  # first minimum wins
+        fitted = tuple(next(results) for _ in fits)
+        out[place] = LagSweep(fitted, tuple(skipped),
+                              min(fitted, key=lambda res: res.p_value))  # first minimum wins
     return out
 
 

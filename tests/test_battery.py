@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paneldep.battery import (
     BatteryConfig,
@@ -8,7 +11,17 @@ from paneldep.battery import (
     run_battery,
     summarize_lags,
 )
-from paneldep.errors import ConfigError
+from paneldep.errors import (
+    ConfigError,
+    DegenerateInputError,
+    InsufficientDataError,
+    InsufficientOverlapError,
+    NonContiguousYearsError,
+    PanelDepError,
+    SingularDesignError,
+)
+from paneldep.info import default_mi_bins, mic, mutual_information
+from paneldep.linear import pearson
 from paneldep.panel import (
     AgeGroup,
     AnnualSeries,
@@ -123,37 +136,63 @@ class TestRunBattery:
             assert matrix.complete()
 
     def test_each_pair_aligned_once(self, monkeypatch):
-        import paneldep.battery as battery
+        import paneldep.panel as panel
+        from paneldep.table import PairTable
 
-        calls = []
-        align = battery.align_pair
+        def no_align(*args, **kwargs):
+            raise AssertionError("run_battery aligns through its pair table")
 
-        def counting_align(*args, **kwargs):
-            calls.append(args)
-            return align(*args, **kwargs)
+        tables = []
+        of_panel = PairTable.of_panel.__func__
 
-        monkeypatch.setattr(battery, "align_pair", counting_align)
-        ds, config = fixture_config()
+        def recording_of_panel(cls, *args):
+            tables.append(of_panel(cls, *args))
+            return tables[-1]
+
+        monkeypatch.setattr(panel, "align_pair", no_align)
+        monkeypatch.setattr(PairTable, "of_panel", classmethod(recording_of_panel))
+        ds, config = fixture_config(min_overlap=20)
         matrices = run_battery(ds, config)
         assert len(matrices) == 12
-        assert len(calls) == 3 * 15  # outcomes x indicators, not x methods
+        (table,) = tables  # one table for every method
+        assert table.size == 3 * 15  # outcomes x indicators, not x methods
+        places = [p for group in table.groups for p in group.places.tolist()]
+        places += table.missing.tolist() + table.short.tolist()
+        assert sorted(places) == list(range(table.size))  # each triple placed once
+        assert not table.missing.size
+        # every overlap skip, with its count, is known before any kernel runs
+        cols = matrices[0].cols
+        short = {}
+        for place, overlap in zip(table.short.tolist(), table.overlaps.tolist()):
+            outcome, col = divmod(place, len(cols))
+            short[(config.outcomes[outcome], cols[col])] = overlap
+        expected = {}
+        for outcome in config.outcomes:
+            for code in cols:
+                try:
+                    align_pair(ds.series("global", code), ds.series("global", outcome), 20)
+                except InsufficientOverlapError as exc:
+                    expected[(outcome, code)] = exc.overlap
+        assert short == expected
+        assert {count for (_, code), count in short.items() if code == "T4"} == {14}
 
     def test_gapped_pairs_share_one_granger_call(self, monkeypatch):
         import paneldep.temporal as temporal
 
         batches = []
-        sweeps = temporal.lag_sweeps
+        sweeps = temporal.lag_sweeps_over
 
-        def recording_sweeps(pairs, *args):
-            batches.append(list(pairs))
-            return sweeps(pairs, *args)
+        def recording_sweeps(table, *args):
+            batches.append(table)
+            return sweeps(table, *args)
 
-        monkeypatch.setattr(temporal, "lag_sweeps", recording_sweeps)
+        monkeypatch.setattr(temporal, "lag_sweeps_over", recording_sweeps)
         ds, config = fixture_config(methods=("granger",))
         matrices = run_battery(ds, config)
-        (pairs,) = batches  # one call for the whole run
+        (table,) = batches  # one call for the whole run
         # the 9 full series, ED4, S3, T1 with T3, T4 and T5: six year spans
-        firsts = sorted({pair.years[0] for pair in pairs})
+        firsts = sorted({table.years[m][0] for group in table.groups
+                         for m in group.mask.tolist()})
         assert firsts == [1991, 1999, 2000, 2001, 2005, 2010]
         cells = 0
         for matrix in matrices:
@@ -162,7 +201,7 @@ class TestRunBattery:
                                   ds.series(region, matrix.outcome), config.min_overlap)
                 assert repr(cell.result) == repr(lag_sweep(pair, config.max_lag).best)
                 cells += 1
-        assert cells == len(pairs)
+        assert cells == sum(len(group.places) for group in table.groups)
 
     def test_lags_no_pair_can_fit_change_nothing(self):
         # the fixture's longest pair has 33 years, so no lag past 10 fits;
@@ -277,6 +316,135 @@ class TestRunBattery:
         first = run_battery(ds, config)
         second = run_battery(ds, config)
         assert first == second
+
+
+OUTCOMES = ("dep|DALYs|all", "dep|DALYs|40+")
+INDICATORS = ("E1", "E2", "T1")
+TAGS = {InsufficientDataError: "insufficient-data", DegenerateInputError: "degenerate-input",
+        NonContiguousYearsError: "non-contiguous-years", SingularDesignError: "singular-design"}
+
+
+@st.composite
+def gapped_panels(draw):
+    """Panels of one to three regions whose series are absent, full or
+    gapped on a shared header of years (as a wide CSV gives them), on
+    years of their own (as a long CSV does), constant, or a 0.0/-0.0 twin
+    of another series."""
+    start = draw(st.sampled_from((1990, 2001)))
+    header = tuple(range(start, start + draw(st.one_of(st.integers(4, 12),
+                                                       st.integers(25, 32)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    regions = tuple(f"R{i}" for i in range(draw(st.integers(1, 3))))
+    cells = {}
+    for region in regions:
+        for code in INDICATORS + OUTCOMES:
+            kind = draw(st.sampled_from(("full", "full", "gapped", "long", "long", "missing",
+                                         "constant", "twin")))
+            if kind == "missing":
+                continue
+            if kind == "twin" and cells:
+                twin = cells[draw(st.sampled_from(sorted(cells)))]
+                zero = list(twin.values)
+                zero[draw(st.integers(0, len(zero) - 1))] = 0.0
+                cells[(region, code)] = AnnualSeries(
+                    twin.years, tuple(-0.0 if v == 0.0 else v for v in zero))
+                continue
+            years = header
+            if kind == "long":  # a run of years, some of them dropped
+                first = start + int(rng.integers(-3, 4))
+                years = tuple(y for y in range(first, first + len(header) + 3)
+                              if rng.random() > 0.05)
+            if kind == "constant":
+                values = [1.5] * len(years)
+            elif rng.random() < 0.5:
+                values = (rng.integers(-4, 5, len(years)) / 2).tolist()
+            else:
+                values = rng.normal(size=len(years)).tolist()
+            if kind == "gapped":
+                values = [None if rng.random() < 0.15 else v for v in values]
+                values[int(rng.integers(len(values)))] = 0.25
+            cells[(region, code)] = AnnualSeries(years, tuple(values))
+    codes = INDICATORS + OUTCOMES
+    return PanelDataset(regions, tuple(_classify_code(c) for c in codes), cells)
+
+
+def pair_cell(ds, config, method, outcome, key):
+    """What the kernel's own call on ``align_pair``'s pair gives one cell: a
+    skip tag, or (n, result)."""
+    x, y = ds.series(*key), ds.series(key[0], outcome)
+    if x is None or y is None:
+        return "missing-series"
+    try:
+        pair = align_pair(x, y, config.min_overlap)
+    except InsufficientOverlapError:
+        return "insufficient-overlap"
+    try:
+        if method == "pearson":
+            result = pearson(pair)
+        elif method == "mutual_information":
+            result = mutual_information(pair, config.mi_bins or default_mi_bins(pair.n),
+                                        config.mi_strategy)
+        elif method == "granger":
+            directed = pair.swapped() if config.granger_reverse else pair
+            result = lag_sweep(directed, config.max_lag, config.difference_first).best
+        else:
+            result = mic(pair, config.mic_alpha, config.mic_clumps, config.mic_normalization)
+    except PanelDepError as exc:
+        return TAGS[type(exc)]
+    return pair.n, result
+
+
+@settings(max_examples=40, deadline=None)
+@given(gapped_panels(), st.integers(3, 8), st.integers(1, 3), st.booleans(), st.booleans(),
+       st.sampled_from((None, 2, 4)), st.sampled_from(("equal-frequency", "equal-width")),
+       st.sampled_from((1, 15)))
+def test_every_cell_is_the_kernel_call_on_its_aligned_pair(
+        ds, min_overlap, max_lag, difference_first, granger_reverse, mi_bins, strategy,
+        clumps):
+    config = BatteryConfig(methods=ALL_METHODS, outcomes=OUTCOMES, indicators=INDICATORS,
+                           min_overlap=min_overlap, max_lag=max_lag,
+                           difference_first=difference_first,
+                           granger_reverse=granger_reverse, mi_bins=mi_bins,
+                           mi_strategy=strategy, mic_clumps=clumps)
+    for matrix in run_battery(ds, config):
+        assert matrix.complete()
+        for region in ds.regions:
+            for code in matrix.cols:
+                key = (region, code)
+                expected = pair_cell(ds, config, matrix.method, matrix.outcome, key)
+                if isinstance(expected, str):
+                    assert matrix.skips[key] == expected, (matrix.method, key)
+                else:
+                    cell = matrix.cells[key]
+                    assert (cell.n, repr(cell.result)) == (expected[0], repr(expected[1]))
+
+
+def test_far_apart_years_allocate_by_the_pairs_not_the_span():
+    """Years 1 and 9999 in one panel: nothing is laid out over the years
+    between them."""
+    years = tuple(range(1, 16)) + tuple(range(9985, 10000))
+    rng = np.random.default_rng(0)
+    regions = tuple(f"R{i}" for i in range(40))
+    cells = {}
+    for region in regions:
+        for code in ("E1", "dep|DALYs|all"):
+            values = [None if rng.random() < 0.1 else v for v in rng.normal(size=30)]
+            values[0] = 1.0
+            cells[(region, code)] = AnnualSeries(years, tuple(values))
+    ds = PanelDataset(regions, (_classify_code("E1"), _classify_code("dep|DALYs|all")),
+                      cells)
+    config = BatteryConfig(methods=("pearson", "mutual_information"),
+                           outcomes=("dep|DALYs|all",), indicators=("E1",))
+    run_battery(ds, config)  # imports the kernels and numpy
+    tracemalloc.start()
+    try:
+        matrices = run_battery(ds, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(matrices[0].cells) + len(matrices[0].skips) == 40
+    # one float64 array over the 9,999-year span would take 80 kB per series
+    assert peak < 1_000_000, peak
 
 
 def planted_lag_dataset(lag_by_code, n=120, seed=0):

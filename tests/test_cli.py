@@ -12,7 +12,7 @@ import paneldep
 import paneldep.linear
 from paneldep.battery import BatteryConfig, plan_battery, run_battery
 from paneldep.cli import main
-from paneldep.errors import PanelDepError
+from paneldep.errors import PanelDepError, ParseError
 from paneldep.panel import PanelDataset, parse_wdi_wide
 
 
@@ -150,6 +150,42 @@ class TestSnapshotValidation:
         assert run("--quiet", "analyze", "--panel", "panel.json",
                    "--config", "config.json", "--out", "results") == 1
         assert "input error: panel snapshot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({**SNAPSHOT, "regions": [7], "cells": [
+            {**cell, "region": 7} for cell in SNAPSHOT["cells"]]}),
+         "regions must be a list of strings"),
+        (json.dumps({**SNAPSHOT, "regions": "global"}), "regions must be a list of strings"),
+        (json.dumps({**SNAPSHOT, "cells": [{**cell, "region": 7} for cell in SNAPSHOT["cells"]]}),
+         "cell region must be a string, got int"),
+        (_snapshot_with("cells", "code", ["E1"]), "cell code must be a string, got list"),
+        (json.dumps({**SNAPSHOT,
+                     "indicators": [{**SNAPSHOT["indicators"][0], "code": 1},
+                                    SNAPSHOT["indicators"][1]],
+                     "cells": [{**SNAPSHOT["cells"][0], "code": 1}, SNAPSHOT["cells"][1]]}),
+         "indicator code must be a string, got int"),
+        (_snapshot_with("indicators", "name", ["GDP"]), "indicator name must be a string, got list"),
+        (_snapshot_with("indicators", "units", None), "indicator units must be a string, got NoneType"),
+        (json.dumps({**SNAPSHOT, "indicators": {}}), "indicators must be a list of objects"),
+        (json.dumps({**SNAPSHOT, "cells": [[]]}), "cells must be a list of objects"),
+        (_snapshot_with("cells", "years", 2000),
+         " cell ('global', 'E1'): years and values must be lists"),
+    ], ids=["numeric-region", "regions-string", "numeric-cell-region", "list-cell-code",
+            "numeric-code", "list-name", "null-units", "indicators-object", "cell-list",
+            "years-number"])
+    def test_wrong_types_are_named(self, workdir, capsys, text, message):
+        (workdir / "panel.json").write_text(text)
+        (workdir / "config.json").write_text(json.dumps({"methods": ["pearson"]}))
+        assert run("--quiet", "analyze", "--panel", "panel.json",
+                   "--config", "config.json", "--out", "results") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: panel snapshot") and message in err
+        assert "missing field" not in err
+        assert not (workdir / "results").exists()
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ParseError, match="the document must be a JSON object"):
+            PanelDataset.from_json(json.dumps([SNAPSHOT]))
 
     @pytest.mark.parametrize("values", [[1, 2, 3, 5], [1, 2.0, None, 5]],
                              ids=["all-ints", "mixed"])
@@ -628,10 +664,10 @@ class TestGarbageCollection:
         (("--help",), 0),
     ], ids=["ok", "input-error", "config-error", "numerical-failure", "help"])
     def test_setting_restored(self, inputs, monkeypatch, capsys, enabled, argv, code):
-        def failing(pairs):
+        def failing(table):
             raise PanelDepError("kernel failed")
 
-        monkeypatch.setattr(paneldep.linear, "pearsons", failing)
+        monkeypatch.setattr(paneldep.linear, "pearsons_over", failing)
         (gc.enable if enabled else gc.disable)()
         assert run(*argv) == code
         assert gc.isenabled() is enabled

@@ -37,6 +37,11 @@ class TestNamespace:
         assert set(paneldep.__all__) <= set(namespace)
         assert namespace["__version__"] == "0.1.0"
 
+    def test_one_version_string(self):
+        from paneldep.report import TOOL_VERSION
+
+        assert TOOL_VERSION is paneldep.__version__
+
 
 # Runs in a fresh interpreter: which of numpy and click has each step loaded?
 PROBE = """

@@ -90,6 +90,24 @@ class TestAnnualSeries:
         with pytest.raises(DomainError):
             AnnualSeries((2000, 2001), (None, None))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("gap", [False, True])
+    def test_rejects_non_finite_values(self, bad, gap):
+        values = [float(v) for v in range(11)] + [bad]
+        if gap:
+            values[3] = None
+        with pytest.raises(DomainError, match="non-finite value"):
+            AnnualSeries(tuple(range(2000, 2012)), tuple(values))
+
+    @pytest.mark.parametrize("bad", ["1.0", 10 ** 400])
+    def test_rejects_values_without_a_float(self, bad):
+        with pytest.raises(DomainError, match="is not a finite float"):
+            AnnualSeries((2000, 2001), (1.0, bad))
+
+    def test_values_whose_sum_overflows_accepted(self):
+        values = (1e308, 1e308, None, -1e308, 1e308)
+        assert AnnualSeries(tuple(range(2000, 2005)), values).values == values
+
 
 class TestParseWdi:
     def test_small_panel(self):

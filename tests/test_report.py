@@ -14,6 +14,7 @@ from paneldep.report import (
     METHOD_SCALARS,
     ExportBundle,
     build_bundle,
+    cell_scalars,
     export_csv,
     export_json,
     render_heatmap_svg,
@@ -75,6 +76,13 @@ class TestCsv:
         matrix = matrix_for(matrices, "granger")
         assert export_csv(matrix) == export_csv(matrix)
 
+    def test_shared_scalars_give_the_same_files(self, fixture_run):
+        _, _, matrices = fixture_run
+        for matrix in matrices:
+            scalars = cell_scalars(matrix)
+            assert export_csv(matrix, scalars) == export_csv(matrix)
+            assert render_heatmap_svg(matrix, scalars=scalars) == render_heatmap_svg(matrix)
+
 
 class TestJson:
     def test_empty_bundle(self):
@@ -95,6 +103,22 @@ class TestJson:
         a = export_json(build_bundle(run_battery(ds, config), ds, config))
         b = export_json(build_bundle(run_battery(ds, config), ds, config))
         assert a == b
+
+    def test_non_finite_floats_are_written_as_strings(self):
+        ds = load_fixture(with_outcomes=True)
+        config = BatteryConfig(methods=("granger", "pearson"),
+                               outcomes=("synthetic-burden|DALYs|all",),
+                               indicators=("E1", "E2"))
+        matrices = run_battery(ds, config)
+        finite = json.loads(export_json(build_bundle(matrices, ds, config)))
+        result = matrices[0].cells[("global", "E1")].result
+        object.__setattr__(result, "f_stat", math.inf)
+        object.__setattr__(result, "rss_unrestricted", math.nan)
+        doc = json.loads(export_json(build_bundle(matrices, ds, config)))
+        cell = doc["matrices"][0]["cells"][0][0]
+        assert (cell["f_stat"], cell["rss_unrestricted"]) == ("inf", "nan")
+        finite["matrices"][0]["cells"][0][0].update(f_stat="inf", rss_unrestricted="nan")
+        assert doc == finite
 
     def test_carries_full_cell_detail(self, fixture_run):
         ds, config, matrices = fixture_run
