@@ -80,7 +80,7 @@ def _read_input(path: Path) -> str:
 
 def _load_panel(path: Path) -> PanelDataset:
     text = _read_input(path)
-    if text.lstrip().startswith("{"):
+    if text.lstrip()[:1] in ("{", "["):  # a JSON document, so a snapshot
         return PanelDataset.from_json(text)
     first_line = text.lstrip().splitlines()[0] if text.strip() else ""
     if tuple(h.strip() for h in first_line.split(",")) == GBD_HEADER:

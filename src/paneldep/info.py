@@ -32,14 +32,18 @@ def discretize(values, bins: int, strategy: str = "equal-frequency") -> np.ndarr
     """Assign each value a bin label in [0, bins).
 
     equal-width spans [min, max] with the maximum placed in the top bin;
-    a constant input collapses to bin 0. equal-frequency splits by rank,
-    ties keeping their first-occurrence order.
+    a constant input collapses to bin 0. equal-frequency is MIC's
+    equipartition: at most ``bins`` ordered groups of near-equal size, tied
+    values always sharing a group, so labels do not depend on value order.
     """
-    return _discretize_rows(np.asarray(values, dtype=float)[None], bins, strategy)[0]
+    return _discretize_rows(np.asarray(values, dtype=float)[None], bins, strategy)[0][0]
 
 
-def _discretize_rows(v: np.ndarray, bins: int, strategy: str) -> np.ndarray:
-    """``discretize`` applied to each row of a 2-d array."""
+def _discretize_rows(v: np.ndarray, bins: int,
+                     strategy: str) -> tuple[np.ndarray, np.ndarray]:
+    """``discretize`` applied to each row of a 2-d array, and the bins each
+    row uses: ``bins`` for equal-width, the groups its ties leave for
+    equal-frequency."""
     if bins < 2:
         raise DomainError(f"bins must be >= 2, got {bins}")
     if strategy not in STRATEGIES:
@@ -47,17 +51,14 @@ def _discretize_rows(v: np.ndarray, bins: int, strategy: str) -> np.ndarray:
     n = v.shape[1]
     if n < bins:
         raise InsufficientDataError(f"{n} values cannot fill {bins} bins")
-    if strategy == "equal-width":
-        lo = v.min(axis=1, keepdims=True)
-        hi = v.max(axis=1, keepdims=True)
-        constant = lo == hi
-        labels = ((v - lo) / np.where(constant, 1.0, hi - lo) * bins).astype(np.intp)
-        labels[constant[:, 0]] = 0
-        return np.minimum(labels, bins - 1)
-    labels = np.empty(v.shape, dtype=np.intp)
-    np.put_along_axis(labels, np.argsort(v, axis=1, kind="stable"),
-                      np.arange(n) * bins // n, axis=1)
-    return labels
+    if strategy == "equal-frequency":
+        return _Axes(v).equipartition(bins)
+    lo = v.min(axis=1, keepdims=True)
+    hi = v.max(axis=1, keepdims=True)
+    constant = lo == hi
+    labels = ((v - lo) / np.where(constant, 1.0, hi - lo) * bins).astype(np.intp)
+    labels[constant[:, 0]] = 0
+    return np.minimum(labels, bins - 1), np.full(len(v), bins)
 
 
 def entropy(labels) -> float:
@@ -139,7 +140,8 @@ def mutual_informations_over(table: PairTable, bins: int | None,
     ``bins`` None gives each pair ``default_mi_bins(n)``. Each distinct
     aligned series of a length group is discretized once, and the group's
     joint counts come from one ``bincount``; each result has the bits of
-    its own call.
+    its own call. ``bins_x`` and ``bins_y`` are the bins each series uses
+    (see ``_discretize_rows``); a series that is one group gives MI 0.
     """
     out: list = [None] * table.size
     for group in table.groups:
@@ -150,15 +152,16 @@ def mutual_informations_over(table: PairTable, bins: int | None,
                 out[place] = InsufficientDataError(
                     f"need at least max(bins, 4) = {max(k, 4)} observations, got {n}")
             continue
-        labels = _discretize_rows(group.rows, k, strategy)
+        labels, used = _discretize_rows(group.rows, k, strategy)
         pairs = len(group.places)
         cell = labels[group.xi]  # (pair * k + x label) * k + y label, in place
         cell += np.arange(0, pairs * k, k)[:, None]
         cell *= k
         cell += labels[group.yi]
-        counts = np.bincount(cell.ravel(), minlength=pairs * k * k)
-        for place, mi in zip(group.places.tolist(), _mi_bits(counts.reshape(-1, k, k), n)):
-            out[place] = MutualInfoResult(mi=mi, bins_x=k, bins_y=k, strategy=strategy)
+        counts = np.bincount(cell.ravel(), minlength=pairs * k * k).reshape(-1, k, k)
+        found = zip(_mi_bits(counts, n), used[group.xi].tolist(), used[group.yi].tolist())
+        for place, (mi, bins_x, bins_y) in zip(group.places.tolist(), found):
+            out[place] = MutualInfoResult(mi, bins_x, bins_y, strategy)
     return out
 
 
@@ -203,9 +206,10 @@ def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
 
     An aligned series' axis depends only on its values, so every pair, and
     both orientations, that hold the same aligned series (one row of its
-    group) reuse one axis; the axes and the per-size tables live for this
-    call only. Each length group is searched as stacks (see ``_search``). A bad
-    ``alpha``, ``clumps`` or ``normalization`` raises.
+    group) share its tie runs and each row count's equipartition, found
+    for all the group's rows at once; they and the per-size tables live for
+    this call only. Each length group is searched as stacks (see
+    ``_search``). A bad ``alpha``, ``clumps`` or ``normalization`` raises.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
@@ -227,22 +231,19 @@ def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
             for place in places:
                 out[place] = InsufficientDataError(message)
             continue
-        axes = [_Axis(row) for row in group.rows]
-        members, xs, ys = [], [], []  # the searched pairs and their axes
-        for place, i, j in zip(places, group.xi.tolist(), group.yi.tolist()):
-            x_axis, y_axis = axes[i], axes[j]
-            if len(x_axis.runs) == 1 or len(y_axis.runs) == 1:
-                # one tie run: a constant axis
-                out[place] = MicResult(0.0, 0, 0, bound, normalization, degenerate=True)
-            else:
-                members.append(place)
-                xs.append(x_axis)
-                ys.append(y_axis)
+        axes = _Axes(group.rows)
+        flat = (axes.count[group.xi] == 1) | (axes.count[group.yi] == 1)  # one tie run
+        for place in group.places[flat].tolist():
+            out[place] = MicResult(0.0, 0, 0, bound, normalization, degenerate=True)
+        members = group.places[~flat].tolist()
+        xs, ys = group.xi[~flat], group.yi[~flat]  # the searched pairs' rows
+        parts = {n_rows: _row_partition(axes, n_rows)
+                 for n_rows in range(2, bound // 2 + 1)}
         # a stack's prefix counts hold (n + 1) * (B // 2) integers per pair
         size = max(1, _STACK_ELEMENTS // ((n + 1) * (bound // 2)))
         for start in range(0, len(members), size):
-            found = _search(tables, xs[start:start + size], ys[start:start + size],
-                            bound, clumps, normalization)
+            found = _search(tables, axes, parts, xs[start:start + size],
+                            ys[start:start + size], bound, clumps, normalization)
             for place, result in zip(members[start:start + size], found):
                 out[place] = result
     return out
@@ -270,10 +271,12 @@ def mic(pair: AlignedPair, alpha: float = DEFAULT_MIC_ALPHA,
 _STACK_ELEMENTS = 16_384
 
 
-def _search(tables: _Tables, xs: list[_Axis], ys: list[_Axis], bound: int,
-            clumps: int, normalization: str) -> list[MicResult]:
+def _search(tables: _Tables, axes: _Axes, parts: dict, xs: np.ndarray, ys: np.ndarray,
+            bound: int, clumps: int, normalization: str) -> list[MicResult]:
     """The grid search behind ``mic`` for a stack of pairs of one length,
-    none of them with a constant axis.
+    none of them with a constant axis: pair p is row ``xs[p]`` of ``axes``
+    against row ``ys[p]``, and ``parts`` holds each row count's
+    ``_row_partition`` of the rows.
 
     Each resolution's score of each pair has the bits of a one-pair search:
     the stacks run the same elementwise operations, and add each interval's
@@ -285,8 +288,10 @@ def _search(tables: _Tables, xs: list[_Axis], ys: list[_Axis], bound: int,
     column = {key: j for j, key in enumerate(keys)}
     cells = np.full((2, len(xs), len(keys)), -np.inf)  # one per orientation
     eq7 = normalization == "max-entropy"
-    _fill_cells(tables, cells[0], column, xs, ys, bound, clumps, eq7, transpose=False)
-    _fill_cells(tables, cells[1], column, ys, xs, bound, clumps, eq7, transpose=True)
+    _fill_cells(tables, cells[0], column, axes, parts, xs, ys, bound, clumps, eq7,
+                transpose=False)
+    _fill_cells(tables, cells[1], column, axes, parts, ys, xs, bound, clumps, eq7,
+                transpose=True)
     cells = np.maximum(cells[0], cells[1])
 
     # Reduce after the full sweep so evaluation order cannot matter; the
@@ -333,79 +338,76 @@ class _Tables:
 # magnitudes, so the score is invariant under strictly monotone transforms
 # of either axis.
 
-def _run_ends(sorted_values: np.ndarray) -> np.ndarray:
-    """End index of each run of equal values in a sorted array."""
-    change = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
-    return np.append(change, len(sorted_values))
+def _equipartition(lengths: np.ndarray, first: np.ndarray,
+                   k: int | np.ndarray) -> np.ndarray:
+    """Each run's group when each sequence of runs (laid end to end, sequence
+    s from run ``first[s]``) is cut into at most k ordered groups of
+    near-equal size, no run split; k is one count or one per sequence.
 
-
-def _group_runs(lengths: np.ndarray, k: int) -> np.ndarray:
-    """Assign consecutive runs to at most k ordered groups of near-equal size.
-
-    A run never splits: run r opens a new group when adding it would leave
-    the current group no closer to the target size, |in_group + tie -
-    desired| >= |in_group - desired|. The target is re-estimated from the
-    remaining points whenever a group closes.
+    Group g ends before the first later run whose midpoint, in points,
+    reaches start + (n - start) / (k - g), start being the points before
+    the group; the last group takes the rest. In integers, with cum_r the
+    points before run r: cum_r + cum_{r+1} >= 2 start + ceil(2 (n - start)
+    / (k - g)), the float test's decision (a tie needs a half-integer
+    target, exact in a double), and one ``searchsorted`` per group.
     """
-    sizes = lengths.tolist()
-    opens = np.zeros(len(sizes), dtype=np.intp)  # 1 where a group opens
-    if k > 1:
-        n = sum(sizes)
-        group = start = 0  # start: the points before the current group
-        in_group = sizes[0]
-        desired = n / k
-        # |in_group - desired|, carried over as the float it was computed as
-        gap = abs(in_group - desired)
-        for r in range(1, len(sizes)):
-            grown = in_group + sizes[r]
-            grown_gap = abs(grown - desired)
-            if grown_gap >= gap:
-                opens[r] = 1
-                group += 1
-                if group == k - 1:  # the last group takes every remaining run
-                    break
-                start += in_group
-                in_group = sizes[r]
-                desired = (n - start) / (k - group)
-                gap = abs(in_group - desired)
-            else:
-                in_group, gap = grown, grown_gap
-    return np.cumsum(opens)
+    cum = np.concatenate(([0], np.cumsum(lengths)))
+    mid = cum[:-1] + cum[1:]  # twice each run's midpoint, increasing
+    cum *= 2  # from here on, twice the points before each run
+    stop = np.append(first[1:], len(lengths))  # one past each sequence's runs
+    end = cum[stop]
+    at, opened = first, []  # each sequence's first run of its current group
+    for g in range(int(np.max(k)) - 1):
+        start = cum.take(at)
+        left = np.maximum(k - g, 1)  # at 1 the target is n: the sequence is done
+        target = start - (start - end) // left  # the ceiling, as -(-x // left)
+        at = np.minimum(np.maximum(mid.searchsorted(target), at + 1), stop)
+        opened.append(at)
+    # a finished sequence marks its stop, which the subtraction cancels
+    opens = np.zeros(len(lengths) + 1, dtype=np.intp)
+    opens[np.concatenate([first] + opened)] = 1
+    groups = np.cumsum(opens[:-1])
+    return groups - np.repeat(groups[first], stop - first)
 
 
-class _Axis:
-    """One series as the grid search sees it: ranks and tie runs only.
+class _Axes:
+    """The rows of a stack as ranks and tie runs only: each row's stable
+    sort ``order``, and where in it each run of tied values ``opens``. Row
+    i has ``count[i]`` runs, from run ``first[i]`` of the ``lengths`` of all
+    rows' runs laid end to end."""
 
-    The stable sort order and the tie runs are found once. Each row
-    count's equipartition is found on first use and kept, since every
-    partner series and both orientations ask for the same ones.
-    """
+    def __init__(self, rows: np.ndarray):
+        self.n = rows.shape[1]
+        self.order = np.argsort(rows, axis=1, kind="stable")
+        ordered = np.take_along_axis(rows, self.order, axis=1)
+        self.opens = np.ones(rows.shape, dtype=bool)
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=self.opens[:, 1:])
+        self.count = np.count_nonzero(self.opens, axis=1)
+        self.first = np.cumsum(self.count) - self.count
+        self.lengths = np.diff(np.append(np.flatnonzero(self.opens), rows.size))
 
-    def __init__(self, values):
-        values = np.asarray(values, dtype=float)
-        self.n = len(values)
-        self.order = np.argsort(values, kind="stable")
-        #: End and start of each run of tied values, in sorted order.
-        self.runs = _run_ends(values[self.order])
-        self.starts = np.concatenate(([0], self.runs[:-1]))
-        self.lengths = self.runs - self.starts
-        self._partitions: dict[int, tuple[np.ndarray, int, float]] = {}
+    def equipartition(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each value's group in its row's equipartition into at most k
+        groups (see ``_equipartition``), and the groups each row uses."""
+        groups = _equipartition(self.lengths, self.first, k)
+        labels = np.empty(self.order.shape, dtype=np.intp)
+        np.put_along_axis(labels, self.order,
+                          np.repeat(groups, self.lengths).reshape(labels.shape), axis=1)
+        return labels, groups[self.first + self.count - 1] + 1
 
-    def partition(self, k: int) -> tuple[np.ndarray, int, float]:
-        """At most k ordered groups of near-equal size; ties share a group.
 
-        Returns each sample's group, the number of groups used and the
-        entropy in bits of the group sizes.
-        """
-        found = self._partitions.get(k)
-        if found is None:
-            groups = _group_runs(self.lengths, k)
-            assign = np.empty(self.n, dtype=np.intp)
-            assign[self.order] = np.repeat(groups, self.lengths)
-            used = int(groups[-1]) + 1
-            found = self._partitions[k] = (
-                assign, used, _entropy_counts(np.bincount(assign, minlength=used)))
-        return found
+def _row_partition(axes: _Axes, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``axes.equipartition(k)`` and the entropy in bits of each row's group
+    sizes, summed row by row as ``_entropy_counts`` sums."""
+    labels, used = axes.equipartition(k)
+    sizes = np.bincount((labels + k * np.arange(len(used))[:, None]).ravel(),
+                        minlength=k * len(used)).reshape(len(used), k)
+    hq = np.empty(len(used))
+    for u in np.flatnonzero(np.bincount(used)).tolist():  # np.unique would load numpy.ma
+        at = np.flatnonzero(used == u)
+        p = sizes[at, :u] / axes.n
+        hq[at] = -np.sum(p * np.log2(p), axis=1)
+    return labels, used, hq
 
 
 def _entropy_counts(counts: np.ndarray) -> float:
@@ -414,71 +416,68 @@ def _entropy_counts(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def _fill_cells(tables: _Tables, cells: np.ndarray, column: dict, cols: list[_Axis],
-                rows: list[_Axis], bound: int, clumps: int, eq7: bool,
-                transpose: bool) -> None:
-    """Score every resolution of one orientation for a stack of pairs.
+def _fill_cells(tables: _Tables, cells: np.ndarray, column: dict, axes: _Axes,
+                parts: dict, cols: np.ndarray, rows: np.ndarray, bound: int,
+                clumps: int, eq7: bool, transpose: bool) -> None:
+    """Score every resolution of one orientation for a stack of pairs, pair
+    p with columns ``cols[p]`` and rows ``rows[p]``, rows of ``axes``.
 
-    Per row count, the whole stack's rows in column order, clump ends and
-    prefix counts come from one array program each, over the pairs laid
-    end to end; the exact DP then runs once per stack of pairs with one
-    row count and one boundary count. Each cell gets one value.
+    The rows in column order and the clump ends of every row count and
+    pair come from one array program each, over the pairs laid end to end;
+    per row count, so do the prefix counts, and the exact DP then runs once
+    per stack of pairs with one row count and one boundary count. Each cell
+    gets one value.
     """
-    P, n = len(cols), cols[0].n
-    order = (np.array([axis.order for axis in cols])
-             + np.arange(0, P * n, n)[:, None]).ravel()
-    runs = [len(axis.runs) for axis in cols]
-    run_pair = np.repeat(np.arange(P), runs)
-    run_starts = np.concatenate([axis.starts for axis in cols]) + run_pair * n
-    pinned = -1 - run_starts
+    P, n = len(cols), axes.n
+    order = (axes.order[cols] + np.arange(0, P * n, n)[:, None]).ravel()
+    runs = axes.count[cols]
+    run_starts = np.flatnonzero(axes.opens[cols])  # in the pairs' points end to end
     # positions in the prefix counts below, which give each pair n + 1 rows
     prefix_at = np.arange(0, P * (n + 1), n + 1)
-    run_ends = np.concatenate([axis.runs for axis in cols]) + prefix_at[run_pair]
+    run_ends = np.append(run_starts[1:], P * n) + np.repeat(np.arange(P), runs)
     run_first = np.cumsum(runs) - runs
-    last_run = run_first + runs - 1
-    closes = np.empty(len(run_ends), dtype=bool)
-    for n_rows in range(2, bound // 2 + 1):
+
+    # One row per row count. A clump is a maximal run of column-consecutive
+    # points sharing a row; a tie run whose rows disagree is pinned as an
+    # unmergeable clump of its own; a pair's last run closes its last clump.
+    row_counts = range(2, bound // 2 + 1)
+    in_order = np.array([parts[n_rows][0][rows].ravel()[order] for n_rows in row_counts])
+    low = np.minimum.reduceat(in_order, run_starts, axis=1)
+    high = np.maximum.reduceat(in_order, run_starts, axis=1)
+    token = np.where(low == high, low, -1 - run_starts)
+    closes = np.ones(token.shape, dtype=bool)
+    np.not_equal(token[:, 1:], token[:, :-1], out=closes[:, :-1])
+    closes[:, run_first + runs - 1] = True
+    ends = np.broadcast_to(run_ends, closes.shape)[closes]  # without each leading 0
+    k = np.add.reduceat(closes, run_first, axis=1, dtype=np.intp).ravel()  # clumps
+    budget = np.repeat([clumps * (bound // n_rows) for n_rows in row_counts], P)
+    over = np.flatnonzero(k > budget)
+    if len(over):  # merge clumps down to the budget, clumps intact
+        clumped = np.flatnonzero(np.repeat(k > budget, k))  # their clumps
+        head = np.cumsum(k[over]) - k[over]  # each one's first clump in them
+        sizes = np.diff(ends[clumped], prepend=0)
+        sizes[head] = ends[(np.cumsum(k) - k)[over]] - prefix_at[over % P]
+        groups = _equipartition(sizes, head, budget[over])
+        keep = np.ones(len(ends), dtype=bool)  # a pair's last group is >= 1
+        keep[clumped[:-1]] = groups[1:] != groups[:-1]
+        k[over] = groups[head + k[over] - 1] + 1
+        ends = ends[keep]
+    first = np.cumsum(k) - k  # each (row count, pair)'s first clump end
+    for n_rows, rows_x_order, k, first in zip(row_counts, in_order, k.reshape(-1, P),
+                                              first.reshape(-1, P)):
         max_cols = bound // n_rows
-        found = [axis.partition(n_rows) for axis in rows]
-        rows_x_order = np.concatenate([f[0] for f in found])[order]
-
-        # A clump is a maximal run of column-consecutive points sharing a
-        # row; a tie run whose rows disagree is pinned as an unmergeable
-        # clump of its own, and a pair's last run closes its last clump.
-        low = np.minimum.reduceat(rows_x_order, run_starts)
-        high = np.maximum.reduceat(rows_x_order, run_starts)
-        token = np.where(low == high, low, pinned)
-        np.not_equal(token[1:], token[:-1], out=closes[:-1])
-        closes[last_run] = True
-        ends = run_ends[closes]  # each pair's clump ends, without the leading 0
-        k = np.add.reduceat(closes, run_first, dtype=np.intp)
-        first = np.cumsum(k) - k
-        budget = max(clumps * max_cols, max_cols)
-        over = np.flatnonzero(k > budget).tolist()
-        if over:  # merge clumps down to the budget, clumps intact
-            keep = np.ones(len(ends), dtype=bool)
-            for p in over:
-                lo, hi = int(first[p]), int(first[p] + k[p])
-                sizes = ends[lo:hi].copy()
-                sizes[1:] -= ends[lo:hi - 1]
-                sizes[0] -= prefix_at[p]
-                groups = _group_runs(sizes, budget)
-                keep[lo:hi - 1] = groups[1:] != groups[:-1]
-                k[p] = groups[-1] + 1
-            ends = ends[keep]
-            first = np.cumsum(k) - k
-
+        _, used, hq = parts[n_rows]
         cum = np.zeros((P, n + 1, n_rows), dtype=np.intp)
         np.cumsum(rows_x_order.reshape(P, n, 1) == np.arange(n_rows), axis=1,
                   out=cum[:, 1:])
         cum = cum.reshape(P * (n + 1), n_rows)
 
-        hq = np.array([f[2] for f in found])
+        hq = hq[rows]
         js = [column[(n_rows, l) if transpose else (l, n_rows)]
               for l in range(2, max_cols + 1)]
         log_grid = np.array([math.log2(min(l, n_rows)) for l in range(2, max_cols + 1)])
         stacks: dict[tuple[int, int], list[int]] = {}
-        for p, key in enumerate(zip([f[1] for f in found], k.tolist())):
+        for p, key in enumerate(zip(used[rows].tolist(), k.tolist())):
             stacks.setdefault(key, []).append(p)
         for (row_count, width), members in stacks.items():
             # G and each DP level hold (k + 1)^2 floats per pair, the row

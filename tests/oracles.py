@@ -199,9 +199,7 @@ def reference_labels(values, bins: int, strategy: str) -> np.ndarray:
         if lo == hi:
             return np.zeros(len(v), dtype=np.intp)
         return np.minimum(((v - lo) / (hi - lo) * bins).astype(np.intp), bins - 1)
-    labels = np.empty(len(v), dtype=np.intp)
-    labels[np.argsort(v, kind="stable")] = np.arange(len(v)) * bins // len(v)
-    return labels
+    return reference_equipartition(v, bins)
 
 
 def reference_mutual_information(x, y, bins: int, strategy: str) -> float:

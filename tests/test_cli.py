@@ -187,6 +187,15 @@ class TestSnapshotValidation:
         with pytest.raises(ParseError, match="the document must be a JSON object"):
             PanelDataset.from_json(json.dumps([SNAPSHOT]))
 
+    def test_json_array_panel_is_read_as_a_snapshot(self, workdir, capsys):
+        (workdir / "panel.json").write_text(" " + json.dumps([SNAPSHOT]))
+        (workdir / "config.json").write_text(json.dumps({"methods": ["pearson"]}))
+        assert run("--quiet", "analyze", "--panel", "panel.json",
+                   "--config", "config.json", "--out", "results") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: panel snapshot: the document must be a JSON object")
+        assert not (workdir / "results").exists()
+
     @pytest.mark.parametrize("values", [[1, 2, 3, 5], [1, 2.0, None, 5]],
                              ids=["all-ints", "mixed"])
     def test_integer_values_read_as_their_floats(self, values):

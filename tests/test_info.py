@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from paneldep.errors import DomainError, InsufficientDataError
 from paneldep.info import (
     JointHistogram,
-    _Axis,
+    _Axes,
+    _equipartition,
     default_mi_bins,
     discretize,
     entropy,
@@ -39,9 +40,11 @@ class TestDiscretize:
         labels = discretize([0.0, 0.5, 1.0], bins=3, strategy="equal-width")
         assert labels.tolist() == [0, 1, 2]
 
-    def test_ties_keep_first_occurrence_order(self):
+    def test_ties_share_a_group(self):
         labels = discretize([7, 7, 7, 7], bins=2, strategy="equal-frequency")
-        assert labels.tolist() == [0, 0, 1, 1]
+        assert labels.tolist() == [0, 0, 0, 0]
+        labels = discretize([3, 1, 3, 2, 3, 1], bins=3, strategy="equal-frequency")
+        assert labels.tolist() == [2, 0, 2, 1, 2, 0]
 
     def test_bins_must_be_at_least_two(self):
         with pytest.raises(DomainError):
@@ -133,6 +136,31 @@ class TestMutualInformation:
             result = mutual_information(make_pair(x, y), bins, strategy)
             assert result.mi >= 0.0
             assert result.mi <= math.log2(min(result.bins_x, result.bins_y)) + 1e-9
+
+    def test_constant_series_gives_zero(self):
+        result = mutual_information(make_pair([5.0] * 12, range(12)), bins=3)
+        assert result.mi == 0.0
+        assert (result.bins_x, result.bins_y) == (1, 3)
+
+    def test_bins_report_the_groups_used(self):
+        # the ties of x leave two groups of four bins
+        result = mutual_information(make_pair([1, 1, 1, 1, 2, 2, 2, 2], range(8)), bins=4)
+        assert (result.bins_x, result.bins_y) == (2, 4)
+        assert result.mi == pytest.approx(1.0, abs=1e-12)
+        assert result.mi <= math.log2(min(result.bins_x, result.bins_y))
+
+    @given(st.data())
+    def test_invariant_under_row_permutation(self, data):
+        n = data.draw(st.integers(4, 40))
+        column = st.lists(st.integers(-3, 3).map(lambda v: v / 2), min_size=n, max_size=n)
+        x, y = data.draw(column), data.draw(column)
+        order = data.draw(st.permutations(range(n)))
+        bins = data.draw(st.integers(2, min(n, 8)))
+        for strategy in ("equal-frequency", "equal-width"):
+            a = mutual_information(make_pair(x, y), bins, strategy)
+            b = mutual_information(make_pair([x[i] for i in order], [y[i] for i in order]),
+                                   bins, strategy)
+            assert repr(a) == repr(b)
 
     def test_default_bins(self):
         assert default_mi_bins(33) == 5
@@ -257,13 +285,25 @@ class TestMic:
         assert grid_bound(200, 0.6) == 25
         assert grid_bound(25, 0.6) == 7
 
-    @given(st.lists(st.integers(-6, 6).map(lambda v: v / 4), min_size=1,
-                    max_size=80))
-    def test_equipartition_matches_point_by_point_reference(self, values):
-        values = np.asarray(values)
+    @given(st.integers(1, 80).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-6, 6).map(lambda v: v / 4), min_size=n, max_size=n),
+        min_size=1, max_size=4)))
+    def test_equipartition_matches_point_by_point_reference(self, rows):
+        rows = np.asarray(rows)
+        axes = _Axes(rows)
         for k in range(1, 21):
-            assert _Axis(values).partition(k)[0].tolist() == \
-                reference_equipartition(values, k).tolist()
+            labels, used = axes.equipartition(k)
+            for values, found, count in zip(rows, labels, used.tolist()):
+                expected = reference_equipartition(values, k)
+                assert found.tolist() == expected.tolist()
+                assert count == expected.max() + 1
+        # a group count per row: each run's group, read at the run's first value
+        ks = np.arange(len(rows)) * 5 + 2
+        groups = _equipartition(axes.lengths, axes.first, ks)
+        for i, (values, k) in enumerate(zip(rows, ks.tolist())):
+            expected = reference_equipartition(values, k)[axes.order[i]][axes.opens[i]]
+            runs = groups[axes.first[i]:axes.first[i] + axes.count[i]]
+            assert runs.tolist() == expected.tolist()
 
 
 tied_values = st.lists(st.integers(-4, 4).map(lambda v: v / 2), min_size=25, max_size=40)
