@@ -205,7 +205,7 @@ def _method_results(method: str, table: PairTable, config: BatteryConfig) -> lis
     """
     from .info import mics_over, mutual_informations_over
     from .linear import pearsons_over
-    from .temporal import LagSweep, lag_sweeps_over
+    from .temporal import LagSweep, _longest_lag, lag_sweeps_over
 
     if method == "pearson":
         return pearsons_over(table)
@@ -213,10 +213,10 @@ def _method_results(method: str, table: PairTable, config: BatteryConfig) -> lis
         return mutual_informations_over(table, config.mi_bins, config.mi_strategy)
     if method == "granger":
         directed = table.swapped() if config.granger_reverse else table
-        # lag L fits n points only when n - L > 1 + 2L; a longer lag is a
-        # skip in every pair and changes no pair's best lag
-        max_lag = min(config.max_lag,
-                      max([1, *((group.n - 2) // 3 for group in table.groups)]))
+        # a longer lag is a skip in every pair and changes no pair's best lag;
+        # a differenced pair of n points fits n - 1
+        fitted = [group.n - config.difference_first for group in table.groups]
+        max_lag = min(config.max_lag, max([1, *map(_longest_lag, fitted)]))
         return [sweep.best if isinstance(sweep, LagSweep) else sweep
                 for sweep in lag_sweeps_over(directed, max_lag, config.difference_first)]
     return mics_over(table, config.mic_alpha, config.mic_clumps, config.mic_normalization)

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, InsufficientDataError, _only
 from .panel import AlignedPair
 from .special import f_sfs
-from .table import PairTable
+from .table import PairTable, _unit_scaled
 
 
 @dataclass(frozen=True)
@@ -113,15 +113,9 @@ def pearsons_over(table: PairTable) -> list:
 def _deviations(rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Each row's scaled deviations from its mean and their sum of squares."""
     n = rows.shape[1]
-    scaled = _unit_scaled(rows)
+    scaled, _ = _unit_scaled(rows)
     dev = scaled - np.array([math.fsum(row.tolist()) / n for row in scaled])[:, None]
     return dev, [math.fsum(row.tolist()) for row in np.float_power(dev, 2.0)]
-
-
-def _unit_scaled(rows: np.ndarray) -> np.ndarray:
-    """Each row times the power of two that brings its largest magnitude
-    into [0.5, 1); an all-zero row stays as it is."""
-    return np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
 
 
 def pearson(pair: AlignedPair) -> PearsonResult:

@@ -596,10 +596,9 @@ def parse_gbd_long(text: str) -> PanelDataset:
             outcome = outcomes[age_text, cause, measure] = (
                 outcome_code(cause, measure, age), age)
         code, age = outcome
-        try:
-            year = int(year_text)
-        except ValueError:
-            raise ParseError(f"line {line_no}: year {year_text!r} is not an integer") from None
+        if not _looks_like_year(year_text):
+            raise ParseError(f"line {line_no}: year {year_text!r} is not a four-digit year")
+        year = int(year_text)
         try:
             value = float(value_text)
         except ValueError:

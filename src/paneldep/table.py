@@ -237,3 +237,11 @@ def _runs(keys: np.ndarray) -> list[np.ndarray]:
         return []
     order = np.argsort(keys, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+
+
+def _unit_scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row times the power of two that brings its largest magnitude
+    into [0.5, 1), and each row's exponent e: row = scaled row * 2**e. An
+    all-zero row stays as it is, with e = 0."""
+    exponents = np.frexp(np.abs(rows).max(axis=1))[1]
+    return np.ldexp(rows, -exponents[:, None]), exponents

@@ -9,8 +9,7 @@ a lag.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .panel import AlignedPair
 from .special import f_sfs
-from .table import PairTable
+from .table import PairTable, _unit_scaled
 
 
 def first_difference(series) -> tuple[float, ...]:
@@ -35,15 +34,26 @@ def first_difference(series) -> tuple[float, ...]:
     return tuple(b - a for a, b in zip(values, values[1:]))
 
 
-def _ranks(R: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Rank of each design from the R factor of [design | response].
+def _nested_fits(augmented: np.ndarray,
+                 restricted_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rss_r - rss_ur, rss_ur, rank) of each [design | response] matrix of
+    a stack, as arrays, from one QR.
 
-    A column counts when its |diag R| is above max(rows, cols) * eps *
-    max|diag R|, the default rank cutoff of least squares. R may be a stack.
+    With p design columns, R[p, p]^2 is rss_ur and ||R[restricted_cols:p, p]||^2
+    is rss_r - rss_ur; the restricted fit uses the first ``restricted_cols``
+    columns. A column counts toward the rank when its |diag R| is above
+    max(rows, p) * eps * max|diag R|, the default rank cutoff of least
+    squares. Each square goes through libm ``pow`` and each gain is one dot
+    product, as a lone fit's ``R[p, p] ** 2`` and ``gain @ gain`` are.
     """
+    rows, cols = augmented.shape[-2], augmented.shape[-1] - 1
+    R = np.linalg.qr(augmented, mode="r")
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1)[..., :cols])
     tol = max(rows, cols) * np.finfo(float).eps * diag.max(axis=-1, initial=0.0)
-    return np.count_nonzero(diag > tol[..., None], axis=-1)
+    gain = R[..., restricted_cols:cols, cols]
+    return (np.matmul(gain[..., None, :], gain[..., None])[..., 0, 0],
+            np.float_power(R[..., cols, cols], 2.0),
+            np.count_nonzero(diag > tol[..., None], axis=-1))
 
 
 def _rank_deficient(rank: int, cols: int) -> SingularDesignError:
@@ -51,20 +61,12 @@ def _rank_deficient(rank: int, cols: int) -> SingularDesignError:
         f"design is rank deficient (rank {rank} of {cols} columns)", rank=rank)
 
 
-def _split_rss(R: np.ndarray, restricted_cols: int, cols: int) -> tuple[float, float]:
-    """(rss_r - rss_ur, rss_ur) read off the R factor of [design | response]."""
-    gain = R[restricted_cols:cols, cols]
-    return float(gain @ gain), float(R[cols, cols] ** 2)
-
-
 def nested_rss(design, response, restricted_cols: int) -> tuple[float, float]:
     """Residual sums (rss_r, rss_ur) of two nested least-squares fits.
 
-    The restricted fit uses the first ``restricted_cols`` of the p design
-    columns. One QR of [design | response] gives both: R[p, p]^2 is rss_ur,
-    ||R[restricted_cols:p, p]||^2 is rss_r - rss_ur. Any |diag R| at or
-    below max(rows, cols) * eps * max|diag R|, the default rank cutoff of
-    least squares, raises SingularDesignError with the rank.
+    The restricted fit uses the first ``restricted_cols`` design columns.
+    Both come from ``_nested_fits`` of [design | response]; a design below
+    full rank raises SingularDesignError with the rank.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -79,12 +81,11 @@ def nested_rss(design, response, restricted_cols: int) -> tuple[float, float]:
         raise InsufficientDataError(
             f"need more rows than columns, got {rows}x{cols}"
         )
-    R = np.linalg.qr(np.column_stack([X, y]), mode="r")
-    rank = int(_ranks(R, rows, cols))
+    (gain,), (rss_ur,), (rank,) = _nested_fits(np.column_stack([X, y])[None],
+                                               restricted_cols)
     if rank < cols:
-        raise _rank_deficient(rank, cols)
-    gain, rss_ur = _split_rss(R, restricted_cols, cols)
-    return rss_ur + gain, rss_ur
+        raise _rank_deficient(int(rank), cols)
+    return float(rss_ur + gain), float(rss_ur)
 
 
 @dataclass(frozen=True)
@@ -110,17 +111,21 @@ class LagSweep:
     best: GrangerResult
 
 
+def _longest_lag(n: int) -> int:
+    """The longest lag L that n fitted points allow: n - L > 1 + 2L."""
+    return (n - 2) // 3
+
+
 def _usable_rows(n: int, lag: int) -> int:
     """Rows left for the lag-``lag`` fit of a length-n pair, checked."""
     if lag < 1:
         raise DomainError(f"lag must be >= 1, got {lag}")
-    n_eff = n - lag
-    if n_eff <= 1 + 2 * lag:
+    if lag > _longest_lag(n):
         raise InsufficientDataError(
-            f"{n} observations leave {n_eff} usable rows, need more than "
+            f"{n} observations leave {n - lag} usable rows, need more than "
             f"{1 + 2 * lag} for lag {lag}"
         )
-    return n_eff
+    return n - lag
 
 
 def _lag_designs(x: np.ndarray, y: np.ndarray, lag: int) -> np.ndarray:
@@ -142,13 +147,17 @@ def _lag_designs(x: np.ndarray, y: np.ndarray, lag: int) -> np.ndarray:
     return out
 
 
-def _fitted_stacks(table: PairTable, difference_first: bool,
-                   out: list) -> list[tuple[int, list, np.ndarray, np.ndarray]]:
-    """(n, places, x, y) of each length group: the pairs' stacks that every
-    lag is fitted on. A pair that cannot be fitted gets its error in ``out``.
+def _fitted_stacks(table: PairTable, difference_first: bool, out: list
+                   ) -> list[tuple[int, list, np.ndarray, np.ndarray, np.ndarray]]:
+    """(n, places, x, y, ey) of each length group: the pairs' stacks that
+    every lag is fitted on. A pair that cannot be fitted gets its error in
+    ``out``.
 
     Every pair's years must be one contiguous run; the jump of each year
-    set is found once. ``np.diff`` rounds each difference as ``b - a`` does.
+    set is found once. Each distinct series is differenced (``np.diff``
+    rounds each difference as ``b - a`` does) and then unit scaled (see
+    ``table._unit_scaled``) once, so that no rank decision depends on a
+    series' scale; y's row j is the input's times 2**-ey[j].
     """
     jumps = [next(((a, b) for a, b in zip(years, years[1:]) if b - a != 1), None)
              for years in table.years]
@@ -167,41 +176,36 @@ def _fitted_stacks(table: PairTable, difference_first: bool,
             for place in places:
                 out[place] = InsufficientDataError("need at least 2 points to difference")
             continue
-        x, y = group.rows[group.xi[~bad]], group.rows[group.yi[~bad]]
-        if difference_first:
-            x, y = np.diff(x, axis=1), np.diff(y, axis=1)
-        stacks.append((group.n, places, x, y))
+        rows, exponents = _unit_scaled(
+            np.diff(group.rows, axis=1) if difference_first else group.rows)
+        xi, yi = group.xi[~bad], group.yi[~bad]
+        stacks.append((group.n, places, rows[xi], rows[yi], exponents[yi]))
     return stacks
 
 
-def _fit_lag(x: np.ndarray, y: np.ndarray,
-             lag: int) -> list[GrangerResult | SingularDesignError]:
-    """Fit one lag on every row of x and y with one stacked QR.
+def _fit_lag(x: np.ndarray, y: np.ndarray, ey: np.ndarray, lag: int) -> list:
+    """Each row's lag-``lag`` fit (f, rss_r, rss_ur, n_eff) from one
+    stacked QR of the unit-scaled rows, or the error that skips it.
 
     The rank check is per row: a singular design gives its row's error and
-    leaves the other rows' fits alone. The p-values are left NaN for
-    ``_with_p_values`` to fill.
+    leaves the other rows' fits alone. F is formed from the scaled sums, so
+    it neither overflows nor underflows; the sums are reported in input
+    units, where one out of range is 0.0 or inf.
     """
-    n_eff = _usable_rows(y.shape[1], lag)
+    try:
+        n_eff = _usable_rows(y.shape[1], lag)
+    except InsufficientDataError as exc:
+        return [exc.with_traceback(None)] * len(y)
     cols = 1 + 2 * lag
-    dof_den = n_eff - cols
-    R = np.linalg.qr(_lag_designs(x, y, lag), mode="r")
-    fits: list[GrangerResult | SingularDesignError] = []
-    for R_pair, rank in zip(R, _ranks(R, n_eff, cols).tolist()):
-        if rank < cols:
-            fits.append(_rank_deficient(rank, cols))
-            continue
-        gain, rss_ur = _split_rss(R_pair, 1 + lag, cols)
-        f = math.inf if rss_ur == 0.0 else (gain / lag) / (rss_ur / dof_den)
-        fits.append(GrangerResult(lag, f, math.nan, rss_ur + gain, rss_ur, n_eff))
-    return fits
-
-
-def _with_p_values(fits: list[GrangerResult]) -> list[GrangerResult]:
-    """The fits with their p-values, every F tail from one ``f_sfs`` call."""
-    tails = f_sfs([fit.f_stat for fit in fits], [fit.lag for fit in fits],
-                  [fit.n_eff - (1 + 2 * fit.lag) for fit in fits])
-    return [replace(fit, p_value=p) for fit, p in zip(fits, tails)]
+    gain, rss_ur, rank = _nested_fits(_lag_designs(x, y, lag), 1 + lag)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = np.where(rss_ur == 0.0, np.inf, (gain / lag) / (rss_ur / (n_eff - cols)))
+        rss_r = np.ldexp(rss_ur + gain, 2 * ey)
+        rss_ur = np.ldexp(rss_ur, 2 * ey)
+    return [(f_j, rss_r_j, rss_ur_j, n_eff) if rank_j == cols
+            else _rank_deficient(rank_j, cols)
+            for f_j, rss_r_j, rss_ur_j, rank_j
+            in zip(f.tolist(), rss_r.tolist(), rss_ur.tolist(), rank.tolist())]
 
 
 def granger_test(pair: AlignedPair, lag: int,
@@ -217,21 +221,23 @@ def granger_test(pair: AlignedPair, lag: int,
     stacks = _fitted_stacks(PairTable.of_pairs([pair]), difference_first, out)
     if out[0] is not None:
         raise out[0]
-    ((_, _, x, y),) = stacks
-    (fit,) = _fit_lag(x, y, lag)
-    if isinstance(fit, SingularDesignError):
+    ((_, _, x, y, ey),) = stacks
+    (fit,) = _fit_lag(x, y, ey, lag)
+    if isinstance(fit, PanelDepError):
         raise fit
-    return _with_p_values([fit])[0]
+    (p,) = f_sfs([fit[0]], [lag], [fit[3] - (1 + 2 * lag)])
+    return GrangerResult(lag, fit[0], p, *fit[1:])
 
 
-def _no_lag_fits(n: int, skipped: list[SkippedLag],
-                 singular: SingularDesignError | None) -> PanelDepError:
-    """The error of a sweep in which every lag was skipped; ``singular`` is
-    the first rank-deficiency error among its lags, if there was one."""
-    if singular is not None:
-        reasons = "; ".join(f"lag {skip.lag}: {skip.reason}" for skip in skipped)
+def _no_lag_fits(n: int, skipped: list[tuple[int, PanelDepError]]) -> PanelDepError:
+    """The error of a sweep in which every lag was skipped, from each lag's
+    (lag, error): SingularDesignError with the rank of the first singular
+    design if there was one."""
+    singular = [error for _, error in skipped if isinstance(error, SingularDesignError)]
+    if singular:
+        reasons = "; ".join(f"lag {lag}: {error}" for lag, error in skipped)
         return SingularDesignError(f"no lag fits the pair of length {n} ({reasons})",
-                                   rank=singular.rank)
+                                   rank=singular[0].rank)
     return InsufficientDataError(f"pair of length {n} is too short for even lag 1")
 
 
@@ -255,32 +261,21 @@ def lag_sweeps_over(table: PairTable, max_lag: int,
     if max_lag < 1:
         raise DomainError(f"max_lag must be >= 1, got {max_lag}")
     out: list = [None] * table.size
-    swept = []  # (n, place, fits, skipped lags, first singular error)
-    for n, places, x, y in _fitted_stacks(table, difference_first, out):
-        fits: list[list[GrangerResult]] = [[] for _ in places]
-        skipped: list[list[SkippedLag]] = [[] for _ in places]
-        singular: list[SingularDesignError | None] = [None] * len(places)
-        for lag in range(1, max_lag + 1):
-            try:
-                lag_fits = _fit_lag(x, y, lag)
-            except InsufficientDataError as exc:
-                lag_fits = [exc.with_traceback(None)] * len(places)
-            for j, fit in enumerate(lag_fits):
-                if isinstance(fit, GrangerResult):
-                    fits[j].append(fit)
-                else:
-                    skipped[j].append(SkippedLag(lag, str(fit)))
-                    if isinstance(fit, SingularDesignError) and singular[j] is None:
-                        singular[j] = fit
-        swept += zip([n] * len(places), places, fits, skipped, singular)
-    results = iter(_with_p_values([fit for *_, fits, _, _ in swept for fit in fits]))
-    for n, place, fits, skipped, singular in swept:
-        if not fits:
-            out[place] = _no_lag_fits(n, skipped, singular)
-            continue
-        fitted = tuple(next(results) for _ in fits)
-        out[place] = LagSweep(fitted, tuple(skipped),
-                              min(fitted, key=lambda res: res.p_value))  # first minimum wins
+    swept = []  # (n, place, each lag's (lag, fit or the error that skips it))
+    for n, places, x, y, ey in _fitted_stacks(table, difference_first, out):
+        by_lag = [_fit_lag(x, y, ey, lag) for lag in range(1, max_lag + 1)]
+        swept += [(n, place, list(enumerate(fits, 1)))
+                  for place, fits in zip(places, zip(*by_lag))]
+    fitted = [(lag, fit) for *_, fits in swept for lag, fit in fits if isinstance(fit, tuple)]
+    tails = iter(f_sfs([fit[0] for _, fit in fitted], [lag for lag, _ in fitted],
+                       [fit[3] - (1 + 2 * lag) for lag, fit in fitted]))
+    for n, place, fits in swept:
+        results = tuple(GrangerResult(lag, fit[0], next(tails), *fit[1:])
+                        for lag, fit in fits if isinstance(fit, tuple))
+        skipped = tuple(SkippedLag(lag, str(error)) for lag, error in fits
+                        if not isinstance(error, tuple))
+        out[place] = (LagSweep(results, skipped, min(results, key=lambda res: res.p_value))
+                      if results else _no_lag_fits(n, fits))  # the first minimum wins
     return out
 
 

@@ -192,6 +192,30 @@ def reference_pearson(x, y) -> tuple[float, float] | None:
     return r, min(1.0, 2.0 * reference_t_sf(abs(t), n - 2))
 
 
+def reference_lag_fit(x, y, lag: int):
+    """One Granger fit of y on its own and x's past, with one QR per design.
+
+    The design is [1 | y lagged 1..lag | x lagged 1..lag]; the restricted
+    fit drops the x lags. Returns (f_stat, rss_restricted,
+    rss_unrestricted, n_eff); the rank when some |diag R| is at or below
+    max(rows, cols) * eps * max|diag R|; None when the pair is too short.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n_eff, cols = len(y) - lag, 1 + 2 * lag
+    if n_eff <= cols:
+        return None
+    lagged = [s[lag - j:len(s) - j] for s in (y, x) for j in range(1, lag + 1)]
+    R = np.linalg.qr(np.column_stack([np.ones(n_eff), *lagged, y[lag:]]), mode="r")
+    diag = np.abs(np.diag(R)[:cols])
+    rank = int(np.count_nonzero(diag > max(n_eff, cols) * np.finfo(float).eps * diag.max()))
+    if rank < cols:
+        return rank
+    gain = R[1 + lag:cols, cols]
+    gain, rss_ur = float(gain @ gain), float(R[cols, cols] ** 2)
+    f = math.inf if rss_ur == 0.0 else (gain / lag) / (rss_ur / (n_eff - cols))
+    return f, rss_ur + gain, rss_ur, n_eff
+
+
 def reference_labels(values, bins: int, strategy: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if strategy == "equal-width":

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paneldep import special
-from paneldep.errors import ConvergenceError, InsufficientDataError
+from paneldep.errors import ConvergenceError, InsufficientDataError, SingularDesignError
 from paneldep.info import _optimize_axis, _Tables, mics, mutual_informations
 from paneldep.linear import pearsons, t_sf, t_sfs
 from paneldep.panel import MIC_NORMALIZATIONS, AlignedPair
@@ -20,7 +20,9 @@ from paneldep.temporal import lag_sweeps
 
 from oracles import (
     _ref_optimize_axis,
+    _ref_unit_scaled,
     reference_f_sf,
+    reference_lag_fit,
     reference_mic,
     reference_mutual_information,
     reference_pearson,
@@ -104,6 +106,44 @@ def test_batches_match_scalar_references(pairs, bins):
             if pair.n >= max(bins, 4):
                 assert repr(result.mi) == repr(
                     reference_mutual_information(pair.x, pair.y, bins, strategy))
+
+
+@st.composite
+def unit_scale_pairs(draw):
+    """Contiguous pairs whose series each have their largest magnitude in
+    [0.5, 1) (or are all zero), so the Granger kernel's own scaling is the
+    identity; with ties, constant rows and rows met again."""
+    n = draw(st.integers(3, 30))
+    rows = st.one_of(st.lists(tied, min_size=n, max_size=n),
+                     st.lists(spread, min_size=n, max_size=n),
+                     tied.map(lambda v: [v] * n))
+    x = _ref_unit_scaled(draw(rows))
+    y = x if draw(st.integers(0, 9)) == 0 else _ref_unit_scaled(draw(rows))
+    return AlignedPair(tuple(x), tuple(y), tuple(range(2000, 2000 + n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(unit_scale_pairs(), min_size=1, max_size=6), st.integers(1, 5))
+def test_lag_sweeps_match_the_per_fit_reference(pairs, max_lag):
+    """Every field of every fit, bit for bit, and every skip, against one
+    QR per design; each p-value is its own ``f_sf`` call's."""
+    for pair, sweep in zip(pairs, lag_sweeps(pairs, max_lag)):
+        fits = {lag: reference_lag_fit(pair.x, pair.y, lag) for lag in range(1, max_lag + 1)}
+        expected = {lag: fit for lag, fit in fits.items() if isinstance(fit, tuple)}
+        if not expected:
+            singular = any(isinstance(fit, int) for fit in fits.values())
+            assert type(sweep) is (SingularDesignError if singular else InsufficientDataError)
+            continue
+        assert [result.lag for result in sweep.results] == list(expected)
+        for result in sweep.results:
+            f, rss_r, rss_ur, n_eff = expected[result.lag]
+            p = f_sf(f, result.lag, n_eff - (1 + 2 * result.lag))
+            assert repr((result.f_stat, result.p_value, result.rss_restricted,
+                         result.rss_unrestricted, result.n_eff)) == repr(
+                (f, p, rss_r, rss_ur, n_eff))
+        for skip in sweep.skipped:
+            fit = fits[skip.lag]
+            assert ("usable rows" if fit is None else f"(rank {fit} of") in skip.reason
 
 
 @st.composite

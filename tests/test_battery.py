@@ -218,6 +218,26 @@ class TestRunBattery:
                                   ds.series(region, matrix.outcome))
                 assert repr(cell.result) == repr(lag_sweep(pair, 10, True).best)
 
+    @pytest.mark.parametrize("difference_first, longest", [(False, 10), (True, 9)])
+    def test_granger_asks_only_for_lags_some_pair_fits(self, monkeypatch,
+                                                       difference_first, longest):
+        # 32 points fit lags up to 10; differenced to 31, up to 9
+        import paneldep.temporal as temporal
+
+        asked = []
+        sweeps = temporal.lag_sweeps_over
+
+        def recording_sweeps(table, max_lag, *args):
+            asked.append(max_lag)
+            return sweeps(table, max_lag, *args)
+
+        monkeypatch.setattr(temporal, "lag_sweeps_over", recording_sweeps)
+        ds, (outcome,) = planted_lag_dataset({"E1": 1}, n=32)
+        run_battery(ds, BatteryConfig(methods=("granger",), outcomes=(outcome,),
+                                      indicators=("E1",), max_lag=10**9,
+                                      difference_first=difference_first))
+        assert asked == [longest]
+
     def test_mic_skips_short_series(self):
         ds, config = fixture_config(methods=("mic",))
         matrix = run_battery(ds, config)[0]

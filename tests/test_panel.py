@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -195,6 +196,13 @@ class TestParseGbd:
                 "location,age_group,cause,measure,year,value\n"
                 "R1,youth,depressive,DALYs,2000,1.0\n"
             )
+
+    @pytest.mark.parametrize("year", ["1_990", "+1990", "\u0661\u0669\u0669\u0660", "90"])
+    def test_year_must_be_four_ascii_digits(self, year):
+        # int() reads each of these as a year; the wide header refuses them all
+        with pytest.raises(ParseError, match=re.escape(f"line 2: year {year!r} is not a")):
+            parse_gbd_long(f"location,age_group,cause,measure,year,value\n"
+                           f"R1,all,anxiety,DALYs,{year},9.0\n")
 
     def test_duplicate_record(self):
         text = (

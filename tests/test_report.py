@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import reference_heatmap_svg
 from paneldep.battery import BatteryConfig, MatrixCell, ResultMatrix, run_battery
 from paneldep.errors import DomainError
-from paneldep.panel import AgeGroup, load_fixture
+from paneldep.panel import AgeGroup, AnnualSeries, PanelDataset, load_fixture
 from paneldep.report import (
     METHOD_SCALARS,
     ExportBundle,
@@ -119,6 +119,26 @@ class TestJson:
         assert (cell["f_stat"], cell["rss_unrestricted"]) == ("inf", "nan")
         finite["matrices"][0]["cells"][0][0].update(f_stat="inf", rss_unrestricted="nan")
         assert doc == finite
+
+    def test_sums_past_the_float_range_are_written_as_inf(self):
+        """A response at 1e300 still fits every lag; only its residual sums
+        overflow, and the bundle writes them as "inf"."""
+        ds = load_fixture(with_outcomes=True)
+        outcome = "synthetic-burden|DALYs|all"
+        config = BatteryConfig(methods=("granger",), outcomes=(outcome,),
+                               indicators=("E1", "E2"))
+        series = ds.cells["global", outcome]
+        cells = {**ds.cells, ("global", outcome): AnnualSeries(
+            series.years, tuple(None if v is None else v * 1e300 for v in series.values))}
+        far = PanelDataset(ds.regions, ds.indicators, cells)
+        (row,) = json.loads(export_json(build_bundle(run_battery(far, config), far,
+                                                     config)))["matrices"][0]["cells"]
+        (base,) = json.loads(export_json(build_bundle(run_battery(ds, config), ds,
+                                                      config)))["matrices"][0]["cells"]
+        for cell, expected in zip(row, base):
+            assert (cell["rss_restricted"], cell["rss_unrestricted"]) == ("inf", "inf")
+            assert cell["lag"] == expected["lag"]
+            assert cell["p_value"] == pytest.approx(expected["p_value"], rel=1e-9)
 
     def test_carries_full_cell_detail(self, fixture_run):
         ds, config, matrices = fixture_run

@@ -1,8 +1,10 @@
+import math
 import re
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paneldep.errors import (
     DomainError,
@@ -13,6 +15,7 @@ from paneldep.errors import (
 from paneldep.panel import AlignedPair, align_pair, load_fixture
 from paneldep.special import f_sf
 from paneldep.temporal import (
+    GrangerResult,
     first_difference,
     granger_test,
     lag_sweep,
@@ -259,6 +262,78 @@ class TestLagSweeps:
                     lag_sweep(pair, max_lag=3)
             else:
                 assert repr(sweep) == repr(lag_sweep(pair, max_lag=3))
+
+
+def gdp_like_pair(scale, n=32, seed=4):
+    """An indicator growing 3 % a year at ``scale`` (GDP-like) against a
+    burden-scale response."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    gdp = scale * 1.03 ** t * (1 + 0.01 * rng.normal(size=n))
+    return make_pair(gdp, 2500 + 40 * np.sin(t / 3) + 5 * rng.normal(size=n))
+
+
+def zero_mean_pair(scale, n=30, seed=6):
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=n), rng.normal(size=n)
+    return make_pair(scale * (x - x.mean()), scale * (y - y.mean()))
+
+
+class TestScaleFree:
+    """A series' scale decides no rank: each of these sweeps was a
+    SingularDesignError while the rank test compared raw columns."""
+
+    @pytest.mark.parametrize("scale", [1e15, 1e16])
+    def test_gdp_scale_indicator_fits_every_lag(self, scale):
+        sweep = lag_sweep(gdp_like_pair(scale), max_lag=5)
+        assert [r.lag for r in sweep.results] == [1, 2, 3, 4, 5]
+        base = lag_sweep(gdp_like_pair(1e12), max_lag=5)
+        assert sweep.best.lag == base.best.lag
+        assert sweep.best.p_value == pytest.approx(base.best.p_value, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [3e14, 1e-15, 1e-300, 1e300])
+    def test_zero_mean_pair_fits_every_lag(self, scale):
+        sweep = lag_sweep(zero_mean_pair(scale), max_lag=5)
+        assert [r.lag for r in sweep.results] == [1, 2, 3, 4, 5]
+        base = lag_sweep(zero_mean_pair(1.0), max_lag=5)
+        for result, expected in zip(sweep.results, base.results):
+            assert result.f_stat == pytest.approx(expected.f_stat, rel=1e-9)
+            assert result.p_value == pytest.approx(expected.p_value, rel=1e-9)
+
+    def test_sums_out_of_range_are_zero_or_inf(self):
+        """F comes from the scaled sums; only the reported sums leave the
+        float range, underflowing to 0.0 or overflowing to inf."""
+        for scale, rss in ((1e-300, 0.0), (1e300, math.inf)):
+            for result in lag_sweep(zero_mean_pair(scale), max_lag=5).results:
+                assert (result.rss_restricted, result.rss_unrestricted) == (rss, rss)
+                assert math.isfinite(result.f_stat) and 0.0 < result.p_value < 1.0
+
+
+# far enough from zero that every value and sum scaled by 2**±300 stays normal
+_coordinate = st.one_of(st.just(0.0), st.integers(-5, 5).map(float),
+                        st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(4, 30).flatmap(
+           lambda n: st.tuples(*[st.lists(_coordinate, min_size=n, max_size=n)] * 2)),
+       st.integers(-300, 300), st.integers(-300, 300), st.integers(1, 4))
+def test_power_of_two_scaling_keeps_the_bits(xy, kx, ky, max_lag):
+    """Scaling x by 2**kx and y by 2**ky scales each RSS by 2**(2 ky) and
+    leaves every other field, skip and error as it was."""
+    x, y = xy
+    scaled_pair = make_pair([math.ldexp(v, kx) for v in x], [math.ldexp(v, ky) for v in y])
+    base, scaled = lag_sweeps([make_pair(x, y), scaled_pair], max_lag)
+    if isinstance(base, Exception):
+        assert repr(scaled) == repr(base)
+        return
+    rescaled = [GrangerResult(r.lag, r.f_stat, r.p_value,
+                              math.ldexp(r.rss_restricted, 2 * ky),
+                              math.ldexp(r.rss_unrestricted, 2 * ky), r.n_eff)
+                for r in base.results]
+    assert repr(scaled.results) == repr(tuple(rescaled))
+    assert scaled.skipped == base.skipped
+    assert scaled.best.lag == base.best.lag
 
 
 class TestFixtureOracle:
