@@ -200,25 +200,21 @@ def _method_results(method: str, table: PairTable, config: BatteryConfig) -> lis
     """Each place's method result or error, from one batch call over every
     pair of the run's table (None at a place with no pair).
 
-    The kernels are imported on the first call, as the table is in
-    ``run_battery``, so that numpy loads only when a kernel runs.
+    Only the method's kernel module is imported, on its first call, as the
+    table is in ``run_battery``, so that numpy loads only when a kernel
+    runs and a run loads no kernel it does not use.
     """
-    from .info import mics_over, mutual_informations_over
-    from .linear import pearsons_over
-    from .temporal import LagSweep, _longest_lag, lag_sweeps_over
-
     if method == "pearson":
+        from .linear import pearsons_over
         return pearsons_over(table)
     if method == "mutual_information":
+        from .info import mutual_informations_over
         return mutual_informations_over(table, config.mi_bins, config.mi_strategy)
     if method == "granger":
+        from .temporal import best_fits_over
         directed = table.swapped() if config.granger_reverse else table
-        # a longer lag is a skip in every pair and changes no pair's best lag;
-        # a differenced pair of n points fits n - 1
-        fitted = [group.n - config.difference_first for group in table.groups]
-        max_lag = min(config.max_lag, max([1, *map(_longest_lag, fitted)]))
-        return [sweep.best if isinstance(sweep, LagSweep) else sweep
-                for sweep in lag_sweeps_over(directed, max_lag, config.difference_first)]
+        return best_fits_over(directed, config.max_lag, config.difference_first)
+    from .info import mics_over
     return mics_over(table, config.mic_alpha, config.mic_clumps, config.mic_normalization)
 
 

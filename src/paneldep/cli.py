@@ -13,17 +13,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .battery import METHODS, BatteryConfig, plan_battery, run_battery
-from .burden import (
-    BurdenInput,
-    LifeTable,
-    age_standardize,
-    band_rates,
-    compute_daly,
-    compute_yld,
-    compute_yll,
-    load_band_csv,
-    load_weights_csv,
-)
 from .errors import (
     ConfigError,
     DomainError,
@@ -151,6 +140,18 @@ def _fill_config_defaults(config: BatteryConfig,
 
 def burden(args) -> None:
     """Compute burden components from per-band counts."""
+    from .burden import (
+        BurdenInput,
+        LifeTable,
+        age_standardize,
+        band_rates,
+        compute_daly,
+        compute_yld,
+        compute_yll,
+        load_band_csv,
+        load_weights_csv,
+    )
+
     try:
         inputs = BurdenInput(
             deaths=load_band_csv(_read_input(args.deaths)),

@@ -103,17 +103,24 @@ def _mi_bits(counts: np.ndarray, n: int) -> list[float]:
     """Mutual information in bits of each (bins_x, bins_y) count grid of a
     stack whose grids all hold n points.
 
-    The terms of all grids are formed in one pass; each grid's are summed
-    on their own, in the order a single grid sums them.
+    The terms of all grids are formed in one pass. The grids with c
+    nonzero terms are summed as one ``np.add.reduce(axis=1)`` over a
+    C-contiguous (grids, c) gather of their terms, one reduce per distinct
+    c; numpy sums each row in the pairwise order it uses for the one grid's
+    slice, so each value has the bits of a stack of one.
     """
     joint = counts / n
     px = joint.sum(axis=2, keepdims=True)
     py = joint.sum(axis=1, keepdims=True)
     nz = joint > 0
     terms = joint[nz] * np.log2(joint[nz] / (px * py)[nz])
-    ends = np.cumsum(np.count_nonzero(nz, axis=(1, 2))).tolist()
-    return [max(0.0, float(np.add.reduce(terms[start:end])))
-            for start, end in zip([0] + ends, ends)]
+    sizes = np.count_nonzero(nz, axis=(1, 2))
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty(len(counts))
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        grids = np.flatnonzero(sizes == size)
+        out[grids] = np.add.reduce(terms[starts[grids, None] + np.arange(size)], axis=1)
+    return np.where(out > 0.0, out, 0.0).tolist()  # max(0.0, sum)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InsufficientDataError, _only
 from .panel import AlignedPair
-from .special import f_sfs
+from .special import _map, f_sfs
 from .table import PairTable, _unit_scaled
 
 
@@ -23,28 +23,26 @@ class PearsonResult:
 def t_sfs(ts, dofs) -> list[float]:
     """``t_sf`` over equal-length sequences, with one incomplete-beta batch.
 
-    Each value has the bits of its own ``t_sf`` call. Above one degree of
-    freedom the upper tail is half the F(1, dof) tail of t*t.
+    Each value has the bits of its own ``t_sf`` call, and a batch with bad
+    elements raises the error of the first one's own call. Above one
+    degree of freedom the upper tail is half the F(1, dof) tail of t*t.
     """
-    out: list[float] = []
-    pending: list[int] = []  # positions whose tail is the F tail of t*t
-    for i, (t, dof) in enumerate(zip(ts, dofs)):
-        if dof < 1:
-            raise DomainError(f"dof must be >= 1, got {dof}")
-        if math.isnan(t):
-            raise DomainError("t statistic is NaN")
-        if dof == 1:
-            upper = 0.5 - math.atan(abs(t)) / math.pi
-            out.append(1.0 - upper if t < 0.0 else upper)
-        else:
-            out.append(math.nan)
-            pending.append(i)
-    tails = f_sfs([ts[i] * ts[i] for i in pending], [1] * len(pending),
-                  [dofs[i] for i in pending])
-    for i, tail in zip(pending, tails):
-        upper = 0.5 * tail
-        out[i] = 1.0 - upper if ts[i] < 0.0 else upper
-    return out
+    t, dof = (np.asarray(v, dtype=float) for v in (ts, dofs))
+    bad = (dof < 1) | np.isnan(t)
+    if bad.any():
+        i = int(bad.argmax())
+        if dof[i] < 1:
+            raise DomainError(f"dof must be >= 1, got {dofs[i]}")
+        raise DomainError("t statistic is NaN")
+    upper = np.empty_like(t)
+    one = dof == 1
+    upper[one] = 0.5 - _map(math.atan, np.abs(t[one])) / math.pi
+    rest = t[~one]
+    with np.errstate(over="ignore"):  # a square past the float range is inf, as t * t is
+        squares = rest * rest
+    upper[~one] = f_sfs(squares, np.ones_like(rest), dof[~one])
+    upper[~one] *= 0.5
+    return np.where(t < 0.0, 1.0 - upper, upper).tolist()
 
 
 def t_sf(t: float, dof: float) -> float:
@@ -72,50 +70,60 @@ def pearsons_over(table: PairTable) -> list:
     scale, and scaling a series by a power of two that keeps its elements
     normal leaves the result's bits as they are. An aligned series'
     deviations and sum of squares are computed once, for every pair of its
-    length group that holds it. The means and the sums of deviation
-    products are ``math.fsum`` over each pair's own floats; squares go
-    through libm ``pow``, as Python's ``** 2`` does, not ``d * d``, which
-    rounds some of them differently. ``pow`` is not exact under scaling
-    either, so the scaled squares can round differently from squares at
-    the input's own scale. Every p-value comes from one ``t_sfs`` call,
-    and each result has the bits of its own ``pearson`` call.
+    length group that holds it. The means and the sums of squares and of
+    deviation products are ``math.fsum`` over each row of a stack; squares
+    go through libm ``pow``, as Python's ``** 2`` does, not ``d * d``,
+    which rounds some of them differently. ``pow`` is not exact under
+    scaling either, so the scaled squares can round differently from
+    squares at the input's own scale. r, the degenerate test and t are
+    elementwise array steps in the one-pair order, every p-value comes
+    from one ``t_sfs`` call, and each result has the bits of its own
+    ``pearson`` call.
     """
     out: list = [None] * table.size
-    tested = []  # (place, r, n, t)
+    # each group's tested places, n and r, after an empty seed for a table without one
+    places, ns, rs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for group in table.groups:
         n = group.n
-        places = group.places.tolist()
         if n < 3:
-            for place in places:
+            for place in group.places.tolist():
                 out[place] = InsufficientDataError(f"need at least 3 observations, got {n}")
             continue
         dev, squares = _deviations(group.rows)
-        products = dev[group.xi]
-        products *= dev[group.yi]
-        sxy = [math.fsum(row.tolist()) for row in products]
-        for place, sxy_i, i, j in zip(places, sxy, group.xi.tolist(), group.yi.tolist()):
-            sxx_i, syy_i = squares[i], squares[j]
-            if sxx_i == 0.0 or syy_i == 0.0:
-                out[place] = DegenerateInputError(
-                    "correlation undefined for a constant sequence")
-                continue
-            r = max(-1.0, min(1.0, sxy_i / math.sqrt(sxx_i * syy_i)))
-            if abs(r) == 1.0:
-                out[place] = PearsonResult(r=r, n=n, p_value=0.0)
-            else:
-                tested.append((place, r, n, abs(r * math.sqrt((n - 2) / (1.0 - r * r)))))
-    tails = t_sfs([t for *_, t in tested], [n - 2 for _, _, n, _ in tested])
-    for (place, r, n, _), tail in zip(tested, tails):
-        out[place] = PearsonResult(r=r, n=n, p_value=min(1.0, 2.0 * tail))
+        sxx, syy = squares[group.xi], squares[group.yi]
+        degenerate = (sxx == 0.0) | (syy == 0.0)
+        for place in group.places[degenerate].tolist():
+            out[place] = DegenerateInputError("correlation undefined for a constant sequence")
+        kept = ~degenerate
+        products = dev[group.xi[kept]]
+        products *= dev[group.yi[kept]]
+        ratio = _fsums(products) / np.sqrt(sxx[kept] * syy[kept])
+        ratio = np.where(ratio < 1.0, ratio, 1.0)  # max(-1.0, min(1.0, ratio))
+        rs.append(np.where(ratio > -1.0, ratio, -1.0))
+        places.append(group.places[kept])
+        ns.append(np.full(len(ratio), n))
+    place, n, r = (np.concatenate(v) for v in (places, ns, rs))
+    p = np.zeros_like(r)
+    tested = np.abs(r) != 1.0
+    r_t, n_t = r[tested], n[tested]
+    tails = np.array(t_sfs(np.abs(r_t * np.sqrt((n_t - 2) / (1.0 - r_t * r_t))), n_t - 2))
+    tails *= 2.0
+    p[tested] = np.where(tails < 1.0, tails, 1.0)  # min(1.0, 2.0 * tail)
+    for place_i, r_i, n_i, p_i in zip(place.tolist(), r.tolist(), n.tolist(), p.tolist()):
+        out[place_i] = PearsonResult(r=r_i, n=n_i, p_value=p_i)
     return out
 
 
-def _deviations(rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+def _fsums(stack: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-d array."""
+    return np.fromiter(map(math.fsum, stack.tolist()), dtype=float, count=len(stack))
+
+
+def _deviations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's scaled deviations from its mean and their sum of squares."""
-    n = rows.shape[1]
     scaled, _ = _unit_scaled(rows)
-    dev = scaled - np.array([math.fsum(row.tolist()) / n for row in scaled])[:, None]
-    return dev, [math.fsum(row.tolist()) for row in np.float_power(dev, 2.0)]
+    dev = scaled - (_fsums(scaled) / rows.shape[1])[:, None]
+    return dev, _fsums(np.float_power(dev, 2.0))
 
 
 def pearson(pair: AlignedPair) -> PearsonResult:

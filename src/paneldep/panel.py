@@ -9,8 +9,6 @@ for every pairwise method in the battery.
 from __future__ import annotations
 
 import csv
-import difflib
-import hashlib
 import io
 import json
 import math
@@ -131,6 +129,8 @@ def indicator_lookup(key: str) -> IndicatorCode:
         return _BY_NAME[low]
     if low.upper() in _BY_CODE:
         return _BY_CODE[low.upper()]
+    import difflib  # only a miss needs it
+
     universe = list(_BY_CODE) + [ind.name for ind in BUILTIN_INDICATORS]
     nearest = difflib.get_close_matches(key, universe, n=3, cutoff=0.3)
     raise NotFoundError(
@@ -405,6 +405,8 @@ class PanelDataset:
     def fingerprint(self) -> str:
         """Content hash of the panel (reproducibility anchor): the sha256 of
         the ``to_json`` line without its final newline."""
+        import hashlib  # only a bundle needs it
+
         return hashlib.sha256(self.to_json()[:-1].encode()).hexdigest()
 
 

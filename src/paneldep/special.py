@@ -8,10 +8,13 @@ The prefactor ``x**a * (1-x)**b / B(a, b)`` is formed in log space with
 log B computed after DiDonato & Morris (1992, ACM TOMS 708, ``betaln`` and
 ``algdiv``): when an argument is large the huge log-gamma terms are
 cancelled analytically through Stirling's series instead of subtracted.
-The fractions of a batch of arguments run as one numpy iteration of
-correctly rounded elementwise operations, so each element's value is the
-one it gets alone. The t tail (``linear.t_sfs``) is taken from the F tail,
-as t*t ~ F(1, dof).
+A batch of tails is one array program: every check and branch is a mask,
+every +, -, *, / and comparison one correctly rounded elementwise numpy
+operation in the one-element order, and every log, log1p and exp libm's,
+through ``math`` per element; log B is formed once per distinct (a, b).
+The fractions of a batch run as one numpy iteration. So each element's
+value is the one it gets alone. The t tail (``linear.t_sfs``) is taken
+from the F tail, as t*t ~ F(1, dof).
 """
 
 from __future__ import annotations
@@ -109,75 +112,73 @@ def _fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     )
 
 
+def _map(fn, v: np.ndarray) -> np.ndarray:
+    """``fn`` of each element, through ``math`` (so through libm)."""
+    return np.fromiter(map(fn, v.tolist()), dtype=float, count=len(v))
+
+
+def _log_of(v: np.ndarray, complement: np.ndarray) -> np.ndarray:
+    """log of each element, as ``log(v)`` below 0.5 and ``log1p(-(1 - v))``
+    from there, with ``1 - v`` given as ``complement``."""
+    out = np.empty_like(v)
+    small = v < 0.5
+    out[small] = _map(math.log, v[small])
+    out[~small] = _map(math.log1p, -complement[~small])
+    return out
+
+
 def regularized_betas(a, b, x, y) -> list[float]:
     """Regularized incomplete beta I_x(a, b) of each element of
     equal-length sequences, for a, b > 0 and x in [0, 1].
 
     ``y`` is ``1 - x``, passed separately so that a caller who can form
     it without cancellation (the t and F tails can) keeps its precision
-    near x = 1. The prefactor is formed per element with ``math``; the
+    near x = 1. Every branch is a mask and every arithmetic step one
+    elementwise operation, in the one-element order; each log and exp is
+    libm's, through ``math``, and log B once per distinct (a, b). The
     continued fractions of all elements run as one numpy iteration. Each
     element's value has the bits of a batch of one. Any element whose
     fraction does not converge raises ConvergenceError.
     """
-    out = [0.0] * len(x)
-    pending = []  # (position, prefactor, divisor, swapped)
-    args = []  # the fraction's (a, b, x) after the symmetry swap
-    log_betas: dict[tuple[float, float], float] = {}
-    for i, (ai, bi, xi, yi) in enumerate(zip(a, b, x, y)):
-        if xi == 0.0:
-            continue
-        if yi == 0.0:
-            out[i] = 1.0
-            continue
-        log_x = math.log(xi) if xi < 0.5 else math.log1p(-yi)
-        log_y = math.log(yi) if yi < 0.5 else math.log1p(-xi)
-        lb = log_betas.get((ai, bi))
-        if lb is None:
-            lb = log_betas[ai, bi] = log_beta(ai, bi)
-        front = math.exp(ai * log_x + bi * log_y - lb)
-        if xi < (ai + 1.0) / (ai + bi + 2.0):
-            pending.append((i, front, ai, False))
-            args.append((ai, bi, xi))
-        else:
-            pending.append((i, front, bi, True))
-            args.append((bi, ai, yi))
-    fractions = _fractions(*np.array(args, dtype=float).reshape(-1, 3).T)
-    for (i, front, divisor, swapped), h in zip(pending, fractions.tolist()):
-        out[i] = 1.0 - front * h / divisor if swapped else front * h / divisor
-    return out
+    a, b, x, y = (np.asarray(v, dtype=float) for v in (a, b, x, y))
+    out = np.where(x == 0.0, 0.0, 1.0)
+    live = (x != 0.0) & (y != 0.0)
+    a, b, x, y = a[live], b[live], x[live], y[live]
+    keys = list(zip(a.tolist(), b.tolist()))
+    log_betas = {key: log_beta(*key) for key in set(keys)}
+    exponent = a * _log_of(x, y) + b * _log_of(y, x)
+    exponent -= np.fromiter(map(log_betas.__getitem__, keys), dtype=float, count=len(keys))
+    front = _map(math.exp, exponent)
+    swapped = ~(x < (a + 1.0) / (a + b + 2.0))  # then I_x(a, b) = 1 - I_y(b, a)
+    divisor = np.where(swapped, b, a)
+    value = front * _fractions(divisor, np.where(swapped, a, b), np.where(swapped, y, x))
+    value /= divisor
+    out[live] = np.where(swapped, 1.0 - value, value)
+    return out.tolist()
 
 
 def f_sfs(fs, d1s, d2s) -> list[float]:
     """``f_sf`` over equal-length sequences, with one incomplete-beta batch.
 
-    Each value has the bits of its own ``f_sf`` call.
+    Each value has the bits of its own ``f_sf`` call, and a batch with bad
+    elements raises the error of the first one's own call.
     """
-    out: list[float] = []
-    pending: list[int] = []  # positions whose tail needs the incomplete beta
-    a, b, x, y = [], [], [], []
-    for i, (f, d1, d2) in enumerate(zip(fs, d1s, d2s)):
-        if d1 < 1 or d2 < 1:
-            raise DomainError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
-        if math.isnan(f) or f < 0:
-            raise DomainError(f"F statistic must be >= 0, got {f}")
-        if f == 0.0:
-            out.append(1.0)
-        elif math.isinf(f):
-            out.append(0.0)
-        elif f == 1.0 and d1 == d2:
-            out.append(0.5)
-        else:
-            fd = d1 * f
-            out.append(math.nan)
-            pending.append(i)
-            a.append(d2 / 2.0)
-            b.append(d1 / 2.0)
-            x.append(d2 / (d2 + fd))
-            y.append(fd / (d2 + fd))
-    for i, tail in zip(pending, regularized_betas(a, b, x, y)):
-        out[i] = tail
-    return out
+    f, d1, d2 = (np.asarray(v, dtype=float) for v in (fs, d1s, d2s))
+    bad_dof = (d1 < 1) | (d2 < 1)
+    bad = bad_dof | np.isnan(f) | (f < 0)
+    if bad.any():
+        i = int(bad.argmax())
+        if bad_dof[i]:
+            raise DomainError(f"degrees of freedom must be >= 1, got ({d1s[i]}, {d2s[i]})")
+        raise DomainError(f"F statistic must be >= 0, got {fs[i]}")
+    out = np.where(f == 0.0, 1.0, np.where(np.isinf(f), 0.0, 0.5))
+    beta = (f != 0.0) & ~np.isinf(f) & ~((f == 1.0) & (d1 == d2))
+    f, d1, d2 = f[beta], d1[beta], d2[beta]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as float arithmetic
+        fd = d1 * f
+        x, y = d2 / (d2 + fd), fd / (d2 + fd)
+    out[beta] = regularized_betas(d2 / 2.0, d1 / 2.0, x, y)
+    return out.tolist()
 
 
 def f_sf(f: float, d1: float, d2: float) -> float:

@@ -10,6 +10,7 @@ a lag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,16 +117,10 @@ def _longest_lag(n: int) -> int:
     return (n - 2) // 3
 
 
-def _usable_rows(n: int, lag: int) -> int:
-    """Rows left for the lag-``lag`` fit of a length-n pair, checked."""
-    if lag < 1:
-        raise DomainError(f"lag must be >= 1, got {lag}")
-    if lag > _longest_lag(n):
-        raise InsufficientDataError(
-            f"{n} observations leave {n - lag} usable rows, need more than "
-            f"{1 + 2 * lag} for lag {lag}"
-        )
-    return n - lag
+def _too_short(n: int, lag: int) -> InsufficientDataError:
+    return InsufficientDataError(
+        f"{n} observations leave {n - lag} usable rows, need more than "
+        f"{1 + 2 * lag} for lag {lag}")
 
 
 def _lag_designs(x: np.ndarray, y: np.ndarray, lag: int) -> np.ndarray:
@@ -148,8 +143,8 @@ def _lag_designs(x: np.ndarray, y: np.ndarray, lag: int) -> np.ndarray:
 
 
 def _fitted_stacks(table: PairTable, difference_first: bool, out: list
-                   ) -> list[tuple[int, list, np.ndarray, np.ndarray, np.ndarray]]:
-    """(n, places, x, y, ey) of each length group: the pairs' stacks that
+                   ) -> list[tuple[list, np.ndarray, np.ndarray, np.ndarray]]:
+    """(places, x, y, ey) of each length group: the pairs' stacks that
     every lag is fitted on. A pair that cannot be fitted gets its error in
     ``out``.
 
@@ -179,33 +174,92 @@ def _fitted_stacks(table: PairTable, difference_first: bool, out: list
         rows, exponents = _unit_scaled(
             np.diff(group.rows, axis=1) if difference_first else group.rows)
         xi, yi = group.xi[~bad], group.yi[~bad]
-        stacks.append((group.n, places, rows[xi], rows[yi], exponents[yi]))
+        stacks.append((places, rows[xi], rows[yi], exponents[yi]))
     return stacks
 
 
-def _fit_lag(x: np.ndarray, y: np.ndarray, ey: np.ndarray, lag: int) -> list:
-    """Each row's lag-``lag`` fit (f, rss_r, rss_ur, n_eff) from one
-    stacked QR of the unit-scaled rows, or the error that skips it.
+class _Fits(NamedTuple):
+    """Each fitted pair's fit at each of ``lags``, as (pair, lag) arrays.
 
-    The rank check is per row: a singular design gives its row's error and
-    leaves the other rows' fits alone. F is formed from the scaled sums, so
-    it neither overflows nor underflows; the sums are reported in input
-    units, where one out of range is 0.0 or inf.
+    ``n`` is each pair's fitted length (after any differencing). ``rank``
+    is the rank of the lag's design, or -1 where the pair is too short for
+    the lag; a fit is kept where the design has full rank (``fitted``), so
+    the skips can be counted by lag and by reason from these two arrays.
+    ``f``, ``p`` and the residual sums are read only where ``fitted``.
     """
-    try:
-        n_eff = _usable_rows(y.shape[1], lag)
-    except InsufficientDataError as exc:
-        return [exc.with_traceback(None)] * len(y)
-    cols = 1 + 2 * lag
-    gain, rss_ur, rank = _nested_fits(_lag_designs(x, y, lag), 1 + lag)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f = np.where(rss_ur == 0.0, np.inf, (gain / lag) / (rss_ur / (n_eff - cols)))
-        rss_r = np.ldexp(rss_ur + gain, 2 * ey)
-        rss_ur = np.ldexp(rss_ur, 2 * ey)
-    return [(f_j, rss_r_j, rss_ur_j, n_eff) if rank_j == cols
-            else _rank_deficient(rank_j, cols)
-            for f_j, rss_r_j, rss_ur_j, rank_j
-            in zip(f.tolist(), rss_r.tolist(), rss_ur.tolist(), rank.tolist())]
+
+    places: list[int]
+    n: list[int]
+    lags: tuple[int, ...]
+    f: np.ndarray
+    p: np.ndarray
+    rss_r: np.ndarray
+    rss_ur: np.ndarray
+    rank: np.ndarray
+    fitted: np.ndarray
+
+    def result(self, i: int, j: int) -> GrangerResult:
+        lag = self.lags[j]
+        return GrangerResult(lag, float(self.f[i, j]), float(self.p[i, j]),
+                             float(self.rss_r[i, j]), float(self.rss_ur[i, j]),
+                             self.n[i] - lag)
+
+    def error(self, i: int, j: int) -> PanelDepError:
+        """The error that skips pair i's fit at lags[j]."""
+        lag, rank = self.lags[j], int(self.rank[i, j])
+        return _too_short(self.n[i], lag) if rank < 0 else _rank_deficient(rank, 1 + 2 * lag)
+
+    def skipped(self, i: int, max_lag: int) -> list[tuple[int, PanelDepError]]:
+        """(lag, error) of each lag 1..max_lag that pair i does not fit,
+        where ``lags`` are 1..L; every lag past L is too short for it."""
+        fitted = self.fitted[i].tolist()
+        return [(lag, self.error(i, lag - 1) if lag <= len(fitted) else _too_short(self.n[i], lag))
+                for lag in range(1, max_lag + 1) if lag > len(fitted) or not fitted[lag - 1]]
+
+    def best(self) -> tuple[list[int], list[bool]]:
+        """Each pair's column of its first minimum p-value among its kept
+        fits, and whether it has one."""
+        return (np.where(self.fitted, self.p, np.inf).argmin(axis=1).tolist(),
+                self.fitted.any(axis=1).tolist())
+
+
+def _fits(table: PairTable, lags, difference_first: bool, out: list) -> _Fits:
+    """Every pair's fit at each of the ascending ``lags``, each length
+    group's pairs through one stacked QR per lag, and every kept fit's F
+    tail from one ``f_sfs`` call. A pair that cannot be fitted at all gets
+    its error in ``out``.
+
+    The rank check is per fit: a singular design skips its own fit and
+    leaves the others alone. F is formed from the unit-scaled sums in one
+    elementwise program, so it neither overflows nor underflows; the sums
+    are reported in input units, where one out of range is 0.0 or inf.
+    """
+    stacks = _fitted_stacks(table, difference_first, out)
+    lags = tuple(lags)
+    places = [place for group_places, *_ in stacks for place in group_places]
+    n = [y.shape[1] for group_places, _, y, _ in stacks for _ in group_places]
+    shape = (len(places), len(lags))
+    f, rss_r, rss_ur = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
+    rank = np.full(shape, -1)
+    start = 0
+    for group_places, x, y, ey in stacks:
+        rows = slice(start, start + len(group_places))
+        start = rows.stop
+        for j, lag in enumerate(lags):
+            if lag > _longest_lag(y.shape[1]):
+                break
+            dof = y.shape[1] - lag - (1 + 2 * lag)
+            gain, ur, rank[rows, j] = _nested_fits(_lag_designs(x, y, lag), 1 + lag)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                f[rows, j] = np.where(ur == 0.0, np.inf, (gain / lag) / (ur / dof))
+                rss_r[rows, j] = np.ldexp(ur + gain, 2 * ey)
+                rss_ur[rows, j] = np.ldexp(ur, 2 * ey)
+    lag_row = np.array(lags, dtype=np.intp)
+    fitted = rank == 1 + 2 * lag_row
+    dof = np.array(n, dtype=np.intp)[:, None] - lag_row - (1 + 2 * lag_row)
+    p = np.full(shape, np.nan)
+    p[fitted] = f_sfs(f[fitted], np.broadcast_to(lag_row, shape)[fitted], dof[fitted])
+    return _Fits(places, n, lags, f, p, rss_r, rss_ur, rank, fitted)
 
 
 def granger_test(pair: AlignedPair, lag: int,
@@ -218,15 +272,14 @@ def granger_test(pair: AlignedPair, lag: int,
     silently).
     """
     out = [None]
-    stacks = _fitted_stacks(PairTable.of_pairs([pair]), difference_first, out)
+    fits = _fits(PairTable.of_pairs([pair]), [lag] if lag >= 1 else [], difference_first, out)
     if out[0] is not None:
         raise out[0]
-    ((_, _, x, y, ey),) = stacks
-    (fit,) = _fit_lag(x, y, ey, lag)
-    if isinstance(fit, PanelDepError):
-        raise fit
-    (p,) = f_sfs([fit[0]], [lag], [fit[3] - (1 + 2 * lag)])
-    return GrangerResult(lag, fit[0], p, *fit[1:])
+    if lag < 1:
+        raise DomainError(f"lag must be >= 1, got {lag}")
+    if not fits.fitted[0, 0]:
+        raise fits.error(0, 0)
+    return fits.result(0, 0)
 
 
 def _no_lag_fits(n: int, skipped: list[tuple[int, PanelDepError]]) -> PanelDepError:
@@ -241,6 +294,16 @@ def _no_lag_fits(n: int, skipped: list[tuple[int, PanelDepError]]) -> PanelDepEr
     return InsufficientDataError(f"pair of length {n} is too short for even lag 1")
 
 
+def _sweep(table: PairTable, max_lag: int, difference_first: bool, out: list) -> _Fits:
+    """``_fits`` at lags 1..max_lag, up to the longest that some pair of
+    the table allows (at least lag 1); every longer lag is too short for
+    every pair."""
+    if max_lag < 1:
+        raise DomainError(f"max_lag must be >= 1, got {max_lag}")
+    longest = max([1, *(_longest_lag(group.n - difference_first) for group in table.groups)])
+    return _fits(table, range(1, min(max_lag, longest) + 1), difference_first, out)
+
+
 def lag_sweeps(pairs, max_lag: int,
                difference_first: bool = False) -> list[LagSweep | PanelDepError]:
     """``lag_sweep`` over many pairs: each pair's sweep, or the error its own
@@ -253,29 +316,35 @@ def lag_sweeps_over(table: PairTable, max_lag: int,
     """``lag_sweep`` of each pair of a table, by place (None at a place with
     no pair).
 
-    Each length group is one stack, so each lag's designs of that length
-    go through one QR, and every fit's F tail comes from one ``f_sfs``
-    call; each sweep equals the pair's own ``lag_sweep``, bit for bit. A
-    bad ``max_lag`` raises.
+    Every fit comes from one ``_fits`` call; each sweep equals the pair's
+    own ``lag_sweep``, bit for bit. A bad ``max_lag`` raises.
     """
-    if max_lag < 1:
-        raise DomainError(f"max_lag must be >= 1, got {max_lag}")
     out: list = [None] * table.size
-    swept = []  # (n, place, each lag's (lag, fit or the error that skips it))
-    for n, places, x, y, ey in _fitted_stacks(table, difference_first, out):
-        by_lag = [_fit_lag(x, y, ey, lag) for lag in range(1, max_lag + 1)]
-        swept += [(n, place, list(enumerate(fits, 1)))
-                  for place, fits in zip(places, zip(*by_lag))]
-    fitted = [(lag, fit) for *_, fits in swept for lag, fit in fits if isinstance(fit, tuple)]
-    tails = iter(f_sfs([fit[0] for _, fit in fitted], [lag for lag, _ in fitted],
-                       [fit[3] - (1 + 2 * lag) for lag, fit in fitted]))
-    for n, place, fits in swept:
-        results = tuple(GrangerResult(lag, fit[0], next(tails), *fit[1:])
-                        for lag, fit in fits if isinstance(fit, tuple))
-        skipped = tuple(SkippedLag(lag, str(error)) for lag, error in fits
-                        if not isinstance(error, tuple))
-        out[place] = (LagSweep(results, skipped, min(results, key=lambda res: res.p_value))
-                      if results else _no_lag_fits(n, fits))  # the first minimum wins
+    fits = _sweep(table, max_lag, difference_first, out)
+    best, found = fits.best()
+    for i, (place, n, fitted) in enumerate(zip(fits.places, fits.n, fits.fitted.tolist())):
+        skipped = fits.skipped(i, max_lag)
+        out[place] = (LagSweep(tuple(fits.result(i, j) for j, ok in enumerate(fitted) if ok),
+                               tuple(SkippedLag(lag, str(error)) for lag, error in skipped),
+                               fits.result(i, best[i]))
+                      if found[i] else _no_lag_fits(n + difference_first, skipped))
+    return out
+
+
+def best_fits_over(table: PairTable, max_lag: int, difference_first: bool = False) -> list:
+    """``lag_sweep(...).best`` of each pair of a table, or the error its
+    sweep over the lags some pair allows raises, by place (None at a place
+    with no pair).
+
+    Each pair's best fit is picked from the arrays of one ``_fits`` call,
+    and only it becomes a ``GrangerResult``. A bad ``max_lag`` raises.
+    """
+    out: list = [None] * table.size
+    fits = _sweep(table, max_lag, difference_first, out)
+    best, found = fits.best()
+    for i, (place, n) in enumerate(zip(fits.places, fits.n)):
+        out[place] = (fits.result(i, best[i]) if found[i] else
+                      _no_lag_fits(n + difference_first, fits.skipped(i, len(fits.lags))))
     return out
 
 

@@ -230,11 +230,17 @@ def reference_mutual_information(x, y, bins: int, strategy: str) -> float:
     counts = np.zeros((bins, bins), dtype=np.int64)
     np.add.at(counts, (reference_labels(x, bins, strategy),
                        reference_labels(y, bins, strategy)), 1)
-    joint = counts / len(x)
+    return reference_mi_bits(counts, len(x))
+
+
+def reference_mi_bits(counts: np.ndarray, n: int) -> float:
+    """MI in bits of one count grid: ``np.add.reduce`` of its own slice of
+    nonzero terms."""
+    joint = counts / n
     px = joint.sum(axis=1, keepdims=True)
     py = joint.sum(axis=0, keepdims=True)
     nz = joint > 0
-    return max(0.0, float(np.sum(joint[nz] * np.log2(joint[nz] / (px @ py)[nz]))))
+    return max(0.0, float(np.add.reduce(joint[nz] * np.log2(joint[nz] / (px @ py)[nz]))))
 
 
 def reference_align_pair(a, b, min_overlap: int):

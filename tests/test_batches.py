@@ -6,23 +6,32 @@ not matter. The references in ``oracles`` are the one-pair loops the batch
 kernels stack, so agreement with them pins the bits as well.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paneldep import special
-from paneldep.errors import ConvergenceError, InsufficientDataError, SingularDesignError
-from paneldep.info import _optimize_axis, _Tables, mics, mutual_informations
+from paneldep.errors import (
+    ConvergenceError,
+    DomainError,
+    InsufficientDataError,
+    SingularDesignError,
+)
+from paneldep.info import _mi_bits, _optimize_axis, _Tables, mics, mutual_informations
 from paneldep.linear import pearsons, t_sf, t_sfs
 from paneldep.panel import MIC_NORMALIZATIONS, AlignedPair
 from paneldep.special import f_sf, f_sfs
-from paneldep.temporal import lag_sweeps
+from paneldep.table import PairTable
+from paneldep.temporal import best_fits_over, lag_sweeps
 
 from oracles import (
     _ref_optimize_axis,
     _ref_unit_scaled,
     reference_f_sf,
     reference_lag_fit,
+    reference_mi_bits,
     reference_mic,
     reference_mutual_information,
     reference_pearson,
@@ -90,6 +99,15 @@ def test_batches_match_batches_of_one(pairs, rnd, bins, max_lag, difference_firs
     for name, batch in batches.items():
         for pair, result in zip(shuffled, batch(shuffled)):
             assert same(result, batch([pair])[0]), name
+    # the battery's Granger cells: each sweep's best fit, or its error's kind
+    sweeps = lag_sweeps(shuffled, max_lag, difference_first)
+    for best, sweep in zip(best_fits_over(PairTable.of_pairs(shuffled), max_lag,
+                                          difference_first), sweeps):
+        if isinstance(sweep, Exception):
+            assert type(best) is type(sweep)
+            assert getattr(best, "rank", None) == getattr(sweep, "rank", None)
+        else:
+            assert repr(best) == repr(sweep.best)
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,6 +254,85 @@ def test_tail_batches_match_each_element(args):
     assert [repr(v) for v in t_sfs([t for t, _ in upper], [dof for _, dof in upper])] == \
         [repr(0.5 * v) for v in f_sfs([t * t for t, _ in upper], [1] * len(upper),
                                       [dof for _, dof in upper])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0, math.inf, 1.0, 1e308]),
+                                    st.floats(0, 1e6)),
+                          st.integers(1, 6), st.integers(0, 5)),
+                min_size=1, max_size=30))
+def test_f_tail_edge_cases_match_each_element(args):
+    """F = 0, F = inf and F = 1 with d1 == d2 (an offset of 0) take their
+    exact branches inside a batch of ordinary tails; d1 * F past the float
+    range is inf, as in the one-element arithmetic."""
+    fs, d1s, offsets = zip(*args)
+    d2s = [d1 + offset for d1, offset in zip(d1s, offsets)]
+    assert [repr(v) for v in f_sfs(fs, d1s, d2s)] == \
+        [repr(reference_f_sf(f, d1, d2)) for f, d1, d2 in zip(fs, d1s, d2s)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 1e200, -1e200]),
+                                    st.floats(-1e40, 1e40),
+                                    st.floats(-60, 60)),
+                          st.one_of(st.just(1), st.integers(1, 400))),
+                min_size=1, max_size=30))
+def test_t_tail_edge_cases_match_each_element(args):
+    """dof 1 (the arctangent form) and every other dof, with t negative,
+    -0.0 and up to 1e40 in magnitude, and t * t past the float range."""
+    ts, dofs = zip(*args)
+    assert [repr(v) for v in t_sfs(ts, dofs)] == \
+        [repr(reference_t_sf(t, dof)) for t, dof in zip(ts, dofs)]
+
+
+@pytest.mark.parametrize("batch, elements, message", [
+    # a dof below 1 is reported before a NaN in the same element
+    (t_sfs, [(1.5, 3), (math.nan, 0), (math.nan, 4)], "dof must be >= 1, got 0"),
+    (t_sfs, [(1.5, 3), (math.nan, 4), (2.0, 0)], "t statistic is NaN"),
+    (t_sfs, [(1.5, 0.5), (math.nan, 0)], "dof must be >= 1, got 0.5"),
+    (f_sfs, [(1.5, 2, 3), (math.nan, 0, 3), (-1.0, 2, 2)],
+     "degrees of freedom must be >= 1, got (0, 3)"),
+    (f_sfs, [(1.5, 2, 3), (-1.0, 2, 2), (2.0, 1, 0)], "F statistic must be >= 0, got -1.0"),
+    (f_sfs, [(math.nan, 1, 1), (2.0, 1, 0.5)], "F statistic must be >= 0, got nan"),
+])
+def test_a_bad_batch_raises_the_first_bad_elements_error(batch, elements, message):
+    scalar = {t_sfs: t_sf, f_sfs: f_sf}[batch]
+    for args in elements:  # the first element whose own call raises
+        try:
+            scalar(*args)
+        except DomainError as alone:
+            assert alone.args == (message,)
+            break
+    else:
+        pytest.fail("no element fails on its own")
+    with pytest.raises(DomainError) as batched:
+        batch(*zip(*elements))
+    assert batched.value.args == (message,)
+
+
+@st.composite
+def count_stacks(draw):
+    """Stacks of count grids of one shape, all holding n points, whose
+    nonzero-term counts lie below 8, from 8 to 127, or both in one stack."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(2, 12)), draw(st.integers(2, 12)))
+    cells = shape[0] * shape[1]
+    terms = draw(st.lists(st.one_of(st.integers(1, 7), st.integers(8, 127)),
+                          min_size=1, max_size=12))
+    terms = [min(k, cells) for k in terms]
+    n = max(terms) + draw(st.integers(0, 200))
+    grids = np.zeros((len(terms), cells), dtype=np.int64)
+    for grid, k in zip(grids, terms):
+        grid[rng.choice(cells, k, replace=False)] = 1 + rng.multinomial(n - k, [1 / k] * k)
+    return grids.reshape(-1, *shape), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(count_stacks())
+def test_mi_sums_each_grid_as_its_own_slice(stack):
+    counts, n = stack
+    assert [float.hex(v) for v in _mi_bits(counts, n)] == \
+        [float.hex(reference_mi_bits(grid, n)) for grid in counts]
 
 
 def test_squares_are_rounded_as_python_pow():

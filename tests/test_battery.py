@@ -180,13 +180,13 @@ class TestRunBattery:
         import paneldep.temporal as temporal
 
         batches = []
-        sweeps = temporal.lag_sweeps_over
+        fits = temporal._fits
 
-        def recording_sweeps(table, *args):
+        def recording_fits(table, *args):
             batches.append(table)
-            return sweeps(table, *args)
+            return fits(table, *args)
 
-        monkeypatch.setattr(temporal, "lag_sweeps_over", recording_sweeps)
+        monkeypatch.setattr(temporal, "_fits", recording_fits)
         ds, config = fixture_config(methods=("granger",))
         matrices = run_battery(ds, config)
         (table,) = batches  # one call for the whole run
@@ -225,18 +225,18 @@ class TestRunBattery:
         import paneldep.temporal as temporal
 
         asked = []
-        sweeps = temporal.lag_sweeps_over
+        fits = temporal._fits
 
-        def recording_sweeps(table, max_lag, *args):
-            asked.append(max_lag)
-            return sweeps(table, max_lag, *args)
+        def recording_fits(table, lags, *args):
+            asked.append(list(lags))
+            return fits(table, lags, *args)
 
-        monkeypatch.setattr(temporal, "lag_sweeps_over", recording_sweeps)
+        monkeypatch.setattr(temporal, "_fits", recording_fits)
         ds, (outcome,) = planted_lag_dataset({"E1": 1}, n=32)
         run_battery(ds, BatteryConfig(methods=("granger",), outcomes=(outcome,),
                                       indicators=("E1",), max_lag=10**9,
                                       difference_first=difference_first))
-        assert asked == [longest]
+        assert asked == [list(range(1, longest + 1))]
 
     def test_mic_skips_short_series(self):
         ds, config = fixture_config(methods=("mic",))

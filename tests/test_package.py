@@ -89,3 +89,29 @@ def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
         "file out": [1, []],
         "analyze": [0, ["numpy"]],
     }
+
+
+# A Pearson and MI run, in a fresh interpreter: which paneldep modules are loaded?
+SCREEN_PROBE = """
+import json, sys
+from paneldep.cli import main
+codes = [main(["fixture", "--with-outcomes", "--out", "panel.csv"]),
+         main(["--quiet", "analyze", "--panel", "panel.csv", "--config", "config.json",
+               "--out", "results"])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("paneldep."))]))
+"""
+
+
+def test_a_screen_loads_only_its_kernels(tmp_path):
+    (tmp_path / "config.json").write_text(
+        json.dumps({"methods": ["pearson", "mutual_information"]}))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), path]))}
+    done = subprocess.run([sys.executable, "-c", SCREEN_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes, modules = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert {"paneldep.linear", "paneldep.info"} <= set(modules)
+    assert not {"paneldep.temporal", "paneldep.burden"} & set(modules)
