@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     ConfigError,
     DegenerateInputError,
+    DomainError,
     InsufficientDataError,
     NonContiguousYearsError,
     ParseError,
@@ -35,10 +38,9 @@ from .panel import (
 )
 
 if TYPE_CHECKING:
-    from .info import MicResult, MutualInfoResult
-    from .linear import PearsonResult
-    from .table import PairTable
-    from .temporal import GrangerResult
+    import numpy as np
+
+    from .table import Columns, PairTable
 
 METHODS = ("pearson", "mutual_information", "granger", "mic")
 
@@ -147,33 +149,111 @@ class BatteryConfig:
             )
 
 
-@dataclass(frozen=True)
-class MatrixCell:
-    """One computed cell: the method result plus its aligned sample size."""
+class MatrixCell(NamedTuple):
+    """One computed cell of ``ResultMatrix.cells``: the method result and
+    its aligned sample size."""
 
     n: int
-    result: PearsonResult | MutualInfoResult | GrangerResult | MicResult
+    result: object
 
 
-@dataclass
+@dataclass(eq=False)
 class ResultMatrix:
-    """Regions x indicators grid of one method's results for one outcome."""
+    """Regions x indicators grid of one method's results for one outcome.
+
+    A filled matrix holds its results as columns: ``columns`` maps each
+    field of the result dataclass ``kind``, and ``n``, to a (rows, cols)
+    array. ``tags`` is the (rows, cols) object array of each cell's skip
+    tag, None where the cell holds a result; there a column's entry means
+    nothing. A planned matrix has no columns and ``tags`` None. The arrays
+    are views of the run's columns, which the matrices of one method, and
+    for ``n`` of every method, share.
+    """
 
     method: str
     age_group: AgeGroup
     outcome: str
     rows: tuple[str, ...]
     cols: tuple[str, ...]
-    cells: dict[tuple[str, str], MatrixCell] = field(default_factory=dict)
-    skips: dict[tuple[str, str], str] = field(default_factory=dict)
+    kind: type | None = None
+    columns: dict[str, np.ndarray] = field(default_factory=dict)
+    tags: np.ndarray | None = None
 
     def complete(self) -> bool:
-        return len(self.cells) + len(self.skips) == len(self.rows) * len(self.cols)
+        return self.tags is not None
+
+    def held(self) -> np.ndarray:
+        """(rows, cols) bools: True where the cell holds a result. Raises
+        DomainError for a planned matrix, which holds no cells yet."""
+        import numpy as np
+
+        if self.tags is None:
+            raise DomainError(f"matrix {self.stem} is planned, not filled; "
+                              f"run_battery fills it")
+        return np.equal(self.tags, None)
 
     @property
     def stem(self) -> str:
         """The name of this matrix's output files, without extension."""
         return f"{self.method}__{_slug(self.outcome)}__{_slug(self.age_group.value)}"
+
+    @cached_property
+    def cells(self) -> Mapping[tuple[str, str], MatrixCell]:
+        """The (region, code) of each cell that holds a result, mapped to its
+        ``MatrixCell``: a read-only view, which reads the columns on each lookup."""
+        return _Grid(self, results=True)
+
+    @cached_property
+    def skips(self) -> Mapping[tuple[str, str], str]:
+        """The (region, code) of each skipped cell, mapped to its skip tag:
+        a read-only view of ``tags``."""
+        return _Grid(self, results=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, ResultMatrix):
+            return NotImplemented
+        return ((self.method, self.age_group, self.outcome, self.rows, self.cols)
+                == (other.method, other.age_group, other.outcome, other.rows, other.cols)
+                and self.cells == other.cells and self.skips == other.skips)
+
+
+class _Grid(Mapping):
+    """The cells of a matrix that hold a result (``results``) or a skip."""
+
+    def __init__(self, matrix: ResultMatrix, results: bool):
+        self._matrix = matrix
+        self._results = results
+        self._rows = {region: i for i, region in enumerate(matrix.rows)}
+        self._cols = {code: i for i, code in enumerate(matrix.cols)}
+
+    def _holds(self, tag) -> bool:
+        return (tag is None) is self._results
+
+    def __getitem__(self, key):
+        matrix = self._matrix
+        try:
+            region, code = key
+            ri, ci = self._rows[region], self._cols[code]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if matrix.tags is None or not self._holds(tag := matrix.tags[ri, ci]):
+            raise KeyError(key)
+        if not self._results:
+            return tag
+        values = {name: column[ri, ci].item() for name, column in matrix.columns.items()}
+        return MatrixCell(values["n"], matrix.kind(*(values[f.name] for f in fields(matrix.kind))))
+
+    def __iter__(self):
+        matrix = self._matrix
+        if matrix.tags is None:
+            return
+        for region, row in zip(matrix.rows, matrix.tags.tolist()):
+            for code, tag in zip(matrix.cols, row):
+                if self._holds(tag):
+                    yield region, code
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 def _slug(text: str) -> str:
@@ -196,9 +276,9 @@ _SKIP_TAGS = {
 }
 
 
-def _method_results(method: str, table: PairTable, config: BatteryConfig) -> list:
-    """Each place's method result or error, from one batch call over every
-    pair of the run's table (None at a place with no pair).
+def _method_results(method: str, table: PairTable, config: BatteryConfig) -> Columns:
+    """The method's results over every pair of the run's table, from one
+    batch call.
 
     Only the method's kernel module is imported, on its first call, as the
     table is in ``run_battery``, so that numpy loads only when a kernel
@@ -251,36 +331,31 @@ def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatr
     over the whole table.
     """
     matrices = plan_battery(dataset, config)
-    from .table import PairTable  # numpy loads here, just before the kernels
+    import numpy as np  # numpy loads here, just before the kernels
+
+    from .table import PairTable
 
     cols = matrices[0].cols
     table = PairTable.of_panel(dataset, config.outcomes, cols, config.min_overlap)
+    # place = (region * outcomes + outcome) * cols + col, so matrix i of a
+    # method is [:, i, :] of each of its columns as a (regions, outcomes, cols) grid
     per_method = len(config.outcomes)
-
-    def located(place: int) -> tuple[int, tuple[str, str]]:
-        """(outcome index, cell key) of a place."""
-        rest, col = divmod(place, len(cols))
-        region, outcome = divmod(rest, per_method)
-        return outcome, (dataset.regions[region], cols[col])
-
-    skipped = sorted([*((place, SKIP_MISSING_SERIES) for place in table.missing.tolist()),
-                      *((place, SKIP_INSUFFICIENT_OVERLAP) for place in table.short.tolist())])
-    for place, tag in skipped:
-        i, key = located(place)
-        for matrix in matrices[i::per_method]:
-            matrix.skips[key] = tag
-    paired = sorted((place, group.n) for group in table.groups
-                    for place in group.places.tolist())
-    paired = [(place, n, *located(place)) for place, n in paired]
+    shape = (len(dataset.regions), per_method, len(cols))
+    pair_tags = np.full(table.size, None, dtype=object)
+    pair_tags[table.missing] = SKIP_MISSING_SERIES
+    pair_tags[table.short] = SKIP_INSUFFICIENT_OVERLAP
     for start in range(0, len(matrices), per_method):
         row = matrices[start:start + per_method]
-        results = _method_results(row[0].method, table, config)
-        for place, n, i, key in paired:
-            result = results[place]
-            if isinstance(result, Exception):
-                row[i].skips[key] = _SKIP_TAGS[type(result)]
-            else:
-                row[i].cells[key] = MatrixCell(n, result)
+        batch = _method_results(row[0].method, table, config)
+        tags = pair_tags.copy()
+        tags[list(batch.errors)] = [_SKIP_TAGS[type(error)] for error in batch.errors.values()]
+        grids = {name: column.reshape(shape)
+                 for name, column in {**batch.values, "n": batch.n}.items()}
+        tags = tags.reshape(shape)
+        for i, matrix in enumerate(row):
+            matrix.kind = batch.kind
+            matrix.columns = {name: grid[:, i, :] for name, grid in grids.items()}
+            matrix.tags = tags[:, i, :]
     return matrices
 
 
@@ -293,11 +368,14 @@ def summarize_lags(matrices) -> dict[tuple[str, str], dict[int, int]]:
             raise TypeError(
                 f"lag summary needs granger matrices, got {matrix.method!r}"
             )
-        for (_, code), cell in matrix.cells.items():
-            category = _classify_code(code).category
-            lags = summary.setdefault((category, matrix.outcome), {})
-            lag = cell.result.lag
-            lags[lag] = lags.get(lag, 0) + 1
+        held, best_lags = matrix.held(), matrix.columns["lag"]
+        for ci, code in enumerate(matrix.cols):
+            found = best_lags[held[:, ci], ci].tolist()
+            if not found:
+                continue
+            lags = summary.setdefault((_classify_code(code).category, matrix.outcome), {})
+            for lag in found:
+                lags[lag] = lags.get(lag, 0) + 1
     return {
         key: dict(sorted(summary[key].items()))
         for key in sorted(summary)

@@ -25,7 +25,7 @@ from .panel import (
     STRATEGIES,
     AlignedPair,
 )
-from .table import PairTable
+from .table import Columns, PairTable, shared
 
 
 def discretize(values, bins: int, strategy: str = "equal-frequency") -> np.ndarray:
@@ -96,10 +96,10 @@ class JointHistogram:
         """Mutual information of the joint distribution, in bits."""
         if self.n == 0:
             raise DomainError("empty histogram")
-        return _mi_bits(np.asarray(self.counts)[None], self.n)[0]
+        return _mi_bits(np.asarray(self.counts)[None], self.n)[0].item()
 
 
-def _mi_bits(counts: np.ndarray, n: int) -> list[float]:
+def _mi_bits(counts: np.ndarray, n: int) -> np.ndarray:
     """Mutual information in bits of each (bins_x, bins_y) count grid of a
     stack whose grids all hold n points.
 
@@ -120,7 +120,7 @@ def _mi_bits(counts: np.ndarray, n: int) -> list[float]:
     for size in np.flatnonzero(np.bincount(sizes)).tolist():
         grids = np.flatnonzero(sizes == size)
         out[grids] = np.add.reduce(terms[starts[grids, None] + np.arange(size)], axis=1)
-    return np.where(out > 0.0, out, 0.0).tolist()  # max(0.0, sum)
+    return np.where(out > 0.0, out, 0.0)  # max(0.0, sum)
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,12 @@ def mutual_informations(pairs, bins: int | None,
                         ) -> list[MutualInfoResult | InsufficientDataError]:
     """``mutual_information`` over many pairs: each pair's result, or the
     error its own call raises. See ``mutual_informations_over``."""
-    return mutual_informations_over(PairTable.of_pairs(pairs), bins, strategy)
+    return mutual_informations_over(PairTable.of_pairs(pairs), bins, strategy).results()
 
 
 def mutual_informations_over(table: PairTable, bins: int | None,
-                             strategy: str = "equal-frequency") -> list:
-    """``mutual_information`` of each pair of a table, by place (None at a
-    place with no pair).
+                             strategy: str = "equal-frequency") -> Columns:
+    """``mutual_information`` of each pair of a table, as columns by place.
 
     ``bins`` None gives each pair ``default_mi_bins(n)``. Each distinct
     aligned series of a length group is discretized once, and the group's
@@ -150,13 +149,15 @@ def mutual_informations_over(table: PairTable, bins: int | None,
     its own call. ``bins_x`` and ``bins_y`` are the bins each series uses
     (see ``_discretize_rows``); a series that is one group gives MI 0.
     """
-    out: list = [None] * table.size
+    errors: dict = {}
+    mi = np.full(table.size, np.nan)
+    bins_x, bins_y = np.zeros(table.size, dtype=np.intp), np.zeros(table.size, dtype=np.intp)
     for group in table.groups:
         n = group.n
         k = default_mi_bins(n) if bins is None else bins
         if n < max(k, 4):
             for place in group.places.tolist():
-                out[place] = InsufficientDataError(
+                errors[place] = InsufficientDataError(
                     f"need at least max(bins, 4) = {max(k, 4)} observations, got {n}")
             continue
         labels, used = _discretize_rows(group.rows, k, strategy)
@@ -166,10 +167,11 @@ def mutual_informations_over(table: PairTable, bins: int | None,
         cell *= k
         cell += labels[group.yi]
         counts = np.bincount(cell.ravel(), minlength=pairs * k * k).reshape(-1, k, k)
-        found = zip(_mi_bits(counts, n), used[group.xi].tolist(), used[group.yi].tolist())
-        for place, (mi, bins_x, bins_y) in zip(group.places.tolist(), found):
-            out[place] = MutualInfoResult(mi, bins_x, bins_y, strategy)
-    return out
+        mi[group.places] = _mi_bits(counts, n)
+        bins_x[group.places], bins_y[group.places] = used[group.xi], used[group.yi]
+    return Columns(MutualInfoResult, {"mi": mi, "bins_x": bins_x, "bins_y": bins_y,
+                                      "strategy": shared(strategy, table.size)},
+                   table.n, errors)
 
 
 def mutual_information(pair: AlignedPair, bins: int,
@@ -202,14 +204,13 @@ def mics(pairs, alpha: float = DEFAULT_MIC_ALPHA, clumps: int = DEFAULT_MIC_CLUM
          ) -> list[MicResult | InsufficientDataError]:
     """``mic`` over many pairs: each pair's result, or the error its own
     call raises. See ``mics_over``."""
-    return mics_over(PairTable.of_pairs(pairs), alpha, clumps, normalization)
+    return mics_over(PairTable.of_pairs(pairs), alpha, clumps, normalization).results()
 
 
 def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
               clumps: int = DEFAULT_MIC_CLUMPS,
-              normalization: str = "min-entropy-grid") -> list:
-    """``mic`` of each pair of a table, by place (None at a place with no
-    pair).
+              normalization: str = "min-entropy-grid") -> Columns:
+    """``mic`` of each pair of a table, as columns by place.
 
     An aligned series' axis depends only on its values, so every pair, and
     both orientations, that hold the same aligned series (one row of its
@@ -227,33 +228,39 @@ def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
             f"normalization must be one of {MIC_NORMALIZATIONS}, got {normalization!r}"
         )
     tables = _Tables()
-    out: list = [None] * table.size
+    errors: dict = {}
+    # a degenerate pair keeps MIC 0 and resolution (0, 0)
+    mic = np.zeros(table.size)
+    best_b1, best_b2, bounds = (np.zeros(table.size, dtype=np.intp) for _ in range(3))
+    degenerate = np.zeros(table.size, dtype=bool)
     for group in table.groups:
         n = group.n
-        places = group.places.tolist()
         bound = grid_bound(n, alpha)
         if n < 25 or bound < 4:
             message = (f"need at least 25 observations, got {n}" if n < 25 else
                        f"grid bound B = {bound} at n = {n} fits no 2x2 grid; need B >= 4")
-            for place in places:
-                out[place] = InsufficientDataError(message)
+            for place in group.places.tolist():
+                errors[place] = InsufficientDataError(message)
             continue
+        bounds[group.places] = bound
         axes = _Axes(group.rows)
         flat = (axes.count[group.xi] == 1) | (axes.count[group.yi] == 1)  # one tie run
-        for place in group.places[flat].tolist():
-            out[place] = MicResult(0.0, 0, 0, bound, normalization, degenerate=True)
-        members = group.places[~flat].tolist()
+        degenerate[group.places[flat]] = True
+        members = group.places[~flat]
         xs, ys = group.xi[~flat], group.yi[~flat]  # the searched pairs' rows
         parts = {n_rows: _row_partition(axes, n_rows)
                  for n_rows in range(2, bound // 2 + 1)}
         # a stack's prefix counts hold (n + 1) * (B // 2) integers per pair
         size = max(1, _STACK_ELEMENTS // ((n + 1) * (bound // 2)))
         for start in range(0, len(members), size):
-            found = _search(tables, axes, parts, xs[start:start + size],
-                            ys[start:start + size], bound, clumps, normalization)
-            for place, result in zip(members[start:start + size], found):
-                out[place] = result
-    return out
+            at = members[start:start + size]
+            mic[at], best_b1[at], best_b2[at] = _search(
+                tables, axes, parts, xs[start:start + size], ys[start:start + size],
+                bound, clumps, normalization)
+    return Columns(MicResult, {"mic": mic, "best_b1": best_b1, "best_b2": best_b2,
+                               "grid_bound": bounds,
+                               "normalization": shared(normalization, table.size),
+                               "degenerate": degenerate}, table.n, errors)
 
 
 def mic(pair: AlignedPair, alpha: float = DEFAULT_MIC_ALPHA,
@@ -279,11 +286,13 @@ _STACK_ELEMENTS = 16_384
 
 
 def _search(tables: _Tables, axes: _Axes, parts: dict, xs: np.ndarray, ys: np.ndarray,
-            bound: int, clumps: int, normalization: str) -> list[MicResult]:
+            bound: int, clumps: int, normalization: str
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grid search behind ``mic`` for a stack of pairs of one length,
     none of them with a constant axis: pair p is row ``xs[p]`` of ``axes``
     against row ``ys[p]``, and ``parts`` holds each row count's
-    ``_row_partition`` of the rows.
+    ``_row_partition`` of the rows. Returns each pair's MIC and best
+    (b1, b2).
 
     Each resolution's score of each pair has the bits of a one-pair search:
     the stacks run the same elementwise operations, and add each interval's
@@ -304,10 +313,10 @@ def _search(tables: _Tables, axes: _Axes, parts: dict, xs: np.ndarray, ys: np.nd
     # Reduce after the full sweep so evaluation order cannot matter; the
     # columns are in (b1, b2) order, so ties go to the smallest resolution.
     best = cells.argmax(axis=1)
-    values = cells[np.arange(len(xs)), best].tolist()
-    return [MicResult(mic=min(1.0, max(0.0, value)), best_b1=keys[j][0],
-                      best_b2=keys[j][1], grid_bound=bound, normalization=normalization)
-            for j, value in zip(best.tolist(), values)]
+    values = cells[np.arange(len(xs)), best]
+    values = np.where(values > 0.0, values, 0.0)  # min(1.0, max(0.0, value))
+    resolution = np.array(keys, dtype=np.intp).reshape(-1, 2)[best]
+    return np.where(values < 1.0, values, 1.0), resolution[:, 0], resolution[:, 1]
 
 
 class _Tables:

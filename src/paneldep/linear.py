@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, InsufficientDataError, _only
 from .panel import AlignedPair
 from .special import _map, f_sfs
-from .table import PairTable, _unit_scaled
+from .table import Columns, PairTable, _unit_scaled
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,11 @@ def t_sf(t: float, dof: float) -> float:
 def pearsons(pairs) -> list[PearsonResult | InsufficientDataError | DegenerateInputError]:
     """``pearson`` over many pairs: each pair's result, or the error its own
     call raises. See ``pearsons_over``."""
-    return pearsons_over(PairTable.of_pairs(pairs))
+    return pearsons_over(PairTable.of_pairs(pairs)).results()
 
 
-def pearsons_over(table: PairTable) -> list:
-    """``pearson`` of each pair of a table, by place (None at a place with
-    no pair).
+def pearsons_over(table: PairTable) -> Columns:
+    """``pearson`` of each pair of a table, as columns by place.
 
     Each series is first scaled by the power of two that brings its
     largest magnitude into [0.5, 1), exactly for every element above the
@@ -80,20 +79,20 @@ def pearsons_over(table: PairTable) -> list:
     from one ``t_sfs`` call, and each result has the bits of its own
     ``pearson`` call.
     """
-    out: list = [None] * table.size
+    errors: dict = {}
     # each group's tested places, n and r, after an empty seed for a table without one
     places, ns, rs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for group in table.groups:
         n = group.n
         if n < 3:
             for place in group.places.tolist():
-                out[place] = InsufficientDataError(f"need at least 3 observations, got {n}")
+                errors[place] = InsufficientDataError(f"need at least 3 observations, got {n}")
             continue
         dev, squares = _deviations(group.rows)
         sxx, syy = squares[group.xi], squares[group.yi]
         degenerate = (sxx == 0.0) | (syy == 0.0)
         for place in group.places[degenerate].tolist():
-            out[place] = DegenerateInputError("correlation undefined for a constant sequence")
+            errors[place] = DegenerateInputError("correlation undefined for a constant sequence")
         kept = ~degenerate
         products = dev[group.xi[kept]]
         products *= dev[group.yi[kept]]
@@ -109,9 +108,10 @@ def pearsons_over(table: PairTable) -> list:
     tails = np.array(t_sfs(np.abs(r_t * np.sqrt((n_t - 2) / (1.0 - r_t * r_t))), n_t - 2))
     tails *= 2.0
     p[tested] = np.where(tails < 1.0, tails, 1.0)  # min(1.0, 2.0 * tail)
-    for place_i, r_i, n_i, p_i in zip(place.tolist(), r.tolist(), n.tolist(), p.tolist()):
-        out[place_i] = PearsonResult(r=r_i, n=n_i, p_value=p_i)
-    return out
+    r_column, p_column = np.full(table.size, np.nan), np.full(table.size, np.nan)
+    r_column[place], p_column[place] = r, p
+    return Columns(PearsonResult, {"r": r_column, "n": table.n, "p_value": p_column},
+                   table.n, errors)
 
 
 def _fsums(stack: np.ndarray) -> np.ndarray:

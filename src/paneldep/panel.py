@@ -533,23 +533,43 @@ def parse_wdi_wide(text: str, default_region: str = DEFAULT_REGION) -> PanelData
                 f"line {line_no}: duplicate series for region {region!r}, "
                 f"code {code!r}"
             )
-        try:  # every cell a number: one conversion, and finite if the sum is
-            values = tuple(map(float, row[first_year_col:]))
-            total = sum(values)
-            converted = total - total == 0.0
-        except ValueError:
-            converted = False
-        if not converted:  # the exact error, the missing markers, or an overflowing sum
-            values = tuple(
-                _parse_number(cell, line_no, str(year))
-                for year, cell in zip(years, row[first_year_col:])
-            )
-            if all(v is None for v in values):
-                raise ParseError(f"line {line_no}: series {code!r} has no values")
-        cells[key] = AnnualSeries(years, values)
+        cells[key] = AnnualSeries(years, _wide_values(row[first_year_col:], years,
+                                                      line_no, code))
     if not cells:
         raise ParseError("no data rows after header")
     return _panel_of(cells)
+
+
+_MISSING_MARKERS = frozenset(("-", ""))
+
+
+def _wide_values(cells: list[str], years: tuple, line_no: int, code: str) -> tuple:
+    """The values of one wide row, None for each missing marker ("-" or
+    empty, with spaces around it or not).
+
+    The cells go through ``float`` in one pass; in a row with markers, the
+    markers are set aside first. The values are finite if their sum is,
+    and each one is checked only when it is not. A row with a cell that is
+    neither a finite number nor a marker raises that cell's
+    ``_parse_number`` error, the first one's.
+    """
+    try:
+        values = present = tuple(map(float, cells))
+    except ValueError:
+        try:
+            values = tuple([None if cell in _MISSING_MARKERS else float(cell)
+                            for cell in map(str.strip, cells)])
+        except ValueError:  # some cell is neither a number nor a marker
+            present = None
+        else:
+            present = [v for v in values if v is not None]
+            if not present:
+                raise ParseError(f"line {line_no}: series {code!r} has no values") from None
+    if present is not None:
+        total = sum(present)
+        if total - total == 0.0 or all(map(math.isfinite, present)):
+            return values
+    return tuple(_parse_number(cell, line_no, str(year)) for year, cell in zip(years, cells))
 
 
 def _looks_like_year(cell: str) -> bool:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import __version__
 from .battery import BatteryConfig, ResultMatrix
@@ -62,19 +61,30 @@ def build_bundle(matrices: list[ResultMatrix], dataset: PanelDataset,
 
 def cell_scalars(matrix: ResultMatrix) -> tuple[list[float | None], list[str | None]]:
     """Each cell's plotted scalar in row-major order, and its text in the
-    CSV and the heatmap; None for an absent cell.
+    CSV and the heatmap; None for a cell that holds no result.
 
     ``export_csv`` and ``render_heatmap_svg`` take them, so that a caller
     writing both formats each value once.
     """
-    name = METHOD_SCALARS[matrix.method]
-    cells = matrix.cells
-    values = []
-    for region in matrix.rows:
-        for code in matrix.cols:
-            cell = cells.get((region, code))
-            values.append(None if cell is None else getattr(cell.result, name))
-    return values, [None if v is None else _fmt(v) for v in values]
+    import numpy as np
+
+    held = matrix.held().ravel()
+    values = np.full(held.shape, None, dtype=object)
+    texts = values.copy()
+    found = matrix.columns[METHOD_SCALARS[matrix.method]].ravel()[held].tolist()
+    values[held] = _objects(found)
+    texts[held] = _objects([_fmt(v) for v in found])
+    return values.tolist(), texts.tolist()
+
+
+def _objects(items: list):
+    """The items as a 1-d object array, each one itself: numpy would
+    otherwise copy a list of str into a unicode array first."""
+    import numpy as np
+
+    out = np.empty(len(items), dtype=object)
+    out[:] = items
+    return out
 
 
 def _escape(text: str) -> str:
@@ -105,77 +115,85 @@ def export_csv(matrix: ResultMatrix, scalars=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
-    return value
+def _cell_texts(columns: dict, held) -> list[str]:
+    """The JSON object of each held cell, in row-major order, from one
+    template with the keys in sorted order.
 
-
-def _reader(kind: type):
-    """A function that gives a result of the dataclass ``kind`` as a dict
-    of its fields.
-
-    The fields are read by one attrgetter, not through ``vars``, which
-    would give every result object a dict of its own for the rest of the
-    run.
+    An int column is written by ``%d`` and a float column by ``%r``, which
+    is the float repr the json encoder writes; a non-finite float is
+    written as the string "inf", "-inf" or "nan". A bool column is written
+    true or false, and a str column by ``_encoded``.
     """
-    names = tuple(f.name for f in fields(kind))
-    get = operator.attrgetter(*names)
-    return lambda result: dict(zip(names, get(result)))
+    import numpy as np
+
+    fields, args = [], []
+    for name in sorted(columns):
+        values = columns[name].ravel()[held]
+        key = json.dumps(name)
+        if values.dtype.kind == "U":
+            fields.append(f"{key}: %s")
+            args.append(_encoded(values.tolist()))
+        elif values.dtype.kind == "b":
+            fields.append(f"{key}: %s")
+            args.append(np.where(values, "true", "false").tolist())
+        elif values.dtype.kind != "f":
+            fields.append(f"{key}: %d")
+            args.append(values.tolist())
+        elif np.isfinite(values).all():
+            fields.append(f"{key}: %r")
+            args.append(values.tolist())
+        else:
+            fields.append(f"{key}: %s")
+            texts = list(map(repr, values.tolist()))
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                texts[i] = f'"{texts[i]}"'
+            args.append(texts)
+    template = "{" + ", ".join(fields) + "}"
+    return [template % cell for cell in zip(*args)]
 
 
-def _matrix_doc(matrix: ResultMatrix, finite: bool) -> dict:
-    """The matrix as a JSON document; unless ``finite``, its non-finite
-    floats are written as strings (see ``_jsonable``)."""
-    readers: dict[type, object] = {}
-    cells = []
-    skips = []
-    for region in matrix.rows:
-        cell_row = []
-        skip_row = []
-        for code in matrix.cols:
-            key = (region, code)
-            cell = matrix.cells.get(key)
-            if cell is None:
-                cell_row.append(None)
-                skip_row.append(matrix.skips.get(key))
-            else:
-                kind = type(cell.result)
-                read = readers.get(kind) or readers.setdefault(kind, _reader(kind))
-                doc = read(cell.result)
-                if not finite:
-                    doc = {k: _jsonable(v) for k, v in doc.items()}
-                doc["n"] = cell.n
-                cell_row.append(doc)
-                skip_row.append(None)
-        cells.append(cell_row)
-        skips.append(skip_row)
-    return {
-        "method": matrix.method,
-        "age_group": matrix.age_group.value,
-        "outcome": matrix.outcome,
-        "regions": list(matrix.rows),
-        "indicators": list(matrix.cols),
-        "cells": cells,
-        "skips": skips,
-    }
+def _encoded(texts: list[str]) -> list[str]:
+    """Each str as JSON, each distinct one encoded once."""
+    encoded = {text: json.dumps(text) for text in set(texts)}
+    return [encoded[text] for text in texts]
+
+
+def _grid_json(items: list[str], width: int, height: int) -> str:
+    """A JSON list of ``height`` rows of ``width`` items each, from their texts."""
+    return "[" + ", ".join("[" + ", ".join(items[row * width:(row + 1) * width]) + "]"
+                           for row in range(height)) + "]"
+
+
+def _matrix_json(matrix: ResultMatrix) -> str:
+    """The matrix as one JSON object, keys in sorted order, written from
+    its columns; the json encoder writes the header values."""
+    import numpy as np
+
+    tags, held = matrix.tags.ravel(), matrix.held().ravel()
+    cells = np.full(tags.shape, "null", dtype=object)
+    skips = cells.copy()
+    cells[held] = _objects(_cell_texts(matrix.columns, held))
+    skips[~held] = _objects(_encoded(tags[~held].tolist()))
+    width, height = len(matrix.cols), len(matrix.rows)
+    return ('{"age_group": %s, "cells": %s, "indicators": %s, "method": %s, '
+            '"outcome": %s, "regions": %s, "skips": %s}') % (
+        json.dumps(matrix.age_group.value), _grid_json(cells.tolist(), width, height),
+        json.dumps(list(matrix.cols)), json.dumps(matrix.method),
+        json.dumps(matrix.outcome), json.dumps(list(matrix.rows)),
+        _grid_json(skips.tolist(), width, height))
 
 
 def export_json(bundle: ExportBundle) -> str:
     """Canonical bundle serialization: sorted keys, stable float repr.
 
-    One line plus a newline, so the C encoder writes it; pretty-print it
-    with ``python -m json.tool bundle.json``.
+    One line plus a newline, the bytes ``json.dumps(doc, sort_keys=True)``
+    gives for the bundle's document, with each non-finite float written as
+    a string ("inf", "-inf" or "nan"). Pretty-print it with
+    ``python -m json.tool bundle.json``.
     """
-    doc = {
-        "metadata": bundle.metadata,
-        "matrices": [_matrix_doc(m, finite=True) for m in bundle.matrices],
-    }
-    try:
-        return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError:  # a non-finite float in some cell
-        doc["matrices"] = [_matrix_doc(m, finite=False) for m in bundle.matrices]
-        return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    metadata = json.dumps(bundle.metadata, sort_keys=True, allow_nan=False)
+    matrices = ", ".join(map(_matrix_json, bundle.matrices))
+    return f'{{"matrices": [{matrices}], "metadata": {metadata}}}\n'
 
 
 # -- heatmap ----------------------------------------------------------------
@@ -186,7 +204,6 @@ TOP = 46
 BOTTOM = 26
 
 _ABSENT_FILL = "#808080"
-_MASKED_FILL = "#d9d9d9"
 
 
 def _fills(palette: str, values, peak: float) -> list[str]:
@@ -225,17 +242,14 @@ def _fills(palette: str, values, peak: float) -> list[str]:
     return ("#" + r + g + b).tolist()
 
 
-def render_heatmap_svg(matrix: ResultMatrix, p_mask: float | None = None,
-                       scalars=None) -> str:
+def render_heatmap_svg(matrix: ResultMatrix, scalars=None) -> str:
     """Grid heatmap: indicators across, regions down.
 
     Signed scalars use the diverging palette on a fixed [-1, 1] scale;
     non-negative scores a sequential palette scaled to the matrix maximum;
-    p-values a log ramp where darker means smaller. Absent cells are gray
-    with the skip reason in their tooltip. ``p_mask`` optionally blanks
-    cells whose p-value exceeds it (only meaningful for methods that carry
-    one). ``scalars`` is the matrix's ``cell_scalars``, computed when not
-    given.
+    p-values a log ramp where darker means smaller. Skipped cells are gray
+    with the skip reason in their tooltip. ``scalars`` is the matrix's
+    ``cell_scalars``, computed when not given.
     """
     if not matrix.rows or not matrix.cols:
         raise DomainError("cannot render an empty matrix")
@@ -258,7 +272,7 @@ def render_heatmap_svg(matrix: ResultMatrix, p_mask: float | None = None,
             f'<text x="{x + CELL // 2}" y="{TOP - 8}" text-anchor="middle" '
             f'font-size="11">{code}</text>'
         )
-    masked_title = _escape(f"masked: p > {p_mask:g}") if p_mask is not None else None
+    tags = matrix.tags.ravel().tolist()
     i = 0
     for ri, region in enumerate(matrix.rows):
         y0 = TOP + ri * CELL
@@ -266,13 +280,10 @@ def render_heatmap_svg(matrix: ResultMatrix, p_mask: float | None = None,
             f'<text x="{LEFT - 6}" y="{y0 + CELL // 2 + 4}" text-anchor="end" '
             f'font-size="11">{_escape(region)}</text>'
         )
-        for x, code, col in zip(xs, codes, matrix.cols):
+        for x, code in zip(xs, codes):
             if values[i] is None:
                 fill = _ABSENT_FILL
-                title = _escape(matrix.skips.get((region, col), "absent"))
-            elif p_mask is not None and _masked(matrix.cells[region, col], p_mask):
-                fill = _MASKED_FILL
-                title = masked_title
+                title = _escape(tags[i])
             else:
                 fill = fills[i]
                 title = f"{code} = {texts[i]}"  # %#.6g emits no &, < or >
@@ -284,8 +295,3 @@ def render_heatmap_svg(matrix: ResultMatrix, p_mask: float | None = None,
             i += 1
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _masked(cell, p_mask: float) -> bool:
-    p = getattr(cell.result, "p_value", None)
-    return p is not None and p > p_mask

@@ -137,12 +137,21 @@ def regularized_betas(a, b, x, y) -> list[float]:
     elementwise operation, in the one-element order; each log and exp is
     libm's, through ``math``, and log B once per distinct (a, b). The
     continued fractions of all elements run as one numpy iteration. Each
-    element's value has the bits of a batch of one. Any element whose
-    fraction does not converge raises ConvergenceError.
+    element's value has the bits of a batch of one. Where x or y is 0 the
+    value is 0 or 1 and the other one is not read. Any element whose
+    fraction does not converge raises ConvergenceError, and a batch with an
+    element outside the domain raises the DomainError of the first one.
     """
     a, b, x, y = (np.asarray(v, dtype=float) for v in (a, b, x, y))
     out = np.where(x == 0.0, 0.0, 1.0)
     live = (x != 0.0) & (y != 0.0)
+    bad_shape = ~((a > 0.0) & (b > 0.0))  # NaN fails every comparison
+    bad = bad_shape | (live & ~((x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)))
+    if bad.any():
+        i = int(bad.argmax())
+        if bad_shape[i]:
+            raise DomainError(f"a and b must be > 0, got ({float(a[i])!r}, {float(b[i])!r})")
+        raise DomainError(f"x and y must lie in [0, 1], got ({float(x[i])!r}, {float(y[i])!r})")
     a, b, x, y = a[live], b[live], x[live], y[live]
     keys = list(zip(a.tolist(), b.tolist()))
     log_betas = {key: log_beta(*key) for key in set(keys)}

@@ -11,10 +11,12 @@ into ``PairGroup`` stacks, which every kernel reads.
 A place is a triple's flat position in the plan's (region, outcome,
 indicator) grid, region-major. ``PairTable.of_pairs`` builds the table of
 a list of ``AlignedPair``; there a place is the pair's position in the
-list. Each kernel returns one result per place.
+list. Each kernel returns its results as ``Columns``, by place.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -64,8 +66,9 @@ class PairTable:
     """Every pair of a run, each placed once.
 
     ``size`` is the number of places and ``groups`` the pairs, one
-    ``PairGroup`` per length. ``years[m]`` is the tuple of years of year
-    set m. ``missing`` holds the places whose x or y series is absent, and
+    ``PairGroup`` per length; ``n`` is each place's pair length, -1 at a
+    place with no pair. ``years[m]`` is the tuple of years of year set m.
+    ``missing`` holds the places whose x or y series is absent, and
     ``short`` the places whose pair has fewer joint years than the run's
     minimum overlap, with that count in ``overlaps``.
     """
@@ -79,6 +82,9 @@ class PairTable:
         self.missing = missing
         self.short = short
         self.overlaps = overlaps
+        self.n = np.full(size, -1, dtype=np.intp)
+        for group in groups:
+            self.n[group.places] = group.n
 
     def swapped(self) -> "PairTable":
         """The table with x and y exchanged in every pair."""
@@ -199,6 +205,36 @@ class PairTable:
         return cls(int(np.prod(shape)), groups, list(masks), np.flatnonzero(~paired),
                    np.concatenate(short) if short else _EMPTY,
                    np.concatenate(overlaps) if overlaps else _EMPTY)
+
+
+class Columns:
+    """A kernel's results over the places of a table, one column per field.
+
+    ``values`` maps each field of the result dataclass ``kind`` to an array
+    indexed by place (a str field that every result shares is one value
+    broadcast over the places). ``n`` is the table's ``n``, and ``errors``
+    maps each place that the kernel skips to the error its own one-pair
+    call raises. A place holds a result where it has a pair and no error;
+    elsewhere its entries in ``values`` mean nothing.
+    """
+
+    def __init__(self, kind: type, values: dict, n: np.ndarray, errors: dict):
+        self.kind = kind
+        self.values = values
+        self.n = n
+        self.errors = errors
+
+    def results(self) -> list:
+        """Each place's result, or its error; None at a place with no pair."""
+        columns = [self.values[f.name].tolist() for f in fields(self.kind)]
+        kind, errors = self.kind, self.errors
+        return [errors[place] if place in errors else None if n < 0 else kind(*row)
+                for place, (n, row) in enumerate(zip(self.n.tolist(), zip(*columns)))]
+
+
+def shared(value: str, size: int) -> np.ndarray:
+    """``value`` at each of ``size`` places, as a read-only broadcast view."""
+    return np.broadcast_to(np.array(value), (size,))
 
 
 class _Block:

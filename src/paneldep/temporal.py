@@ -24,7 +24,7 @@ from .errors import (
 )
 from .panel import AlignedPair
 from .special import f_sfs
-from .table import PairTable, _unit_scaled
+from .table import Columns, PairTable, _unit_scaled
 
 
 def first_difference(series) -> tuple[float, ...]:
@@ -142,11 +142,11 @@ def _lag_designs(x: np.ndarray, y: np.ndarray, lag: int) -> np.ndarray:
     return out
 
 
-def _fitted_stacks(table: PairTable, difference_first: bool, out: list
+def _fitted_stacks(table: PairTable, difference_first: bool, errors: dict
                    ) -> list[tuple[list, np.ndarray, np.ndarray, np.ndarray]]:
     """(places, x, y, ey) of each length group: the pairs' stacks that
     every lag is fitted on. A pair that cannot be fitted gets its error in
-    ``out``.
+    ``errors``, under its place.
 
     Every pair's years must be one contiguous run; the jump of each year
     set is found once. Each distinct series is differenced (``np.diff``
@@ -162,14 +162,14 @@ def _fitted_stacks(table: PairTable, difference_first: bool, out: list
         bad = gapped[group.mask]
         for place, mask in zip(group.places[bad].tolist(), group.mask[bad].tolist()):
             a, b = jumps[mask]
-            out[place] = NonContiguousYearsError(
+            errors[place] = NonContiguousYearsError(
                 f"years jump from {a} to {b}; lags are meaningless across gaps")
         places = group.places[~bad].tolist()
         if not places:
             continue
         if difference_first and group.n < 2:
             for place in places:
-                out[place] = InsufficientDataError("need at least 2 points to difference")
+                errors[place] = InsufficientDataError("need at least 2 points to difference")
             continue
         rows, exponents = _unit_scaled(
             np.diff(group.rows, axis=1) if difference_first else group.rows)
@@ -216,25 +216,24 @@ class _Fits(NamedTuple):
         return [(lag, self.error(i, lag - 1) if lag <= len(fitted) else _too_short(self.n[i], lag))
                 for lag in range(1, max_lag + 1) if lag > len(fitted) or not fitted[lag - 1]]
 
-    def best(self) -> tuple[list[int], list[bool]]:
+    def best(self) -> tuple[np.ndarray, np.ndarray]:
         """Each pair's column of its first minimum p-value among its kept
         fits, and whether it has one."""
-        return (np.where(self.fitted, self.p, np.inf).argmin(axis=1).tolist(),
-                self.fitted.any(axis=1).tolist())
+        return np.where(self.fitted, self.p, np.inf).argmin(axis=1), self.fitted.any(axis=1)
 
 
-def _fits(table: PairTable, lags, difference_first: bool, out: list) -> _Fits:
+def _fits(table: PairTable, lags, difference_first: bool, errors: dict) -> _Fits:
     """Every pair's fit at each of the ascending ``lags``, each length
     group's pairs through one stacked QR per lag, and every kept fit's F
     tail from one ``f_sfs`` call. A pair that cannot be fitted at all gets
-    its error in ``out``.
+    its error in ``errors``, under its place.
 
     The rank check is per fit: a singular design skips its own fit and
     leaves the others alone. F is formed from the unit-scaled sums in one
     elementwise program, so it neither overflows nor underflows; the sums
     are reported in input units, where one out of range is 0.0 or inf.
     """
-    stacks = _fitted_stacks(table, difference_first, out)
+    stacks = _fitted_stacks(table, difference_first, errors)
     lags = tuple(lags)
     places = [place for group_places, *_ in stacks for place in group_places]
     n = [y.shape[1] for group_places, _, y, _ in stacks for _ in group_places]
@@ -271,10 +270,11 @@ def granger_test(pair: AlignedPair, lag: int,
     designs are built (the caller's stationarity treatment; never applied
     silently).
     """
-    out = [None]
-    fits = _fits(PairTable.of_pairs([pair]), [lag] if lag >= 1 else [], difference_first, out)
-    if out[0] is not None:
-        raise out[0]
+    errors: dict = {}
+    fits = _fits(PairTable.of_pairs([pair]), [lag] if lag >= 1 else [], difference_first,
+                 errors)
+    if errors:
+        raise errors[0]
     if lag < 1:
         raise DomainError(f"lag must be >= 1, got {lag}")
     if not fits.fitted[0, 0]:
@@ -294,14 +294,14 @@ def _no_lag_fits(n: int, skipped: list[tuple[int, PanelDepError]]) -> PanelDepEr
     return InsufficientDataError(f"pair of length {n} is too short for even lag 1")
 
 
-def _sweep(table: PairTable, max_lag: int, difference_first: bool, out: list) -> _Fits:
+def _sweep(table: PairTable, max_lag: int, difference_first: bool, errors: dict) -> _Fits:
     """``_fits`` at lags 1..max_lag, up to the longest that some pair of
     the table allows (at least lag 1); every longer lag is too short for
     every pair."""
     if max_lag < 1:
         raise DomainError(f"max_lag must be >= 1, got {max_lag}")
     longest = max([1, *(_longest_lag(group.n - difference_first) for group in table.groups)])
-    return _fits(table, range(1, min(max_lag, longest) + 1), difference_first, out)
+    return _fits(table, range(1, min(max_lag, longest) + 1), difference_first, errors)
 
 
 def lag_sweeps(pairs, max_lag: int,
@@ -319,9 +319,12 @@ def lag_sweeps_over(table: PairTable, max_lag: int,
     Every fit comes from one ``_fits`` call; each sweep equals the pair's
     own ``lag_sweep``, bit for bit. A bad ``max_lag`` raises.
     """
+    errors: dict = {}
+    fits = _sweep(table, max_lag, difference_first, errors)
     out: list = [None] * table.size
-    fits = _sweep(table, max_lag, difference_first, out)
-    best, found = fits.best()
+    for place, error in errors.items():
+        out[place] = error
+    best, found = (v.tolist() for v in fits.best())
     for i, (place, n, fitted) in enumerate(zip(fits.places, fits.n, fits.fitted.tolist())):
         skipped = fits.skipped(i, max_lag)
         out[place] = (LagSweep(tuple(fits.result(i, j) for j, ok in enumerate(fitted) if ok),
@@ -331,21 +334,33 @@ def lag_sweeps_over(table: PairTable, max_lag: int,
     return out
 
 
-def best_fits_over(table: PairTable, max_lag: int, difference_first: bool = False) -> list:
-    """``lag_sweep(...).best`` of each pair of a table, or the error its
-    sweep over the lags some pair allows raises, by place (None at a place
-    with no pair).
+def best_fits_over(table: PairTable, max_lag: int, difference_first: bool = False
+                   ) -> Columns:
+    """``lag_sweep(...).best`` of each pair of a table, as columns by place;
+    a pair's error is the one its sweep over the lags some pair allows
+    raises.
 
-    Each pair's best fit is picked from the arrays of one ``_fits`` call,
-    and only it becomes a ``GrangerResult``. A bad ``max_lag`` raises.
+    Each pair's best fit is picked from the arrays of one ``_fits`` call.
+    A bad ``max_lag`` raises.
     """
-    out: list = [None] * table.size
-    fits = _sweep(table, max_lag, difference_first, out)
+    errors: dict = {}
+    fits = _sweep(table, max_lag, difference_first, errors)
     best, found = fits.best()
-    for i, (place, n) in enumerate(zip(fits.places, fits.n)):
-        out[place] = (fits.result(i, best[i]) if found[i] else
-                      _no_lag_fits(n + difference_first, fits.skipped(i, len(fits.lags))))
-    return out
+    for i in np.flatnonzero(~found).tolist():
+        errors[fits.places[i]] = _no_lag_fits(fits.n[i] + difference_first,
+                                              fits.skipped(i, len(fits.lags)))
+    places = np.array(fits.places, dtype=np.intp)
+    rows = np.arange(len(places))
+    lag = np.array(fits.lags, dtype=np.intp)[best]
+    values = {}
+    for name, column in (("lag", lag), ("f_stat", fits.f[rows, best]),
+                         ("p_value", fits.p[rows, best]),
+                         ("rss_restricted", fits.rss_r[rows, best]),
+                         ("rss_unrestricted", fits.rss_ur[rows, best]),
+                         ("n_eff", np.array(fits.n, dtype=np.intp) - lag)):
+        values[name] = np.zeros(table.size, dtype=column.dtype)
+        values[name][places] = column
+    return Columns(GrangerResult, values, table.n, errors)
 
 
 def lag_sweep(pair: AlignedPair, max_lag: int,

@@ -1,6 +1,8 @@
 """Slow reference implementations the fast code is checked against."""
 
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -469,7 +471,7 @@ def reference_p_ramp(p: float) -> float:
     return -math.log10(p) / -math.log10(_REF_P_FLOOR)
 
 
-def reference_heatmap_svg(matrix, p_mask: float | None = None) -> str:
+def reference_heatmap_svg(matrix) -> str:
     if not matrix.rows or not matrix.cols:
         raise DomainError("cannot render an empty matrix")
     palette = _REF_PALETTE[matrix.method]
@@ -508,9 +510,6 @@ def reference_heatmap_svg(matrix, p_mask: float | None = None) -> str:
             if value is None:
                 fill = "#808080"
                 title = matrix.skips.get(key, "absent")
-            elif p_mask is not None and _ref_masked(matrix, key, p_mask):
-                fill = "#d9d9d9"
-                title = f"masked: p > {p_mask:g}"
             else:
                 if palette == "diverging":
                     fill = reference_diverging(value)
@@ -528,7 +527,48 @@ def reference_heatmap_svg(matrix, p_mask: float | None = None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _ref_masked(matrix, key, p_mask: float) -> bool:
-    result = matrix.cells[key].result
-    p = getattr(result, "p_value", None)
-    return p is not None and p > p_mask
+# -- the bundle writer --------------------------------------------------------
+#
+# The writer the package had before it wrote bundles from columns: each
+# matrix's result dataclasses as dicts of their fields, one document for
+# the bundle, and the json encoder over it, once more with every
+# non-finite float as a string if the first pass meets one.
+
+def _ref_jsonable(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
+    return value
+
+
+def _ref_matrix_doc(matrix, finite: bool) -> dict:
+    cells, skips = [], []
+    for region in matrix.rows:
+        cell_row, skip_row = [], []
+        for code in matrix.cols:
+            key = (region, code)
+            cell = matrix.cells.get(key)
+            if cell is None:
+                cell_row.append(None)
+                skip_row.append(matrix.skips.get(key))
+                continue
+            doc = {f.name: getattr(cell.result, f.name) for f in dataclasses.fields(cell.result)}
+            if not finite:
+                doc = {k: _ref_jsonable(v) for k, v in doc.items()}
+            doc["n"] = cell.n
+            cell_row.append(doc)
+            skip_row.append(None)
+        cells.append(cell_row)
+        skips.append(skip_row)
+    return {"method": matrix.method, "age_group": matrix.age_group.value,
+            "outcome": matrix.outcome, "regions": list(matrix.rows),
+            "indicators": list(matrix.cols), "cells": cells, "skips": skips}
+
+
+def reference_bundle_json(bundle) -> str:
+    doc = {"metadata": bundle.metadata,
+           "matrices": [_ref_matrix_doc(m, finite=True) for m in bundle.matrices]}
+    try:
+        return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # a non-finite float in some cell
+        doc["matrices"] = [_ref_matrix_doc(m, finite=False) for m in bundle.matrices]
+        return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"

@@ -102,7 +102,7 @@ def test_batches_match_batches_of_one(pairs, rnd, bins, max_lag, difference_firs
     # the battery's Granger cells: each sweep's best fit, or its error's kind
     sweeps = lag_sweeps(shuffled, max_lag, difference_first)
     for best, sweep in zip(best_fits_over(PairTable.of_pairs(shuffled), max_lag,
-                                          difference_first), sweeps):
+                                          difference_first).results(), sweeps):
         if isinstance(sweep, Exception):
             assert type(best) is type(sweep)
             assert getattr(best, "rank", None) == getattr(sweep, "rank", None)

@@ -14,6 +14,7 @@ from paneldep.battery import (
 from paneldep.errors import (
     ConfigError,
     DegenerateInputError,
+    DomainError,
     InsufficientDataError,
     InsufficientOverlapError,
     NonContiguousYearsError,
@@ -94,6 +95,8 @@ class TestRunBattery:
         assert layout(plan) == layout(run_battery(ds, config))
         assert all(not m.cells and not m.skips for m in plan)
         assert plan[0].stem == "pearson__synthetic-burden_DALYs_all__all"
+        with pytest.raises(DomainError, match="is planned, not filled"):
+            plan[0].held()
 
     def test_outcomes_sharing_a_stem_are_refused(self):
         ds = PanelDataset(

@@ -10,7 +10,13 @@ import pytest
 
 import paneldep
 import paneldep.linear
-from paneldep.battery import BatteryConfig, plan_battery, run_battery
+from paneldep.battery import (
+    METHODS,
+    BatteryConfig,
+    ResultMatrix,
+    plan_battery,
+    run_battery,
+)
 from paneldep.cli import main
 from paneldep.errors import PanelDepError, ParseError
 from paneldep.panel import PanelDataset, parse_wdi_wide
@@ -256,6 +262,20 @@ class TestAnalyze:
         assert len(plan) == 6  # 2 methods x 3 outcomes
         assert files == {"bundle.json", *(f"{m.stem}{suffix}" for m in plan
                                           for suffix in (".csv", ".svg"))}
+
+    def test_outputs_are_written_from_the_columns(self, workdir, monkeypatch):
+        """No output reads a matrix's per-cell mappings, which would build
+        a result object for every cell."""
+        def per_cell(matrix):
+            raise AssertionError("analyze read a per-cell mapping")
+
+        monkeypatch.setattr(ResultMatrix, "cells", property(per_cell))
+        monkeypatch.setattr(ResultMatrix, "skips", property(per_cell))
+        assert run("fixture", "--with-outcomes", "--out", "panel.csv") == 0
+        (workdir / "config.json").write_text(json.dumps({"methods": list(METHODS)}))
+        assert run("--quiet", "analyze", "--panel", "panel.csv",
+                   "--config", "config.json", "--out", "results") == 0
+        assert len(list((workdir / "results").iterdir())) == 25
 
     def test_unknown_code_exits_config(self, workdir):
         run("fixture", "--with-outcomes", "--out", "panel.csv")

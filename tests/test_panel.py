@@ -29,6 +29,7 @@ from paneldep.panel import (
     outcome_code,
     parse_gbd_long,
     parse_wdi_wide,
+    _parse_number,
 )
 
 from oracles import reference_align_pair
@@ -155,6 +156,56 @@ class TestParseWdi:
     def test_roundtrip_json(self):
         ds = parse_wdi_wide(WDI_SMALL)
         assert PanelDataset.from_json(ds.to_json()) == ds
+
+
+def per_cell_row(cells, line_no=2, code="E1"):
+    """A wide row's values, or its ParseError message, parsed cell by cell."""
+    try:
+        values = tuple(_parse_number(cell, line_no, str(2000 + i))
+                       for i, cell in enumerate(cells))
+        if all(v is None for v in values):
+            raise ParseError(f"line {line_no}: series {code!r} has no values")
+    except ParseError as exc:
+        return str(exc)
+    return values
+
+
+def parsed_row(cells):
+    """A one-row wide CSV's values, or its ParseError message."""
+    header = ",".join(str(2000 + i) for i in range(len(cells)))
+    try:
+        ds = parse_wdi_wide(f"code,{header}\nE1,{','.join(cells)}\n")
+    except ParseError as exc:
+        return str(exc)
+    return ds.series("global", "E1").values
+
+
+_CELLS = ["1.5", " 2 ", "-0.0", "1e308", "-", " - ", "", "  ", "\t-", "inf", " -inf",
+          "nan", "NaN ", "1e999", "abc", "1;5", "--", "- 1", "0x10", "1_000"]
+
+
+class TestWideMissingMarkers:
+    """A row with missing markers is parsed in bulk, as the per-cell parser
+    would parse it."""
+
+    @pytest.mark.parametrize("cells", [
+        ["1.0", " - ", "3.0"],
+        ["-", "", "  -  ", "4.5"],
+        ["inf", "-", "1.0"],
+        ["1.0", "-", "nan"],
+        ["-", "abc", "1.0"],
+        ["-", "1.0", "abc", "inf"],
+        ["1e308", "-", "1e308"],
+        ["-", " ", "-"],
+    ], ids=["padded", "markers", "inf", "nan", "not-numeric", "first-error",
+            "sum-overflows", "no-values"])
+    def test_rows_as_the_per_cell_parser(self, cells):
+        assert parsed_row(cells) == per_cell_row(cells)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_CELLS), min_size=1, max_size=6))
+    def test_any_row_as_the_per_cell_parser(self, cells):
+        assert parsed_row(cells) == per_cell_row(cells)
 
 
 class TestParseGbd:

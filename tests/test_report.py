@@ -1,14 +1,17 @@
 import json
 import math
 import xml.etree.ElementTree as ET
-from types import SimpleNamespace
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_heatmap_svg
-from paneldep.battery import BatteryConfig, MatrixCell, ResultMatrix, run_battery
+from oracles import reference_bundle_json, reference_heatmap_svg
+from paneldep.battery import BatteryConfig, ResultMatrix, run_battery
 from paneldep.errors import DomainError
+from paneldep.info import MicResult, MutualInfoResult
+from paneldep.linear import PearsonResult
 from paneldep.panel import AgeGroup, AnnualSeries, PanelDataset, load_fixture
 from paneldep.report import (
     METHOD_SCALARS,
@@ -19,6 +22,7 @@ from paneldep.report import (
     export_json,
     render_heatmap_svg,
 )
+from paneldep.temporal import GrangerResult
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +61,7 @@ class TestCsv:
                                outcomes=("synthetic-burden|DALYs|all",),
                                indicators=("E1",))
         matrix = run_battery(ds, config)[0]
-        object.__setattr__(matrix.cells[("global", "E1")].result, "r", 1.0)
+        matrix.columns["r"][0, 0] = 1.0  # the cell of ("global", "E1")
         assert ",1.00000" in export_csv(matrix)
 
     def test_reparse_recovers_six_digits(self, fixture_run):
@@ -111,9 +115,9 @@ class TestJson:
                                indicators=("E1", "E2"))
         matrices = run_battery(ds, config)
         finite = json.loads(export_json(build_bundle(matrices, ds, config)))
-        result = matrices[0].cells[("global", "E1")].result
-        object.__setattr__(result, "f_stat", math.inf)
-        object.__setattr__(result, "rss_unrestricted", math.nan)
+        columns = matrices[0].columns  # the cell of ("global", "E1") is [0, 0]
+        columns["f_stat"][0, 0] = math.inf
+        columns["rss_unrestricted"][0, 0] = math.nan
         doc = json.loads(export_json(build_bundle(matrices, ds, config)))
         cell = doc["matrices"][0]["cells"][0][0]
         assert (cell["f_stat"], cell["rss_unrestricted"]) == ("inf", "nan")
@@ -169,9 +173,8 @@ class TestSvg:
     def test_color_endpoints(self, fixture_run):
         _, _, matrices = fixture_run
         matrix = matrix_for(matrices, "pearson")
-        key = ("global", "E1")
         for forced, expected in ((1.0, "#ff0000"), (-1.0, "#0000ff"), (0.0, "#ffffff")):
-            object.__setattr__(matrix.cells[key].result, "r", forced)
+            matrix.columns["r"][0, 0] = forced  # the cell of ("global", "E1")
             text = render_heatmap_svg(matrix)
             first_cell = text.split('<rect class="cell"')[1]
             assert f'fill="{expected}"' in first_cell
@@ -201,12 +204,6 @@ class TestSvg:
         with pytest.raises(DomainError):
             render_heatmap_svg(empty)
 
-    def test_p_mask_blankets_weak_cells(self, fixture_run):
-        _, _, matrices = fixture_run
-        matrix = matrix_for(matrices, "pearson")
-        masked = render_heatmap_svg(matrix, p_mask=1e-300)
-        assert 'fill="#d9d9d9"' in masked
-
     def test_determinism(self, fixture_run):
         _, _, matrices = fixture_run
         matrix = matrix_for(matrices, "mic")
@@ -220,6 +217,31 @@ class TestSvg:
         from xml.sax.saxutils import escape
         from paneldep.report import _escape
         assert _escape(text) == escape(text)
+
+
+# -- synthetic matrices ---------------------------------------------------------
+
+_KINDS = {"pearson": PearsonResult, "mutual_information": MutualInfoResult,
+          "granger": GrangerResult, "mic": MicResult}
+_DTYPES = {"float": float, "int": np.int64, "bool": bool, "str": str}
+
+
+def matrix_of(method, rows, cols, cells, outcome="o<&>"):
+    """A filled matrix of ``method``: ``cells`` holds, row-major, each
+    cell's field values (with ``n``) or its skip tag, and the matrix's
+    columns are built from them as ``run_battery`` lays them out."""
+    kind = _KINDS[method]
+    shape = (len(rows), len(cols))
+    columns = {}
+    for name, type_name in {**{f.name: f.type for f in fields(kind)}, "n": "int"}.items():
+        dtype = _DTYPES[type_name]
+        values = [cell[name] if isinstance(cell, dict) else dtype(0) for cell in cells]
+        columns[name] = np.array(values, dtype=dtype).reshape(shape)
+    tags = np.empty(len(cells), dtype=object)
+    tags[:] = [None if isinstance(cell, dict) else cell for cell in cells]
+    return ResultMatrix(method=method, age_group=AgeGroup.ALL_AGES, outcome=outcome,
+                        rows=tuple(rows), cols=tuple(cols), kind=kind, columns=columns,
+                        tags=tags.reshape(shape))
 
 
 # -- the SVG bytes against the per-cell reference ------------------------------
@@ -238,24 +260,26 @@ _SPECIAL = (0.0, -0.0, 1.0, -1.0, 1.5, -2.0, 1e300, -1e300, 5e-324, 1e-10, 1e-12
 _values = st.one_of(st.sampled_from(_EDGES), st.sampled_from(_SPECIAL),
                     st.floats(-3.0, 3.0), st.floats(allow_nan=True, allow_infinity=True))
 
+#: Field values of a held cell besides its plotted scalar and p-value.
+_FILLER = {"n": 30, "bins_x": 2, "bins_y": 3, "strategy": "equal-frequency", "lag": 1,
+           "f_stat": 1.5, "rss_restricted": 2.0, "rss_unrestricted": 1.0, "n_eff": 29,
+           "best_b1": 2, "best_b2": 2, "grid_bound": 6, "normalization": "min-entropy-grid",
+           "degenerate": False, "r": 0.5, "p_value": 0.5, "mi": 0.5, "mic": 0.5}
+
 
 def _matrix(method, rows, cols, values, p_values, skips):
-    """A matrix whose cells are filled row-major, as ``run_battery`` fills them."""
-    matrix = ResultMatrix(method=method, age_group=AgeGroup.ALL_AGES,
-                          outcome="o<&>", rows=tuple(rows), cols=tuple(cols))
-    cells = iter(zip(values, p_values, skips))
-    for region in rows:
-        for code in cols:
-            value, p, skip = next(cells)
-            if skip is not None:
-                if skip != "absent":
-                    matrix.skips[region, code] = skip
-                continue
-            fields = {METHOD_SCALARS[method]: value}
-            if method in _HAS_P:
-                fields["p_value"] = p if method == "pearson" else value
-            matrix.cells[region, code] = MatrixCell(30, SimpleNamespace(**fields))
-    return matrix
+    """A matrix of the plotted scalars ``values`` and, for a method with
+    one, p-values ``p_values``; a cell whose skip is not None is skipped."""
+    cells = []
+    for value, p, skip in zip(values, p_values, skips):
+        if skip is not None:
+            cells.append(skip)
+            continue
+        cell = {**_FILLER, METHOD_SCALARS[method]: value}
+        if method in _HAS_P:
+            cell["p_value"] = p if method == "pearson" else value
+        cells.append(cell)
+    return matrix_of(method, rows, cols, cells)
 
 
 @st.composite
@@ -276,9 +300,9 @@ def synthetic_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(synthetic_matrices(), st.sampled_from([None, 0.05, 1e-300, 0.5, 1.0]))
-def test_svg_matches_the_per_cell_reference(matrix, p_mask):
-    assert render_heatmap_svg(matrix, p_mask) == reference_heatmap_svg(matrix, p_mask)
+@given(synthetic_matrices())
+def test_svg_matches_the_per_cell_reference(matrix):
+    assert render_heatmap_svg(matrix) == reference_heatmap_svg(matrix)
 
 
 @pytest.mark.parametrize("method", sorted(METHOD_SCALARS))
@@ -291,9 +315,55 @@ def test_svg_matches_the_reference_on_every_rounding_edge(method):
     assert render_heatmap_svg(matrix) == reference_heatmap_svg(matrix)
 
 
-@pytest.mark.parametrize("p_mask", [None, 0.05])
-def test_svg_matches_the_reference_on_the_fixture_run(fixture_run, p_mask):
+def test_svg_matches_the_reference_on_the_fixture_run(fixture_run):
     _, _, matrices = fixture_run
     assert len(matrices) == 12
     for matrix in matrices:
-        assert render_heatmap_svg(matrix, p_mask) == reference_heatmap_svg(matrix, p_mask)
+        assert render_heatmap_svg(matrix) == reference_heatmap_svg(matrix)
+
+
+# -- the bundle bytes against the dataclass-cell writer ------------------------
+
+_SKIP_TAGS = ("missing-series", "insufficient-overlap", "degenerate-input",
+              "non-contiguous-years", "insufficient-data", "singular-design")
+_floats = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True),
+                    st.floats(-1.0, 1.0))
+_ints = st.integers(-2**63, 2**63 - 1)
+_texts = st.sampled_from(["equal-frequency", "max-entropy", "é 100%", 'a"b\\c', "日本"])
+_FIELD_VALUES = {"float": _floats, "int": _ints, "bool": st.booleans(), "str": _texts}
+
+
+@st.composite
+def bundle_matrices(draw):
+    """A filled matrix of any method: cells of any field values (among them
+    non-finite floats and MIC's degenerate flag), every skip tag, empty and
+    all-skipped rows, and non-ASCII names."""
+    method = draw(st.sampled_from(sorted(_KINDS)))
+    names = st.sampled_from(["R1", "São Paulo", "日本", 'q"uote', "back\\slash", "<&>"])
+    rows = draw(st.lists(names, max_size=4, unique=True))
+    cols = draw(st.lists(st.sampled_from(["E1", "T5", "é", "a b", "x%d"]), max_size=4,
+                         unique=True))
+    specs = {**{f.name: f.type for f in fields(_KINDS[method])}, "n": "int"}
+    cell = st.fixed_dictionaries({name: _FIELD_VALUES[type_name]
+                                  for name, type_name in specs.items()})
+    skipped = st.sampled_from(_SKIP_TAGS)
+    all_skipped = draw(st.sets(st.integers(0, max(len(rows) - 1, 0))))
+    cells = []
+    for ri in range(len(rows)):
+        for _ in cols:
+            cells.append(draw(skipped if ri in all_skipped else st.one_of(cell, skipped)))
+    return matrix_of(method, rows, cols, cells, outcome=draw(names))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(bundle_matrices(), max_size=3))
+def test_bundle_matches_the_dataclass_cell_writer(matrices):
+    bundle = ExportBundle(matrices=matrices,
+                          metadata={"tool_version": "x", "config": {"mic_alpha": 0.6}})
+    assert export_json(bundle) == reference_bundle_json(bundle)
+
+
+def test_bundle_matches_the_dataclass_cell_writer_on_the_fixture_run(fixture_run):
+    ds, config, matrices = fixture_run
+    bundle = build_bundle(matrices, ds, config)
+    assert export_json(bundle) == reference_bundle_json(bundle)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from paneldep import special
-from paneldep.errors import ConvergenceError
+from paneldep.errors import ConvergenceError, DomainError
 from paneldep.linear import t_sf
 from paneldep.special import f_sf
 
@@ -53,3 +53,22 @@ def test_unconverged_fraction_raises(monkeypatch):
     monkeypatch.setattr(special, "_MAX_ITER", 2)
     with pytest.raises(ConvergenceError):
         t_sf(2.5, 31)
+
+
+@pytest.mark.parametrize("args, message", [
+    (([1], [1], [-0.5], [1.5]), r"x and y must lie in \[0, 1\], got \(-0.5, 1.5\)"),
+    (([-1], [1], [0.3], [0.7]), r"a and b must be > 0, got \(-1.0, 1.0\)"),
+    (([2, 3, 1], [2, 0, 1], [0.3, 0.5, -0.5], [0.7, 0.5, 1.5]),
+     r"a and b must be > 0, got \(3.0, 0.0\)"),
+    (([2, 1], [2, 1], [0.3, float("nan")], [0.7, float("nan")]),
+     r"x and y must lie in \[0, 1\], got \(nan, nan\)"),
+], ids=["x-below-0", "a-below-0", "first-bad-of-two", "one-bad-of-two"])
+def test_regularized_betas_outside_the_domain_raise(args, message):
+    with pytest.raises(DomainError, match=message):
+        special.regularized_betas(*args)
+
+
+def test_regularized_betas_good_elements_keep_their_values():
+    batch = special.regularized_betas([2, 0.5, 3], [2, 0.5, 1], [0.3, 0.0, 1.0], [0.7, 1.0, 0.0])
+    assert batch == [special.regularized_betas([2], [2], [0.3], [0.7])[0], 0.0, 1.0]
+    assert batch[0] == pytest.approx(0.216, rel=1e-14)  # I_x(2, 2) = x^2 (3 - 2x)
