@@ -219,10 +219,6 @@ class AnnualSeries:
         """Year -> value for the non-missing entries, in year order."""
         return {y: v for y, v in zip(self.years, self.values) if v is not None}
 
-    @property
-    def n_present(self) -> int:
-        return sum(v is not None for v in self.values)
-
 
 @dataclass(frozen=True)
 class AlignedPair:

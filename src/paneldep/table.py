@@ -17,6 +17,7 @@ list. Each kernel returns its results as ``Columns``, by place.
 from __future__ import annotations
 
 from dataclasses import fields
+from itertools import compress
 
 import numpy as np
 
@@ -31,19 +32,16 @@ class PairGroup:
     An aligned series is one series over one year set. Each one that the
     group's pairs hold is one row of the float64 stack ``rows``, once, and
     ``keys`` names it: equal keys hold equal values, run-wide. Pair j is
-    ``rows[xi[j]]`` against ``rows[yi[j]]``; ``x_series[j]`` and
-    ``y_series[j]`` are the ids of its two series, ``mask[j]`` the id of its
+    ``rows[xi[j]]`` against ``rows[yi[j]]``; ``mask[j]`` is the id of its
     year set (``PairTable.years`` holds the years) and ``places[j]`` its
     place.
     """
 
     def __init__(self, n: int, rows: np.ndarray, keys: np.ndarray, xi: np.ndarray,
-                 yi: np.ndarray, x_series: np.ndarray, y_series: np.ndarray,
-                 mask: np.ndarray, places: np.ndarray):
+                 yi: np.ndarray, mask: np.ndarray, places: np.ndarray):
         self.n = n
         self.rows, self.keys = rows, keys
         self.xi, self.yi = xi, yi
-        self.x_series, self.y_series = x_series, y_series
         self.mask = mask
         self.places = places
 
@@ -58,8 +56,8 @@ class PairGroup:
 
     def swapped(self) -> "PairGroup":
         """The group with x and y exchanged in every pair."""
-        return PairGroup(self.n, self.rows, self.keys, self.yi, self.xi, self.y_series,
-                         self.x_series, self.mask, self.places)
+        return PairGroup(self.n, self.rows, self.keys, self.yi, self.xi, self.mask,
+                         self.places)
 
 
 class PairTable:
@@ -114,8 +112,8 @@ class PairTable:
                              for i in members], dtype=np.intp)
             keys = ids * (len(pairs) + 1) + np.concatenate((mask, mask))
             groups.append(PairGroup.of_rows(
-                n, rows, keys, np.arange(count), np.arange(count, 2 * count),
-                ids[:count], ids[count:], mask, np.array(members, dtype=np.intp)))
+                n, rows, keys, np.arange(count), np.arange(count, 2 * count), mask,
+                np.array(members, dtype=np.intp)))
         return cls(len(pairs), groups, list(masks))
 
     @classmethod
@@ -123,88 +121,61 @@ class PairTable:
                  min_overlap: int) -> "PairTable":
         """The table of every (region, outcome, indicator) triple of a run.
 
-        Each series' values go into an array once, as a row of the block
-        of series that share its years tuple, with NaN where a value is
-        missing (a value is never NaN, see ``AnnualSeries``). The pairs of
-        one (x block, y block) combination are aligned on the years the
-        two tuples share, never on a span of years, and pairs whose x and
-        y have the same presence patterns there are cut to their joint
-        years by one gather.
+        The pairs of one (x pattern, y pattern) (see ``_value_runs``) are
+        aligned by one intersection of the two patterns and cut to their
+        joint years by one gather from the flat array of the series' runs.
         """
         shape = (len(dataset.regions), len(outcomes), len(indicators))
-        cells = dataset.cells
-        ids: dict[tuple[str, str], int] = {}
-        # years tuple -> (block, values of the block's series)
-        blocks_of: dict[tuple, tuple[int, list]] = {}
-        where: list[tuple[int, int]] = []  # series id -> (block, row)
-
-        def series_id(key) -> int:
-            found = ids.get(key)
-            if found is None:
-                series = cells.get(key)
-                if series is None:
-                    return -1
-                block, rows = blocks_of.setdefault(series.years, (len(blocks_of), []))
-                found = ids[key] = len(where)
-                where.append((block, len(rows)))
-                rows.append(series.values)
-            return found
-
-        def id_grid(codes) -> np.ndarray:
-            return np.array([[series_id((region, code)) for code in codes]
-                             for region in dataset.regions],
-                            dtype=np.intp).reshape(shape[0], len(codes))
-
-        y_all = np.broadcast_to(id_grid(outcomes)[:, :, None], shape).ravel()
-        x_all = np.broadcast_to(id_grid(indicators)[:, None, :], shape).ravel()
+        codes = {code: i for i, code in enumerate(dict.fromkeys((*outcomes, *indicators)))}
+        found = [dataset.cells.get((region, code)) for region in dataset.regions for code in codes]
+        held = [i for i, series in enumerate(found) if series is not None]
+        grid = np.full((shape[0], len(codes)), -1, dtype=np.intp)  # series id, or -1
+        grid.flat[held] = np.arange(len(held))
+        y_all = np.broadcast_to(grid[:, [codes[c] for c in outcomes], None], shape).ravel()
+        x_all = np.broadcast_to(grid[:, None, [codes[c] for c in indicators]], shape).ravel()
         paired = (x_all >= 0) & (y_all >= 0)
         places = np.flatnonzero(paired)
         xs, ys = x_all[places], y_all[places]
 
-        blocks = [_Block(years, rows) for years, (_, rows) in blocks_of.items()]
-        series_block, series_row = np.array(where, dtype=np.intp).reshape(-1, 2).T
+        years_of, positions, pattern, first, flat = _value_runs([found[i] for i in held])
+        arrays = [np.array(years) for years in years_of]
 
-        # per length, the rows, keys, x and y rows in them, series, year set
-        # and place of each piece of pairs that share a year set
-        pieces: dict[int, list[tuple]] = {}
+        # one intersection per (x pattern, y pattern) combination gives its
+        # pairs' joint years and their positions in each series' run
+        combos, combo = np.unique(pattern[xs] * len(years_of) + pattern[ys], return_inverse=True)
+        joint = np.empty(len(combos), dtype=np.intp)  # each combination's joint years count
+        mask_of = np.empty(len(combos), dtype=np.intp)  # and year set
+        slot = np.empty(len(combos), dtype=np.intp)  # and place among its length's combinations
+        cuts: dict[int, list[np.ndarray]] = {}  # n -> each combination's x and y positions
         masks: dict[tuple, int] = {}
-        short, overlaps = [], []
-        combo = series_block[xs] * len(blocks) + series_block[ys]
-        for run in _runs(combo):
-            bx, by = divmod(int(combo[run[0]]), len(blocks))
-            xb, yb = blocks[bx], blocks[by]
-            common, ix, iy = xb.shared_years(yb)
-            kinds = (xb.pattern[series_row[xs[run]]] * len(yb.patterns)
-                     + yb.pattern[series_row[ys[run]]])
-            for members in _runs(kinds):
-                px, py = divmod(int(kinds[members[0]]), len(yb.patterns))
-                cols = np.flatnonzero(xb.patterns[px, ix] & yb.patterns[py, iy])
-                n = len(cols)
-                rows = run[members]
-                if n < min_overlap:
-                    short.append(places[rows])
-                    overlaps.append(np.full(len(rows), n, dtype=np.intp))
-                    continue
-                mask = masks.setdefault(tuple(common[c] for c in cols.tolist()), len(masks))
-                x_ids, xi = np.unique(xs[rows], return_inverse=True)
-                y_ids, yi = np.unique(ys[rows], return_inverse=True)
-                pieces.setdefault(n, []).append((
-                    np.concatenate((xb.values[series_row[x_ids, None], ix[cols]],
-                                    yb.values[series_row[y_ids, None], iy[cols]])),
-                    np.concatenate((x_ids, y_ids)) * (len(places) + 1) + mask,
-                    xi, yi + len(x_ids), xs[rows], ys[rows],
-                    np.full(len(rows), mask, dtype=np.intp), places[rows]))
+        for c, key in enumerate(combos.tolist()):
+            px, py = divmod(key, len(years_of))
+            _, ix, iy = np.intersect1d(arrays[px], arrays[py], assume_unique=True,
+                                       return_indices=True)
+            joint[c] = n = len(ix)
+            if n >= min_overlap:  # the year set holds the pattern's own year objects
+                common = tuple(map(years_of[px].__getitem__, ix.tolist()))
+                mask_of[c] = masks.setdefault(common, len(masks))
+                at = cuts.setdefault(n, [])
+                slot[c] = len(at) // 2
+                at += (positions[px][ix], positions[py][iy])
+        n = joint[combo]
         groups = []
-        for n in sorted(pieces):
-            # x and y rows count from the start of the length's stack
-            starts = np.cumsum([0] + [len(piece[0]) for piece in pieces[n]]).tolist()
-            parts = [(rows, keys, xi + start, yi + start, *rest)
-                     for (rows, keys, xi, yi, *rest), start in zip(pieces.pop(n), starts)]
-            columns = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-            groups.append(PairGroup.of_rows(n, *columns))
+        for length in sorted(cuts):
+            # one row per distinct (series, year set), gathered from flat
+            members = np.flatnonzero(n == length)
+            ids = np.concatenate((xs[members], ys[members]))
+            mask, at = mask_of[combo[members]], 2 * slot[combo[members]]
+            keys, rep, inverse = np.unique(ids * (len(places) + 1) + np.tile(mask, 2),
+                                           return_index=True, return_inverse=True)
+            cut = np.array(cuts[length])[np.concatenate((at, at + 1))[rep]]
+            cut += first[ids[rep], None]
+            groups.append(PairGroup(length, flat[cut], keys,
+                                    inverse[:len(members)], inverse[len(members):], mask,
+                                    places[members]))
+        short = np.flatnonzero(n < min_overlap)
         return cls(int(np.prod(shape)), groups, list(masks), np.flatnonzero(~paired),
-                   np.concatenate(short) if short else _EMPTY,
-                   np.concatenate(overlaps) if overlaps else _EMPTY)
+                   places[short], n[short])
 
 
 class Columns:
@@ -237,42 +208,38 @@ def shared(value: str, size: int) -> np.ndarray:
     return np.broadcast_to(np.array(value), (size,))
 
 
-class _Block:
-    """The series of one years tuple: their values, NaN where missing, and
-    each series' presence pattern over the years."""
-
-    def __init__(self, years: tuple, rows: list[tuple]):
-        self.years = years
-        self.values = np.array(rows, dtype=float).reshape(len(rows), len(years))
-        present = ~np.isnan(self.values)
-        if present.all():
-            self.pattern = np.zeros(len(rows), dtype=np.intp)
-            self.patterns = np.ones((1, len(years)), dtype=bool)
-        else:
-            seen: dict[bytes, int] = {}
-            self.pattern = np.array([seen.setdefault(row.tobytes(), len(seen))
-                                     for row in present], dtype=np.intp)
-            self.patterns = np.empty((len(seen), len(years)), dtype=bool)
-            self.patterns[self.pattern] = present
-
-    def shared_years(self, other: "_Block") -> tuple[tuple, np.ndarray, np.ndarray]:
-        """The years both blocks hold, in order, and their columns in each."""
-        if other is self:
-            cols = np.arange(len(self.years))
-            return self.years, cols, cols
-        at = {year: i for i, year in enumerate(other.years)}
-        mine = [i for i, year in enumerate(self.years) if year in at]
-        common = tuple(self.years[i] for i in mine)
-        return (common, np.array(mine, dtype=np.intp),
-                np.array([at[year] for year in common], dtype=np.intp))
-
-
-def _runs(keys: np.ndarray) -> list[np.ndarray]:
-    """The positions of each distinct key, in key order; stable within a key."""
-    if not len(keys):
-        return []
-    order = np.argsort(keys, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+def _value_runs(series: list) -> tuple[list[tuple], list, np.ndarray, np.ndarray, np.ndarray]:
+    """Each pattern's years and their positions in its years tuple, each
+    series' pattern id and the start of its run, and the flat float64 array
+    of runs. A pattern is the tuple of years in which a series holds a
+    value, found once per distinct presence row of each years tuple; a run
+    is a series' values over its own years, NaN where one is missing (a
+    value is never NaN, see ``AnnualSeries``), so memory grows with the
+    points the series hold, never with a span of years."""
+    by_years: dict[tuple, list[int]] = {}
+    for i, item in enumerate(series):
+        by_years.setdefault(item.years, []).append(i)
+    patterns, positions = [], []
+    pattern = np.empty(len(series), dtype=np.intp)
+    first = np.empty(len(series), dtype=np.intp)
+    blocks, offset = [], 0
+    for years, members in by_years.items():
+        values = np.array([series[i].values for i in members], dtype=float
+                          ).reshape(len(members), len(years))
+        # one opaque item per presence row: np.unique(axis=0) would sort a
+        # bool row field by field, tens of times slower
+        rows, kind = np.unique((~np.isnan(values)).view(f"V{len(years)}").ravel(),
+                               return_inverse=True)
+        pattern[members] = len(patterns) + kind
+        for row in rows.view(bool).reshape(len(rows), len(years)):
+            patterns.append(tuple(compress(years, row.tolist())))
+            positions.append(np.flatnonzero(row))
+        first[members] = offset + np.arange(0, values.size, len(years))
+        offset += values.size
+        blocks.append(values.ravel())
+    # one block's values are the flat array as they are, not a copy of them
+    flat = blocks[0] if len(blocks) == 1 else np.concatenate([np.empty(0), *blocks])
+    return patterns, positions, pattern, first, flat
 
 
 def _unit_scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
