@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -157,7 +158,7 @@ class MatrixCell(NamedTuple):
     result: object
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ResultMatrix:
     """Regions x indicators grid of one method's results for one outcome.
 
@@ -167,7 +168,9 @@ class ResultMatrix:
     tag, None where the cell holds a result; there a column's entry means
     nothing. A planned matrix has no columns and ``tags`` None. The arrays
     are views of the run's columns, which the matrices of one method, and
-    for ``n`` of every method, share.
+    for ``n`` of every method, share. A matrix is never changed once built:
+    ``run_battery`` returns new, filled copies of the planned ones, and
+    ``cells`` and ``skips`` are read from the columns once, on first use.
     """
 
     method: str
@@ -199,15 +202,29 @@ class ResultMatrix:
 
     @cached_property
     def cells(self) -> Mapping[tuple[str, str], MatrixCell]:
-        """The (region, code) of each cell that holds a result, mapped to its
-        ``MatrixCell``: a read-only view, which reads the columns on each lookup."""
-        return _Grid(self, results=True)
+        """The (region, code) of each cell that holds a result, in row-major
+        order, mapped to its ``MatrixCell``: a read-only dict, empty for a
+        planned matrix."""
+        if self.tags is None:
+            return MappingProxyType({})
+        held = self.held()
+        values = {name: column[held].tolist() for name, column in self.columns.items()}
+        results = map(self.kind, *(values[f.name] for f in fields(self.kind)))
+        return MappingProxyType(dict(zip(self._keys(held), map(MatrixCell, values["n"], results))))
 
     @cached_property
     def skips(self) -> Mapping[tuple[str, str], str]:
-        """The (region, code) of each skipped cell, mapped to its skip tag:
-        a read-only view of ``tags``."""
-        return _Grid(self, results=False)
+        """The (region, code) of each skipped cell, in row-major order, mapped
+        to its skip tag: a read-only dict, empty for a planned matrix."""
+        if self.tags is None:
+            return MappingProxyType({})
+        skipped = ~self.held()
+        return MappingProxyType(dict(zip(self._keys(skipped), self.tags[skipped].tolist())))
+
+    def _keys(self, mask: np.ndarray) -> list[tuple[str, str]]:
+        """The (region, code) of each True cell of ``mask``, row-major."""
+        ri, ci = mask.nonzero()
+        return [(self.rows[r], self.cols[c]) for r, c in zip(ri.tolist(), ci.tolist())]
 
     def __eq__(self, other):
         if not isinstance(other, ResultMatrix):
@@ -215,45 +232,6 @@ class ResultMatrix:
         return ((self.method, self.age_group, self.outcome, self.rows, self.cols)
                 == (other.method, other.age_group, other.outcome, other.rows, other.cols)
                 and self.cells == other.cells and self.skips == other.skips)
-
-
-class _Grid(Mapping):
-    """The cells of a matrix that hold a result (``results``) or a skip."""
-
-    def __init__(self, matrix: ResultMatrix, results: bool):
-        self._matrix = matrix
-        self._results = results
-        self._rows = {region: i for i, region in enumerate(matrix.rows)}
-        self._cols = {code: i for i, code in enumerate(matrix.cols)}
-
-    def _holds(self, tag) -> bool:
-        return (tag is None) is self._results
-
-    def __getitem__(self, key):
-        matrix = self._matrix
-        try:
-            region, code = key
-            ri, ci = self._rows[region], self._cols[code]
-        except (TypeError, ValueError, KeyError):
-            raise KeyError(key) from None
-        if matrix.tags is None or not self._holds(tag := matrix.tags[ri, ci]):
-            raise KeyError(key)
-        if not self._results:
-            return tag
-        values = {name: column[ri, ci].item() for name, column in matrix.columns.items()}
-        return MatrixCell(values["n"], matrix.kind(*(values[f.name] for f in fields(matrix.kind))))
-
-    def __iter__(self):
-        matrix = self._matrix
-        if matrix.tags is None:
-            return
-        for region, row in zip(matrix.rows, matrix.tags.tolist()):
-            for code, tag in zip(matrix.cols, row):
-                if self._holds(tag):
-                    yield region, code
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
 
 
 def _slug(text: str) -> str:
@@ -344,6 +322,7 @@ def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatr
     pair_tags = np.full(table.size, None, dtype=object)
     pair_tags[table.missing] = SKIP_MISSING_SERIES
     pair_tags[table.short] = SKIP_INSUFFICIENT_OVERLAP
+    filled = []
     for start in range(0, len(matrices), per_method):
         row = matrices[start:start + per_method]
         batch = _method_results(row[0].method, table, config)
@@ -352,11 +331,11 @@ def run_battery(dataset: PanelDataset, config: BatteryConfig) -> list[ResultMatr
         grids = {name: column.reshape(shape)
                  for name, column in {**batch.values, "n": batch.n}.items()}
         tags = tags.reshape(shape)
-        for i, matrix in enumerate(row):
-            matrix.kind = batch.kind
-            matrix.columns = {name: grid[:, i, :] for name, grid in grids.items()}
-            matrix.tags = tags[:, i, :]
-    return matrices
+        filled += [replace(planned, kind=batch.kind,
+                           columns={name: grid[:, i, :] for name, grid in grids.items()},
+                           tags=tags[:, i, :])
+                   for i, planned in enumerate(row)]
+    return filled
 
 
 def summarize_lags(matrices) -> dict[tuple[str, str], dict[int, int]]:

@@ -173,41 +173,50 @@ def age_group_of_code(code: str) -> AgeGroup:
 _FLOAT_OR_NONE = {float, type(None)}
 
 
-def _check_finite(values) -> None:
-    """Raise DomainError unless each value is None or a finite number.
+def _check_finite(values) -> tuple:
+    """``values`` with each number as its float; raise DomainError unless
+    each value is None or a finite number other than a bool.
 
     Floats whose sum is finite are all finite, so a series of floats and
-    Nones passes with one sum; a NaN, an infinity, another type or a sum
-    that overflows sends every value through its own check.
+    Nones passes with one sum and comes back as it is; a NaN, an infinity,
+    another type or a sum that overflows sends every value through its own
+    check.
     """
     if set(map(type, values)) <= _FLOAT_OR_NONE:
         total = sum(filter(None, values))  # None and zeros add nothing
         if total - total == 0.0:
-            return
+            return values
+    checked = []
     for value in values:
-        if value is None:
-            continue
-        try:
-            finite = math.isfinite(value)
-        except (TypeError, OverflowError):
-            raise DomainError(f"value {value!r} is not a finite float") from None
-        if not finite:
-            raise DomainError("non-finite value")
+        if value is not None:
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                finite = math.isfinite(value)
+            except (TypeError, OverflowError):
+                raise DomainError(f"value {value!r} is not a finite float") from None
+            if not finite:
+                raise DomainError("non-finite value")
+            value = float(value)
+        checked.append(value)
+    return tuple(checked)
 
 
 @dataclass(frozen=True)
 class AnnualSeries:
     """Calendar years and one optional value per year.
 
-    A value is None (missing) or a finite number; NaN and infinities are a
-    DomainError.
+    A value is None (missing) or a finite number, stored as its float; NaN,
+    infinities and bools are a DomainError.
     """
 
     years: tuple[int, ...]
     values: tuple[float | None, ...]
 
     def __post_init__(self):
-        _check_finite(self.values)
+        values = _check_finite(self.values)
+        if values is not self.values:
+            object.__setattr__(self, "values", values)
         if len(self.years) != len(self.values):
             raise DomainError("years and values differ in length")
         if any(map(operator.le, self.years[1:], self.years)):
@@ -245,17 +254,9 @@ def align_pair(a: AnnualSeries, b: AnnualSeries,
     """
     if min_overlap < 3:
         raise DomainError(f"min_overlap must be >= 3, got {min_overlap}")
-    if a.years == b.years:
-        if None not in a.values and None not in b.values:
-            years, x, y = a.years, a.values, b.values
-        else:
-            rows = [row for row in zip(a.years, a.values, b.values)
-                    if row[1] is not None and row[2] is not None]
-            years, x, y = zip(*rows) if rows else ((), (), ())
-    else:
-        pa, pb = a.present(), b.present()
-        years = [year for year in pa if year in pb]
-        x, y = [pa[year] for year in years], [pb[year] for year in years]
+    pa, pb = a.present(), b.present()
+    years = [year for year in pa if year in pb]
+    x, y = [pa[year] for year in years], [pb[year] for year in years]
     if len(years) < min_overlap:
         raise InsufficientOverlapError(
             f"only {len(years)} jointly populated years, need {min_overlap}",

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from paneldep.battery import (
     BatteryConfig,
+    MatrixCell,
     canonical_columns,
     plan_battery,
     run_battery,
@@ -333,6 +335,56 @@ class TestRunBattery:
                                indicators=("E1",), max_lag=4)
         (matrix,) = run_battery(ds, config)
         assert matrix.skips == {("R", "E1"): "singular-design"}
+
+    def test_a_matrix_is_never_changed(self):
+        ds, config = fixture_config(methods=("pearson",))
+        matrix = run_battery(ds, config)[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            matrix.tags = None
+        with pytest.raises(TypeError):
+            matrix.cells[("global", "E1")] = matrix.cells[("global", "E2")]
+        with pytest.raises(TypeError):
+            matrix.skips[("global", "E1")] = "missing-series"
+
+    def test_cells_and_skips_read_the_columns_and_tags(self):
+        """Each cell read on its own from ``columns`` and ``tags``, row-major,
+        on a run with missing-series, insufficient-overlap and
+        singular-design skips."""
+        years = tuple(range(2000, 2030))
+        wiggle = AnnualSeries(years, tuple(float(i % 7) + 0.1 * i for i in range(30)))
+        rising = AnnualSeries(years, tuple(float(i % 5) - 0.2 * i for i in range(30)))
+        short = AnnualSeries(years, tuple(v if i < 4 else None
+                                          for i, v in enumerate(rising.values)))
+        flat = AnnualSeries(years, (2.5,) * 30)  # repeats Granger's intercept
+        codes = ("E1", "E2", "dep|DALYs|all")
+        ds = PanelDataset(
+            regions=("R1", "R2", "R3"),
+            indicators=tuple(_classify_code(c) for c in codes),
+            cells={
+                ("R1", "E1"): rising, ("R1", "E2"): flat, ("R1", "dep|DALYs|all"): wiggle,
+                ("R2", "E1"): short, ("R2", "dep|DALYs|all"): wiggle,
+                ("R3", "E1"): rising, ("R3", "E2"): rising,
+            },
+        )
+        config = BatteryConfig(methods=ALL_METHODS, outcomes=("dep|DALYs|all",),
+                               indicators=("E1", "E2"))
+        tags_seen = set()
+        for matrix in run_battery(ds, config):
+            cells, skips = {}, {}
+            for ri, region in enumerate(matrix.rows):
+                for ci, code in enumerate(matrix.cols):
+                    if (tag := matrix.tags[ri, ci]) is not None:
+                        skips[region, code] = tag
+                        continue
+                    values = {name: column[ri, ci].item()
+                              for name, column in matrix.columns.items()}
+                    result = matrix.kind(**{f.name: values[f.name]
+                                            for f in dataclasses.fields(matrix.kind)})
+                    cells[region, code] = MatrixCell(values["n"], result)
+            assert repr(list(matrix.cells.items())) == repr(list(cells.items()))
+            assert list(matrix.skips.items()) == list(skips.items())
+            tags_seen |= set(skips.values())
+        assert {"missing-series", "insufficient-overlap", "singular-design"} <= tags_seen
 
     def test_determinism(self):
         ds, config = fixture_config()

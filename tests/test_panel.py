@@ -101,7 +101,7 @@ class TestAnnualSeries:
         with pytest.raises(DomainError, match="non-finite value"):
             AnnualSeries(tuple(range(2000, 2012)), tuple(values))
 
-    @pytest.mark.parametrize("bad", ["1.0", 10 ** 400])
+    @pytest.mark.parametrize("bad", ["1.0", 10 ** 400, True])
     def test_rejects_values_without_a_float(self, bad):
         with pytest.raises(DomainError, match="is not a finite float"):
             AnnualSeries((2000, 2001), (1.0, bad))
@@ -581,6 +581,21 @@ class TestFingerprint:
     @given(panel_datasets())
     def test_invariant_under_snapshot_roundtrip(self, ds):
         assert PanelDataset.from_json(ds.to_json()).fingerprint() == ds.fingerprint()
+
+    def test_numbers_are_stored_as_floats_through_a_snapshot(self):
+        """An int or numpy value is stored as its float, so the snapshot
+        reads back to the panel's own fingerprint."""
+        import numpy as np
+
+        ds = load_fixture(with_outcomes=True)
+        key = ("global", "E1")
+        series = ds.cells[key]
+        values = (1, np.float64(2.5), np.int64(3)) + series.values[3:]
+        cells = {**ds.cells, key: AnnualSeries(series.years, values)}
+        numbers = PanelDataset(ds.regions, ds.indicators, cells)
+        assert numbers.cells[key].values[:3] == (1.0, 2.5, 3.0)
+        assert all(type(v) is float for v in numbers.cells[key].values[:3])
+        assert PanelDataset.from_json(numbers.to_json()).fingerprint() == numbers.fingerprint()
 
     @pytest.mark.parametrize("indent", [None, 0, 4, "\t"])
     def test_independent_of_snapshot_indentation(self, indent):

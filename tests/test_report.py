@@ -31,7 +31,11 @@ def fixture_run():
     outcomes = tuple(i.code for i in ds.indicators if i.category == "MentalHealth")
     indicators = tuple(i.code for i in ds.indicators if i.category != "MentalHealth")
     config = BatteryConfig(outcomes=outcomes, indicators=indicators)
-    return ds, config, run_battery(ds, config)
+    matrices = run_battery(ds, config)
+    for matrix in matrices:  # a test that writes into the shared run fails where it writes
+        for array in (*matrix.columns.values(), matrix.tags):
+            array.flags.writeable = False
+    return ds, config, matrices
 
 
 def matrix_for(matrices, method):
@@ -170,9 +174,12 @@ class TestSvg:
             ET.fromstring(text)
             assert text.count('<rect class="cell"') == 15
 
-    def test_color_endpoints(self, fixture_run):
-        _, _, matrices = fixture_run
-        matrix = matrix_for(matrices, "pearson")
+    def test_color_endpoints(self):
+        ds = load_fixture(with_outcomes=True)
+        config = BatteryConfig(methods=("pearson",),
+                               outcomes=("synthetic-burden|DALYs|all",),
+                               indicators=("E1",))
+        matrix = run_battery(ds, config)[0]
         for forced, expected in ((1.0, "#ff0000"), (-1.0, "#0000ff"), (0.0, "#ffffff")):
             matrix.columns["r"][0, 0] = forced  # the cell of ("global", "E1")
             text = render_heatmap_svg(matrix)
