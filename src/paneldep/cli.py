@@ -210,9 +210,6 @@ def _parser() -> argparse.ArgumentParser:
                                  "region/indicator/year series.")
     parser.add_argument("--version", action="version",
                         version=f"paneldep, version {TOOL_VERSION}")
-    parser.add_argument("--seed", type=int,
-                        help="Seed for simulation helpers; the analysis pipeline "
-                             "itself is deterministic and ignores it.")
     parser.add_argument("--quiet", action="store_true",
                         help="Suppress progress messages.")
     commands = parser.add_subparsers(title="commands", metavar="COMMAND")

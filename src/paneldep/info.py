@@ -131,23 +131,15 @@ class MutualInfoResult:
     strategy: str
 
 
-def mutual_informations(pairs, bins: int | None,
-                        strategy: str = "equal-frequency"
-                        ) -> list[MutualInfoResult | InsufficientDataError]:
-    """``mutual_information`` over many pairs: each pair's result, or the
-    error its own call raises. See ``mutual_informations_over``."""
-    return mutual_informations_over(PairTable.of_pairs(pairs), bins, strategy).results()
-
-
 def mutual_informations_over(table: PairTable, bins: int | None,
                              strategy: str = "equal-frequency") -> Columns:
     """``mutual_information`` of each pair of a table, as columns by place.
 
-    ``bins`` None gives each pair ``default_mi_bins(n)``. Each distinct
-    aligned series of a length group is discretized once, and the group's
-    joint counts come from one ``bincount``; each result has the bits of
-    its own call. ``bins_x`` and ``bins_y`` are the bins each series uses
-    (see ``_discretize_rows``); a series that is one group gives MI 0.
+    ``bins`` None gives each pair ``default_mi_bins(n)``. Each row of a
+    length group is discretized once, and the group's joint counts come
+    from one ``bincount``; each result has the bits of its own call.
+    ``bins_x`` and ``bins_y`` are the bins each series uses (see
+    ``_discretize_rows``); a series that is one group gives MI 0.
     """
     errors: dict = {}
     mi = np.full(table.size, np.nan)
@@ -177,7 +169,7 @@ def mutual_informations_over(table: PairTable, bins: int | None,
 def mutual_information(pair: AlignedPair, bins: int,
                        strategy: str = "equal-frequency") -> MutualInfoResult:
     """Discretize both sequences and measure their shared information."""
-    return _only(mutual_informations([pair], bins, strategy))
+    return _only(mutual_informations_over(PairTable.of_pairs([pair]), bins, strategy).results())
 
 
 def default_mi_bins(n: int) -> int:
@@ -197,14 +189,6 @@ class MicResult:
 
 def grid_bound(n: int, alpha: float) -> int:
     return int(math.ceil(n ** alpha))
-
-
-def mics(pairs, alpha: float = DEFAULT_MIC_ALPHA, clumps: int = DEFAULT_MIC_CLUMPS,
-         normalization: str = "min-entropy-grid"
-         ) -> list[MicResult | InsufficientDataError]:
-    """``mic`` over many pairs: each pair's result, or the error its own
-    call raises. See ``mics_over``."""
-    return mics_over(PairTable.of_pairs(pairs), alpha, clumps, normalization).results()
 
 
 def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
@@ -274,7 +258,7 @@ def mic(pair: AlignedPair, alpha: float = DEFAULT_MIC_ALPHA,
     log2(min(b1, b2)); "max-entropy" divides by the larger marginal
     entropy of the maximizing grid instead.
     """
-    return _only(mics([pair], alpha, clumps, normalization))
+    return _only(mics_over(PairTable.of_pairs([pair]), alpha, clumps, normalization).results())
 
 
 #: The most elements a stacked array of the grid search holds: the prefix
@@ -320,7 +304,7 @@ def _search(tables: _Tables, axes: _Axes, parts: dict, xs: np.ndarray, ys: np.nd
 
 
 class _Tables:
-    """The index and x*log2(x) tables of one ``mics`` call, kept per size."""
+    """The index and x*log2(x) tables of one ``mics_over`` call, kept per size."""
 
     def __init__(self):
         self._intervals: dict[tuple[int, bool], tuple[np.ndarray, ...]] = {}

@@ -54,12 +54,6 @@ def t_sf(t: float, dof: float) -> float:
     return t_sfs((t,), (dof,))[0]
 
 
-def pearsons(pairs) -> list[PearsonResult | InsufficientDataError | DegenerateInputError]:
-    """``pearson`` over many pairs: each pair's result, or the error its own
-    call raises. See ``pearsons_over``."""
-    return pearsons_over(PairTable.of_pairs(pairs)).results()
-
-
 def pearsons_over(table: PairTable) -> Columns:
     """``pearson`` of each pair of a table, as columns by place.
 
@@ -67,10 +61,10 @@ def pearsons_over(table: PairTable) -> Columns:
     largest magnitude into [0.5, 1), exactly for every element above the
     subnormal range. So the sums neither overflow nor underflow at any
     scale, and scaling a series by a power of two that keeps its elements
-    normal leaves the result's bits as they are. An aligned series'
-    deviations and sum of squares are computed once, for every pair of its
-    length group that holds it. The means and the sums of squares and of
-    deviation products are ``math.fsum`` over each row of a stack; squares
+    normal leaves the result's bits as they are. Each row's deviations and
+    sum of squares are computed once, for every pair of its length group
+    that holds it. The means and the sums of squares and of deviation
+    products are ``math.fsum`` over each row of a stack; squares
     go through libm ``pow``, as Python's ``** 2`` does, not ``d * d``,
     which rounds some of them differently. ``pow`` is not exact under
     scaling either, so the scaled squares can round differently from
@@ -133,4 +127,4 @@ def pearson(pair: AlignedPair) -> PearsonResult:
     products) is kept deliberately: annual series are often near-constant
     and the single-pass expansion loses precision there.
     """
-    return _only(pearsons([pair]))
+    return _only(pearsons_over(PairTable.of_pairs([pair])).results())

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -175,7 +176,8 @@ _FLOAT_OR_NONE = {float, type(None)}
 
 def _check_finite(values) -> tuple:
     """``values`` with each number as its float; raise DomainError unless
-    each value is None or a finite number other than a bool.
+    each value is None or a finite number other than a bool (numpy's bool
+    is no ``numbers.Number``).
 
     Floats whose sum is finite are all finite, so a series of floats and
     Nones passes with one sum and comes back as it is; a NaN, an infinity,
@@ -190,7 +192,7 @@ def _check_finite(values) -> tuple:
     for value in values:
         if value is not None:
             try:
-                if isinstance(value, bool):
+                if isinstance(value, bool) or not isinstance(value, numbers.Number):
                     raise TypeError
                 finite = math.isfinite(value)
             except (TypeError, OverflowError):
@@ -328,6 +330,11 @@ class PanelDataset:
     def to_json(self) -> str:
         """Canonical full-fidelity snapshot: the panel as one line of compact
         JSON plus a newline; see from_json for the inverse."""
+        return self._json_line() + "\n"
+
+    def _json_line(self) -> str:
+        """The snapshot's line of compact JSON, without its newline; each
+        series' tuples are written as they are, as JSON arrays."""
         doc = {
             "regions": list(self.regions),
             "indicators": [
@@ -339,13 +346,13 @@ class PanelDataset:
                 {
                     "region": region,
                     "code": code,
-                    "years": list(s.years),
-                    "values": list(s.values),
+                    "years": s.years,
+                    "values": s.values,
                 }
                 for (region, code), s in self.cells.items()
             ],
         }
-        return json.dumps(doc, separators=(",", ":")) + "\n"
+        return json.dumps(doc, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "PanelDataset":
@@ -404,7 +411,7 @@ class PanelDataset:
         the ``to_json`` line without its final newline."""
         import hashlib  # only a bundle needs it
 
-        return hashlib.sha256(self.to_json()[:-1].encode()).hexdigest()
+        return hashlib.sha256(self._json_line().encode()).hexdigest()
 
 
 _TYPE_NAMES = {str: "strings", dict: "objects"}
@@ -427,30 +434,19 @@ def _snapshot_strings(entry: dict, what: str, names: tuple[str, ...]) -> tuple[s
     return values
 
 
-def _snapshot_value(value) -> float | None:
-    """A snapshot value: null, or a JSON number as its float."""
-    if value is None:
-        return None
-    if type(value) is not float and type(value) is not int:
-        raise ParseError(f"{value!r} is neither a number nor null")
-    return float(value)
-
-
 def _snapshot_series(key, years, values) -> AnnualSeries:
     """One snapshot cell; integer years, finite values, as the CSVs require.
 
-    Floats and nulls are taken as they are; AnnualSeries rejects a
-    non-finite value.
+    AnnualSeries takes each value as a float and rejects a non-finite one
+    or one that is no number.
     """
     try:
         if type(years) is not list or type(values) is not list:
             raise ParseError("years and values must be lists")
         if not set(map(type, years)) <= {int}:
             raise ParseError("years must be integers")
-        if not set(map(type, values)) <= _FLOAT_OR_NONE:
-            values = map(_snapshot_value, values)
         return AnnualSeries(tuple(years), tuple(values))
-    except (ParseError, DomainError, OverflowError) as exc:
+    except (ParseError, DomainError) as exc:
         raise ParseError(f"panel snapshot cell {key}: {exc}") from None
 
 

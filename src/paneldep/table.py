@@ -30,34 +30,23 @@ class PairGroup:
     """The table's pairs of one length n.
 
     An aligned series is one series over one year set. Each one that the
-    group's pairs hold is one row of the float64 stack ``rows``, once, and
-    ``keys`` names it: equal keys hold equal values, run-wide. Pair j is
+    group's pairs hold is a row of the float64 stack ``rows``. Pair j is
     ``rows[xi[j]]`` against ``rows[yi[j]]``; ``mask[j]`` is the id of its
     year set (``PairTable.years`` holds the years) and ``places[j]`` its
     place.
     """
 
-    def __init__(self, n: int, rows: np.ndarray, keys: np.ndarray, xi: np.ndarray,
-                 yi: np.ndarray, mask: np.ndarray, places: np.ndarray):
+    def __init__(self, n: int, rows: np.ndarray, xi: np.ndarray, yi: np.ndarray,
+                 mask: np.ndarray, places: np.ndarray):
         self.n = n
-        self.rows, self.keys = rows, keys
+        self.rows = rows
         self.xi, self.yi = xi, yi
         self.mask = mask
         self.places = places
 
-    @classmethod
-    def of_rows(cls, n: int, rows: np.ndarray, keys: np.ndarray, xi: np.ndarray,
-                yi: np.ndarray, *rest) -> "PairGroup":
-        """The group whose rows are ``rows`` with each repeated key dropped."""
-        unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        if len(unique) < len(keys):
-            rows, keys, xi, yi = rows[first], unique, inverse[xi], inverse[yi]
-        return cls(n, rows, keys, xi, yi, *rest)
-
     def swapped(self) -> "PairGroup":
         """The group with x and y exchanged in every pair."""
-        return PairGroup(self.n, self.rows, self.keys, self.yi, self.xi, self.mask,
-                         self.places)
+        return PairGroup(self.n, self.rows, self.yi, self.xi, self.mask, self.places)
 
 
 class PairTable:
@@ -91,29 +80,22 @@ class PairTable:
 
     @classmethod
     def of_pairs(cls, pairs) -> "PairTable":
-        """The table of a list of ``AlignedPair``: place i is ``pairs[i]``.
-
-        Value rows with the same bits get one series id, so 0.0 and -0.0
-        stay apart; each distinct years tuple is one year set.
-        """
+        """The table of a list of ``AlignedPair``: place i is ``pairs[i]``,
+        whose x and y are two rows of its length's group; each distinct
+        years tuple is one year set."""
         by_length: dict[int, list[int]] = {}
         for i, pair in enumerate(pairs):
             by_length.setdefault(pair.n, []).append(i)
-        series: dict[bytes, int] = {}
         masks: dict[tuple, int] = {}
         groups = []
         for n, members in by_length.items():
             count = len(members)
             rows = np.array([pairs[i].x for i in members] + [pairs[i].y for i in members],
                             dtype=float).reshape(2 * count, n)
-            ids = np.array([series.setdefault(row.tobytes(), len(series)) for row in rows],
-                           dtype=np.intp)
             mask = np.array([masks.setdefault(pairs[i].years, len(masks))
                              for i in members], dtype=np.intp)
-            keys = ids * (len(pairs) + 1) + np.concatenate((mask, mask))
-            groups.append(PairGroup.of_rows(
-                n, rows, keys, np.arange(count), np.arange(count, 2 * count), mask,
-                np.array(members, dtype=np.intp)))
+            groups.append(PairGroup(n, rows, np.arange(count), np.arange(count, 2 * count),
+                                    mask, np.array(members, dtype=np.intp)))
         return cls(len(pairs), groups, list(masks))
 
     @classmethod
@@ -166,13 +148,12 @@ class PairTable:
             members = np.flatnonzero(n == length)
             ids = np.concatenate((xs[members], ys[members]))
             mask, at = mask_of[combo[members]], 2 * slot[combo[members]]
-            keys, rep, inverse = np.unique(ids * (len(places) + 1) + np.tile(mask, 2),
-                                           return_index=True, return_inverse=True)
+            _, rep, inverse = np.unique(ids * (len(places) + 1) + np.tile(mask, 2),
+                                        return_index=True, return_inverse=True)
             cut = np.array(cuts[length])[np.concatenate((at, at + 1))[rep]]
             cut += first[ids[rep], None]
-            groups.append(PairGroup(length, flat[cut], keys,
-                                    inverse[:len(members)], inverse[len(members):], mask,
-                                    places[members]))
+            groups.append(PairGroup(length, flat[cut], inverse[:len(members)],
+                                    inverse[len(members):], mask, places[members]))
         short = np.flatnonzero(n < min_overlap)
         return cls(int(np.prod(shape)), groups, list(masks), np.flatnonzero(~paired),
                    places[short], n[short])

@@ -20,7 +20,6 @@ from .errors import (
     NonContiguousYearsError,
     PanelDepError,
     SingularDesignError,
-    _only,
 )
 from .panel import AlignedPair
 from .special import f_sfs
@@ -149,7 +148,7 @@ def _fitted_stacks(table: PairTable, difference_first: bool, errors: dict
     ``errors``, under its place.
 
     Every pair's years must be one contiguous run; the jump of each year
-    set is found once. Each distinct series is differenced (``np.diff``
+    set is found once. Each group row is differenced (``np.diff``
     rounds each difference as ``b - a`` does) and then unit scaled (see
     ``table._unit_scaled``) once, so that no rank decision depends on a
     series' scale; y's row j is the input's times 2**-ey[j].
@@ -304,36 +303,6 @@ def _sweep(table: PairTable, max_lag: int, difference_first: bool, errors: dict)
     return _fits(table, range(1, min(max_lag, longest) + 1), difference_first, errors)
 
 
-def lag_sweeps(pairs, max_lag: int,
-               difference_first: bool = False) -> list[LagSweep | PanelDepError]:
-    """``lag_sweep`` over many pairs: each pair's sweep, or the error its own
-    call raises. See ``lag_sweeps_over``."""
-    return lag_sweeps_over(PairTable.of_pairs(pairs), max_lag, difference_first)
-
-
-def lag_sweeps_over(table: PairTable, max_lag: int,
-                    difference_first: bool = False) -> list:
-    """``lag_sweep`` of each pair of a table, by place (None at a place with
-    no pair).
-
-    Every fit comes from one ``_fits`` call; each sweep equals the pair's
-    own ``lag_sweep``, bit for bit. A bad ``max_lag`` raises.
-    """
-    errors: dict = {}
-    fits = _sweep(table, max_lag, difference_first, errors)
-    out: list = [None] * table.size
-    for place, error in errors.items():
-        out[place] = error
-    best, found = (v.tolist() for v in fits.best())
-    for i, (place, n, fitted) in enumerate(zip(fits.places, fits.n, fits.fitted.tolist())):
-        skipped = fits.skipped(i, max_lag)
-        out[place] = (LagSweep(tuple(fits.result(i, j) for j, ok in enumerate(fitted) if ok),
-                               tuple(SkippedLag(lag, str(error)) for lag, error in skipped),
-                               fits.result(i, best[i]))
-                      if found[i] else _no_lag_fits(n + difference_first, skipped))
-    return out
-
-
 def best_fits_over(table: PairTable, max_lag: int, difference_first: bool = False
                    ) -> Columns:
     """``lag_sweep(...).best`` of each pair of a table, as columns by place;
@@ -372,4 +341,14 @@ def lag_sweep(pair: AlignedPair, max_lag: int,
     skipped for a rank-deficient design, InsufficientDataError otherwise.
     Best lag is the smallest p-value, ties going to the shorter lag.
     """
-    return _only(lag_sweeps([pair], max_lag, difference_first))
+    errors: dict = {}
+    fits = _sweep(PairTable.of_pairs([pair]), max_lag, difference_first, errors)
+    if errors:
+        raise errors[0]
+    skipped = fits.skipped(0, max_lag)
+    best, found = fits.best()
+    if not found[0]:
+        raise _no_lag_fits(pair.n, skipped)
+    return LagSweep(tuple(fits.result(0, j) for j, ok in enumerate(fits.fitted[0]) if ok),
+                    tuple(SkippedLag(lag, str(error)) for lag, error in skipped),
+                    fits.result(0, int(best[0])))

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from paneldep.errors import PanelDepError
 from paneldep.panel import AlignedPair
+from paneldep.temporal import lag_sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -13,6 +15,14 @@ def make_pair(x, y, start_year: int = 2000) -> AlignedPair:
     x = tuple(float(v) for v in x)
     y = tuple(float(v) for v in y)
     return AlignedPair(x, y, tuple(range(start_year, start_year + len(x))))
+
+
+def sweep_or_error(pair: AlignedPair, max_lag: int, difference_first: bool = False):
+    """The pair's ``lag_sweep``, or the error it raises."""
+    try:
+        return lag_sweep(pair, max_lag, difference_first)
+    except PanelDepError as error:
+        return error
 
 
 def json_differences(doc, golden, path="$"):

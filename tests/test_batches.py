@@ -1,9 +1,10 @@
 """Batch kernels against their batches of one and their scalar references.
 
-Each batch function returns, for every pair, what the same function gives
-that pair alone, bit for bit: the batch order and the companion pairs must
-not matter. The references in ``oracles`` are the one-pair loops the batch
-kernels stack, so agreement with them pins the bits as well.
+A kernel over the table of a list of pairs (``PairTable.of_pairs``)
+returns, for every pair, what the same kernel gives that pair alone, bit
+for bit: the batch order and the companion pairs must not matter. The
+references in ``oracles`` are the one-pair loops the batch kernels stack,
+so agreement with them pins the bits as well.
 """
 
 import math
@@ -19,12 +20,20 @@ from paneldep.errors import (
     InsufficientDataError,
     SingularDesignError,
 )
-from paneldep.info import _mi_bits, _optimize_axis, _Tables, mics, mutual_informations
-from paneldep.linear import pearsons, t_sf, t_sfs
+from paneldep.info import (
+    _mi_bits,
+    _optimize_axis,
+    _Tables,
+    mics_over,
+    mutual_informations_over,
+)
+from paneldep.linear import pearson, pearsons_over, t_sf, t_sfs
 from paneldep.panel import MIC_NORMALIZATIONS, AlignedPair
 from paneldep.special import f_sf, f_sfs
 from paneldep.table import PairTable
-from paneldep.temporal import best_fits_over, lag_sweeps
+from paneldep.temporal import best_fits_over
+
+from conftest import sweep_or_error
 
 from oracles import (
     _ref_optimize_axis,
@@ -61,8 +70,8 @@ def aligned_pairs(draw):
 def pair_batches(draw):
     """Batches of ``aligned_pairs`` plus pairs drawn from a small pool of
     their series, so that batches share series as a screen's pairs do. The
-    pool holds a 0.0/-0.0 twin: the two compare equal, and sharing the
-    terms of one with the other must not move a bit."""
+    pool holds a 0.0/-0.0 twin: the two compare equal, and each must keep
+    its own bits."""
     pairs = draw(st.lists(aligned_pairs(), min_size=1, max_size=8))
     years = draw(st.sampled_from([pair.years for pair in pairs]))
     pool = [s for pair in pairs if pair.years == years for s in (pair.x, pair.y)]
@@ -89,18 +98,18 @@ def same(batched, alone):
 def test_batches_match_batches_of_one(pairs, rnd, bins, max_lag, difference_first):
     shuffled = pairs[:]
     rnd.shuffle(shuffled)
-    batches = {
-        "pearson": pearsons,
-        **{f"mi {b} {s}": (lambda ps, b=b, s=s: mutual_informations(ps, b, s))
+    kernels = {
+        "pearson": pearsons_over,
+        **{f"mi {b} {s}": (lambda table, b=b, s=s: mutual_informations_over(table, b, s))
            for b in (None, bins) for s in ("equal-frequency", "equal-width")},
-        "granger": lambda ps: lag_sweeps(ps, max_lag, difference_first),
-        "mic": mics,
+        "mic": mics_over,
     }
-    for name, batch in batches.items():
-        for pair, result in zip(shuffled, batch(shuffled)):
-            assert same(result, batch([pair])[0]), name
-    # the battery's Granger cells: each sweep's best fit, or its error's kind
-    sweeps = lag_sweeps(shuffled, max_lag, difference_first)
+    for name, kernel in kernels.items():
+        batch = kernel(PairTable.of_pairs(shuffled)).results()
+        for pair, result in zip(shuffled, batch):
+            assert same(result, kernel(PairTable.of_pairs([pair])).results()[0]), name
+    # the battery's Granger cells: each pair's sweep's best fit, or its error's kind
+    sweeps = [sweep_or_error(pair, max_lag, difference_first) for pair in shuffled]
     for best, sweep in zip(best_fits_over(PairTable.of_pairs(shuffled), max_lag,
                                           difference_first).results(), sweeps):
         if isinstance(sweep, Exception):
@@ -113,14 +122,15 @@ def test_batches_match_batches_of_one(pairs, rnd, bins, max_lag, difference_firs
 @settings(max_examples=60, deadline=None)
 @given(st.lists(aligned_pairs(), min_size=1, max_size=8), st.integers(2, 12))
 def test_batches_match_scalar_references(pairs, bins):
-    for pair, result in zip(pairs, pearsons(pairs)):
+    table = PairTable.of_pairs(pairs)
+    for pair, result in zip(pairs, pearsons_over(table).results()):
         expected = reference_pearson(pair.x, pair.y)
         if expected is None:
             assert isinstance(result, Exception)
         else:
             assert repr((result.r, result.p_value)) == repr(expected)
     for strategy in ("equal-frequency", "equal-width"):
-        for pair, result in zip(pairs, mutual_informations(pairs, bins, strategy)):
+        for pair, result in zip(pairs, mutual_informations_over(table, bins, strategy).results()):
             if pair.n >= max(bins, 4):
                 assert repr(result.mi) == repr(
                     reference_mutual_information(pair.x, pair.y, bins, strategy))
@@ -145,7 +155,8 @@ def unit_scale_pairs(draw):
 def test_lag_sweeps_match_the_per_fit_reference(pairs, max_lag):
     """Every field of every fit, bit for bit, and every skip, against one
     QR per design; each p-value is its own ``f_sf`` call's."""
-    for pair, sweep in zip(pairs, lag_sweeps(pairs, max_lag)):
+    for pair in pairs:
+        sweep = sweep_or_error(pair, max_lag)
         fits = {lag: reference_lag_fit(pair.x, pair.y, lag) for lag in range(1, max_lag + 1)}
         expected = {lag: fit for lag, fit in fits.items() if isinstance(fit, tuple)}
         if not expected:
@@ -201,7 +212,8 @@ def mic_batches(draw):
        st.sampled_from(MIC_NORMALIZATIONS))
 def test_mic_batches_match_the_per_pair_reference(pairs, clumps, alpha, normalization):
     """Every field of every stacked result is the one-pair search's, to the bit."""
-    for pair, result in zip(pairs, mics(pairs, alpha, clumps, normalization)):
+    table = PairTable.of_pairs(pairs)
+    for pair, result in zip(pairs, mics_over(table, alpha, clumps, normalization).results()):
         expected = reference_mic(pair.x, pair.y, alpha, clumps, normalization)
         if expected is None:
             assert isinstance(result, InsufficientDataError)
@@ -340,7 +352,7 @@ def test_squares_are_rounded_as_python_pow():
     # of this pair's squared deviations, taken after the power-of-two
     # scaling, differently, and r with them
     x, y = (-40.79, -51.879, -69.011, 35.518), (1.745, 79.726, -28.247, 54.703)
-    (result,) = pearsons([AlignedPair(x, y, (2000, 2001, 2002, 2003))])
+    result = pearson(AlignedPair(x, y, (2000, 2001, 2002, 2003)))
     assert repr(result.r) == repr(reference_pearson(x, y)[0])
 
 
@@ -368,9 +380,10 @@ def test_one_unconverged_element_fails_the_batch(monkeypatch):
 
 
 def test_empty_batches():
-    assert pearsons([]) == []
-    assert mutual_informations([], None) == []
-    assert lag_sweeps([], 3) == []
-    assert mics([]) == []
+    empty = PairTable.of_pairs([])
+    assert pearsons_over(empty).results() == []
+    assert mutual_informations_over(empty, None).results() == []
+    assert best_fits_over(empty, 3).results() == []
+    assert mics_over(empty).results() == []
     assert t_sfs([], []) == [] and f_sfs([], [], []) == []
     assert special.regularized_betas([], [], [], []) == []

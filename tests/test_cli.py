@@ -645,8 +645,10 @@ class TestOutputEncoding:
 
 
 class TestGlobalFlags:
-    def test_seed_accepted(self, workdir, capsys):
-        assert run("--seed", "42", "fixture") == 0
+    def test_seed_is_a_usage_error(self, workdir, capsys):
+        # the analysis is deterministic, and no option takes a seed
+        assert run("--seed", "42", "fixture") == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_version(self, workdir, capsys):
         assert run("--version") == 0
@@ -722,9 +724,9 @@ class TestUsage:
         ["bogus"],
         ["analyze", "--config", "config.json", "--out", "results"],
         ["ingest", "--out"],
-        ["--seed", "x", "fixture"],
+        ["--bogus", "fixture"],
     ], ids=["no-arguments", "unknown-command", "missing-panel", "out-without-value",
-            "seed-not-integer"])
+            "unknown-option"])
     def test_usage_error_exits_config(self, workdir, capsys, argv):
         assert run(*argv) == 2
         captured = capsys.readouterr()

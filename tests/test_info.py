@@ -14,10 +14,11 @@ from paneldep.info import (
     entropy,
     grid_bound,
     mic,
-    mics,
+    mics_over,
     mutual_information,
 )
 from paneldep.linear import pearson
+from paneldep.table import PairTable
 
 from conftest import make_pair
 from oracles import brute_force_mic, reference_equipartition
@@ -197,7 +198,7 @@ class TestMic:
         rng = np.random.default_rng(8)
         short, full = (make_pair(rng.normal(size=n), rng.normal(size=n))
                        for n in (30, 100))
-        error, result = mics([short, full], alpha=0.3)
+        error, result = mics_over(PairTable.of_pairs([short, full]), alpha=0.3).results()
         assert isinstance(error, InsufficientDataError)
         assert "B = 3 at n = 30" in str(error)
         assert (result.grid_bound, result.best_b1, result.best_b2) == (4, 2, 2)
@@ -325,14 +326,16 @@ class TestSharedAxes:
         pairs = [pair for x in xs + xs[::-1]
                  for pair in (make_pair(x, y), make_pair(y, x))]
         for normalization in ("min-entropy-grid", "max-entropy"):
-            for pair, result in zip(pairs, mics(pairs, 0.6, 15, normalization)):
+            batch = mics_over(PairTable.of_pairs(pairs), 0.6, 15, normalization).results()
+            for pair, result in zip(pairs, batch):
                 assert repr(result) == repr(mic(pair, 0.6, 15, normalization))
 
     def test_bad_argument_fails_the_batch_before_short_pairs(self):
         short, full = make_pair(range(24), range(24)), make_pair(range(30), range(30))
-        assert isinstance(mics([short, full])[0], InsufficientDataError)
+        table = PairTable.of_pairs([short, full])
+        assert isinstance(mics_over(table).results()[0], InsufficientDataError)
         for kwargs in ({"alpha": 0.0}, {"clumps": 0}, {"normalization": "grid"}):
             with pytest.raises(DomainError):
-                mics([short, full], **kwargs)
+                mics_over(table, **kwargs)
             with pytest.raises(DomainError):
-                mics([], **kwargs)
+                mics_over(PairTable.of_pairs([]), **kwargs)

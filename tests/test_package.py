@@ -1,8 +1,10 @@
-"""The package namespace resolves lazily, and only a kernel imports numpy."""
+"""The package namespace resolves lazily, only a kernel imports numpy, and
+the README's examples run."""
 
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 import paneldep
 
 SRC = Path(paneldep.__file__).resolve().parents[1]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = [name for name in paneldep.__all__ if name != "__version__"]
 
@@ -115,3 +118,13 @@ def test_a_screen_loads_only_its_kernels(tmp_path):
     assert codes == [0, 0]
     assert {"paneldep.linear", "paneldep.info"} <= set(modules)
     assert not {"paneldep.temporal", "paneldep.burden"} & set(modules)
+
+
+def test_readme_python_blocks_run(capsys):
+    """Each ```python block of README.md runs, in a namespace of its own, so
+    the docs cannot name a function that is gone."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    assert blocks
+    for i, code in enumerate(blocks, 1):
+        exec(compile(code, f"README.md python block {i}", "exec"), {})

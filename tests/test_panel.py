@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -101,7 +102,7 @@ class TestAnnualSeries:
         with pytest.raises(DomainError, match="non-finite value"):
             AnnualSeries(tuple(range(2000, 2012)), tuple(values))
 
-    @pytest.mark.parametrize("bad", ["1.0", 10 ** 400, True])
+    @pytest.mark.parametrize("bad", ["1.0", 10 ** 400, True, np.True_])
     def test_rejects_values_without_a_float(self, bad):
         with pytest.raises(DomainError, match="is not a finite float"):
             AnnualSeries((2000, 2001), (1.0, bad))

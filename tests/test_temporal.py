@@ -14,16 +14,17 @@ from paneldep.errors import (
 )
 from paneldep.panel import AlignedPair, align_pair, load_fixture
 from paneldep.special import f_sf
+from paneldep.table import PairTable
 from paneldep.temporal import (
     GrangerResult,
+    best_fits_over,
     first_difference,
     granger_test,
     lag_sweep,
-    lag_sweeps,
     nested_rss,
 )
 
-from conftest import make_pair
+from conftest import make_pair, sweep_or_error
 
 
 class TestFirstDifference:
@@ -223,8 +224,9 @@ class TestLagSweep:
 
 class TestLagSweeps:
     def test_batch_matches_each_pair_alone(self):
-        """A singular design skips only its own pair's lag; every other
-        sweep in the batch equals that pair's lag_sweep, reasons included."""
+        """A singular design skips only its own pair's lag; every other best
+        fit in the batch is that pair's lag_sweep's, whose skips and reasons
+        are its own."""
         rng = np.random.default_rng(31)
         n = 30
         y = rng.normal(size=n)
@@ -232,20 +234,21 @@ class TestLagSweeps:
         pairs.insert(1, make_pair(np.full(n, 2.5), y))  # every lag singular
         # x[t] = y[t + 1]: from lag 2 on, an x lag repeats a y lag
         pairs.append(make_pair(np.append(y[1:], 0.0), y))
-        sweeps = lag_sweeps(pairs, max_lag=4)
-        assert isinstance(sweeps[1], SingularDesignError)
+        bests = best_fits_over(PairTable.of_pairs(pairs), max_lag=4).results()
+        assert isinstance(bests[1], SingularDesignError)
         with pytest.raises(SingularDesignError):
             granger_test(pairs[1], 2)
-        assert [r.lag for r in sweeps[-1].results] == [1]
-        assert [s.lag for s in sweeps[-1].skipped] == [2, 3, 4]
-        assert all("rank deficient" in s.reason for s in sweeps[-1].skipped)
-        for i, (pair, sweep) in enumerate(zip(pairs, sweeps)):
+        last = lag_sweep(pairs[-1], max_lag=4)
+        assert [r.lag for r in last.results] == [1]
+        assert [s.lag for s in last.skipped] == [2, 3, 4]
+        assert all("rank deficient" in s.reason for s in last.skipped)
+        for i, (pair, best) in enumerate(zip(pairs, bests)):
             if i != 1:
-                assert repr(sweep) == repr(lag_sweep(pair, max_lag=4))
+                assert repr(best) == repr(lag_sweep(pair, max_lag=4).best)
 
     def test_batch_mixes_years(self):
         """Pairs of any years, lengths and gaps go in one call; each gets
-        what its own lag_sweep gives or raises."""
+        the best fit its own lag_sweep gives, or the error it raises."""
         rng = np.random.default_rng(5)
         pairs = [make_pair(rng.normal(size=n), rng.normal(size=n), start_year=start)
                  for n, start in ((20, 2000), (20, 2001), (26, 1990), (4, 2000),
@@ -253,15 +256,15 @@ class TestLagSweeps:
         gapped = make_pair(range(12), rng.normal(size=12))
         pairs.insert(2, AlignedPair(gapped.x, gapped.y,
                                     (*range(2000, 2006), *range(2007, 2013))))
-        sweeps = lag_sweeps(pairs, max_lag=3)
-        assert isinstance(sweeps[2], NonContiguousYearsError)
-        assert isinstance(sweeps[4], InsufficientDataError)
-        for pair, sweep in zip(pairs, sweeps):
-            if isinstance(sweep, Exception):
-                with pytest.raises(type(sweep), match=re.escape(str(sweep))):
+        bests = best_fits_over(PairTable.of_pairs(pairs), max_lag=3).results()
+        assert isinstance(bests[2], NonContiguousYearsError)
+        assert isinstance(bests[4], InsufficientDataError)
+        for pair, best in zip(pairs, bests):
+            if isinstance(best, Exception):
+                with pytest.raises(type(best), match=re.escape(str(best))):
                     lag_sweep(pair, max_lag=3)
             else:
-                assert repr(sweep) == repr(lag_sweep(pair, max_lag=3))
+                assert repr(best) == repr(lag_sweep(pair, max_lag=3).best)
 
 
 def gdp_like_pair(scale, n=32, seed=4):
@@ -323,7 +326,14 @@ def test_power_of_two_scaling_keeps_the_bits(xy, kx, ky, max_lag):
     leaves every other field, skip and error as it was."""
     x, y = xy
     scaled_pair = make_pair([math.ldexp(v, kx) for v in x], [math.ldexp(v, ky) for v in y])
-    base, scaled = lag_sweeps([make_pair(x, y), scaled_pair], max_lag)
+    pairs = [make_pair(x, y), scaled_pair]
+    base, scaled = (sweep_or_error(pair, max_lag) for pair in pairs)
+    for best, sweep in zip(best_fits_over(PairTable.of_pairs(pairs), max_lag).results(),
+                           (base, scaled)):
+        if isinstance(sweep, Exception):
+            assert type(best) is type(sweep)
+        else:
+            assert repr(best) == repr(sweep.best)
     if isinstance(base, Exception):
         assert repr(scaled) == repr(base)
         return
