@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -255,9 +256,20 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_global_options(parser: argparse.ArgumentParser, argv) -> None:
+    """Name an unknown option given before the command; argparse would take
+    the option's value for the command and name the value instead."""
+    for arg in argv:
+        if not arg.startswith("-"):
+            return
+        if arg.partition("=")[0] not in parser._option_string_actions:
+            parser.error(f"unrecognized arguments: {arg}")
+
+
 def main(argv=None) -> int:
     parser = _parser()
     try:
+        _check_global_options(parser, sys.argv[1:] if argv is None else argv)
         args = parser.parse_args(argv)
         if not hasattr(args, "run"):
             parser.error(f"missing command\n{parser.format_usage().rstrip()}")
@@ -288,9 +300,18 @@ def main(argv=None) -> int:
 
 
 def entry() -> int:
-    """Process entry point: ``main()``, then a frozen heap, so that the
-    interpreter's collection at exit does not walk the command's objects.
-    In-process callers use ``main``, which leaves the heap unfrozen."""
+    """Process entry point: ``main()``, with OpenBLAS on one thread unless
+    the caller chose a count, then a frozen heap, so that the interpreter's
+    collection at exit does not walk the command's objects. In-process
+    callers use ``main``, which leaves the environment as it is and the
+    heap unfrozen."""
+    # The kernels' LAPACK calls (QRs of at most n x (2 max_lag + 2)) are too
+    # small to thread, so a pool of one busy-waiting worker per CPU only costs
+    # start-up and CPU. numpy, and so OpenBLAS, loads at the first kernel call,
+    # after this. A thread count the caller set in any variable OpenBLAS reads wins.
+    if not any(os.environ.get(name) for name in
+               ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     code = main()
     gc.freeze()
     return code

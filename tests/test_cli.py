@@ -648,7 +648,17 @@ class TestGlobalFlags:
     def test_seed_is_a_usage_error(self, workdir, capsys):
         # the analysis is deterministic, and no option takes a seed
         assert run("--seed", "42", "fixture") == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "unrecognized arguments: --seed" in err
+
+    def test_unknown_option_with_a_value_is_named(self, workdir, capsys):
+        # argparse alone takes the "1" for the command and names that
+        assert run("--bogus", "1", "fixture") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unrecognized arguments: --bogus\n"
+        assert captured.out == ""
+        assert not any(workdir.iterdir())
 
     def test_version(self, workdir, capsys):
         assert run("--version") == 0

@@ -1,5 +1,6 @@
-"""The package namespace resolves lazily, only a kernel imports numpy, and
-the README's examples run."""
+"""The package namespace resolves lazily, only a kernel imports numpy, the
+process entry point starts OpenBLAS with one thread, and the README's
+examples run."""
 
 import importlib
 import json
@@ -92,6 +93,66 @@ def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
         "file out": [1, []],
         "analyze": [0, ["numpy"]],
     }
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# A Granger analyze through the process entry point, in a fresh interpreter:
+# its exit code, whether numpy loaded, the thread variables and the thread count.
+PIN_PROBE = """
+import json, os, sys
+from paneldep import cli
+sys.argv = ["paneldep", "--quiet", "analyze", "--panel", "panel.csv",
+            "--config", "config.json", "--out", "results"]
+code = cli.entry()
+task = "/proc/self/task"
+print(json.dumps([code, "numpy" in sys.modules,
+                  {name: os.environ.get(name) for name in %r},
+                  len(os.listdir(task)) if os.path.isdir(task) else None]))
+""" % (BLAS_THREAD_VARS,)
+
+
+def _granger_inputs(path):
+    from paneldep.panel import load_fixture
+
+    (path / "panel.csv").write_text(load_fixture(with_outcomes=True).to_wdi_csv())
+    (path / "config.json").write_text(json.dumps({"methods": ["granger"]}))
+
+
+@pytest.mark.parametrize("caller, after, threads", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": ""}, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}, None),
+], ids=["unset", "empty", "caller-set"])
+def test_the_entry_point_starts_openblas_with_one_thread(tmp_path, caller, after,
+                                                         threads):
+    _granger_inputs(tmp_path)
+    path = os.environ.get("PYTHONPATH")
+    env = {name: value for name, value in os.environ.items()
+           if name not in BLAS_THREAD_VARS}
+    env.update(caller, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), path])))
+    done = subprocess.run([sys.executable, "-c", PIN_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, numpy_loaded, seen, count = json.loads(done.stdout.splitlines()[-1])
+    assert (code, numpy_loaded) == (0, True)
+    assert seen == {name: after.get(name) for name in BLAS_THREAD_VARS}
+    if threads is not None and count is not None:  # /proc/self/task is Linux's
+        assert count == threads
+    assert any((tmp_path / "results").glob("granger__*.csv"))
+
+
+def test_main_leaves_the_environment_as_it_is(tmp_path, monkeypatch):
+    from paneldep.cli import main
+
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.chdir(tmp_path)
+    _granger_inputs(tmp_path)
+    before = dict(os.environ)
+    assert main(["--quiet", "analyze", "--panel", "panel.csv", "--config",
+                 "config.json", "--out", "results"]) == 0
+    assert dict(os.environ) == before
 
 
 # A Pearson and MI run, in a fresh interpreter: which paneldep modules are loaded?
