@@ -200,8 +200,11 @@ def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
     both orientations, that hold the same aligned series (one row of its
     group) share its tie runs and each row count's equipartition, found
     for all the group's rows at once; they and the per-size tables live for
-    this call only. Each length group is searched as stacks (see
-    ``_search``). A bad ``alpha``, ``clumps`` or ``normalization`` raises.
+    this call only. Each length group is searched as stacks that hold each
+    pair in both orientations (see ``_search``). Per row count, the exact
+    DP runs once per slice of a stack's pairs sorted by clump count k, each
+    pair padded to its slice's largest k (see ``_fill_cells``). A bad
+    ``alpha``, ``clumps`` or ``normalization`` raises.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
@@ -235,7 +238,8 @@ def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
         parts = {n_rows: _row_partition(axes, n_rows)
                  for n_rows in range(2, bound // 2 + 1)}
         # a stack's prefix counts hold (n + 1) * (B // 2) integers per pair
-        size = max(1, _STACK_ELEMENTS // ((n + 1) * (bound // 2)))
+        # and orientation
+        size = max(1, _STACK_ELEMENTS // (2 * (n + 1) * (bound // 2)))
         for start in range(0, len(members), size):
             at = members[start:start + size]
             mic[at], best_b1[at], best_b2[at] = _search(
@@ -261,11 +265,13 @@ def mic(pair: AlignedPair, alpha: float = DEFAULT_MIC_ALPHA,
     return _only(mics_over(PairTable.of_pairs([pair]), alpha, clumps, normalization).results())
 
 
-#: The most elements a stacked array of the grid search holds: the prefix
-#: counts of a stack of one length, and each DP stack's G. A larger stack
-#: is searched in slices of pairs, which still share the call's axes. On a
-#: 10-region replica (270 pairs of 33 points) the cap holds the batch's
-#: traced peak to 1.2 MB, against 1.9 MB with no cap and 0.6 MB pair by pair.
+#: The most elements a stacked array of the grid search holds, near enough:
+#: the prefix counts of a stack of one length, and each DP slice's G, DP
+#: levels and interval terms. A larger stack is searched in slices of
+#: pairs, which still share the call's axes. On the seed-1 10-region
+#: replica (270 searched pairs of 33 points) the cap holds the MIC batch's
+#: traced peak to 1.0 MB in 39 DP calls, against 13 MB in 3 calls with no
+#: cap and 0.4 MB in 1,620 calls pair by pair.
 _STACK_ELEMENTS = 16_384
 
 
@@ -279,25 +285,24 @@ def _search(tables: _Tables, axes: _Axes, parts: dict, xs: np.ndarray, ys: np.nd
     (b1, b2).
 
     Each resolution's score of each pair has the bits of a one-pair search:
-    the stacks run the same elementwise operations, and add each interval's
-    row terms in the order numpy sums one pair's contiguous row axis.
+    the stacks run the same elementwise operations, a padded boundary
+    enters no partition, and each interval's row terms are added in the
+    order numpy sums one pair's contiguous row axis (``_pairwise_sum``).
     """
     keys = sorted({key for n_rows in range(2, bound // 2 + 1)
                    for l in range(2, bound // n_rows + 1)
                    for key in ((l, n_rows), (n_rows, l))})
     column = {key: j for j, key in enumerate(keys)}
-    cells = np.full((2, len(xs), len(keys)), -np.inf)  # one per orientation
-    eq7 = normalization == "max-entropy"
-    _fill_cells(tables, cells[0], column, axes, parts, xs, ys, bound, clumps, eq7,
-                transpose=False)
-    _fill_cells(tables, cells[1], column, axes, parts, ys, xs, bound, clumps, eq7,
-                transpose=True)
-    cells = np.maximum(cells[0], cells[1])
+    P = len(xs)
+    cells = np.full((2 * P, len(keys)), -np.inf)  # x by y, then y by x
+    _fill_cells(tables, cells, column, axes, parts, np.concatenate((xs, ys)),
+                np.concatenate((ys, xs)), bound, clumps, normalization == "max-entropy")
+    cells = np.maximum(cells[:P], cells[P:])
 
     # Reduce after the full sweep so evaluation order cannot matter; the
     # columns are in (b1, b2) order, so ties go to the smallest resolution.
     best = cells.argmax(axis=1)
-    values = cells[np.arange(len(xs)), best]
+    values = cells[np.arange(P), best]
     values = np.where(values > 0.0, values, 0.0)  # min(1.0, max(0.0, value))
     resolution = np.array(keys, dtype=np.intp).reshape(-1, 2)[best]
     return np.where(values < 1.0, values, 1.0), resolution[:, 0], resolution[:, 1]
@@ -307,7 +312,7 @@ class _Tables:
     """The index and x*log2(x) tables of one ``mics_over`` call, kept per size."""
 
     def __init__(self):
-        self._intervals: dict[tuple[int, bool], tuple[np.ndarray, ...]] = {}
+        self._intervals: dict[int, tuple[np.ndarray, ...]] = {}
         self._xlog2x: dict[int, np.ndarray] = {}
 
     def xlog2x(self, n: int) -> np.ndarray:
@@ -318,17 +323,12 @@ class _Tables:
             table = self._xlog2x[n] = np.concatenate(([0.0], c * np.log2(c)))
         return table
 
-    def intervals(self, k: int, full: bool) -> tuple[np.ndarray, ...]:
-        """Clump intervals (s, t], 0 <= s < t <= k, and s * (k + 1) + t:
-        every one when ``full``, else those with s = 0 or t = k."""
-        found = self._intervals.get((k, full))
+    def intervals(self, k: int) -> tuple[np.ndarray, ...]:
+        """Every clump interval (s, t], 0 <= s < t <= k, and s * (k + 1) + t."""
+        found = self._intervals.get(k)
         if found is None:
-            if full:
-                s, t = np.triu_indices(k + 1, 1)
-            else:
-                s = np.concatenate((np.zeros(k, dtype=np.intp), np.arange(1, k)))
-                t = np.concatenate((np.arange(1, k + 1), np.full(k - 1, k)))
-            found = self._intervals[(k, full)] = (s, t, s * (k + 1) + t)
+            s, t = np.triu_indices(k + 1, 1)
+            found = self._intervals[k] = (s, t, s * (k + 1) + t)
         return found
 
 
@@ -418,139 +418,221 @@ def _entropy_counts(counts: np.ndarray) -> float:
 
 def _fill_cells(tables: _Tables, cells: np.ndarray, column: dict, axes: _Axes,
                 parts: dict, cols: np.ndarray, rows: np.ndarray, bound: int,
-                clumps: int, eq7: bool, transpose: bool) -> None:
-    """Score every resolution of one orientation for a stack of pairs, pair
-    p with columns ``cols[p]`` and rows ``rows[p]``, rows of ``axes``.
+                clumps: int, eq7: bool) -> None:
+    """Score every resolution of a stack of pairs, each in one orientation:
+    pair p has columns ``cols[p]`` and rows ``rows[p]``, rows of ``axes``,
+    and the stack's second half is its first half transposed.
 
     The rows in column order and the clump ends of every row count and
     pair come from one array program each, over the pairs laid end to end;
-    per row count, so do the prefix counts, and the exact DP then runs once
-    per stack of pairs with one row count and one boundary count. Each cell
-    gets one value.
+    per row count, so do the prefix counts. The exact DP then runs once per
+    row count and slice: the pairs, sorted by the rows their row partition
+    uses and then by clump count k, are cut into slices of one used row
+    count under ``_STACK_ELEMENTS``, and each pair's clump boundaries are
+    padded to its slice's largest k. Each cell gets one value.
     """
     P, n = len(cols), axes.n
     order = (axes.order[cols] + np.arange(0, P * n, n)[:, None]).ravel()
-    runs = axes.count[cols]
-    run_starts = np.flatnonzero(axes.opens[cols])  # in the pairs' points end to end
+    row_counts = range(2, bound // 2 + 1)
+    # the pairs' row labels in column order, one row per row count
+    in_order = np.array([parts[n_rows][0][rows].ravel()[order] for n_rows in row_counts])
+    budget = np.repeat([clumps * (bound // n_rows) for n_rows in row_counts], P)
+    ends, k = _clump_ends(axes, cols, in_order, budget)
     # positions in the prefix counts below, which give each pair n + 1 rows
     prefix_at = np.arange(0, P * (n + 1), n + 1)
+    first = np.cumsum(k) - k  # each (row count, pair)'s first clump end
+    for n_rows, rows_x_order, k, first in zip(row_counts, in_order, k.reshape(-1, P),
+                                              first.reshape(-1, P)):
+        max_cols = bound // n_rows
+        _, used, hq = parts[n_rows]
+        cum = np.zeros((n_rows, P, n + 1), dtype=np.intp)  # one plane per row
+        np.cumsum(rows_x_order.reshape(P, n) == np.arange(n_rows)[:, None, None], axis=2,
+                  out=cum[:, :, 1:])
+        cum = cum.reshape(n_rows, P * (n + 1))
+
+        hq = hq[rows]
+        js = np.array([[column[(l, n_rows)] for l in range(2, max_cols + 1)],
+                       [column[(n_rows, l)] for l in range(2, max_cols + 1)]])
+        log_grid = np.array([math.log2(min(l, n_rows)) for l in range(2, max_cols + 1)])
+        row_count = used[rows]
+        for part in _slices(row_count, k, square=max_cols > 2 or eq7):
+            # each pair's boundaries past its own k repeat its last one
+            width = int(k[part[-1]])
+            at = np.empty((len(part), width + 1), dtype=np.intp)
+            at[:, 0] = prefix_at[part]
+            at[:, 1:] = ends[first[part, None]
+                             + np.minimum(np.arange(width), k[part, None] - 1)]
+            counts = np.take(cum[:row_count[part[0]]], at, axis=1)
+            scores, partitions = _optimize_axis(tables, counts, at, k[part], n, max_cols,
+                                                hq[part], eq7)
+            into = part[:, None], js[(part >= P // 2).astype(np.intp)]
+            if eq7:
+                cells[into] = _max_entropy_scores(scores, partitions, hq[part])
+            else:
+                cells[into] = scores / log_grid
+
+
+def _clump_ends(axes: _Axes, cols: np.ndarray, in_order: np.ndarray,
+                budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The clump ends of each row count (a row of ``in_order``, the pairs'
+    row labels in column order, laid end to end) and pair, merged down to
+    ``budget``, which has one entry per (row count, pair): the ends without
+    each leading 0, in the prefix counts' positions (n + 1 per pair), and
+    each (row count, pair)'s number of clumps k.
+
+    A clump is a maximal run of column-consecutive points sharing a row; a
+    tie run whose rows disagree is pinned as an unmergeable clump of its
+    own; a pair's last run closes its last clump. Over budget, clumps are
+    merged by the equipartition, clumps intact.
+    """
+    P, n = len(cols), axes.n
+    runs = axes.count[cols]
+    run_starts = np.flatnonzero(axes.opens[cols])  # in the pairs' points end to end
     run_ends = np.append(run_starts[1:], P * n) + np.repeat(np.arange(P), runs)
     run_first = np.cumsum(runs) - runs
-
-    # One row per row count. A clump is a maximal run of column-consecutive
-    # points sharing a row; a tie run whose rows disagree is pinned as an
-    # unmergeable clump of its own; a pair's last run closes its last clump.
-    row_counts = range(2, bound // 2 + 1)
-    in_order = np.array([parts[n_rows][0][rows].ravel()[order] for n_rows in row_counts])
     low = np.minimum.reduceat(in_order, run_starts, axis=1)
     high = np.maximum.reduceat(in_order, run_starts, axis=1)
     token = np.where(low == high, low, -1 - run_starts)
     closes = np.ones(token.shape, dtype=bool)
     np.not_equal(token[:, 1:], token[:, :-1], out=closes[:, :-1])
     closes[:, run_first + runs - 1] = True
-    ends = np.broadcast_to(run_ends, closes.shape)[closes]  # without each leading 0
-    k = np.add.reduceat(closes, run_first, axis=1, dtype=np.intp).ravel()  # clumps
-    budget = np.repeat([clumps * (bound // n_rows) for n_rows in row_counts], P)
+    ends = np.broadcast_to(run_ends, closes.shape)[closes]
+    k = np.add.reduceat(closes, run_first, axis=1, dtype=np.intp).ravel()
     over = np.flatnonzero(k > budget)
-    if len(over):  # merge clumps down to the budget, clumps intact
+    if len(over):
         clumped = np.flatnonzero(np.repeat(k > budget, k))  # their clumps
         head = np.cumsum(k[over]) - k[over]  # each one's first clump in them
         sizes = np.diff(ends[clumped], prepend=0)
-        sizes[head] = ends[(np.cumsum(k) - k)[over]] - prefix_at[over % P]
+        sizes[head] = ends[(np.cumsum(k) - k)[over]] - (over % P) * (n + 1)
         groups = _equipartition(sizes, head, budget[over])
         keep = np.ones(len(ends), dtype=bool)  # a pair's last group is >= 1
         keep[clumped[:-1]] = groups[1:] != groups[:-1]
         k[over] = groups[head + k[over] - 1] + 1
         ends = ends[keep]
-    first = np.cumsum(k) - k  # each (row count, pair)'s first clump end
-    for n_rows, rows_x_order, k, first in zip(row_counts, in_order, k.reshape(-1, P),
-                                              first.reshape(-1, P)):
-        max_cols = bound // n_rows
-        _, used, hq = parts[n_rows]
-        cum = np.zeros((P, n + 1, n_rows), dtype=np.intp)
-        np.cumsum(rows_x_order.reshape(P, n, 1) == np.arange(n_rows), axis=1,
-                  out=cum[:, 1:])
-        cum = cum.reshape(P * (n + 1), n_rows)
-
-        hq = hq[rows]
-        js = [column[(n_rows, l) if transpose else (l, n_rows)]
-              for l in range(2, max_cols + 1)]
-        log_grid = np.array([math.log2(min(l, n_rows)) for l in range(2, max_cols + 1)])
-        stacks: dict[tuple[int, int], list[int]] = {}
-        for p, key in enumerate(zip(used[rows].tolist(), k.tolist())):
-            stacks.setdefault(key, []).append(p)
-        for (row_count, width), members in stacks.items():
-            # G and each DP level hold (k + 1)^2 floats per pair, the row
-            # terms k (k + 1) / 2 * row_count
-            size = max(1, _STACK_ELEMENTS // ((width + 1) ** 2 * row_count))
-            for start in range(0, len(members), size):
-                part = np.array(members[start:start + size])
-                at = np.empty((len(part), width + 1), dtype=np.intp)
-                at[:, 0] = prefix_at[part]
-                at[:, 1:] = ends[first[part, None] + np.arange(width)]
-                counts = np.take(cum, at, axis=0)[:, :, :row_count]
-                scores, partitions = _optimize_axis(tables, counts, at, n, max_cols,
-                                                    hq[part], eq7)
-                if eq7:
-                    cells[part[:, None], js] = _max_entropy_scores(scores, partitions,
-                                                                   hq[part])
-                else:
-                    cells[part[:, None], js] = scores / log_grid
+    return ends, k
 
 
-def _optimize_axis(tables: _Tables, cum: np.ndarray, ends: np.ndarray, n: int,
-                   max_cols: int, hq: np.ndarray, want_partitions: bool):
+def _slices(row_count: np.ndarray, k: np.ndarray, square: bool):
+    """The pairs of each DP call, sorted by row count and then by clump
+    count k: a slice holds pairs of one row count, each padded to its last
+    pair's k. Per pair, G, each DP level and the row terms of the intervals
+    hold about (k + 1)^2 floats when the DP forms every interval
+    (``square``), else about k + 1."""
+    order = np.lexsort((k, row_count))
+    rows, width = row_count[order], k[order] + 1
+    held = width ** 2 if square else width  # nondecreasing within a row count
+    start = 0
+    while start < len(order):
+        stop = start + int(np.searchsorted(rows[start:], rows[start], side="right"))
+        # m pairs from start hold m times the m-th one's share
+        total = np.arange(1, stop - start + 1) * held[start:stop]
+        end = start + max(1, int(np.searchsorted(total, _STACK_ELEMENTS, side="right")))
+        yield order[start:end]
+        start = end
+
+
+def _optimize_axis(tables: _Tables, cum: np.ndarray, ends: np.ndarray, k: np.ndarray,
+                   n: int, max_cols: int, hq: np.ndarray, want_partitions: bool):
     """Exact DP over the boundary sets of a stack: best I(P;Q) per column count.
 
-    ``cum[p, t, r]`` is the integer count of points of row r in pair p's
-    first t clumps, and ``ends[p, t]`` the count of all points in them
-    (plus an offset per pair), so every x*log2(x) term is a lookup in one
-    table. For an interval (s, t] forming one column, the contribution
-    sum_r c_r*log2(c_r) - m*log2(m) is additive across columns, so prefix
-    optima compose exactly. Returns each pair's score for l = 2..max_cols
-    columns (column counts beyond the number of clumps reuse the best
-    achievable) and, when asked, each pair's column sizes of the
-    maximizing partition per l.
+    Pair p has ``k[p]`` clumps. ``cum[r, p, t]`` is the integer count of
+    points of row r in its first t clumps, and ``ends[p, t]`` the count of
+    all points in them (plus an offset per pair), so every x*log2(x) term
+    is a lookup in one table. Past t = k[p] both repeat their value at
+    k[p], up to the stack's largest k; every interval that ends there gets
+    G = -inf, so no partition holds it, and each pair's scores and
+    partitions are read at its own k. For an interval (s, t] forming one
+    column, the contribution sum_r c_r*log2(c_r) - m*log2(m) is additive
+    across columns, so prefix optima compose exactly. Returns each pair's
+    score for l = 2..max_cols columns (column counts beyond the number of
+    clumps reuse the best achievable) and, when asked, each pair's column
+    sizes of the maximizing partition per l.
     """
-    P, k = ends.shape[0], ends.shape[1] - 1
-    levels = min(max_cols, k)
-    # Only the scores are read at the last level, so it forms column t = k
-    # alone; with two levels, G is read in row 0 and column k only.
-    last_column = not want_partitions
+    P, K = ends.shape[0], ends.shape[1] - 1
+    levels = min(max_cols, K)
+    pair = np.arange(P)
     xlog2x = tables.xlog2x(n)
-    s, t, st = tables.intervals(k, full=levels > 2 or not last_column)
 
-    # np.take gathers whole rows far faster than fancy indexing does
-    terms = xlog2x[np.take(cum, t, axis=1) - np.take(cum, s, axis=1)]
-    # Summed over the contiguous row axis, as one pair's (intervals, rows)
-    # array is, so each sum has the bits of the one-pair search.
-    G = np.full((P, k + 1, k + 1), -np.inf)
-    G.reshape(P, -1)[:, st] = terms.sum(axis=2) - xlog2x[np.take(ends, t, axis=1)
-                                                         - np.take(ends, s, axis=1)]
+    def interval_scores(span):
+        # span(a) is a[end] - a[start] of each interval, for a per pair and
+        # boundary; each interval's row terms are added as one pair's are
+        return _pairwise_sum(lambda r: xlog2x.take(span(cum[r])), len(cum)) \
+            - xlog2x.take(span(ends))
+
+    # Only the scores are read at a pair's last level, so the stack's last
+    # level forms each pair's column t = k[p] alone; with two levels, G is
+    # read in row 0 and that column only.
+    last_column = not want_partitions
+    padded = np.arange(K + 1) > k[:, None]  # each pair's t past its k
+    if levels > 2 or not last_column:
+        s, t, st = tables.intervals(K)
+        G = np.full((P, K + 1, K + 1), -np.inf)
+        # np.take gathers whole rows far faster than fancy indexing does
+        G.reshape(P, -1)[:, st] = interval_scores(
+            lambda a: np.take(a, t, axis=1) - np.take(a, s, axis=1))
+        G.transpose(0, 2, 1)[padded] = -np.inf
+        W, column = G[:, 0], G[pair, :, k]
+    else:
+        W = np.full((P, K + 1), -np.inf)  # (0, t] for each t
+        W[:, 1:] = interval_scores(lambda a: a[:, 1:] - a[:, :1])
+        W[padded] = -np.inf
+        column = np.full((P, K + 1), -np.inf)  # (s, k[p]] for each s
+        column[:, :-1] = interval_scores(lambda a: a[pair, k][:, None] - a[:, :-1])
+        column[np.arange(K + 1) >= k[:, None]] = -np.inf
 
     best_w = np.empty((P, levels - 1))
     argmax_at = []
-    W = G[:, 0]
+    M = None  # each level's W[s] + G[s, t], in one buffer
     for level in range(2, levels + 1):
-        M = W[:, :, None] + (G[:, :, k:] if last_column and level == levels else G)
+        if last_column and level == levels:
+            best_w[:, level - 2] = (W + column).max(axis=1)
+            break
+        M = np.add(W[:, :, None], G, out=M)
         if want_partitions:
             argmax_at.append(M.argmax(axis=1))
         W = M.max(axis=1)
-        best_w[:, level - 2] = W[:, -1]
-    scores = hq[:, None] + best_w[:, np.minimum(np.arange(2, max_cols + 1), k) - 2] / n
+        best_w[:, level - 2] = W[pair, k]
+    reach = np.minimum(np.arange(2, max_cols + 1), k[:, None])
+    scores = hq[:, None] + best_w[pair[:, None], reach - 2] / n
 
     partitions = []
     if want_partitions:
-        for p in range(P):
+        for p, width in enumerate(k.tolist()):
             sizes = []
             for l in range(2, max_cols + 1):
-                chain = [k]
-                for level in range(min(l, k), 1, -1):
+                chain = [width]
+                for level in range(min(l, width), 1, -1):
                     chain.append(int(argmax_at[level - 2][p, chain[-1]]))
                 chain.append(0)
                 sizes.append(np.diff(ends[p, chain[::-1]]))
             partitions.append(sizes)
     return scores, partitions
+
+
+def _pairwise_sum(term, count: int, start: int = 0) -> np.ndarray:
+    """term(start) + ... + term(start + count - 1), elementwise, added in the
+    order numpy's pairwise summation adds ``count`` elements of one
+    contiguous axis: below 8 from left to right; up to 128 in eight
+    interleaved partial sums, joined as a tree, then the rest from left to
+    right; above 128 as two halves, the first a multiple of 8 long. Each
+    term is a new array, which the sum may overwrite."""
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _pairwise_sum(term, half, start) + _pairwise_sum(term, count - half,
+                                                                 start + half)
+    stop = start + count
+    if count < 8:
+        total, rest = term(start), start + 1
+    else:
+        part, rest = [term(start + j) for j in range(8)], stop - count % 8
+        for i in range(start + 8, rest, 8):
+            for j in range(8):
+                part[j] += term(i + j)
+        total = ((part[0] + part[1]) + (part[2] + part[3])) + \
+            ((part[4] + part[5]) + (part[6] + part[7]))
+    for i in range(rest, stop):
+        total += term(i)
+    return total
 
 
 def _max_entropy_scores(scores: np.ndarray, partitions: list,

@@ -23,6 +23,7 @@ from paneldep.errors import (
 from paneldep.info import (
     _mi_bits,
     _optimize_axis,
+    _pairwise_sum,
     _Tables,
     mics_over,
     mutual_informations_over,
@@ -177,9 +178,11 @@ def test_lag_sweeps_match_the_per_fit_reference(pairs, max_lag):
 
 @st.composite
 def mic_batches(draw):
-    """Shuffled pairs of one or two lengths from 25 to 90, plus short ones:
-    spread, tied, coarse and constant series, some of them met again in
-    later pairs (a pair of a series with itself ties many resolutions)."""
+    """Up to 40 shuffled pairs of one or two lengths from 25 to 90, plus short
+    ones: spread, tied, coarse and constant series, some of them met again
+    in later pairs (a pair of a series with itself ties many resolutions).
+    A large batch of one length is searched in several stacks, and each
+    row count's DP in several slices of pairs sorted by clump count."""
     lengths = draw(st.lists(st.integers(25, 90), min_size=1, max_size=2))
     seen: dict[int, list] = {}
 
@@ -200,7 +203,7 @@ def mic_batches(draw):
         return seen[n][-1]
 
     pairs = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 40))):
         n = draw(st.sampled_from(lengths)) if draw(st.integers(0, 9)) else \
             draw(st.integers(10, 24))
         pairs.append(AlignedPair(series(n), series(n), tuple(range(2000, 2000 + n))))
@@ -224,30 +227,50 @@ def test_mic_batches_match_the_per_pair_reference(pairs, clumps, alpha, normaliz
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 15),
-       st.integers(2, 30), st.integers(2, 8), st.booleans())
-def test_stacked_dp_matches_the_one_pair_dp(seed, pairs, rows, k, max_cols, partitions):
-    """Every score, not just each pair's best, at every row count: from 8
-    rows on numpy sums a row axis pairwise, and the stack must too."""
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(2, 30), min_size=1, max_size=6),
+       st.integers(2, 15), st.integers(2, 8), st.booleans())
+def test_stacked_dp_matches_the_one_pair_dp(seed, ks, rows, max_cols, partitions):
+    """Every score and partition, not just each pair's best, at every row
+    count, from a stack of pairs of mixed clump counts k, some of them below
+    the level count: each pair is padded to the stack's largest k, and from
+    8 rows on numpy sums a row axis pairwise, and the stack must too."""
     rng = np.random.default_rng(seed)
-    n = k + int(rng.integers(0, 40))
-    ends = np.array([np.concatenate(([0], np.sort(rng.choice(np.arange(1, n), k - 1,
-                                                             replace=False)), [n]))
-                     for _ in range(pairs)])
-    assign = rng.integers(0, rows, (pairs, n))
-    cum = np.zeros((pairs, n + 1, rows), dtype=np.intp)
-    np.cumsum(assign[:, :, None] == np.arange(rows), axis=1, out=cum[:, 1:])
-    cum = np.take_along_axis(cum, ends[:, :, None], axis=1)
-    hq = rng.random(pairs) * np.log2(rows)
-    scores, sizes = _optimize_axis(_Tables(), cum, ends, n, max_cols, hq, partitions)
-    for p in range(pairs):
-        ref_scores, ref_sizes = _ref_optimize_axis(cum[p], ends[p], n, max_cols,
+    width = max(ks)
+    n = width + int(rng.integers(0, 40))
+    cum = np.empty((rows, len(ks), width + 1), dtype=np.intp)
+    ends = np.empty((len(ks), width + 1), dtype=np.intp)
+    own = []  # each pair's unpadded prefix counts and boundaries
+    for p, k in enumerate(ks):
+        bounds = np.concatenate(([0], np.sort(rng.choice(np.arange(1, n), k - 1,
+                                                         replace=False)), [n]))
+        counts = np.zeros((n + 1, rows), dtype=np.intp)
+        np.cumsum(rng.integers(0, rows, n)[:, None] == np.arange(rows), axis=0,
+                  out=counts[1:])
+        own.append((counts[bounds], bounds))
+        pad = np.minimum(np.arange(width + 1), k)  # past k, boundary k again
+        cum[:, p], ends[p] = counts[bounds[pad]].T, bounds[pad]
+    hq = rng.random(len(ks)) * np.log2(rows)
+    scores, sizes = _optimize_axis(_Tables(), cum, ends, np.array(ks), n, max_cols, hq,
+                                   partitions)
+    for p, (counts, bounds) in enumerate(own):
+        ref_scores, ref_sizes = _ref_optimize_axis(counts, bounds, n, max_cols,
                                                    float(hq[p]), partitions)
         assert [float.hex(float(v)) for v in scores[p]] == \
             [float.hex(float(ref_scores[l])) for l in range(2, max_cols + 1)]
         if partitions:
             assert [v.tolist() for v in sizes[p]] == \
                 [ref_sizes[l].tolist() for l in range(2, max_cols + 1)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 9, 15, 16, 17, 24, 127, 128, 129, 200, 300])
+def test_row_sums_add_as_numpy_sums_a_contiguous_axis(count):
+    """The DP adds each interval's row terms plane by plane, so that a stack
+    holds one row's terms at a time; the bits must be those of numpy's sum
+    over one pair's contiguous row axis, which the one-pair search takes."""
+    rng = np.random.default_rng(count)
+    terms = rng.random((64, count)) * 10.0 ** rng.integers(-12, 12, (64, count))
+    total = _pairwise_sum(lambda r: terms[:, r].copy(), count)
+    assert total.tobytes() == terms.sum(axis=1).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
