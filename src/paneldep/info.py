@@ -36,21 +36,27 @@ def discretize(values, bins: int, strategy: str = "equal-frequency") -> np.ndarr
     equipartition: at most ``bins`` ordered groups of near-equal size, tied
     values always sharing a group, so labels do not depend on value order.
     """
-    return _discretize_rows(np.asarray(values, dtype=float)[None], bins, strategy)[0][0]
+    _check_binning(bins, strategy)
+    v = np.asarray(values, dtype=float)[None]
+    if v.shape[1] < bins:
+        raise InsufficientDataError(f"{v.shape[1]} values cannot fill {bins} bins")
+    return _discretize_rows(v, bins, strategy)[0][0]
+
+
+def _check_binning(bins: int | None, strategy: str) -> None:
+    """Raise DomainError for a bin count under 2 (None, each pair's default,
+    passes) or an unknown strategy."""
+    if bins is not None and bins < 2:
+        raise DomainError(f"bins must be >= 2, got {bins}")
+    if strategy not in STRATEGIES:
+        raise DomainError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
 
 
 def _discretize_rows(v: np.ndarray, bins: int,
                      strategy: str) -> tuple[np.ndarray, np.ndarray]:
-    """``discretize`` applied to each row of a 2-d array, and the bins each
-    row uses: ``bins`` for equal-width, the groups its ties leave for
-    equal-frequency."""
-    if bins < 2:
-        raise DomainError(f"bins must be >= 2, got {bins}")
-    if strategy not in STRATEGIES:
-        raise DomainError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    n = v.shape[1]
-    if n < bins:
-        raise InsufficientDataError(f"{n} values cannot fill {bins} bins")
+    """``discretize`` applied to each row of a 2-d array of at least
+    ``bins`` columns, and the bins each row uses: ``bins`` for equal-width,
+    the groups its ties leave for equal-frequency."""
     if strategy == "equal-frequency":
         return _Axes(v).equipartition(bins)
     lo = v.min(axis=1, keepdims=True)
@@ -139,8 +145,10 @@ def mutual_informations_over(table: PairTable, bins: int | None,
     length group is discretized once, and the group's joint counts come
     from one ``bincount``; each result has the bits of its own call.
     ``bins_x`` and ``bins_y`` are the bins each series uses (see
-    ``_discretize_rows``); a series that is one group gives MI 0.
+    ``_discretize_rows``); a series that is one group gives MI 0. A bad
+    ``bins`` or ``strategy`` raises.
     """
+    _check_binning(bins, strategy)
     errors: dict = {}
     mi = np.full(table.size, np.nan)
     bins_x, bins_y = np.zeros(table.size, dtype=np.intp), np.zeros(table.size, dtype=np.intp)
@@ -199,12 +207,12 @@ def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
     An aligned series' axis depends only on its values, so every pair, and
     both orientations, that hold the same aligned series (one row of its
     group) share its tie runs and each row count's equipartition, found
-    for all the group's rows at once; they and the per-size tables live for
-    this call only. Each length group is searched as stacks that hold each
-    pair in both orientations (see ``_search``). Per row count, the exact
-    DP runs once per slice of a stack's pairs sorted by clump count k, each
-    pair padded to its slice's largest k (see ``_fill_cells``). A bad
-    ``alpha``, ``clumps`` or ``normalization`` raises.
+    for all the group's rows at once; they live for this call only. Each
+    length group is searched as stacks that hold each pair in both
+    orientations (see ``_search``). Per row count, the exact DP runs once
+    per slice of a stack's pairs sorted by clump count k, each pair padded
+    to its slice's largest k (see ``_fill_cells``). A bad ``alpha``,
+    ``clumps`` or ``normalization`` raises.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
@@ -214,7 +222,6 @@ def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
         raise DomainError(
             f"normalization must be one of {MIC_NORMALIZATIONS}, got {normalization!r}"
         )
-    tables = _Tables()
     errors: dict = {}
     # a degenerate pair keeps MIC 0 and resolution (0, 0)
     mic = np.zeros(table.size)
@@ -243,8 +250,8 @@ def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
         for start in range(0, len(members), size):
             at = members[start:start + size]
             mic[at], best_b1[at], best_b2[at] = _search(
-                tables, axes, parts, xs[start:start + size], ys[start:start + size],
-                bound, clumps, normalization)
+                axes, parts, xs[start:start + size], ys[start:start + size], bound,
+                clumps, normalization)
     return Columns(MicResult, {"mic": mic, "best_b1": best_b1, "best_b2": best_b2,
                                "grid_bound": bounds,
                                "normalization": shared(normalization, table.size),
@@ -270,14 +277,13 @@ def mic(pair: AlignedPair, alpha: float = DEFAULT_MIC_ALPHA,
 #: levels and interval terms. A larger stack is searched in slices of
 #: pairs, which still share the call's axes. On the seed-1 10-region
 #: replica (270 searched pairs of 33 points) the cap holds the MIC batch's
-#: traced peak to 1.0 MB in 39 DP calls, against 13 MB in 3 calls with no
+#: traced peak to 0.9 MB in 39 DP calls, against 13 MB in 3 calls with no
 #: cap and 0.4 MB in 1,620 calls pair by pair.
 _STACK_ELEMENTS = 16_384
 
 
-def _search(tables: _Tables, axes: _Axes, parts: dict, xs: np.ndarray, ys: np.ndarray,
-            bound: int, clumps: int, normalization: str
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _search(axes: _Axes, parts: dict, xs: np.ndarray, ys: np.ndarray, bound: int,
+            clumps: int, normalization: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grid search behind ``mic`` for a stack of pairs of one length,
     none of them with a constant axis: pair p is row ``xs[p]`` of ``axes``
     against row ``ys[p]``, and ``parts`` holds each row count's
@@ -286,8 +292,8 @@ def _search(tables: _Tables, axes: _Axes, parts: dict, xs: np.ndarray, ys: np.nd
 
     Each resolution's score of each pair has the bits of a one-pair search:
     the stacks run the same elementwise operations, a padded boundary
-    enters no partition, and each interval's row terms are added in the
-    order numpy sums one pair's contiguous row axis (``_pairwise_sum``).
+    enters no partition, and each interval's row terms are added from left
+    to right, so a row the pair leaves empty adds +0.0.
     """
     keys = sorted({key for n_rows in range(2, bound // 2 + 1)
                    for l in range(2, bound // n_rows + 1)
@@ -295,7 +301,7 @@ def _search(tables: _Tables, axes: _Axes, parts: dict, xs: np.ndarray, ys: np.nd
     column = {key: j for j, key in enumerate(keys)}
     P = len(xs)
     cells = np.full((2 * P, len(keys)), -np.inf)  # x by y, then y by x
-    _fill_cells(tables, cells, column, axes, parts, np.concatenate((xs, ys)),
+    _fill_cells(cells, column, axes, parts, np.concatenate((xs, ys)),
                 np.concatenate((ys, xs)), bound, clumps, normalization == "max-entropy")
     cells = np.maximum(cells[:P], cells[P:])
 
@@ -306,30 +312,6 @@ def _search(tables: _Tables, axes: _Axes, parts: dict, xs: np.ndarray, ys: np.nd
     values = np.where(values > 0.0, values, 0.0)  # min(1.0, max(0.0, value))
     resolution = np.array(keys, dtype=np.intp).reshape(-1, 2)[best]
     return np.where(values < 1.0, values, 1.0), resolution[:, 0], resolution[:, 1]
-
-
-class _Tables:
-    """The index and x*log2(x) tables of one ``mics_over`` call, kept per size."""
-
-    def __init__(self):
-        self._intervals: dict[int, tuple[np.ndarray, ...]] = {}
-        self._xlog2x: dict[int, np.ndarray] = {}
-
-    def xlog2x(self, n: int) -> np.ndarray:
-        """c * log2(c) for c = 0..n (0 at c = 0)."""
-        table = self._xlog2x.get(n)
-        if table is None:
-            c = np.arange(1, n + 1, dtype=float)
-            table = self._xlog2x[n] = np.concatenate(([0.0], c * np.log2(c)))
-        return table
-
-    def intervals(self, k: int) -> tuple[np.ndarray, ...]:
-        """Every clump interval (s, t], 0 <= s < t <= k, and s * (k + 1) + t."""
-        found = self._intervals.get(k)
-        if found is None:
-            s, t = np.triu_indices(k + 1, 1)
-            found = self._intervals[k] = (s, t, s * (k + 1) + t)
-        return found
 
 
 # -- grid-search internals --------------------------------------------------
@@ -396,9 +378,10 @@ class _Axes:
         return labels, groups[self.first + self.count - 1] + 1
 
 
-def _row_partition(axes: _Axes, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``axes.equipartition(k)`` and the entropy in bits of each row's group
-    sizes, summed row by row as ``_entropy_counts`` sums."""
+def _row_partition(axes: _Axes, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's group in ``axes.equipartition(k)`` and the entropy in
+    bits of each row's group sizes, summed row by row as ``_entropy_counts``
+    sums."""
     labels, used = axes.equipartition(k)
     sizes = np.bincount((labels + k * np.arange(len(used))[:, None]).ravel(),
                         minlength=k * len(used)).reshape(len(used), k)
@@ -407,7 +390,7 @@ def _row_partition(axes: _Axes, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
         at = np.flatnonzero(used == u)
         p = sizes[at, :u] / axes.n
         hq[at] = -np.sum(p * np.log2(p), axis=1)
-    return labels, used, hq
+    return labels, hq
 
 
 def _entropy_counts(counts: np.ndarray) -> float:
@@ -416,9 +399,9 @@ def _entropy_counts(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def _fill_cells(tables: _Tables, cells: np.ndarray, column: dict, axes: _Axes,
-                parts: dict, cols: np.ndarray, rows: np.ndarray, bound: int,
-                clumps: int, eq7: bool) -> None:
+def _fill_cells(cells: np.ndarray, column: dict, axes: _Axes, parts: dict,
+                cols: np.ndarray, rows: np.ndarray, bound: int, clumps: int,
+                eq7: bool) -> None:
     """Score every resolution of a stack of pairs, each in one orientation:
     pair p has columns ``cols[p]`` and rows ``rows[p]``, rows of ``axes``,
     and the stack's second half is its first half transposed.
@@ -426,9 +409,8 @@ def _fill_cells(tables: _Tables, cells: np.ndarray, column: dict, axes: _Axes,
     The rows in column order and the clump ends of every row count and
     pair come from one array program each, over the pairs laid end to end;
     per row count, so do the prefix counts. The exact DP then runs once per
-    row count and slice: the pairs, sorted by the rows their row partition
-    uses and then by clump count k, are cut into slices of one used row
-    count under ``_STACK_ELEMENTS``, and each pair's clump boundaries are
+    row count and slice: the pairs, sorted by clump count k, are cut into
+    slices under ``_STACK_ELEMENTS``, and each pair's clump boundaries are
     padded to its slice's largest k. Each cell gets one value.
     """
     P, n = len(cols), axes.n
@@ -444,27 +426,24 @@ def _fill_cells(tables: _Tables, cells: np.ndarray, column: dict, axes: _Axes,
     for n_rows, rows_x_order, k, first in zip(row_counts, in_order, k.reshape(-1, P),
                                               first.reshape(-1, P)):
         max_cols = bound // n_rows
-        _, used, hq = parts[n_rows]
         cum = np.zeros((n_rows, P, n + 1), dtype=np.intp)  # one plane per row
         np.cumsum(rows_x_order.reshape(P, n) == np.arange(n_rows)[:, None, None], axis=2,
                   out=cum[:, :, 1:])
         cum = cum.reshape(n_rows, P * (n + 1))
 
-        hq = hq[rows]
+        hq = parts[n_rows][1][rows]
         js = np.array([[column[(l, n_rows)] for l in range(2, max_cols + 1)],
                        [column[(n_rows, l)] for l in range(2, max_cols + 1)]])
         log_grid = np.array([math.log2(min(l, n_rows)) for l in range(2, max_cols + 1)])
-        row_count = used[rows]
-        for part in _slices(row_count, k, square=max_cols > 2 or eq7):
+        for part in _slices(k, square=max_cols > 2 or eq7):
             # each pair's boundaries past its own k repeat its last one
             width = int(k[part[-1]])
             at = np.empty((len(part), width + 1), dtype=np.intp)
             at[:, 0] = prefix_at[part]
             at[:, 1:] = ends[first[part, None]
                              + np.minimum(np.arange(width), k[part, None] - 1)]
-            counts = np.take(cum[:row_count[part[0]]], at, axis=1)
-            scores, partitions = _optimize_axis(tables, counts, at, k[part], n, max_cols,
-                                                hq[part], eq7)
+            scores, partitions = _optimize_axis(np.take(cum, at, axis=1), at, k[part], n,
+                                                max_cols, hq[part], eq7)
             into = part[:, None], js[(part >= P // 2).astype(np.intp)]
             if eq7:
                 cells[into] = _max_entropy_scores(scores, partitions, hq[part])
@@ -512,52 +491,55 @@ def _clump_ends(axes: _Axes, cols: np.ndarray, in_order: np.ndarray,
     return ends, k
 
 
-def _slices(row_count: np.ndarray, k: np.ndarray, square: bool):
-    """The pairs of each DP call, sorted by row count and then by clump
-    count k: a slice holds pairs of one row count, each padded to its last
-    pair's k. Per pair, G, each DP level and the row terms of the intervals
-    hold about (k + 1)^2 floats when the DP forms every interval
-    (``square``), else about k + 1."""
-    order = np.lexsort((k, row_count))
-    rows, width = row_count[order], k[order] + 1
-    held = width ** 2 if square else width  # nondecreasing within a row count
+def _slices(k: np.ndarray, square: bool):
+    """The pairs of each DP call, sorted by clump count k, each padded to
+    its slice's last pair's k. Per pair, G, each DP level and the row terms
+    of the intervals hold about (k + 1)^2 floats when the DP forms every
+    interval (``square``), else about k + 1."""
+    order = np.argsort(k, kind="stable")
+    width = k[order] + 1
+    held = width ** 2 if square else width  # nondecreasing
     start = 0
     while start < len(order):
-        stop = start + int(np.searchsorted(rows[start:], rows[start], side="right"))
         # m pairs from start hold m times the m-th one's share
-        total = np.arange(1, stop - start + 1) * held[start:stop]
+        total = np.arange(1, len(order) - start + 1) * held[start:]
         end = start + max(1, int(np.searchsorted(total, _STACK_ELEMENTS, side="right")))
         yield order[start:end]
         start = end
 
 
-def _optimize_axis(tables: _Tables, cum: np.ndarray, ends: np.ndarray, k: np.ndarray,
-                   n: int, max_cols: int, hq: np.ndarray, want_partitions: bool):
+def _optimize_axis(cum: np.ndarray, ends: np.ndarray, k: np.ndarray, n: int,
+                   max_cols: int, hq: np.ndarray, want_partitions: bool):
     """Exact DP over the boundary sets of a stack: best I(P;Q) per column count.
 
     Pair p has ``k[p]`` clumps. ``cum[r, p, t]`` is the integer count of
     points of row r in its first t clumps, and ``ends[p, t]`` the count of
     all points in them (plus an offset per pair), so every x*log2(x) term
-    is a lookup in one table. Past t = k[p] both repeat their value at
-    k[p], up to the stack's largest k; every interval that ends there gets
-    G = -inf, so no partition holds it, and each pair's scores and
-    partitions are read at its own k. For an interval (s, t] forming one
-    column, the contribution sum_r c_r*log2(c_r) - m*log2(m) is additive
-    across columns, so prefix optima compose exactly. Returns each pair's
-    score for l = 2..max_cols columns (column counts beyond the number of
-    clumps reuse the best achievable) and, when asked, each pair's column
-    sizes of the maximizing partition per l.
+    is a lookup in one table. A row past those the pair's partition uses
+    holds 0 points, so its terms add exactly +0.0 and the stack may mix
+    row counts. Past t = k[p] both repeat their value at k[p], up to the
+    stack's largest k; every interval that ends there gets G = -inf, so no
+    partition holds it, and each pair's scores and partitions are read at
+    its own k. For an interval (s, t] forming one column, the contribution
+    sum_r c_r*log2(c_r) - m*log2(m) is additive across columns, so prefix
+    optima compose exactly. Returns each pair's score for l = 2..max_cols
+    columns (column counts beyond the number of clumps reuse the best
+    achievable) and, when asked, each pair's column sizes of the
+    maximizing partition per l.
     """
     P, K = ends.shape[0], ends.shape[1] - 1
     levels = min(max_cols, K)
     pair = np.arange(P)
-    xlog2x = tables.xlog2x(n)
+    c = np.arange(1, n + 1, dtype=float)
+    xlog2x = np.concatenate(([0.0], c * np.log2(c)))  # 0 at c = 0
 
     def interval_scores(span):
         # span(a) is a[end] - a[start] of each interval, for a per pair and
-        # boundary; each interval's row terms are added as one pair's are
-        return _pairwise_sum(lambda r: xlog2x.take(span(cum[r])), len(cum)) \
-            - xlog2x.take(span(ends))
+        # boundary; each interval's row terms are added from left to right
+        total = xlog2x.take(span(cum[0]))
+        for plane in cum[1:]:
+            total += xlog2x.take(span(plane))
+        return total - xlog2x.take(span(ends))
 
     # Only the scores are read at a pair's last level, so the stack's last
     # level forms each pair's column t = k[p] alone; with two levels, G is
@@ -565,10 +547,10 @@ def _optimize_axis(tables: _Tables, cum: np.ndarray, ends: np.ndarray, k: np.nda
     last_column = not want_partitions
     padded = np.arange(K + 1) > k[:, None]  # each pair's t past its k
     if levels > 2 or not last_column:
-        s, t, st = tables.intervals(K)
+        s, t = np.triu_indices(K + 1, 1)  # every interval (s, t]
         G = np.full((P, K + 1, K + 1), -np.inf)
         # np.take gathers whole rows far faster than fancy indexing does
-        G.reshape(P, -1)[:, st] = interval_scores(
+        G.reshape(P, -1)[:, s * (K + 1) + t] = interval_scores(
             lambda a: np.take(a, t, axis=1) - np.take(a, s, axis=1))
         G.transpose(0, 2, 1)[padded] = -np.inf
         W, column = G[:, 0], G[pair, :, k]
@@ -607,32 +589,6 @@ def _optimize_axis(tables: _Tables, cum: np.ndarray, ends: np.ndarray, k: np.nda
                 sizes.append(np.diff(ends[p, chain[::-1]]))
             partitions.append(sizes)
     return scores, partitions
-
-
-def _pairwise_sum(term, count: int, start: int = 0) -> np.ndarray:
-    """term(start) + ... + term(start + count - 1), elementwise, added in the
-    order numpy's pairwise summation adds ``count`` elements of one
-    contiguous axis: below 8 from left to right; up to 128 in eight
-    interleaved partial sums, joined as a tree, then the rest from left to
-    right; above 128 as two halves, the first a multiple of 8 long. Each
-    term is a new array, which the sum may overwrite."""
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        return _pairwise_sum(term, half, start) + _pairwise_sum(term, count - half,
-                                                                 start + half)
-    stop = start + count
-    if count < 8:
-        total, rest = term(start), start + 1
-    else:
-        part, rest = [term(start + j) for j in range(8)], stop - count % 8
-        for i in range(start + 8, rest, 8):
-            for j in range(8):
-                part[j] += term(i + j)
-        total = ((part[0] + part[1]) + (part[2] + part[3])) + \
-            ((part[4] + part[5]) + (part[6] + part[7]))
-    for i in range(rest, stop):
-        total += term(i)
-    return total
 
 
 def _max_entropy_scores(scores: np.ndarray, partitions: list,

@@ -104,15 +104,23 @@ def _fmt(value: float) -> str:
 def export_csv(matrix: ResultMatrix, scalars=None) -> str:
     """Header of indicator codes, one row per region, "-" for absent cells.
 
+    A code or region name that holds a comma, a double quote, CR or LF is
+    quoted as RFC 4180 asks (``csv.QUOTE_MINIMAL``); number texts never are.
     ``scalars`` is the matrix's ``cell_scalars``, computed when not given.
     """
     _, texts = scalars or cell_scalars(matrix)
     width = len(matrix.cols)
-    lines = ["region," + ",".join(matrix.cols)]
+    lines = ["region," + ",".join(map(_csv_field, matrix.cols))]
     for ri, region in enumerate(matrix.rows):
         row = texts[ri * width:(ri + 1) * width]
-        lines.append(",".join([region, *("-" if t is None else t for t in row)]))
+        lines.append(",".join([_csv_field(region), *("-" if t is None else t for t in row)]))
     return "\n".join(lines) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _cell_texts(columns: dict, held) -> list[str]:

@@ -269,13 +269,12 @@ def granger_test(pair: AlignedPair, lag: int,
     designs are built (the caller's stationarity treatment; never applied
     silently).
     """
-    errors: dict = {}
-    fits = _fits(PairTable.of_pairs([pair]), [lag] if lag >= 1 else [], difference_first,
-                 errors)
-    if errors:
-        raise errors[0]
     if lag < 1:
         raise DomainError(f"lag must be >= 1, got {lag}")
+    errors: dict = {}
+    fits = _fits(PairTable.of_pairs([pair]), [lag], difference_first, errors)
+    if errors:
+        raise errors[0]
     if not fits.fitted[0, 0]:
         raise fits.error(0, 0)
     return fits.result(0, 0)

@@ -362,7 +362,11 @@ def _ref_optimize_axis(cum: np.ndarray, ends: np.ndarray, n: int, max_cols: int,
     xlog2x = np.concatenate(([0.0], c * np.log2(c)))
     s, t = np.triu_indices(k + 1, 1)
     G = np.full((k + 1, k + 1), -np.inf)
-    G[s, t] = xlog2x[cum[t] - cum[s]].sum(axis=1) - xlog2x[ends[t] - ends[s]]
+    terms = xlog2x[cum[t] - cum[s]]
+    row_sums = terms[:, 0].copy()
+    for r in range(1, terms.shape[1]):  # each interval's row terms, left to right
+        row_sums += terms[:, r]
+    G[s, t] = row_sums - xlog2x[ends[t] - ends[s]]
 
     W = G[0].copy()
     argmax_at: dict[int, np.ndarray] = {}

@@ -23,16 +23,16 @@ from paneldep.errors import (
 from paneldep.info import (
     _mi_bits,
     _optimize_axis,
-    _pairwise_sum,
-    _Tables,
+    mic,
     mics_over,
+    mutual_information,
     mutual_informations_over,
 )
 from paneldep.linear import pearson, pearsons_over, t_sf, t_sfs
 from paneldep.panel import MIC_NORMALIZATIONS, AlignedPair
 from paneldep.special import f_sf, f_sfs
 from paneldep.table import PairTable
-from paneldep.temporal import best_fits_over
+from paneldep.temporal import best_fits_over, granger_test, lag_sweep
 
 from conftest import sweep_or_error
 
@@ -227,31 +227,35 @@ def test_mic_batches_match_the_per_pair_reference(pairs, clumps, alpha, normaliz
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.lists(st.integers(2, 30), min_size=1, max_size=6),
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(2, 30), st.integers(0, 13)), min_size=1, max_size=6),
        st.integers(2, 15), st.integers(2, 8), st.booleans())
-def test_stacked_dp_matches_the_one_pair_dp(seed, ks, rows, max_cols, partitions):
+def test_stacked_dp_matches_the_one_pair_dp(seed, shapes, rows, max_cols, partitions):
     """Every score and partition, not just each pair's best, at every row
     count, from a stack of pairs of mixed clump counts k, some of them below
-    the level count: each pair is padded to the stack's largest k, and from
-    8 rows on numpy sums a row axis pairwise, and the stack must too."""
+    the level count, and of mixed used row counts: each pair is padded to
+    the stack's largest k, and a pair whose points leave its last rows empty
+    carries them as all-zero row planes, which must not move a bit of what
+    its own planes give."""
     rng = np.random.default_rng(seed)
+    ks = [k for k, _ in shapes]
     width = max(ks)
     n = width + int(rng.integers(0, 40))
-    cum = np.empty((rows, len(ks), width + 1), dtype=np.intp)
+    cum = np.zeros((rows, len(ks), width + 1), dtype=np.intp)
     ends = np.empty((len(ks), width + 1), dtype=np.intp)
-    own = []  # each pair's unpadded prefix counts and boundaries
-    for p, k in enumerate(ks):
+    own = []  # each pair's unpadded prefix counts over its own rows, and boundaries
+    for p, (k, empty) in enumerate(shapes):
+        used = max(1, rows - empty)
         bounds = np.concatenate(([0], np.sort(rng.choice(np.arange(1, n), k - 1,
                                                          replace=False)), [n]))
-        counts = np.zeros((n + 1, rows), dtype=np.intp)
-        np.cumsum(rng.integers(0, rows, n)[:, None] == np.arange(rows), axis=0,
+        counts = np.zeros((n + 1, used), dtype=np.intp)
+        np.cumsum(rng.integers(0, used, n)[:, None] == np.arange(used), axis=0,
                   out=counts[1:])
         own.append((counts[bounds], bounds))
         pad = np.minimum(np.arange(width + 1), k)  # past k, boundary k again
-        cum[:, p], ends[p] = counts[bounds[pad]].T, bounds[pad]
+        cum[:used, p], ends[p] = counts[bounds[pad]].T, bounds[pad]
     hq = rng.random(len(ks)) * np.log2(rows)
-    scores, sizes = _optimize_axis(_Tables(), cum, ends, np.array(ks), n, max_cols, hq,
-                                   partitions)
+    scores, sizes = _optimize_axis(cum, ends, np.array(ks), n, max_cols, hq, partitions)
     for p, (counts, bounds) in enumerate(own):
         ref_scores, ref_sizes = _ref_optimize_axis(counts, bounds, n, max_cols,
                                                    float(hq[p]), partitions)
@@ -260,17 +264,6 @@ def test_stacked_dp_matches_the_one_pair_dp(seed, ks, rows, max_cols, partitions
         if partitions:
             assert [v.tolist() for v in sizes[p]] == \
                 [ref_sizes[l].tolist() for l in range(2, max_cols + 1)]
-
-
-@pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 9, 15, 16, 17, 24, 127, 128, 129, 200, 300])
-def test_row_sums_add_as_numpy_sums_a_contiguous_axis(count):
-    """The DP adds each interval's row terms plane by plane, so that a stack
-    holds one row's terms at a time; the bits must be those of numpy's sum
-    over one pair's contiguous row axis, which the one-pair search takes."""
-    rng = np.random.default_rng(count)
-    terms = rng.random((64, count)) * 10.0 ** rng.integers(-12, 12, (64, count))
-    total = _pairwise_sum(lambda r: terms[:, r].copy(), count)
-    assert total.tobytes() == terms.sum(axis=1).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -410,3 +403,44 @@ def test_empty_batches():
     assert mics_over(empty).results() == []
     assert t_sfs([], []) == [] and f_sfs([], [], []) == []
     assert special.regularized_betas([], [], [], []) == []
+
+
+_SHORT = AlignedPair((1.0, 3.0, 2.0), (2.0, 1.0, 3.0), (2000, 2001, 2002))
+_GAPPED = AlignedPair(tuple(float(v * 7 % 30) for v in range(30)),
+                      tuple(float(v * v % 11) for v in range(30)),
+                      (*range(1990, 2005), *range(2006, 2021)))
+_BAD_PAIR_CALLS = {  # each call's bad argument
+    "mutual_information-bins": lambda pair: mutual_information(pair, 1),
+    "mutual_information-strategy": lambda pair: mutual_information(pair, 2, "bogus"),
+    "mic-alpha": lambda pair: mic(pair, alpha=1.5),
+    "mic-clumps": lambda pair: mic(pair, clumps=0),
+    "mic-normalization": lambda pair: mic(pair, normalization="bogus"),
+    "granger_test-lag": lambda pair: granger_test(pair, 0),
+    "lag_sweep-max_lag": lambda pair: lag_sweep(pair, 0),
+}
+_BAD_TABLE_CALLS = {
+    "mutual_informations_over-bins": lambda table: mutual_informations_over(table, 1),
+    "mutual_informations_over-strategy":
+        lambda table: mutual_informations_over(table, None, "bogus"),
+    "mics_over-alpha": lambda table: mics_over(table, alpha=1.5),
+    "mics_over-clumps": lambda table: mics_over(table, clumps=0),
+    "mics_over-normalization": lambda table: mics_over(table, normalization="bogus"),
+    "best_fits_over-max_lag": lambda table: best_fits_over(table, 0),
+}
+
+
+@pytest.mark.parametrize("name, call, data", [
+    *(pytest.param(name, call, pair, id=f"{name}-{kind}")
+      for name, call in _BAD_PAIR_CALLS.items()
+      for kind, pair in (("short", _SHORT), ("gapped", _GAPPED))),
+    *(pytest.param(name, call, PairTable.of_pairs(pairs), id=f"{name}-{kind}")
+      for name, call in _BAD_TABLE_CALLS.items()
+      for kind, pairs in (("empty", []), ("short", [_SHORT]), ("gapped", [_GAPPED]))),
+])
+def test_a_bad_argument_raises_before_the_data_is_read(name, call, data):
+    """A bad argument is a DomainError naming it, whatever the data: an
+    empty table, a pair too short for the kernel or one with a gap in its
+    years would each raise an error of its own, or none, were it read
+    first."""
+    with pytest.raises(DomainError, match=f"^{name.split('-')[1]} must be"):
+        call(data)

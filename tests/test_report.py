@@ -59,6 +59,31 @@ class TestCsv:
         markers = [c == "-" for c in cells]
         assert sum(markers) == len(matrix.skips)
 
+    def test_names_that_need_quotes_read_back_as_a_rectangle(self):
+        """Region names with a comma or a double quote are quoted as RFC
+        4180 asks, and only those: the file reads back with ``csv.reader``
+        as one row per region of the header's width, names intact."""
+        import csv
+        import io
+
+        ds = load_fixture(with_outcomes=True)
+        regions = ("Central Europe, Eastern Europe, and Central Asia", 'The "Region"',
+                   "global")
+        cells = {(region, code): series for region in regions
+                 for (_, code), series in ds.cells.items()}
+        ds = PanelDataset(regions, ds.indicators, cells)
+        config = BatteryConfig(methods=("pearson",), outcomes=("synthetic-burden|DALYs|all",),
+                               indicators=("E1", "T1"))
+        text = export_csv(run_battery(ds, config)[0])
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["region", "E1", "T1"]
+        assert [row[0] for row in rows[1:]] == list(regions)
+        assert {len(row) for row in rows} == {3}
+        assert text.splitlines()[1:] == [
+            '"Central Europe, Eastern Europe, and Central Asia",' + ",".join(rows[1][1:]),
+            '"The ""Region""",' + ",".join(rows[2][1:]),
+            "global," + ",".join(rows[3][1:])]
+
     def test_six_significant_digits_fixed_form(self):
         ds = load_fixture(with_outcomes=True)
         config = BatteryConfig(methods=("pearson",),
