@@ -6,6 +6,8 @@ configuration problems exit 2, numerical failures exit 3.
 
 from __future__ import annotations
 
+import numbers
+
 
 class PanelDepError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -89,3 +91,12 @@ def _only(results: list):
     if isinstance(result, Exception):
         raise result
     return result
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise DomainError naming ``name`` unless ``value`` is an integer (a
+    bool is not one) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, _only
+from .errors import DomainError, InsufficientDataError, _check_count, _only
 from .panel import (
     DEFAULT_MIC_ALPHA,
     DEFAULT_MIC_CLUMPS,
@@ -44,10 +44,10 @@ def discretize(values, bins: int, strategy: str = "equal-frequency") -> np.ndarr
 
 
 def _check_binning(bins: int | None, strategy: str) -> None:
-    """Raise DomainError for a bin count under 2 (None, each pair's default,
-    passes) or an unknown strategy."""
-    if bins is not None and bins < 2:
-        raise DomainError(f"bins must be >= 2, got {bins}")
+    """Raise DomainError for a bin count that is no integer or under 2
+    (None, each pair's default, passes) or an unknown strategy."""
+    if bins is not None:
+        _check_count("bins", bins, 2)
     if strategy not in STRATEGIES:
         raise DomainError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
 
@@ -216,8 +216,7 @@ def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-    if clumps < 1:
-        raise DomainError(f"clumps must be >= 1, got {clumps}")
+    _check_count("clumps", clumps, 1)
     if normalization not in MIC_NORMALIZATIONS:
         raise DomainError(
             f"normalization must be one of {MIC_NORMALIZATIONS}, got {normalization!r}"

@@ -64,7 +64,8 @@ def pearsons_over(table: PairTable) -> Columns:
     normal leaves the result's bits as they are. Each row's deviations and
     sum of squares are computed once, for every pair of its length group
     that holds it. The means and the sums of squares and of deviation
-    products are ``math.fsum`` over each row of a stack; squares
+    products have the bits of ``math.fsum`` over each row of a stack,
+    formed as array steps (see ``_fsums``); squares
     go through libm ``pow``, as Python's ``** 2`` does, not ``d * d``,
     which rounds some of them differently. ``pow`` is not exact under
     scaling either, so the scaled squares can round differently from
@@ -109,8 +110,50 @@ def pearsons_over(table: PairTable) -> Columns:
 
 
 def _fsums(stack: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of a 2-d array."""
-    return np.fromiter(map(math.fsum, stack.tolist()), dtype=float, count=len(stack))
+    """``math.fsum`` of each row of a 2-d array, as array steps.
+
+    A pairwise tree of TwoSums, one array step per level, turns each row
+    into its float sum s and the rounding errors e of its additions, with
+    exact sum s + sum(e). The float sum c of the errors is within
+    n * 2**-52 * sum(|e|) of sum(e), so the exact sum lies within that of
+    r + t, where r + t = s + c exactly and r is s + c rounded (Sum2 of
+    Ogita, Rump and Oishi, 2005). Where that interval lies strictly between
+    the midpoints of r and its neighbours, the exact sum rounds to r, which
+    is what ``math.fsum`` returns. The other rows go to ``math.fsum``
+    itself: a sum within the bound of a tie, an r that is zero, subnormal
+    or not finite (half its spacing rounds to zero or is NaN, so no
+    interval fits), and a row large enough that fsum's partials might
+    overflow.
+    """
+    rows, n = stack.shape
+    total = stack.T.copy()  # a column per row, and a copy: the tree writes its sums in place
+    errors = np.empty((max(n - 1, 0), rows))
+    width, filled = n, 0
+    with np.errstate(invalid="ignore", over="ignore"):  # such rows go to fsum
+        small = np.abs(total).max(axis=0, initial=0.0) * n < 2.0 ** 1022
+        while width > 1:
+            half = width // 2  # an odd width carries its middle line up a level
+            x, y = total[:half], total[width - half:width]
+            x[...], errors[filled:filled + half] = _two_sum(x, y)
+            width -= half
+            filled += half
+        r, t = _two_sum(total[0] if n else np.zeros(rows), errors.sum(axis=0))
+        bound = np.abs(errors).sum(axis=0)
+        bound *= n * 2.0 ** -52
+        up, down = np.nextafter(r, np.inf) - r, r - np.nextafter(r, -np.inf)
+        exact = (t + bound < up / 2) & (bound - t < down / 2) & small
+    rest = np.flatnonzero(~exact)
+    r[rest] = list(map(math.fsum, stack[rest].tolist()))
+    return r
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a + b rounded, and its rounding error: a + b = s + e exactly (Knuth)."""
+    s = a + b
+    b_part = s - a
+    e = a - (s - b_part)
+    e += b - b_part
+    return s, e
 
 
 def _deviations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

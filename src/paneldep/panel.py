@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import numbers
@@ -204,19 +205,35 @@ def _check_finite(values) -> tuple:
     return tuple(checked)
 
 
+def _check_years(years) -> tuple:
+    """``years`` as a tuple of ints; raise DomainError unless each year is an
+    integer other than a bool (a numpy integer is stored as its int)."""
+    if type(years) is tuple and set(map(type, years)) <= {int}:
+        return years
+    checked = []
+    for year in years:
+        if isinstance(year, bool) or not isinstance(year, numbers.Integral):
+            raise DomainError(f"year {year!r} is not an integer")
+        checked.append(int(year))
+    return tuple(checked)
+
+
 @dataclass(frozen=True)
 class AnnualSeries:
     """Calendar years and one optional value per year.
 
-    A value is None (missing) or a finite number, stored as its float; NaN,
-    infinities and bools are a DomainError.
+    A year is an integer, stored as its int; a value is None (missing) or
+    a finite number, stored as its float. NaN, infinities and bools are a
+    DomainError.
     """
 
     years: tuple[int, ...]
     values: tuple[float | None, ...]
 
     def __post_init__(self):
-        values = _check_finite(self.values)
+        years, values = _check_years(self.years), _check_finite(self.values)
+        if years is not self.years:
+            object.__setattr__(self, "years", years)
         if values is not self.values:
             object.__setattr__(self, "values", values)
         if len(self.years) != len(self.values):
@@ -225,6 +242,16 @@ class AnnualSeries:
             raise DomainError("years must be strictly increasing")
         if self.values.count(None) == len(self.values):
             raise DomainError("series has no values at all")
+
+    @classmethod
+    def _checked(cls, years: tuple, values: tuple) -> "AnnualSeries":
+        """A series whose tuples the caller has already checked as
+        ``__post_init__`` would: int years, strictly increasing, and as
+        many finite floats or Nones, not all None."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "years", years)
+        object.__setattr__(series, "values", values)
+        return series
 
     def present(self) -> dict[int, float]:
         """Year -> value for the non-missing entries, in year order."""
@@ -333,26 +360,33 @@ class PanelDataset:
         return self._json_line() + "\n"
 
     def _json_line(self) -> str:
-        """The snapshot's line of compact JSON, without its newline; each
-        series' tuples are written as they are, as JSON arrays."""
-        doc = {
-            "regions": list(self.regions),
-            "indicators": [
-                {"code": i.code, "name": i.name,
-                 "category": i.category, "units": i.units}
-                for i in self.indicators
-            ],
-            "cells": [
-                {
-                    "region": region,
-                    "code": code,
-                    "years": s.years,
-                    "values": s.values,
-                }
-                for (region, code), s in self.cells.items()
-            ],
-        }
-        return json.dumps(doc, separators=(",", ":"))
+        """The snapshot's line of compact JSON, without its newline, as
+        ``json.dumps`` with separators "," and ":" writes the document of
+        regions, indicators and cells: each distinct name and years tuple
+        is encoded once, and every cell's values in one call."""
+        encode = _COMPACT.encode
+        names = {}  # JSON string of each region, code, name, category and units
+        for name in (*self.regions, *(f for i in self.indicators
+                                           for f in (i.code, i.name, i.category, i.units))):
+            if name not in names:
+                names[name] = encode(name)
+        indicators = ",".join(
+            '{"code":%s,"name":%s,"category":%s,"units":%s}'
+            % (names[i.code], names[i.name], names[i.category], names[i.units])
+            for i in self.indicators)
+        years = {}
+        series = self.cells.values()
+        for s in series:
+            if s.years not in years:
+                years[s.years] = encode(s.years)
+        # one array of every cell's values, cut at the "],[" between two cells
+        values = encode([s.values for s in series])[2:-2].split("],[")
+        cells = ",".join(
+            '{"region":%s,"code":%s,"years":%s,"values":[%s]}'
+            % (names[region], names[code], years[s.years], v)
+            for ((region, code), s), v in zip(self.cells.items(), values))
+        return '{"regions":[%s],"indicators":[%s],"cells":[%s]}' % (
+            ",".join(names[r] for r in self.regions), indicators, cells)
 
     @classmethod
     def from_json(cls, text: str) -> "PanelDataset":
@@ -373,14 +407,17 @@ class PanelDataset:
                                                  ("code", "name", "category", "units")))
                 for d in _snapshot_list(doc["indicators"], "indicators", dict)
             )
-            cells = {}
-            for c in _snapshot_list(doc["cells"], "cells", dict):
-                key = (c["region"], c["code"])
-                if type(key[0]) is not str or type(key[1]) is not str:
-                    _snapshot_strings(c, "cell", ("region", "code"))  # raises
-                if key in cells:
-                    raise DuplicateKeyError(f"panel snapshot repeats cell {key}")
-                cells[key] = _snapshot_series(key, c["years"], c["values"])
+            entries = _snapshot_list(doc["cells"], "cells", dict)
+            cells = _snapshot_cells(entries)
+            if cells is None:  # some check failed: find the cell and its error
+                cells = {}
+                for c in entries:
+                    key = (c["region"], c["code"])
+                    if type(key[0]) is not str or type(key[1]) is not str:
+                        _snapshot_strings(c, "cell", ("region", "code"))  # raises
+                    if key in cells:
+                        raise DuplicateKeyError(f"panel snapshot repeats cell {key}")
+                    cells[key] = _snapshot_series(key, c["years"], c["values"])
             return cls(tuple(regions), indicators, cells)
         except KeyError as exc:
             raise ParseError(f"panel snapshot missing field: {exc}") from None
@@ -414,6 +451,8 @@ class PanelDataset:
         return hashlib.sha256(self._json_line().encode()).hexdigest()
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
 _TYPE_NAMES = {str: "strings", dict: "objects"}
 
 
@@ -432,6 +471,48 @@ def _snapshot_strings(entry: dict, what: str, names: tuple[str, ...]) -> tuple[s
             raise ParseError(f"panel snapshot: {what} {name} must be a string, "
                              f"got {type(value).__name__}")
     return values
+
+
+_CELL_FIELDS = operator.itemgetter("region", "code", "years", "values")
+
+
+def _snapshot_cells(entries: list) -> dict | None:
+    """The cells of a snapshot, each check made in one pass over all cells,
+    or None if any check fails; the cell-by-cell reader then names the
+    first bad cell (or takes what this does not: integer values, or a cell
+    whose values are all zeros and nulls).
+
+    Regions and codes must be strings and no key may repeat. Years must be
+    lists of integers, checked for order once per distinct list, and cells
+    with equal years share one tuple. Values must be lists of floats and
+    nulls as long as their years, with a finite sum and a nonzero float in
+    every cell.
+    """
+    if not entries:
+        return {}
+    try:
+        regions, codes, years, values = zip(*map(_CELL_FIELDS, entries))
+    except KeyError:
+        return None
+    if not (set(map(type, regions)) | set(map(type, codes)) <= {str}
+            and set(map(type, years)) | set(map(type, values)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(years))) <= {int}):
+        return None
+    year_tuples = list(map(tuple, years))
+    shared = {}  # one tuple per distinct years list
+    year_tuples = list(map(shared.setdefault, year_tuples, year_tuples))
+    if any(any(map(operator.le, ys[1:], ys)) for ys in shared):
+        return None
+    value_tuples = list(map(tuple, values))
+    if (list(map(len, value_tuples)) != list(map(len, year_tuples))
+            or not set(map(type, itertools.chain.from_iterable(value_tuples))) <= _FLOAT_OR_NONE
+            or not all(map(any, value_tuples))):
+        return None
+    total = sum(filter(None, itertools.chain.from_iterable(value_tuples)))
+    if total - total != 0.0:
+        return None
+    cells = dict(zip(zip(regions, codes), map(AnnualSeries._checked, year_tuples, value_tuples)))
+    return cells if len(cells) == len(entries) else None  # or some key repeats
 
 
 def _snapshot_series(key, years, values) -> AnnualSeries:
@@ -526,8 +607,9 @@ def parse_wdi_wide(text: str, default_region: str = DEFAULT_REGION) -> PanelData
                 f"line {line_no}: duplicate series for region {region!r}, "
                 f"code {code!r}"
             )
-        cells[key] = AnnualSeries(years, _wide_values(row[first_year_col:], years,
-                                                      line_no, code))
+        # the header's years and _wide_values' values are checked already
+        cells[key] = AnnualSeries._checked(years, _wide_values(row[first_year_col:], years,
+                                                               line_no, code))
     if not cells:
         raise ParseError("no data rows after header")
     return _panel_of(cells)
@@ -633,11 +715,11 @@ def parse_gbd_long(text: str) -> PanelDataset:
     if not points:
         raise ParseError("no data rows after header")
 
-    return _panel_of({
-        key: AnnualSeries(tuple(sorted(by_year)),
-                          tuple(by_year[y] for y in sorted(by_year)))
-        for key, by_year in points.items()
-    })
+    cells = {}
+    for key, by_year in points.items():  # four-digit years, finite values, each checked
+        years = tuple(sorted(by_year))
+        cells[key] = AnnualSeries._checked(years, tuple(map(by_year.__getitem__, years)))
+    return _panel_of(cells)
 
 
 def _panel_of(cells: dict[tuple[str, str], AnnualSeries]) -> PanelDataset:

@@ -20,6 +20,7 @@ from .errors import (
     NonContiguousYearsError,
     PanelDepError,
     SingularDesignError,
+    _check_count,
 )
 from .panel import AlignedPair
 from .special import f_sfs
@@ -269,8 +270,7 @@ def granger_test(pair: AlignedPair, lag: int,
     designs are built (the caller's stationarity treatment; never applied
     silently).
     """
-    if lag < 1:
-        raise DomainError(f"lag must be >= 1, got {lag}")
+    _check_count("lag", lag, 1)
     errors: dict = {}
     fits = _fits(PairTable.of_pairs([pair]), [lag], difference_first, errors)
     if errors:
@@ -296,8 +296,7 @@ def _sweep(table: PairTable, max_lag: int, difference_first: bool, errors: dict)
     """``_fits`` at lags 1..max_lag, up to the longest that some pair of
     the table allows (at least lag 1); every longer lag is too short for
     every pair."""
-    if max_lag < 1:
-        raise DomainError(f"max_lag must be >= 1, got {max_lag}")
+    _check_count("max_lag", max_lag, 1)
     longest = max([1, *(_longest_lag(group.n - difference_first) for group in table.groups)])
     return _fits(table, range(1, min(max_lag, longest) + 1), difference_first, errors)
 

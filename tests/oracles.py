@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from paneldep.errors import DomainError, InsufficientOverlapError
-from paneldep.panel import AlignedPair
+from paneldep.panel import AlignedPair, AnnualSeries
 from paneldep.special import log_beta
 
 
@@ -576,3 +576,38 @@ def reference_bundle_json(bundle) -> str:
     except ValueError:  # a non-finite float in some cell
         doc["matrices"] = [_ref_matrix_doc(m, finite=False) for m in bundle.matrices]
         return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+
+
+# The snapshot encoder and reader the package had before each was split
+# into bulk steps: one ``json.dumps`` of the whole document, and each cell
+# read on its own.
+
+def reference_json_line(dataset) -> str:
+    doc = {
+        "regions": list(dataset.regions),
+        "indicators": [
+            {"code": i.code, "name": i.name, "category": i.category, "units": i.units}
+            for i in dataset.indicators
+        ],
+        "cells": [
+            {"region": region, "code": code, "years": s.years, "values": s.values}
+            for (region, code), s in dataset.cells.items()
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def reference_snapshot_cells(entries: list) -> dict:
+    """(region, code) -> AnnualSeries of each snapshot cell; raises at the
+    first bad cell (string keys, no repeat, a list of integer years, a
+    list of values AnnualSeries takes)."""
+    cells = {}
+    for entry in entries:
+        key = (entry["region"], entry["code"])
+        years, values = entry["years"], entry["values"]
+        if not (type(key[0]) is type(key[1]) is str and key not in cells
+                and type(years) is type(values) is list
+                and all(type(year) is int for year in years)):
+            raise ValueError(f"bad cell {entry!r}")
+        cells[key] = AnnualSeries(tuple(years), tuple(values))
+    return cells

@@ -8,6 +8,7 @@ so agreement with them pins the bits as well.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -444,3 +445,33 @@ def test_a_bad_argument_raises_before_the_data_is_read(name, call, data):
     first."""
     with pytest.raises(DomainError, match=f"^{name.split('-')[1]} must be"):
         call(data)
+
+
+_PAIR_30 = AlignedPair(tuple(float(v * 7 % 30) for v in range(30)),
+                       tuple(float(v * v % 11) for v in range(30)), tuple(range(1990, 2020)))
+_COUNT_CALLS = {  # each call with its count argument set to the value
+    "granger_test-lag": lambda pair, value: granger_test(pair, value),
+    "lag_sweep-max_lag": lambda pair, value: lag_sweep(pair, value),
+    "best_fits_over-max_lag":
+        lambda pair, value: best_fits_over(PairTable.of_pairs([pair]), value),
+    "mutual_information-bins": lambda pair, value: mutual_information(pair, value),
+    "mutual_informations_over-bins":
+        lambda pair, value: mutual_informations_over(PairTable.of_pairs([pair]), value),
+    "mic-clumps": lambda pair, value: mic(pair, clumps=value),
+    "mics_over-clumps": lambda pair, value: mics_over(PairTable.of_pairs([pair]), clumps=value),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.5, 3.0, True, np.float64(2.0), "3"])
+@pytest.mark.parametrize("name", list(_COUNT_CALLS))
+def test_a_count_that_is_no_integer_is_a_domain_error(name, value):
+    """Lags, bin and clump counts must be integers, and a bool is none."""
+    message = f"{name.split('-')[1]} must be an integer, got {value!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _COUNT_CALLS[name](_PAIR_30, value)
+
+
+def test_a_numpy_integer_count_is_taken():
+    assert granger_test(_PAIR_30, np.int64(2)) == granger_test(_PAIR_30, 2)
+    assert mutual_information(_PAIR_30, np.int32(3)) == mutual_information(_PAIR_30, 3)
+    assert mic(_PAIR_30, clumps=np.int64(4)) == mic(_PAIR_30, clumps=4)

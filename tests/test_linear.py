@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paneldep.errors import DegenerateInputError, DomainError, InsufficientDataError
-from paneldep.linear import pearson, t_sf
+from paneldep.linear import _fsums, pearson, t_sf
 from paneldep.panel import align_pair, load_fixture
 
 from conftest import make_pair
@@ -117,6 +117,55 @@ def test_power_of_two_scaling_keeps_the_bits(xy, i, j):
     except DegenerateInputError as exc:
         scaled = repr(exc)
     assert scaled == base
+
+
+# the edges of exact summation: ties at 1 + 2**-53, units in the last place,
+# signed zeros, subnormals, and magnitudes 2**±1000 apart
+_EDGES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1.5, 2.0 ** -52, 2.0 ** -53, -2.0 ** -53,
+                   3 * 2.0 ** -53, 2.0 ** -54, 2.0 ** 1000, -2.0 ** 1000, 2.0 ** -1000,
+                   -2.0 ** -1000, 5e-324, -5e-324, 2.0 ** -1022, 1e16, -1e16])
+
+
+@st.composite
+def summand_stacks(draw):
+    """A stack of 1 to 300 rows of edge values, floats of any exponent and
+    multiples of 2**-60, mixed in a proportion drawn per row; the rows of
+    some stacks are followed by their own negation, in reverse, so that
+    they cancel to zero or close to it. The elements come from a seeded
+    generator, as drawing each one would take minutes."""
+    rows, cols = draw(st.integers(1, 300)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (rows, cols)
+    kinds = (rng.random(shape) < rng.random((rows, 1))) + (rng.random(shape) < 0.3)
+    stack = np.choose(kinds, [
+        rng.choice(_EDGES, shape),
+        np.ldexp(rng.uniform(-1.0, 1.0, shape), rng.integers(-1074, 1000, shape)),
+        rng.integers(-2 ** 20, 2 ** 20, shape) * 2.0 ** -60,
+    ])
+    if draw(st.booleans()):
+        tail = -stack[:, ::-1]
+        tail[:, :1] *= draw(st.sampled_from([1.0, 1.0 + 2.0 ** -52, 0.5]))
+        stack = np.concatenate([stack, tail], axis=1)
+    return stack
+
+
+@settings(max_examples=400, deadline=None)
+@given(summand_stacks())
+@example(np.array([[1.0, 2.0 ** -53], [1.0, 3 * 2.0 ** -53], [-0.0, -0.0], [0.0, -0.0]]))
+@example(np.zeros((3, 0)))
+@example(np.array([[2.0 ** 1000, 1.0, -2.0 ** 1000, 2.0 ** -1000]]))
+def test_row_sums_are_fsum_bit_for_bit(stack):
+    assert [float.hex(v) for v in _fsums(stack)] == \
+        [float.hex(math.fsum(row)) for row in stack.tolist()]
+
+
+def test_a_row_whose_fsum_overflows_raises_its_error():
+    # the tree adds 1e308 and -1e308 first, fsum's partials 1e308 and 1e308
+    stack = np.array([[1.0, 2.0, 3.0], [1e308, 1e308, -1e308]])
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        math.fsum(stack[1])
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        _fsums(stack)
 
 
 class TestTTail:

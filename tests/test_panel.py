@@ -31,9 +31,10 @@ from paneldep.panel import (
     parse_gbd_long,
     parse_wdi_wide,
     _parse_number,
+    _snapshot_cells,
 )
 
-from oracles import reference_align_pair
+from oracles import reference_align_pair, reference_json_line, reference_snapshot_cells
 
 WDI_SMALL = """code,region,2000,2001,2002,2003
 E1,global,1.0,2.0,-,4.0
@@ -106,6 +107,20 @@ class TestAnnualSeries:
     def test_rejects_values_without_a_float(self, bad):
         with pytest.raises(DomainError, match="is not a finite float"):
             AnnualSeries((2000, 2001), (1.0, bad))
+
+    @pytest.mark.parametrize("year", [2001.0, np.float64(2001.0), True, np.True_, "2001", None])
+    def test_rejects_years_that_are_no_integers(self, year):
+        with pytest.raises(DomainError, match=r"^year .* is not an integer$"):
+            AnnualSeries((2000, year), (1.0, 2.0))
+
+    def test_numpy_integer_years_are_stored_as_ints(self):
+        series = AnnualSeries((np.int64(2000), np.int32(2001)), (1.0, 2.0))
+        assert series.years == (2000, 2001)
+        assert all(type(year) is int for year in series.years)
+        ds = PanelDataset(("r",), (IndicatorCode("E1", "GDP", "Economic", ""),),
+                          {("r", "E1"): series})
+        assert PanelDataset.from_json(ds.to_json()) == ds
+        assert PanelDataset.from_json(ds.to_json()).fingerprint() == ds.fingerprint()
 
     def test_values_whose_sum_overflows_accepted(self):
         values = (1e308, 1e308, None, -1e308, 1e308)
@@ -504,14 +519,11 @@ SNAPSHOT_DOCS = st.fixed_dictionaries({
 
 
 @st.composite
-def panel_datasets(draw):
-    regions = draw(st.lists(st.text(max_size=6), min_size=1, max_size=3,
-                            unique=True))
-    codes = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4,
-                          unique=True))
+def panel_datasets(draw, names=st.text(max_size=6)):
+    regions = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    codes = draw(st.lists(names, min_size=1, max_size=4, unique=True))
     indicators = tuple(
-        IndicatorCode(code, draw(st.text(max_size=6)),
-                      draw(st.sampled_from(CATEGORIES)), draw(st.text(max_size=4)))
+        IndicatorCode(code, draw(names), draw(st.sampled_from(CATEGORIES)), draw(names))
         for code in codes
     )
     cells = {}
@@ -612,3 +624,76 @@ class TestFingerprint:
         cells = {**ds.cells, key: AnnualSeries(series.years, values)}
         nudged = PanelDataset(ds.regions, ds.indicators, cells)
         assert nudged.fingerprint() != ds.fingerprint()
+
+
+# names that JSON escapes: quotes, backslashes, controls, non-ASCII, astral
+_ESCAPED_NAMES = st.text(st.sampled_from('aZ0 "\\/\n\t\x00\x7f\u00e9\u20ac\u2028\U0001f600'),
+                         max_size=5) | st.text(max_size=5)
+
+# snapshot cells that are mostly well formed, so both readers often take them
+_SNAPSHOT_CELLS = st.lists(st.fixed_dictionaries({
+    "region": st.sampled_from(["r1", "r2"]) | JSON_SCALARS,
+    "code": st.sampled_from(["E1", "S1"]),
+    "years": st.sampled_from([[2000, 2001, 2002], [2001, 2002, 2003], [2000, 2002, 2001],
+                              [2000.0, 2001, 2002], [True, 2001, 2002], [2000, 2001]])
+             | _or_junk(st.lists(st.integers(1998, 2003), max_size=3)),
+    "values": st.lists(st.floats(-1e6, 1e6) | st.none(), min_size=3, max_size=3)
+              | st.lists(st.floats() | st.none() | st.sampled_from([0.0, -0.0, 1, True, 1e308]),
+                         min_size=3, max_size=3)
+              | _or_junk(st.none()),
+}), max_size=4)
+
+
+class TestSnapshotInBulk:
+    """The snapshot is written and read in bulk steps, with the bytes and
+    the results of one encoder pass and of reading each cell on its own."""
+
+    @settings(max_examples=200)
+    @given(panel_datasets(names=_ESCAPED_NAMES))
+    def test_json_line_is_one_dumps_of_the_document(self, ds):
+        line = reference_json_line(ds)
+        assert ds.to_json() == line + "\n"
+        assert ds.fingerprint() == hashlib.sha256(line.encode()).hexdigest()
+
+    def test_json_line_of_gaps_and_escaped_names(self):
+        ds = PanelDataset(
+            ("Côte d'Ivoire", 'say "hi"\\'),
+            (IndicatorCode("E1", "GDP, \u20ac \U0001f600", "Economic", "%\n"),
+             IndicatorCode("dep|DALYs|all", "d", "MentalHealth", "")),
+            {("Côte d'Ivoire", "E1"): AnnualSeries((2000, 2001, 2003), (1.5, None, -0.0)),
+             ('say "hi"\\', "dep|DALYs|all"): AnnualSeries((2000,), (1e-310,)),
+             ('say "hi"\\', "E1"): AnnualSeries((2000, 2001, 2003), (None, 2.0, 1e300))})
+        assert ds._json_line() == reference_json_line(ds)
+        assert PanelDataset.from_json(ds.to_json()) == ds
+        assert PanelDataset(ds.regions, ds.indicators)._json_line() == \
+            reference_json_line(PanelDataset(ds.regions, ds.indicators))
+
+    def test_cells_with_equal_years_share_one_tuple(self):
+        ds = parse_wdi_wide(WDI_SMALL).merge(parse_gbd_long(GBD_SMALL))
+        read = PanelDataset.from_json(ds.to_json())
+        assert read == ds
+        shared = {}
+        for series in read.cells.values():
+            assert shared.setdefault(series.years, series.years) is series.years
+        assert len(shared) == 3  # 2000-2003, 2000-2001 and 2000
+
+    @settings(max_examples=300)
+    @given(_SNAPSHOT_CELLS)
+    @example([{"region": "r1", "code": "E1", "years": [2000, 2001], "values": [0.0, None]}])
+    @example([{"region": "r1", "code": "E1", "years": [2000, 2001]}])
+    @example([{"region": "r1", "code": "E1", "years": [2000.0, 2001], "values": [1.0, 2.0]}])
+    @example([{"region": "r1", "code": "E1", "years": [2001, 2000], "values": [1.0, 2.0]}])
+    @example([{"region": "r1", "code": "E1", "years": [2000, 2001], "values": [1.0, math.nan]}])
+    @example([{"region": "r1", "code": "E1", "years": [2000], "values": [1.0]},
+              {"region": "r1", "code": "E1", "years": [2001], "values": [2.0]}])
+    def test_bulk_cells_are_the_cell_by_cell_cells(self, entries):
+        """Where the bulk reader takes the cells, reading each on its own
+        gives the same series; where it does not, the cell-by-cell reader
+        runs in its place."""
+        cells = _snapshot_cells(entries)
+        if cells is None:
+            return
+        expected = reference_snapshot_cells(entries)
+        assert cells == expected
+        assert [[float.hex(v) if v is not None else v for v in s.values] for s in cells.values()] \
+            == [[float.hex(v) if v is not None else v for v in s.values] for s in expected.values()]
