@@ -34,7 +34,8 @@ from .report import (
     build_bundle,
     cell_scalars,
     export_csv,
-    export_json,
+    export_json,  # not called here, but perfbench/spans.py wraps it by this name
+    export_json_pieces,
     render_heatmap_svg,
 )
 
@@ -126,7 +127,8 @@ def analyze(args) -> None:
         (out_dir / f"{matrix.stem}.svg").write_text(
             render_heatmap_svg(matrix, scalars=scalars), encoding="utf-8")
     bundle = build_bundle(matrices, dataset, config)
-    (out_dir / "bundle.json").write_text(export_json(bundle), encoding="utf-8")
+    with open(out_dir / "bundle.json", "w", encoding="utf-8") as out:
+        out.writelines(export_json_pieces(bundle))
     _say(args, f"wrote {len(matrices)} matrices to {out_dir}")
 
 

@@ -360,10 +360,16 @@ class PanelDataset:
         return self._json_line() + "\n"
 
     def _json_line(self) -> str:
-        """The snapshot's line of compact JSON, without its newline, as
-        ``json.dumps`` with separators "," and ":" writes the document of
-        regions, indicators and cells: each distinct name and years tuple
-        is encoded once, and every cell's values in one call."""
+        """The snapshot's line of compact JSON, without its newline."""
+        return "".join(self._json_pieces())
+
+    def _json_pieces(self):
+        """The snapshot's line in pieces: the regions and indicators, the
+        cells ``_PIECE_CELLS`` at a time, and the closing brackets. Their
+        join is what ``json.dumps`` with separators "," and ":" writes for
+        the document of regions, indicators and cells: each distinct name
+        and years tuple is encoded once, and each piece's values in one
+        call."""
         encode = _COMPACT.encode
         names = {}  # JSON string of each region, code, name, category and units
         for name in (*self.regions, *(f for i in self.indicators
@@ -374,32 +380,48 @@ class PanelDataset:
             '{"code":%s,"name":%s,"category":%s,"units":%s}'
             % (names[i.code], names[i.name], names[i.category], names[i.units])
             for i in self.indicators)
+        yield '{"regions":[%s],"indicators":[%s],"cells":[' % (
+            ",".join(names[r] for r in self.regions), indicators)
         years = {}
-        series = self.cells.values()
-        for s in series:
-            if s.years not in years:
-                years[s.years] = encode(s.years)
-        # one array of every cell's values, cut at the "],[" between two cells
-        values = encode([s.values for s in series])[2:-2].split("],[")
-        cells = ",".join(
-            '{"region":%s,"code":%s,"years":%s,"values":[%s]}'
-            % (names[region], names[code], years[s.years], v)
-            for ((region, code), s), v in zip(self.cells.items(), values))
-        return '{"regions":[%s],"indicators":[%s],"cells":[%s]}' % (
-            ",".join(names[r] for r in self.regions), indicators, cells)
+        items = list(self.cells.items())
+        for start in range(0, len(items), _PIECE_CELLS):
+            if start:
+                yield ","
+            piece = items[start:start + _PIECE_CELLS]
+            for _, s in piece:
+                if s.years not in years:
+                    years[s.years] = encode(s.years)
+            # one array of the piece's values, cut at the "],[" between two cells
+            values = encode([s.values for _, s in piece])[2:-2].split("],[")
+            yield ",".join(
+                '{"region":%s,"code":%s,"years":%s,"values":[%s]}'
+                % (names[region], names[code], years[s.years], v)
+                for ((region, code), s), v in zip(piece, values))
+        yield "]}"
 
     @classmethod
     def from_json(cls, text: str) -> "PanelDataset":
         """Inverse of to_json, whatever the text's JSON whitespace. Regions,
         codes, names, categories and units must be strings, values finite
         numbers or null, years integers, and regions and indicator codes
-        unrepeated; anything else is a ParseError."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"panel snapshot is not valid JSON: {exc}") from None
-        if type(doc) is not dict:
-            raise ParseError("panel snapshot: the document must be a JSON object")
+        unrepeated; anything else is a ParseError.
+
+        Text laid out as to_json writes it is read by walking that layout
+        (``_walk_snapshot``); any other layout, or text that fails one of
+        the walk's checks, is read by ``json.loads`` and checked cell by
+        cell, which names the error.
+        """
+        walked = _walk_snapshot(text)
+        if walked is None:
+            try:
+                doc = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"panel snapshot is not valid JSON: {exc}") from None
+            if type(doc) is not dict:
+                raise ParseError("panel snapshot: the document must be a JSON object")
+            cells = None
+        else:
+            doc, cells = walked
         try:
             regions = _snapshot_list(doc["regions"], "regions", str)
             indicators = tuple(
@@ -407,11 +429,9 @@ class PanelDataset:
                                                  ("code", "name", "category", "units")))
                 for d in _snapshot_list(doc["indicators"], "indicators", dict)
             )
-            entries = _snapshot_list(doc["cells"], "cells", dict)
-            cells = _snapshot_cells(entries)
-            if cells is None:  # some check failed: find the cell and its error
+            if cells is None:
                 cells = {}
-                for c in entries:
+                for c in _snapshot_list(doc["cells"], "cells", dict):
                     key = (c["region"], c["code"])
                     if type(key[0]) is not str or type(key[1]) is not str:
                         _snapshot_strings(c, "cell", ("region", "code"))  # raises
@@ -448,7 +468,10 @@ class PanelDataset:
         the ``to_json`` line without its final newline."""
         import hashlib  # only a bundle needs it
 
-        return hashlib.sha256(self._json_line().encode()).hexdigest()
+        digest = hashlib.sha256()
+        for piece in self._json_pieces():
+            digest.update(piece.encode())
+        return digest.hexdigest()
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
@@ -473,46 +496,92 @@ def _snapshot_strings(entry: dict, what: str, names: tuple[str, ...]) -> tuple[s
     return values
 
 
-_CELL_FIELDS = operator.itemgetter("region", "code", "years", "values")
+_DECODE = json.JSONDecoder().raw_decode
+
+#: Cells per piece of the snapshot line that ``PanelDataset._json_pieces``
+#: yields; the fingerprint hashes one piece at a time.
+_PIECE_CELLS = 256
 
 
-def _snapshot_cells(entries: list) -> dict | None:
-    """The cells of a snapshot, each check made in one pass over all cells,
-    or None if any check fails; the cell-by-cell reader then names the
-    first bad cell (or takes what this does not: integer values, or a cell
-    whose values are all zeros and nulls).
+def _walk_snapshot(text: str) -> tuple[dict, dict] | None:
+    """({"regions": ..., "indicators": ...}, cells) of a snapshot laid out as
+    ``to_json`` writes it, or None for any other layout or a failed check.
 
-    Regions and codes must be strings and no key may repeat. Years must be
-    lists of integers, checked for order once per distinct list, and cells
-    with equal years share one tuple. Values must be lists of floats and
-    nulls as long as their years, with a finite sum and a nonzero float in
-    every cell.
+    Each fixed separator is matched in place and each string, header list or
+    values list read by one ``raw_decode``, so no document of dicts is built.
+    Regions and codes must be strings listed in the header, and each cell
+    keeps the header's string; no key may repeat. Each distinct years text
+    is read once into a tuple that its cells share, and must hold integers
+    in increasing order. Values must be lists of floats and nulls as long as
+    their years, not all null, with a finite sum.
     """
-    if not entries:
-        return {}
+    decode, at = _DECODE, text.startswith
     try:
-        regions, codes, years, values = zip(*map(_CELL_FIELDS, entries))
-    except KeyError:
+        if not at('{"regions":'):
+            return None
+        regions, pos = decode(text, 11)
+        if not at(',"indicators":', pos):
+            return None
+        indicators, pos = decode(text, pos + 14)
+        if not (at(',"cells":[', pos) and type(regions) is type(indicators) is list
+                and set(map(type, regions)) <= {str}
+                and set(map(type, indicators)) <= {dict}):
+            return None
+        codes = [d["code"] for d in indicators]
+        if not set(map(type, codes)) <= {str}:
+            return None
+        region_of, code_of = dict(zip(regions, regions)), dict(zip(codes, codes))
+        keys, series, shared = [], [], {}  # shared: years text -> tuple
+        pos += 10
+        more = not at("]", pos)
+        while more:
+            if not at('{"region":', pos):
+                return None
+            region, pos = decode(text, pos + 10)
+            if not at(',"code":', pos):
+                return None
+            code, pos = decode(text, pos + 8)
+            if not at(',"years":', pos):
+                return None
+            end = text.find("]", pos + 9) + 1  # years hold no strings or lists
+            years_text = text[pos + 9:end]
+            years = shared.get(years_text)
+            if years is None:
+                years = shared[years_text] = _walked_years(years_text)
+            if not at(',"values":', end):
+                return None
+            values, pos = decode(text, end + 10)
+            if not at("}", pos) or type(values) is not list or len(values) != len(years):
+                return None
+            keys.append((region_of[region], code_of[code]))
+            series.append(AnnualSeries._checked(years, tuple(values)))
+            more = at(",", pos + 1)
+            pos += 1 + more
+        if not at("]}", pos) or text[pos + 2:].strip(" \t\n\r"):
+            return None
+    except (ValueError, KeyError, TypeError):  # bad JSON, an unlisted name, bad years
         return None
-    if not (set(map(type, regions)) | set(map(type, codes)) <= {str}
-            and set(map(type, years)) | set(map(type, values)) <= {list}
-            and set(map(type, itertools.chain.from_iterable(years))) <= {int}):
-        return None
-    year_tuples = list(map(tuple, years))
-    shared = {}  # one tuple per distinct years list
-    year_tuples = list(map(shared.setdefault, year_tuples, year_tuples))
-    if any(any(map(operator.le, ys[1:], ys)) for ys in shared):
-        return None
-    value_tuples = list(map(tuple, values))
-    if (list(map(len, value_tuples)) != list(map(len, year_tuples))
-            or not set(map(type, itertools.chain.from_iterable(value_tuples))) <= _FLOAT_OR_NONE
-            or not all(map(any, value_tuples))):
+    value_tuples = [s.values for s in series]
+    if not set(map(type, itertools.chain.from_iterable(value_tuples))) <= _FLOAT_OR_NONE:
         return None
     total = sum(filter(None, itertools.chain.from_iterable(value_tuples)))
-    if total - total != 0.0:
+    if total - total != 0.0 or (not all(map(any, value_tuples))  # a cell of zeros and nulls
+                                and any(v.count(None) == len(v) for v in value_tuples)):
         return None
-    cells = dict(zip(zip(regions, codes), map(AnnualSeries._checked, year_tuples, value_tuples)))
-    return cells if len(cells) == len(entries) else None  # or some key repeats
+    cells = dict(zip(keys, series))
+    if len(cells) < len(keys):  # some key repeats
+        return None
+    return {"regions": regions, "indicators": indicators}, cells
+
+
+def _walked_years(text: str) -> tuple[int, ...]:
+    """The years of one cell's years text; TypeError unless the text is
+    one JSON list of integers in increasing order."""
+    years, end = _DECODE(text)
+    if (end != len(text) or type(years) is not list or not set(map(type, years)) <= {int}
+            or any(map(operator.le, years[1:], years))):
+        raise TypeError("not a snapshot's years")
+    return tuple(years)
 
 
 def _snapshot_series(key, years, values) -> AnnualSeries:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from paneldep.panel import (
     parse_gbd_long,
     parse_wdi_wide,
     _parse_number,
-    _snapshot_cells,
+    _walk_snapshot,
 )
 
 from oracles import reference_align_pair, reference_json_line, reference_snapshot_cells
@@ -518,8 +519,13 @@ SNAPSHOT_DOCS = st.fixed_dictionaries({
 })
 
 
+_YEARS = st.sets(st.integers(1900, 2100), min_size=1, max_size=8).map(sorted).map(tuple)
+
+
 @st.composite
-def panel_datasets(draw, names=st.text(max_size=6)):
+def panel_datasets(draw, names=st.text(max_size=6),
+                   values=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+                   years=_YEARS):
     regions = draw(st.lists(names, min_size=1, max_size=3, unique=True))
     codes = draw(st.lists(names, min_size=1, max_size=4, unique=True))
     indicators = tuple(
@@ -529,13 +535,10 @@ def panel_datasets(draw, names=st.text(max_size=6)):
     cells = {}
     for key in draw(st.lists(st.tuples(st.sampled_from(regions),
                                        st.sampled_from(codes)), unique=True)):
-        years = sorted(draw(st.sets(st.integers(1900, 2100), min_size=1,
-                                    max_size=8)))
-        values = draw(st.lists(st.none() | st.floats(allow_nan=False,
-                                                     allow_infinity=False),
-                               min_size=len(years), max_size=len(years))
-                      .filter(lambda vs: any(v is not None for v in vs)))
-        cells[key] = AnnualSeries(tuple(years), tuple(values))
+        cell_years = draw(years)
+        cell_values = draw(st.lists(values, min_size=len(cell_years), max_size=len(cell_years))
+                           .filter(lambda vs: any(v is not None for v in vs)))
+        cells[key] = AnnualSeries(cell_years, tuple(cell_values))
     return PanelDataset(tuple(regions), indicators, cells)
 
 
@@ -644,9 +647,56 @@ _SNAPSHOT_CELLS = st.lists(st.fixed_dictionaries({
 }), max_size=4)
 
 
+# values the walker must carry bit for bit, with sums that stay finite
+_EDGE_VALUES = (st.none() | st.sampled_from([-0.0, 0.0, 5e-324, -1e-310, 1e300, -1e300])
+                | st.floats(-1e300, 1e300))
+# years that some cells share and others do not
+_SHARED_YEARS = st.sampled_from([(2000, 2001, 2002, 2003), (1990, 1995)]) | _YEARS
+
+_HEADER = {"regions": ["r1", "r2"],
+           "indicators": [{"code": code, "name": code, "category": "Economic", "units": ""}
+                          for code in ("E1", "S1")]}
+
+
+@st.composite
+def _nearly_canonical_texts(draw):
+    """to_json text of a panel, often with one cell field, one year or one
+    value replaced, a cell repeated, or text after the document."""
+    ds = draw(panel_datasets(names=_ESCAPED_NAMES, values=_EDGE_VALUES, years=_SHARED_YEARS))
+    doc = json.loads(ds.to_json())
+    cells = doc["cells"]
+    change = draw(st.sampled_from([None, "region", "code", "years", "values", "repeat"]))
+    if cells and change:
+        cell = draw(st.sampled_from(cells))
+        if change == "repeat":
+            cells.append(dict(cell))
+        elif change in ("years", "values"):
+            cell[change][draw(st.integers(0, len(cell[change]) - 1))] = draw(JSON_SCALARS)
+        else:
+            names = doc["regions"] + [i["code"] for i in doc["indicators"]]
+            cell[change] = draw(JSON_SCALARS | st.sampled_from(names))
+    tail = draw(st.sampled_from(["\n", "", " \t\r\n", "\x0b", "\u2028", "x", "]"]))
+    return json.dumps(doc, separators=(",", ":")) + tail
+
+
+def _bits(ds):
+    """Each cell's key, years and value bits, in cell order."""
+    return [(key, s.years, [v if v is None else float.hex(v) for v in s.values])
+            for key, s in ds.cells.items()]
+
+
+def _read(text):
+    """The panel from_json reads, or the type and message of its error."""
+    try:
+        return _bits(PanelDataset.from_json(text))
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
 class TestSnapshotInBulk:
-    """The snapshot is written and read in bulk steps, with the bytes and
-    the results of one encoder pass and of reading each cell on its own."""
+    """The snapshot is written in pieces with the bytes of one encoder pass,
+    and its canonical text is read by walking its layout, with the panel and
+    the errors of the general reader."""
 
     @settings(max_examples=200)
     @given(panel_datasets(names=_ESCAPED_NAMES))
@@ -668,6 +718,55 @@ class TestSnapshotInBulk:
         assert PanelDataset(ds.regions, ds.indicators)._json_line() == \
             reference_json_line(PanelDataset(ds.regions, ds.indicators))
 
+    @pytest.mark.parametrize("piece_cells", [1, 7, 256])
+    def test_pieces_of_a_panel_larger_than_one_piece(self, piece_cells):
+        regions = tuple(f"R{i}" for i in range(30))
+        indicators = tuple(IndicatorCode(f"E{j}", f"e{j}", "Economic", "%") for j in range(10))
+        ds = PanelDataset(regions, indicators, {
+            (r, ind.code): AnnualSeries((2000, 2001, 2002 + i % 3), (i * 0.5, None, -i / 7))
+            for i, (r, ind) in enumerate((r, ind) for r in regions for ind in indicators)})
+        with mock.patch("paneldep.panel._PIECE_CELLS", piece_cells):
+            pieces = list(ds._json_pieces())
+            fingerprint = ds.fingerprint()
+        assert len(ds.cells) == 300 and len(pieces) == 2 * -(-300 // piece_cells) + 1
+        assert "".join(pieces) == ds._json_line() == reference_json_line(ds)
+        assert fingerprint == hashlib.sha256(ds.to_json()[:-1].encode()).hexdigest()
+
+    @settings(max_examples=200)
+    @given(panel_datasets(names=_ESCAPED_NAMES, values=_EDGE_VALUES, years=_SHARED_YEARS))
+    def test_canonical_text_is_walked(self, ds):
+        text = ds.to_json()
+        with mock.patch("json.loads", side_effect=AssertionError("the general reader ran")):
+            read = PanelDataset.from_json(text)
+        assert read == ds and _bits(read) == _bits(ds)
+        shared = {}
+        regions, codes = dict(zip(read.regions, read.regions)), dict(zip(read.codes(), read.codes()))
+        for (region, code), series in read.cells.items():
+            assert shared.setdefault(series.years, series.years) is series.years
+            assert region is regions[region] and code is codes[code]
+
+    @settings(max_examples=100)
+    @given(panel_datasets(names=_ESCAPED_NAMES, values=_EDGE_VALUES, years=_SHARED_YEARS))
+    def test_other_layouts_are_read_by_the_general_reader(self, ds):
+        doc = json.loads(ds.to_json())
+        reordered = {**doc, "cells": [dict(reversed(c.items())) for c in doc["cells"]]}
+        for text in (json.dumps(doc, indent=1),
+                     json.dumps(reordered, separators=(",", ":")) + "\n"):
+            assert _walk_snapshot(text) is None or not ds.cells
+            assert _bits(PanelDataset.from_json(text)) == _bits(ds)
+
+    @settings(max_examples=400)
+    @given(_nearly_canonical_texts()
+           | (SNAPSHOT_DOCS | st.fixed_dictionaries({**{k: st.just(v) for k, v in _HEADER.items()},
+                                                     "cells": _SNAPSHOT_CELLS}))
+           .map(lambda doc: json.dumps(doc, separators=(",", ":"))))
+    def test_walked_text_reads_as_the_general_reader_reads_it(self, text):
+        """Compact text in the canonical key order gives the general
+        reader's panel, or its error and message."""
+        with mock.patch("paneldep.panel._walk_snapshot", return_value=None):
+            expected = _read(text)
+        assert _read(text) == expected
+
     def test_cells_with_equal_years_share_one_tuple(self):
         ds = parse_wdi_wide(WDI_SMALL).merge(parse_gbd_long(GBD_SMALL))
         read = PanelDataset.from_json(ds.to_json())
@@ -680,6 +779,7 @@ class TestSnapshotInBulk:
     @settings(max_examples=300)
     @given(_SNAPSHOT_CELLS)
     @example([{"region": "r1", "code": "E1", "years": [2000, 2001], "values": [0.0, None]}])
+    @example([{"region": "r1", "code": "E1", "years": [2000, 2001], "values": [None, None]}])
     @example([{"region": "r1", "code": "E1", "years": [2000, 2001]}])
     @example([{"region": "r1", "code": "E1", "years": [2000.0, 2001], "values": [1.0, 2.0]}])
     @example([{"region": "r1", "code": "E1", "years": [2001, 2000], "values": [1.0, 2.0]}])
@@ -687,12 +787,13 @@ class TestSnapshotInBulk:
     @example([{"region": "r1", "code": "E1", "years": [2000], "values": [1.0]},
               {"region": "r1", "code": "E1", "years": [2001], "values": [2.0]}])
     def test_bulk_cells_are_the_cell_by_cell_cells(self, entries):
-        """Where the bulk reader takes the cells, reading each on its own
-        gives the same series; where it does not, the cell-by-cell reader
+        """Where the walker takes a snapshot's cells, reading each on its
+        own gives the same series; where it does not, the general reader
         runs in its place."""
-        cells = _snapshot_cells(entries)
-        if cells is None:
+        walked = _walk_snapshot(json.dumps({**_HEADER, "cells": entries}, separators=(",", ":")))
+        if walked is None:
             return
+        _, cells = walked
         expected = reference_snapshot_cells(entries)
         assert cells == expected
         assert [[float.hex(v) if v is not None else v for v in s.values] for s in cells.values()] \
