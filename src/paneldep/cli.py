@@ -34,8 +34,7 @@ from .report import (
     build_bundle,
     cell_scalars,
     export_csv,
-    export_json,  # not called here, but perfbench/spans.py wraps it by this name
-    export_json_pieces,
+    export_json,
     render_heatmap_svg,
 )
 
@@ -127,8 +126,7 @@ def analyze(args) -> None:
         (out_dir / f"{matrix.stem}.svg").write_text(
             render_heatmap_svg(matrix, scalars=scalars), encoding="utf-8")
     bundle = build_bundle(matrices, dataset, config)
-    with open(out_dir / "bundle.json", "w", encoding="utf-8") as out:
-        out.writelines(export_json_pieces(bundle))
+    (out_dir / "bundle.json").write_text(export_json(bundle), encoding="utf-8")
     _say(args, f"wrote {len(matrices)} matrices to {out_dir}")
 
 

@@ -199,19 +199,9 @@ def export_json(bundle: ExportBundle) -> str:
     a string ("inf", "-inf" or "nan"). Pretty-print it with
     ``python -m json.tool bundle.json``.
     """
-    return "".join(export_json_pieces(bundle))
-
-
-def export_json_pieces(bundle: ExportBundle):
-    """The text of ``export_json(bundle)`` in pieces, one per matrix, for a
-    caller that writes them one at a time."""
-    yield '{"matrices": ['
-    for i, matrix in enumerate(bundle.matrices):
-        if i:
-            yield ", "
-        yield _matrix_json(matrix)
     metadata = json.dumps(bundle.metadata, sort_keys=True, allow_nan=False)
-    yield f'], "metadata": {metadata}}}\n'
+    matrices = ", ".join(map(_matrix_json, bundle.matrices))
+    return f'{{"matrices": [{matrices}], "metadata": {metadata}}}\n'
 
 
 # -- heatmap ----------------------------------------------------------------

@@ -20,7 +20,6 @@ from paneldep.battery import (
 from paneldep.cli import main
 from paneldep.errors import PanelDepError, ParseError
 from paneldep.panel import PanelDataset, parse_wdi_wide
-from paneldep.report import build_bundle, export_json
 
 
 @pytest.fixture()
@@ -263,19 +262,6 @@ class TestAnalyze:
         assert len(plan) == 6  # 2 methods x 3 outcomes
         assert files == {"bundle.json", *(f"{m.stem}{suffix}" for m in plan
                                           for suffix in (".csv", ".svg"))}
-
-    def test_bundle_file_has_the_bytes_of_export_json(self, workdir):
-        """bundle.json, written piece by piece, is export_json's text; the
-        panel comes through a snapshot."""
-        assert run("fixture", "--with-outcomes", "--out", "panel.csv") == 0
-        assert run("--quiet", "ingest", "--wdi", "panel.csv", "--out", "panel.json") == 0
-        (workdir / "config.json").write_text(json.dumps({"methods": ["pearson", "mutual_information"]}))
-        assert run("--quiet", "analyze", "--panel", "panel.json",
-                   "--config", "config.json", "--out", "results") == 0
-        written = (workdir / "results" / "bundle.json").read_bytes()
-        ds = PanelDataset.from_json((workdir / "panel.json").read_text())
-        config = BatteryConfig.from_dict(json.loads(written)["metadata"]["config"])
-        assert written == export_json(build_bundle(run_battery(ds, config), ds, config)).encode()
 
     def test_outputs_are_written_from_the_columns(self, workdir, monkeypatch):
         """No output reads a matrix's per-cell mappings, which would build

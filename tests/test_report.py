@@ -20,7 +20,6 @@ from paneldep.report import (
     cell_scalars,
     export_csv,
     export_json,
-    export_json_pieces,
     render_heatmap_svg,
 )
 from paneldep.temporal import GrangerResult
@@ -131,13 +130,6 @@ class TestJson:
         doc = json.loads(text)
         assert json.dumps(doc, sort_keys=True, allow_nan=False) + "\n" == text
         assert len(doc["matrices"]) == len(matrices)
-
-    def test_pieces_join_to_the_bundle(self, fixture_run):
-        ds, config, matrices = fixture_run
-        bundle = build_bundle(matrices, ds, config)
-        pieces = list(export_json_pieces(bundle))
-        assert len(pieces) == 2 * len(matrices) + 1  # opening, matrices and separators, metadata
-        assert "".join(pieces) == export_json(bundle)
 
     def test_byte_identical_across_runs(self, fixture_run):
         ds, config, _ = fixture_run
