@@ -364,64 +364,46 @@ class PanelDataset:
         return "".join(self._json_pieces())
 
     def _json_pieces(self):
-        """The snapshot's line in pieces: the regions and indicators, the
-        cells ``_PIECE_CELLS`` at a time, and the closing brackets. Their
-        join is what ``json.dumps`` with separators "," and ":" writes for
-        the document of regions, indicators and cells: each distinct name
-        and years tuple is encoded once, and each piece's values in one
-        call."""
+        """The snapshot's line in pieces: the header of regions and
+        indicators, then each block's years and keys, its values rows
+        ``_PIECE_CELLS`` at a time and its closing brackets, then the
+        document's. Their join is what ``json.dumps`` with separators ","
+        and ":" writes for the document of regions, indicators and blocks:
+        one block per distinct years tuple, in the order the cells first
+        use it, its rows in cell order."""
         encode = _COMPACT.encode
-        names = {}  # JSON string of each region, code, name, category and units
-        for name in (*self.regions, *(f for i in self.indicators
-                                           for f in (i.code, i.name, i.category, i.units))):
-            if name not in names:
-                names[name] = encode(name)
-        indicators = ",".join(
-            '{"code":%s,"name":%s,"category":%s,"units":%s}'
-            % (names[i.code], names[i.name], names[i.category], names[i.units])
-            for i in self.indicators)
-        yield '{"regions":[%s],"indicators":[%s],"cells":[' % (
-            ",".join(names[r] for r in self.regions), indicators)
-        years = {}
-        items = list(self.cells.items())
-        for start in range(0, len(items), _PIECE_CELLS):
-            if start:
-                yield ","
-            piece = items[start:start + _PIECE_CELLS]
-            for _, s in piece:
-                if s.years not in years:
-                    years[s.years] = encode(s.years)
-            # one array of the piece's values, cut at the "],[" between two cells
-            values = encode([s.values for _, s in piece])[2:-2].split("],[")
-            yield ",".join(
-                '{"region":%s,"code":%s,"years":%s,"values":[%s]}'
-                % (names[region], names[code], years[s.years], v)
-                for ((region, code), s), v in zip(piece, values))
+        yield encode({"regions": self.regions, "indicators": [
+            {"code": i.code, "name": i.name, "category": i.category, "units": i.units}
+            for i in self.indicators]})[:-1] + ',"blocks":['
+        blocks = {}  # years -> keys of its cells
+        for key, series in self.cells.items():
+            blocks.setdefault(series.years, []).append(key)
+        for index, (years, keys) in enumerate(blocks.items()):
+            yield '%s{"years":%s,"keys":%s,"values":[' % (
+                "," if index else "", encode(years), encode(keys))
+            for start in range(0, len(keys), _PIECE_CELLS):
+                rows = [self.cells[key].values for key in keys[start:start + _PIECE_CELLS]]
+                yield ("," if start else "") + encode(rows)[1:-1]
+            yield "]}"
         yield "]}"
 
     @classmethod
     def from_json(cls, text: str) -> "PanelDataset":
-        """Inverse of to_json, whatever the text's JSON whitespace. Regions,
-        codes, names, categories and units must be strings, values finite
-        numbers or null, years integers, and regions and indicator codes
-        unrepeated; anything else is a ParseError.
-
-        Text laid out as to_json writes it is read by walking that layout
-        (``_walk_snapshot``); any other layout, or text that fails one of
-        the walk's checks, is read by ``json.loads`` and checked cell by
-        cell, which names the error.
+        """Inverse of to_json, whatever the text's JSON whitespace: one
+        ``json.loads``, then the header's checks (strings; regions and codes
+        unrepeated; each cell's key listed) and each block's
+        (``_snapshot_block``). Anything else is a ParseError, as is the
+        per-cell layout of earlier versions. Cells come back block by block.
         """
-        walked = _walk_snapshot(text)
-        if walked is None:
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"panel snapshot is not valid JSON: {exc}") from None
-            if type(doc) is not dict:
-                raise ParseError("panel snapshot: the document must be a JSON object")
-            cells = None
-        else:
-            doc, cells = walked
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"panel snapshot is not valid JSON: {exc}") from None
+        if type(doc) is not dict:
+            raise ParseError("panel snapshot: the document must be a JSON object")
+        if "cells" in doc and "blocks" not in doc:
+            raise ParseError('panel snapshot is in the old per-cell layout ("cells"); '
+                             "re-run `paneldep ingest` to write it in blocks")
         try:
             regions = _snapshot_list(doc["regions"], "regions", str)
             indicators = tuple(
@@ -429,15 +411,10 @@ class PanelDataset:
                                                  ("code", "name", "category", "units")))
                 for d in _snapshot_list(doc["indicators"], "indicators", dict)
             )
-            if cells is None:
-                cells = {}
-                for c in _snapshot_list(doc["cells"], "cells", dict):
-                    key = (c["region"], c["code"])
-                    if type(key[0]) is not str or type(key[1]) is not str:
-                        _snapshot_strings(c, "cell", ("region", "code"))  # raises
-                    if key in cells:
-                        raise DuplicateKeyError(f"panel snapshot repeats cell {key}")
-                    cells[key] = _snapshot_series(key, c["years"], c["values"])
+            names = {name: name for name in (*regions, *(i.code for i in indicators))}
+            cells = {}
+            for block in _snapshot_list(doc["blocks"], "blocks", dict):
+                _snapshot_block(block, names, cells)
             return cls(tuple(regions), indicators, cells)
         except KeyError as exc:
             raise ParseError(f"panel snapshot missing field: {exc}") from None
@@ -496,92 +473,49 @@ def _snapshot_strings(entry: dict, what: str, names: tuple[str, ...]) -> tuple[s
     return values
 
 
-_DECODE = json.JSONDecoder().raw_decode
-
-#: Cells per piece of the snapshot line that ``PanelDataset._json_pieces``
+#: Values rows per piece of the snapshot line that ``PanelDataset._json_pieces``
 #: yields; the fingerprint hashes one piece at a time.
 _PIECE_CELLS = 256
 
 
-def _walk_snapshot(text: str) -> tuple[dict, dict] | None:
-    """({"regions": ..., "indicators": ...}, cells) of a snapshot laid out as
-    ``to_json`` writes it, or None for any other layout or a failed check.
-
-    Each fixed separator is matched in place and each string, header list or
-    values list read by one ``raw_decode``, so no document of dicts is built.
-    Regions and codes must be strings listed in the header, and each cell
-    keeps the header's string; no key may repeat. Each distinct years text
-    is read once into a tuple that its cells share, and must hold integers
-    in increasing order. Values must be lists of floats and nulls as long as
-    their years, not all null, with a finite sum.
+def _snapshot_block(block: dict, names: dict, cells: dict) -> None:
+    """Add one snapshot block's cells to ``cells``, sharing one years tuple
+    and the header's strings (``names``). Checked in bulk: integer years in
+    increasing order; keys [str, str], none repeated or already in
+    ``cells``; one row per key as long as the years, of floats and nulls
+    with a finite sum, none all null. A block that fails is read row by
+    row: the first bad row raises its own message, and ints pass as floats.
     """
-    decode, at = _DECODE, text.startswith
-    try:
-        if not at('{"regions":'):
-            return None
-        regions, pos = decode(text, 11)
-        if not at(',"indicators":', pos):
-            return None
-        indicators, pos = decode(text, pos + 14)
-        if not (at(',"cells":[', pos) and type(regions) is type(indicators) is list
-                and set(map(type, regions)) <= {str}
-                and set(map(type, indicators)) <= {dict}):
-            return None
-        codes = [d["code"] for d in indicators]
-        if not set(map(type, codes)) <= {str}:
-            return None
-        region_of, code_of = dict(zip(regions, regions)), dict(zip(codes, codes))
-        keys, series, shared = [], [], {}  # shared: years text -> tuple
-        pos += 10
-        more = not at("]", pos)
-        while more:
-            if not at('{"region":', pos):
-                return None
-            region, pos = decode(text, pos + 10)
-            if not at(',"code":', pos):
-                return None
-            code, pos = decode(text, pos + 8)
-            if not at(',"years":', pos):
-                return None
-            end = text.find("]", pos + 9) + 1  # years hold no strings or lists
-            years_text = text[pos + 9:end]
-            years = shared.get(years_text)
-            if years is None:
-                years = shared[years_text] = _walked_years(years_text)
-            if not at(',"values":', end):
-                return None
-            values, pos = decode(text, end + 10)
-            if not at("}", pos) or type(values) is not list or len(values) != len(years):
-                return None
-            keys.append((region_of[region], code_of[code]))
-            series.append(AnnualSeries._checked(years, tuple(values)))
-            more = at(",", pos + 1)
-            pos += 1 + more
-        if not at("]}", pos) or text[pos + 2:].strip(" \t\n\r"):
-            return None
-    except (ValueError, KeyError, TypeError):  # bad JSON, an unlisted name, bad years
-        return None
-    value_tuples = [s.values for s in series]
-    if not set(map(type, itertools.chain.from_iterable(value_tuples))) <= _FLOAT_OR_NONE:
-        return None
-    total = sum(filter(None, itertools.chain.from_iterable(value_tuples)))
-    if total - total != 0.0 or (not all(map(any, value_tuples))  # a cell of zeros and nulls
-                                and any(v.count(None) == len(v) for v in value_tuples)):
-        return None
-    cells = dict(zip(keys, series))
-    if len(cells) < len(keys):  # some key repeats
-        return None
-    return {"regions": regions, "indicators": indicators}, cells
-
-
-def _walked_years(text: str) -> tuple[int, ...]:
-    """The years of one cell's years text; TypeError unless the text is
-    one JSON list of integers in increasing order."""
-    years, end = _DECODE(text)
-    if (end != len(text) or type(years) is not list or not set(map(type, years)) <= {int}
-            or any(map(operator.le, years[1:], years))):
-        raise TypeError("not a snapshot's years")
-    return tuple(years)
+    years, keys, rows = block["years"], block["keys"], block["values"]
+    if type(keys) is not list or type(rows) is not list or not keys or len(keys) != len(rows):
+        raise ParseError("panel snapshot: a block's keys and values must be non-empty "
+                         "lists, one values row per key")
+    if (type(years) is list and set(map(type, years)) <= {int}
+            and not any(map(operator.le, years[1:], years))
+            and set(map(type, keys)) <= {list} and set(map(len, keys)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(keys))) <= {str}
+            and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(years)}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= _FLOAT_OR_NONE):
+        total = sum(filter(None, itertools.chain.from_iterable(rows)))  # finite if each is
+        if total - total == 0.0 and (all(map(any, rows))  # else a row of zeros and nulls
+                                     or not any(r.count(None) == len(r) for r in rows)):
+            read = dict.fromkeys((names.get(region, region), names.get(code, code))
+                                 for region, code in keys)
+            if len(read) == len(keys) and cells.keys().isdisjoint(read):
+                shared = tuple(years)
+                for index, key in enumerate(read):  # each row's list goes as its tuple comes
+                    read[key] = AnnualSeries._checked(shared, tuple(rows[index]))
+                    rows[index] = None
+                cells.update(read)
+                return
+    for key, values in zip(keys, rows):
+        if type(key) is not list or len(key) != 2 or not type(key[0]) is type(key[1]) is str:
+            raise ParseError(f"panel snapshot: key {key!r} must be a [region, code] "
+                             "pair of strings")
+        key = (names.get(key[0], key[0]), names.get(key[1], key[1]))
+        if key in cells:
+            raise DuplicateKeyError(f"panel snapshot repeats cell {key}")
+        cells[key] = _snapshot_series(key, years, values)
 
 
 def _snapshot_series(key, years, values) -> AnnualSeries:

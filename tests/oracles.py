@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from paneldep.errors import DomainError, InsufficientOverlapError
+from paneldep.errors import DomainError, DuplicateKeyError, InsufficientOverlapError, ParseError
 from paneldep.panel import AlignedPair, AnnualSeries
 from paneldep.special import log_beta
 
@@ -578,36 +578,49 @@ def reference_bundle_json(bundle) -> str:
         return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
-# The snapshot encoder and reader the package had before each was split
-# into bulk steps: one ``json.dumps`` of the whole document, and each cell
-# read on its own.
+# The snapshot encoder and reader without bulk steps: one ``json.dumps`` of
+# the whole block document, and each row of each block read on its own.
 
 def reference_json_line(dataset) -> str:
+    """The snapshot line: one block per distinct years tuple, in the order
+    the cells first use it, its rows in cell order."""
+    blocks = {}
+    for (region, code), s in dataset.cells.items():
+        block = blocks.setdefault(s.years, {"years": s.years, "keys": [], "values": []})
+        block["keys"].append([region, code])
+        block["values"].append(s.values)
     doc = {
         "regions": list(dataset.regions),
         "indicators": [
             {"code": i.code, "name": i.name, "category": i.category, "units": i.units}
             for i in dataset.indicators
         ],
-        "cells": [
-            {"region": region, "code": code, "years": s.years, "values": s.values}
-            for (region, code), s in dataset.cells.items()
-        ],
+        "blocks": list(blocks.values()),
     }
     return json.dumps(doc, separators=(",", ":"))
 
 
-def reference_snapshot_cells(entries: list) -> dict:
-    """(region, code) -> AnnualSeries of each snapshot cell; raises at the
-    first bad cell (string keys, no repeat, a list of integer years, a
-    list of values AnnualSeries takes)."""
+def reference_snapshot_cells(blocks: list) -> dict:
+    """(region, code) -> AnnualSeries of each row of well-formed blocks (a
+    dict each, keys and values non-empty lists of one length), read one row at a
+    time; raises the ParseError of the first bad row (a [str, str] key, not
+    seen before, integer years, values AnnualSeries takes)."""
     cells = {}
-    for entry in entries:
-        key = (entry["region"], entry["code"])
-        years, values = entry["years"], entry["values"]
-        if not (type(key[0]) is type(key[1]) is str and key not in cells
-                and type(years) is type(values) is list
-                and all(type(year) is int for year in years)):
-            raise ValueError(f"bad cell {entry!r}")
-        cells[key] = AnnualSeries(tuple(years), tuple(values))
+    for block in blocks:
+        years = block["years"]
+        for key, values in zip(block["keys"], block["values"]):
+            if not (type(key) is list and len(key) == 2 and type(key[0]) is type(key[1]) is str):
+                raise ParseError(f"panel snapshot: key {key!r} must be a [region, code] "
+                                 "pair of strings")
+            key = tuple(key)
+            if key in cells:
+                raise DuplicateKeyError(f"panel snapshot repeats cell {key}")
+            try:
+                if type(years) is not list or type(values) is not list:
+                    raise DomainError("years and values must be lists")
+                if not all(type(year) is int for year in years):
+                    raise DomainError("years must be integers")
+                cells[key] = AnnualSeries(tuple(years), tuple(values))
+            except DomainError as exc:
+                raise ParseError(f"panel snapshot cell {key}: {exc}") from None
     return cells

@@ -113,41 +113,64 @@ SNAPSHOT = {
         {"code": "E1", "name": "GDP", "category": "Economic", "units": ""},
         {"code": "S1", "name": "Life", "category": "Society", "units": ""},
     ],
-    "cells": [
-        {"region": "global", "code": "E1", "years": [2000, 2001, 2002, 2003],
-         "values": [1.0, 2.0, 3.0, 5.0]},
-        {"region": "global", "code": "S1", "years": [2000, 2001, 2002, 2003],
-         "values": [60.0, 61.0, 60.5, 62.0]},
+    "blocks": [
+        {"years": [2000, 2001, 2002, 2003],
+         "keys": [["global", "E1"], ["global", "S1"]],
+         "values": [[1.0, 2.0, 3.0, 5.0], [60.0, 61.0, 60.5, 62.0]]},
     ],
 }
 
 
-def _snapshot_with(section, field, value):
-    """SNAPSHOT as JSON text with one field of its first entry replaced."""
+def _snapshot_with(*path, value):
+    """SNAPSHOT as JSON text with the item at ``path`` replaced by ``value``."""
     doc = json.loads(json.dumps(SNAPSHOT))
-    doc[section][0][field] = value
+    item = doc
+    for step in path[:-1]:
+        item = item[step]
+    item[path[-1]] = value
     return json.dumps(doc)
 
 
+E1_CELL = "cell ('global', 'E1')"
+
+
 class TestSnapshotValidation:
-    @pytest.mark.parametrize("text", [
-        _snapshot_with("cells", "values", [1.0, "abc", 3.0, 5.0]),
-        json.dumps(SNAPSHOT).replace("2.0", "NaN", 1),
-        json.dumps(SNAPSHOT).replace("2.0", "Infinity", 1),
-        json.dumps(SNAPSHOT).replace("2.0", "1e999", 1),
-        _snapshot_with("cells", "years", [2000, 2002, 2001, 2003]),
-        _snapshot_with("cells", "years", [2000, 2001, 2002]),
-        _snapshot_with("cells", "code", "ZZ9"),
-        _snapshot_with("indicators", "category", "Finance"),
-        _snapshot_with("cells", "years", ["2000", "2001", "2002", "2003"]),
-        _snapshot_with("cells", "code", "S1"),
-        json.dumps({**SNAPSHOT, "regions": ["global", "global"]}),
-        json.dumps({**SNAPSHOT, "indicators": SNAPSHOT["indicators"] * 2}),
-        _snapshot_with("cells", "values", [1.0, True, 3.0, 5.0]),
+    @pytest.mark.parametrize("text, message", [
+        (_snapshot_with("blocks", 0, "values", 0, value=[1.0, "abc", 3.0, 5.0]),
+         f"{E1_CELL}: value 'abc' is not a finite float"),
+        (json.dumps(SNAPSHOT).replace("2.0", "NaN", 1), f"{E1_CELL}: non-finite value"),
+        (json.dumps(SNAPSHOT).replace("2.0", "Infinity", 1), f"{E1_CELL}: non-finite value"),
+        (json.dumps(SNAPSHOT).replace("2.0", "1e999", 1), f"{E1_CELL}: non-finite value"),
+        (_snapshot_with("blocks", 0, "years", value=[2000, 2002, 2001, 2003]),
+         f"{E1_CELL}: years must be strictly increasing"),
+        (_snapshot_with("blocks", 0, "years", value=[2000, 2001, 2002]),
+         f"{E1_CELL}: years and values differ in length"),
+        (_snapshot_with("blocks", 0, "keys", 0, value=["global", "ZZ9"]),
+         ": cell code 'ZZ9' not in indicator list"),
+        (_snapshot_with("indicators", 0, "category", value="Finance"),
+         ": category 'Finance' not in ("),
+        (_snapshot_with("blocks", 0, "years", value=["2000", "2001", "2002", "2003"]),
+         f"{E1_CELL}: years must be integers"),
+        (_snapshot_with("blocks", 0, "keys", 0, value=["global", "S1"]),
+         " repeats cell ('global', 'S1')"),
+        (json.dumps({**SNAPSHOT, "regions": ["global", "global"]}),
+         ": regions list ['global'] more than once"),
+        (json.dumps({**SNAPSHOT, "indicators": SNAPSHOT["indicators"] * 2}),
+         ": indicators list ['E1', 'S1'] more than once"),
+        (_snapshot_with("blocks", 0, "values", 0, value=[1.0, True, 3.0, 5.0]),
+         f"{E1_CELL}: value True is not a finite float"),
+        (json.dumps({**SNAPSHOT, "blocks": SNAPSHOT["blocks"] + [
+            {"years": [2004], "keys": [["global", "S1"]], "values": [[63.0]]}]}),
+         " repeats cell ('global', 'S1')"),
+        (json.dumps({"regions": SNAPSHOT["regions"], "indicators": SNAPSHOT["indicators"],
+                     "cells": [{"region": "global", "code": "E1", "years": [2000],
+                                "values": [1.0]}]}),
+         ' is in the old per-cell layout ("cells"); re-run `paneldep ingest`'),
     ], ids=["string-value", "nan", "infinity", "overflow", "years-not-increasing",
             "length-mismatch", "unknown-code", "bad-category", "string-years",
-            "repeated-cell", "repeated-region", "repeated-code", "bool-value"])
-    def test_malformed_snapshot_exits_input_error(self, workdir, capsys, text):
+            "repeated-cell", "repeated-region", "repeated-code", "bool-value",
+            "cell-repeated-in-two-blocks", "old-per-cell-layout"])
+    def test_malformed_snapshot_exits_input_error(self, workdir, capsys, text, message):
         (workdir / "panel.json").write_text(text)
         (workdir / "config.json").write_text(json.dumps({
             "methods": ["pearson", "granger"], "outcomes": ["S1"],
@@ -155,30 +178,42 @@ class TestSnapshotValidation:
         }))
         assert run("--quiet", "analyze", "--panel", "panel.json",
                    "--config", "config.json", "--out", "results") == 1
-        assert "input error: panel snapshot" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("input error: panel snapshot") and message in err
 
     @pytest.mark.parametrize("text, message", [
-        (json.dumps({**SNAPSHOT, "regions": [7], "cells": [
-            {**cell, "region": 7} for cell in SNAPSHOT["cells"]]}),
+        (json.dumps({**SNAPSHOT, "regions": [7], "blocks": [
+            {**SNAPSHOT["blocks"][0], "keys": [[7, "E1"], [7, "S1"]]}]}),
          "regions must be a list of strings"),
         (json.dumps({**SNAPSHOT, "regions": "global"}), "regions must be a list of strings"),
-        (json.dumps({**SNAPSHOT, "cells": [{**cell, "region": 7} for cell in SNAPSHOT["cells"]]}),
-         "cell region must be a string, got int"),
-        (_snapshot_with("cells", "code", ["E1"]), "cell code must be a string, got list"),
+        (_snapshot_with("blocks", 0, "keys", 0, 0, value=7),
+         "key [7, 'E1'] must be a [region, code] pair of strings"),
+        (_snapshot_with("blocks", 0, "keys", 0, 1, value=["E1"]),
+         "key ['global', ['E1']] must be a [region, code] pair of strings"),
         (json.dumps({**SNAPSHOT,
                      "indicators": [{**SNAPSHOT["indicators"][0], "code": 1},
                                     SNAPSHOT["indicators"][1]],
-                     "cells": [{**SNAPSHOT["cells"][0], "code": 1}, SNAPSHOT["cells"][1]]}),
+                     "blocks": [{**SNAPSHOT["blocks"][0], "keys": [["global", 1],
+                                                                   ["global", "S1"]]}]}),
          "indicator code must be a string, got int"),
-        (_snapshot_with("indicators", "name", ["GDP"]), "indicator name must be a string, got list"),
-        (_snapshot_with("indicators", "units", None), "indicator units must be a string, got NoneType"),
+        (_snapshot_with("indicators", 0, "name", value=["GDP"]),
+         "indicator name must be a string, got list"),
+        (_snapshot_with("indicators", 0, "units", value=None),
+         "indicator units must be a string, got NoneType"),
         (json.dumps({**SNAPSHOT, "indicators": {}}), "indicators must be a list of objects"),
-        (json.dumps({**SNAPSHOT, "cells": [[]]}), "cells must be a list of objects"),
-        (_snapshot_with("cells", "years", 2000),
-         " cell ('global', 'E1'): years and values must be lists"),
+        (json.dumps({**SNAPSHOT, "blocks": [[]]}), "blocks must be a list of objects"),
+        (_snapshot_with("blocks", 0, "years", value=2000),
+         f" {E1_CELL}: years and values must be lists"),
+        (_snapshot_with("blocks", 0, "keys", value={}),
+         "a block's keys and values must be non-empty lists, one values row per key"),
+        (_snapshot_with("blocks", 0, "values", value=[[1.0, 2.0, 3.0, 5.0]]),
+         "a block's keys and values must be non-empty lists, one values row per key"),
+        (json.dumps({**SNAPSHOT, "blocks": SNAPSHOT["blocks"] + [
+            {"years": "2004", "keys": [], "values": []}]}),
+         "a block's keys and values must be non-empty lists, one values row per key"),
     ], ids=["numeric-region", "regions-string", "numeric-cell-region", "list-cell-code",
             "numeric-code", "list-name", "null-units", "indicators-object", "cell-list",
-            "years-number"])
+            "years-number", "keys-object", "missing-values-row", "empty-block"])
     def test_wrong_types_are_named(self, workdir, capsys, text, message):
         (workdir / "panel.json").write_text(text)
         (workdir / "config.json").write_text(json.dumps({"methods": ["pearson"]}))
@@ -205,22 +240,22 @@ class TestSnapshotValidation:
     @pytest.mark.parametrize("values", [[1, 2, 3, 5], [1, 2.0, None, 5]],
                              ids=["all-ints", "mixed"])
     def test_integer_values_read_as_their_floats(self, values):
-        read = PanelDataset.from_json(_snapshot_with("cells", "values", values))
+        read = PanelDataset.from_json(_snapshot_with("blocks", 0, "values", 0, value=values))
         floats = [None if v is None else float(v) for v in values]
-        assert read == PanelDataset.from_json(_snapshot_with("cells", "values", floats))
+        assert read == PanelDataset.from_json(_snapshot_with("blocks", 0, "values", 0, value=floats))
         assert all(type(v) is float for v in read.cells[("global", "E1")].values
                    if v is not None)
 
     def test_values_whose_sum_overflows_accepted(self):
         values = [1e308, 1e308, -1e308, 1e308]
-        read = PanelDataset.from_json(_snapshot_with("cells", "values", values))
+        read = PanelDataset.from_json(_snapshot_with("blocks", 0, "values", 0, value=values))
         assert read.cells[("global", "E1")].values == tuple(values)
 
     def test_negative_zero_keeps_its_sign(self):
-        text = _snapshot_with("cells", "values", [1.0, -0.0, 3.0, 5.0])
+        text = _snapshot_with("blocks", 0, "values", 0, value=[1.0, -0.0, 3.0, 5.0])
         read = PanelDataset.from_json(text)
         assert math.copysign(1.0, read.cells[("global", "E1")].values[1]) == -1.0
-        assert '"values":[1.0,-0.0,3.0,5.0]' in read.to_json().replace(" ", "")
+        assert '"values":[[1.0,-0.0,3.0,5.0],' in read.to_json()
 
     def test_well_formed_snapshot_runs(self, workdir):
         (workdir / "panel.json").write_text(json.dumps(SNAPSHOT))

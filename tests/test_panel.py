@@ -32,7 +32,6 @@ from paneldep.panel import (
     parse_gbd_long,
     parse_wdi_wide,
     _parse_number,
-    _walk_snapshot,
 )
 
 from oracles import reference_align_pair, reference_json_line, reference_snapshot_cells
@@ -510,11 +509,12 @@ SNAPSHOT_DOCS = st.fixed_dictionaries({
         "category": _or_junk(st.sampled_from(CATEGORIES)),
         "units": _or_junk(st.text(max_size=3)),
     })), max_size=3)),
-    "cells": _or_junk(st.lists(_or_junk(st.fixed_dictionaries({
-        "region": _or_junk(st.sampled_from(["r1", "r2"])),
-        "code": _or_junk(st.sampled_from(["E1", "S1"])),
+    "blocks": _or_junk(st.lists(_or_junk(st.fixed_dictionaries({
         "years": _or_junk(st.lists(_or_junk(st.integers(1998, 2003)), max_size=4)),
-        "values": _or_junk(st.lists(_or_junk(st.floats() | st.none()), max_size=4)),
+        "keys": _or_junk(st.lists(_or_junk(st.lists(_or_junk(st.sampled_from(["r1", "r2", "E1", "S1"])),
+                                                    min_size=2, max_size=2)), max_size=3)),
+        "values": _or_junk(st.lists(_or_junk(st.lists(_or_junk(st.floats() | st.none()),
+                                                      max_size=4)), max_size=3)),
     })), max_size=3)),
 })
 
@@ -633,82 +633,71 @@ class TestFingerprint:
 _ESCAPED_NAMES = st.text(st.sampled_from('aZ0 "\\/\n\t\x00\x7f\u00e9\u20ac\u2028\U0001f600'),
                          max_size=5) | st.text(max_size=5)
 
-# snapshot cells that are mostly well formed, so both readers often take them
-_SNAPSHOT_CELLS = st.lists(st.fixed_dictionaries({
-    "region": st.sampled_from(["r1", "r2"]) | JSON_SCALARS,
-    "code": st.sampled_from(["E1", "S1"]),
-    "years": st.sampled_from([[2000, 2001, 2002], [2001, 2002, 2003], [2000, 2002, 2001],
-                              [2000.0, 2001, 2002], [True, 2001, 2002], [2000, 2001]])
-             | _or_junk(st.lists(st.integers(1998, 2003), max_size=3)),
-    "values": st.lists(st.floats(-1e6, 1e6) | st.none(), min_size=3, max_size=3)
-              | st.lists(st.floats() | st.none() | st.sampled_from([0.0, -0.0, 1, True, 1e308]),
-                         min_size=3, max_size=3)
-              | _or_junk(st.none()),
-}), max_size=4)
-
-
-# values the walker must carry bit for bit, with sums that stay finite
+# values that must come back bit for bit, with sums that stay finite
 _EDGE_VALUES = (st.none() | st.sampled_from([-0.0, 0.0, 5e-324, -1e-310, 1e300, -1e300])
                 | st.floats(-1e300, 1e300))
 # years that some cells share and others do not
 _SHARED_YEARS = st.sampled_from([(2000, 2001, 2002, 2003), (1990, 1995)]) | _YEARS
 
-_HEADER = {"regions": ["r1", "r2"],
-           "indicators": [{"code": code, "name": code, "category": "Economic", "units": ""}
-                          for code in ("E1", "S1")]}
-
 
 @st.composite
-def _nearly_canonical_texts(draw):
-    """to_json text of a panel, often with one cell field, one year or one
-    value replaced, a cell repeated, or text after the document."""
-    ds = draw(panel_datasets(names=_ESCAPED_NAMES, values=_EDGE_VALUES, years=_SHARED_YEARS))
+def _nearly_well_formed_docs(draw):
+    """The snapshot document of a panel, often with one year, one value or
+    one key replaced, a values row replaced, or a key repeated in its own
+    block or in another."""
+    ds = draw(panel_datasets(names=_ESCAPED_NAMES, values=_EDGE_VALUES, years=_SHARED_YEARS)
+              .filter(lambda ds: ds.cells))
     doc = json.loads(ds.to_json())
-    cells = doc["cells"]
-    change = draw(st.sampled_from([None, "region", "code", "years", "values", "repeat"]))
-    if cells and change:
-        cell = draw(st.sampled_from(cells))
-        if change == "repeat":
-            cells.append(dict(cell))
-        elif change in ("years", "values"):
-            cell[change][draw(st.integers(0, len(cell[change]) - 1))] = draw(JSON_SCALARS)
-        else:
-            names = doc["regions"] + [i["code"] for i in doc["indicators"]]
-            cell[change] = draw(JSON_SCALARS | st.sampled_from(names))
-    tail = draw(st.sampled_from(["\n", "", " \t\r\n", "\x0b", "\u2028", "x", "]"]))
-    return json.dumps(doc, separators=(",", ":")) + tail
+    blocks = doc["blocks"]
+    change = draw(st.sampled_from([None, "year", "value", "row", "key", "repeat"]))
+    if not change:
+        return doc
+    block = draw(st.sampled_from(blocks))
+    row = draw(st.integers(0, len(block["keys"]) - 1))
+    column = draw(st.integers(0, len(block["years"]) - 1))
+    if change == "year":
+        block["years"][column] = draw(JSON_SCALARS | st.sampled_from(block["years"]))
+    elif change == "value":
+        block["values"][row][column] = draw(JSON_SCALARS | _EDGE_VALUES)
+    elif change == "row":
+        block["values"][row] = draw(st.lists(st.none(), min_size=len(block["years"]),
+                                             max_size=len(block["years"]))
+                                    | st.lists(_EDGE_VALUES, max_size=5) | JSON_SCALARS)
+    elif change == "key":
+        names = st.sampled_from(doc["regions"] + [i["code"] for i in doc["indicators"]]
+                                + ["not listed"])
+        block["keys"][row] = draw(st.lists(names, min_size=2, max_size=2) | JSON_SCALARS
+                                  | st.lists(names | JSON_SCALARS, max_size=3))
+    else:
+        other = draw(st.sampled_from(blocks))
+        other["keys"].append(block["keys"][row])
+        other["values"].append(other["values"][0])
+    return doc
 
 
 def _bits(ds):
-    """Each cell's key, years and value bits, in cell order."""
-    return [(key, s.years, [v if v is None else float.hex(v) for v in s.values])
-            for key, s in ds.cells.items()]
-
-
-def _read(text):
-    """The panel from_json reads, or the type and message of its error."""
-    try:
-        return _bits(PanelDataset.from_json(text))
-    except ParseError as exc:
-        return type(exc), str(exc)
+    """Each cell's years and value bits, by key."""
+    return {key: (s.years, [v if v is None else float.hex(v) for v in s.values])
+            for key, s in ds.cells.items()}
 
 
 class TestSnapshotInBulk:
     """The snapshot is written in pieces with the bytes of one encoder pass,
-    and its canonical text is read by walking its layout, with the panel and
-    the errors of the general reader."""
+    and read by one ``json.loads`` and checks per block, with the panel and
+    the errors of reading each row on its own."""
 
     @settings(max_examples=200)
-    @given(panel_datasets(names=_ESCAPED_NAMES))
+    @given(panel_datasets(names=_ESCAPED_NAMES, values=_EDGE_VALUES, years=_SHARED_YEARS))
     def test_json_line_is_one_dumps_of_the_document(self, ds):
         line = reference_json_line(ds)
         assert ds.to_json() == line + "\n"
         assert ds.fingerprint() == hashlib.sha256(line.encode()).hexdigest()
+        assert _bits(PanelDataset.from_json(line)) == _bits(ds)
 
     def test_json_line_of_gaps_and_escaped_names(self):
         ds = PanelDataset(
             ("Côte d'Ivoire", 'say "hi"\\'),
-            (IndicatorCode("E1", "GDP, \u20ac \U0001f600", "Economic", "%\n"),
+            (IndicatorCode("E1", "GDP, € \U0001f600", "Economic", "%\n"),
              IndicatorCode("dep|DALYs|all", "d", "MentalHealth", "")),
             {("Côte d'Ivoire", "E1"): AnnualSeries((2000, 2001, 2003), (1.5, None, -0.0)),
              ('say "hi"\\', "dep|DALYs|all"): AnnualSeries((2000,), (1e-310,)),
@@ -728,44 +717,35 @@ class TestSnapshotInBulk:
         with mock.patch("paneldep.panel._PIECE_CELLS", piece_cells):
             pieces = list(ds._json_pieces())
             fingerprint = ds.fingerprint()
-        assert len(ds.cells) == 300 and len(pieces) == 2 * -(-300 // piece_cells) + 1
+        # the header, each of 3 blocks' head, rows and close, the document's close
+        assert len(ds.cells) == 300 and len(pieces) == 2 + 3 * (2 + -(-100 // piece_cells))
         assert "".join(pieces) == ds._json_line() == reference_json_line(ds)
         assert fingerprint == hashlib.sha256(ds.to_json()[:-1].encode()).hexdigest()
 
-    @settings(max_examples=200)
-    @given(panel_datasets(names=_ESCAPED_NAMES, values=_EDGE_VALUES, years=_SHARED_YEARS))
-    def test_canonical_text_is_walked(self, ds):
-        text = ds.to_json()
-        with mock.patch("json.loads", side_effect=AssertionError("the general reader ran")):
-            read = PanelDataset.from_json(text)
-        assert read == ds and _bits(read) == _bits(ds)
-        shared = {}
-        regions, codes = dict(zip(read.regions, read.regions)), dict(zip(read.codes(), read.codes()))
-        for (region, code), series in read.cells.items():
-            assert shared.setdefault(series.years, series.years) is series.years
-            assert region is regions[region] and code is codes[code]
-
-    @settings(max_examples=100)
-    @given(panel_datasets(names=_ESCAPED_NAMES, values=_EDGE_VALUES, years=_SHARED_YEARS))
-    def test_other_layouts_are_read_by_the_general_reader(self, ds):
-        doc = json.loads(ds.to_json())
-        reordered = {**doc, "cells": [dict(reversed(c.items())) for c in doc["cells"]]}
-        for text in (json.dumps(doc, indent=1),
-                     json.dumps(reordered, separators=(",", ":")) + "\n"):
-            assert _walk_snapshot(text) is None or not ds.cells
-            assert _bits(PanelDataset.from_json(text)) == _bits(ds)
-
     @settings(max_examples=400)
-    @given(_nearly_canonical_texts()
-           | (SNAPSHOT_DOCS | st.fixed_dictionaries({**{k: st.just(v) for k, v in _HEADER.items()},
-                                                     "cells": _SNAPSHOT_CELLS}))
-           .map(lambda doc: json.dumps(doc, separators=(",", ":"))))
-    def test_walked_text_reads_as_the_general_reader_reads_it(self, text):
-        """Compact text in the canonical key order gives the general
-        reader's panel, or its error and message."""
-        with mock.patch("paneldep.panel._walk_snapshot", return_value=None):
-            expected = _read(text)
-        assert _read(text) == expected
+    @given(_nearly_well_formed_docs())
+    @example({**json.loads(load_fixture().to_json()), "blocks": [
+        {"years": [2000, 2001], "keys": [["global", "E1"]], "values": [[1, 2.5]]},
+        {"years": [2001], "keys": [["global", "E2"], ["global", "E3"]],
+         "values": [[1e308], [1e308]]}]})
+    def test_blocks_read_as_their_rows_one_at_a_time(self, doc):
+        """from_json gives the panel, in its order, or the error type and
+        message, that reading each block's rows one at a time gives."""
+        try:
+            indicators = tuple(IndicatorCode(**d) for d in doc["indicators"])
+            expected = PanelDataset(tuple(doc["regions"]), indicators,
+                                    reference_snapshot_cells(doc["blocks"]))
+        except ParseError as exc:
+            expected = type(exc), str(exc)
+        except DomainError as exc:  # a key not listed in the header
+            expected = ParseError, f"panel snapshot: {exc}"
+        try:
+            read = PanelDataset.from_json(json.dumps(doc, separators=(",", ":")))
+        except ParseError as exc:
+            assert (type(exc), str(exc)) == expected
+        else:
+            assert list(read.cells) == list(expected.cells)
+            assert _bits(read) == _bits(expected)
 
     def test_cells_with_equal_years_share_one_tuple(self):
         ds = parse_wdi_wide(WDI_SMALL).merge(parse_gbd_long(GBD_SMALL))
@@ -775,26 +755,13 @@ class TestSnapshotInBulk:
         for series in read.cells.values():
             assert shared.setdefault(series.years, series.years) is series.years
         assert len(shared) == 3  # 2000-2003, 2000-2001 and 2000
+        names = {name: name for name in (*read.regions, *read.codes())}
+        assert all(region is names[region] and code is names[code] for region, code in read.cells)
 
-    @settings(max_examples=300)
-    @given(_SNAPSHOT_CELLS)
-    @example([{"region": "r1", "code": "E1", "years": [2000, 2001], "values": [0.0, None]}])
-    @example([{"region": "r1", "code": "E1", "years": [2000, 2001], "values": [None, None]}])
-    @example([{"region": "r1", "code": "E1", "years": [2000, 2001]}])
-    @example([{"region": "r1", "code": "E1", "years": [2000.0, 2001], "values": [1.0, 2.0]}])
-    @example([{"region": "r1", "code": "E1", "years": [2001, 2000], "values": [1.0, 2.0]}])
-    @example([{"region": "r1", "code": "E1", "years": [2000, 2001], "values": [1.0, math.nan]}])
-    @example([{"region": "r1", "code": "E1", "years": [2000], "values": [1.0]},
-              {"region": "r1", "code": "E1", "years": [2001], "values": [2.0]}])
-    def test_bulk_cells_are_the_cell_by_cell_cells(self, entries):
-        """Where the walker takes a snapshot's cells, reading each on its
-        own gives the same series; where it does not, the general reader
-        runs in its place."""
-        walked = _walk_snapshot(json.dumps({**_HEADER, "cells": entries}, separators=(",", ":")))
-        if walked is None:
-            return
-        _, cells = walked
-        expected = reference_snapshot_cells(entries)
-        assert cells == expected
-        assert [[float.hex(v) if v is not None else v for v in s.values] for s in cells.values()] \
-            == [[float.hex(v) if v is not None else v for v in s.values] for s in expected.values()]
+    def test_cells_come_back_block_by_block(self):
+        ds = parse_wdi_wide("code,2000,2001\nE1,1.0,2.0\nE2,3.0,4.0\n").merge(
+            parse_gbd_long(GBD_SMALL)).merge(parse_wdi_wide("code,2000,2001\nE3,5.0,6.0\n"))
+        read = PanelDataset.from_json(ds.to_json())
+        assert read == ds and read.to_json() == ds.to_json()
+        assert [code for _, code in read.cells] == [
+            "E1", "E2", "depressive|DALYs|20-39", "E3", "depressive|DALYs|40+"]
