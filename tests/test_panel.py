@@ -32,6 +32,7 @@ from paneldep.panel import (
     parse_gbd_long,
     parse_wdi_wide,
     _parse_number,
+    _snapshot_block,
 )
 
 from oracles import reference_align_pair, reference_json_line, reference_snapshot_cells
@@ -675,6 +676,46 @@ def _nearly_well_formed_docs(draw):
     return doc
 
 
+@st.composite
+def _snapshot_blocks(draw):
+    """Well-formed blocks (keys [str, str], values rows of floats and nulls
+    as long as the years), often with one year, key, value or row replaced;
+    keys drawn from few names often repeat."""
+    names = st.sampled_from(["r1", "r2", "E1", "E2"])
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        years = list(draw(_YEARS))
+        rows = draw(st.integers(1, 3))
+        blocks.append({
+            "years": years,
+            "keys": draw(st.lists(st.lists(names, min_size=2, max_size=2),
+                                  min_size=rows, max_size=rows)),
+            "values": draw(st.lists(st.lists(_EDGE_VALUES, min_size=len(years),
+                                             max_size=len(years)),
+                                    min_size=rows, max_size=rows))})
+    change = draw(st.sampled_from([None, "year", "value", "row", "key"]))
+    block = draw(st.sampled_from(blocks))
+    row = draw(st.integers(0, len(block["keys"]) - 1))
+    column = draw(st.integers(0, len(block["years"]) - 1))
+    if change == "year":
+        block["years"][column] = draw(JSON_SCALARS | st.sampled_from(block["years"]))
+    elif change == "value":
+        block["values"][row][column] = draw(JSON_SCALARS | st.integers(-2, 2))
+    elif change == "row":
+        block["values"][row] = draw(st.lists(_EDGE_VALUES, max_size=5) | JSON_SCALARS)
+    elif change == "key":
+        block["keys"][row] = draw(JSON_SCALARS | st.lists(names | JSON_SCALARS, max_size=3))
+    return blocks
+
+
+def _read_layout(text):
+    """from_json's panel as its cells' bits, in order, or its error."""
+    try:
+        return list(PanelDataset.from_json(text).cells), _bits(PanelDataset.from_json(text))
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
 def _bits(ds):
     """Each cell's years and value bits, by key."""
     return {key: (s.years, [v if v is None else float.hex(v) for v in s.values])
@@ -746,6 +787,54 @@ class TestSnapshotInBulk:
         else:
             assert list(read.cells) == list(expected.cells)
             assert _bits(read) == _bits(expected)
+
+    @settings(max_examples=200)
+    @given(_nearly_well_formed_docs())
+    def test_walked_text_reads_as_the_general_reader_reads_it(self, doc):
+        """The compact text the writer walks out and the same document with
+        other whitespace and key order give one panel, or one error."""
+        reordered = {key: doc[key] for key in reversed(doc)}
+        reordered["blocks"] = [dict(reversed(block.items())) for block in doc["blocks"]]
+        compact = json.dumps(doc, separators=(",", ":"))
+        expected = _read_layout(compact)
+        for text in (json.dumps(doc, indent=1), json.dumps(reordered, indent="\t") + "\n"):
+            assert _read_layout(text) == expected
+
+    @settings(max_examples=300)
+    @given(_snapshot_blocks())
+    @example([{"years": [2000, 2001], "keys": [["r1", "E1"]], "values": [[0.0, None]]}])
+    @example([{"years": [2000, 2001], "keys": [["r1", "E1"]], "values": [[None, None]]}])
+    @example([{"years": [2000, 2001], "keys": [["r1", "E1"]], "values": [[1, 2.5]]}])
+    @example([{"years": [2000.0, 2001], "keys": [["r1", "E1"]], "values": [[1.0, 2.0]]}])
+    @example([{"years": [2001, 2000], "keys": [["r1", "E1"]], "values": [[1.0, 2.0]]}])
+    @example([{"years": [2000, 2001], "keys": [["r1", "E1"]], "values": [[1.0, math.nan]]}])
+    @example([{"years": [2000], "keys": [["r1", "E1"]], "values": [[1.0]]},
+              {"years": [2001], "keys": [["r1", "E1"]], "values": [[2.0]]}])
+    @example([{"years": [2000], "keys": [["r1", "E1"], ["r1", "E1"]], "values": [[1.0], [2.0]]}])
+    def test_bulk_cells_are_the_cell_by_cell_cells(self, blocks):
+        """Where a block passes the bulk checks (its rows are taken, each
+        left None), reading each row on its own gives the same series;
+        where it does not, the row-by-row read names the same first error."""
+        try:
+            expected = reference_snapshot_cells(blocks)
+        except ParseError as exc:
+            expected = type(exc), str(exc)
+        copies = json.loads(json.dumps(blocks))
+        cells = {}
+        try:
+            for block in copies:
+                _snapshot_block(block, {}, cells)
+        except ParseError as exc:
+            assert (type(exc), str(exc)) == expected
+            return
+        assert list(cells) == list(expected)
+        assert {k: (s.years, [v if v is None else float.hex(v) for v in s.values])
+                for k, s in cells.items()} == \
+            {k: (s.years, [v if v is None else float.hex(v) for v in s.values])
+             for k, s in expected.items()}
+        for block, copy in zip(blocks, copies):
+            if copy["values"] == [None] * len(copy["keys"]):  # taken in bulk
+                assert all(type(v) is float or v is None for row in block["values"] for v in row)
 
     def test_cells_with_equal_years_share_one_tuple(self):
         ds = parse_wdi_wide(WDI_SMALL).merge(parse_gbd_long(GBD_SMALL))
