@@ -8,6 +8,7 @@ for every pairwise method in the battery.
 
 from __future__ import annotations
 
+import binascii
 import csv
 import io
 import itertools
@@ -15,7 +16,12 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+import struct
+import sys
+from array import array
+from bisect import bisect_right
+from collections.abc import Mapping
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
@@ -172,23 +178,10 @@ def age_group_of_code(code: str) -> AgeGroup:
     return AgeGroup.ALL_AGES
 
 
-_FLOAT_OR_NONE = {float, type(None)}
-
-
 def _check_finite(values) -> tuple:
     """``values`` with each number as its float; raise DomainError unless
     each value is None or a finite number other than a bool (numpy's bool
-    is no ``numbers.Number``).
-
-    Floats whose sum is finite are all finite, so a series of floats and
-    Nones passes with one sum and comes back as it is; a NaN, an infinity,
-    another type or a sum that overflows sends every value through its own
-    check.
-    """
-    if set(map(type, values)) <= _FLOAT_OR_NONE:
-        total = sum(filter(None, values))  # None and zeros add nothing
-        if total - total == 0.0:
-            return values
+    is no ``numbers.Number``)."""
     checked = []
     for value in values:
         if value is not None:
@@ -208,8 +201,6 @@ def _check_finite(values) -> tuple:
 def _check_years(years) -> tuple:
     """``years`` as a tuple of ints; raise DomainError unless each year is an
     integer other than a bool (a numpy integer is stored as its int)."""
-    if type(years) is tuple and set(map(type, years)) <= {int}:
-        return years
     checked = []
     for year in years:
         if isinstance(year, bool) or not isinstance(year, numbers.Integral):
@@ -231,11 +222,8 @@ class AnnualSeries:
     values: tuple[float | None, ...]
 
     def __post_init__(self):
-        years, values = _check_years(self.years), _check_finite(self.values)
-        if years is not self.years:
-            object.__setattr__(self, "years", years)
-        if values is not self.values:
-            object.__setattr__(self, "values", values)
+        object.__setattr__(self, "years", _check_years(self.years))
+        object.__setattr__(self, "values", _check_finite(self.values))
         if len(self.years) != len(self.values):
             raise DomainError("years and values differ in length")
         if any(map(operator.le, self.years[1:], self.years)):
@@ -294,27 +282,110 @@ def align_pair(a: AnnualSeries, b: AnnualSeries,
     return AlignedPair(tuple(x), tuple(y), tuple(years))
 
 
-@dataclass
+#: A gap in a block: the quiet NaN whose bits, 0x7FF8000000000000, are the
+#: one gap a snapshot holds.
+(_GAP,) = struct.unpack("<d", bytes.fromhex("000000000000f87f"))
+
+
+class SeriesBlock:
+    """The series of a panel that share one years tuple: their (region,
+    code) keys and their values, one flat float64 array of keys by years,
+    row-major, with ``_GAP`` for a gap. No block is empty, and no row is all
+    gaps."""
+
+    __slots__ = ("years", "keys", "values")
+
+    def __init__(self, years: tuple[int, ...], keys: list[tuple[str, str]], values: array):
+        self.years, self.keys, self.values = years, keys, values
+
+    def series(self, row: int) -> AnnualSeries:
+        """Row ``row`` as an AnnualSeries, None for each gap."""
+        n = len(self.years)
+        values = self.values[row * n:row * n + n].tolist()
+        return AnnualSeries._checked(self.years, tuple([None if v != v else v for v in values]))
+
+
+def _blocks_of(series) -> list[SeriesBlock]:
+    """One block per distinct years tuple of ``series``, (key, years, values)
+    triples, in the order the triples first use it, its rows in theirs."""
+    blocks: dict[tuple, SeriesBlock] = {}
+    for key, years, values in series:
+        block = blocks.get(years)
+        if block is None:
+            block = blocks[years] = SeriesBlock(years, [], array("d"))
+        block.keys.append(key)
+        block.values.extend(values)
+    return list(blocks.values())
+
+
 class PanelDataset:
-    """Immutable-by-convention panel of (region, code) -> AnnualSeries."""
+    """Panel of (region, code) -> annual series, immutable by convention.
 
-    regions: tuple[str, ...]
-    indicators: tuple[IndicatorCode, ...]
-    cells: dict[tuple[str, str], AnnualSeries] = field(default_factory=dict)
+    ``blocks`` holds the series: one ``SeriesBlock`` per distinct years
+    tuple, in the order the cells first use it, its rows in cell order.
+    ``index`` maps each (region, code), in cell order, to its row among the
+    blocks' rows counted block by block. ``cells`` is a read-only mapping
+    over it that builds each AnnualSeries when it is read, and the
+    constructor takes such a mapping.
+    """
 
-    def __post_init__(self):
+    def __init__(self, regions: tuple[str, ...], indicators: tuple[IndicatorCode, ...],
+                 cells: Mapping[tuple[str, str], AnnualSeries] | None = None):
+        cells = {} if cells is None else cells
+        self._hold(regions, indicators, _blocks_of(
+            (key, s.years, [_GAP if v is None else v for v in s.values])
+            for key, s in cells.items()), cells)
+
+    @classmethod
+    def _of_blocks(cls, regions, indicators, blocks, order) -> "PanelDataset":
+        """A panel of ``blocks`` in the cell order ``order`` (see ``_hold``)."""
+        panel = cls.__new__(cls)
+        panel._hold(regions, indicators, blocks, order)
+        return panel
+
+    def _hold(self, regions, indicators, blocks, order) -> None:
+        """Hold ``blocks``, those of equal years joined in turn, with the
+        cell order of the keys ``order``. A key held twice, a repeated
+        region or code, or a key whose region or code is not listed is a
+        DomainError."""
+        joined = {}
+        for block in blocks:
+            same = joined.get(block.years)
+            joined[block.years] = block if same is None else SeriesBlock(
+                block.years, same.keys + block.keys, same.values + block.values)
+        self.regions, self.indicators, self.blocks = regions, indicators, tuple(joined.values())
+        self._starts = list(itertools.accumulate((len(b.keys) for b in self.blocks), initial=0))
+        rows = {}
+        for block, start in zip(self.blocks, self._starts):
+            rows.update(zip(block.keys, range(start, start + len(block.keys))))
+        if len(rows) < self._starts[-1]:
+            seen = set()
+            for key in order:
+                if key in seen:
+                    raise DomainError(f"cell {key} more than once")
+                seen.add(key)
+        self.index = {key: rows[key] for key in order}
         codes = self.codes()
-        for what, names in (("regions", self.regions), ("indicators", codes)):
+        for what, names in (("regions", regions), ("indicators", codes)):
             if len(set(names)) < len(names):
                 repeated = sorted({name for name in names if names.count(name) > 1})
                 raise DomainError(f"{what} list {repeated} more than once")
-        known = set(codes)
-        regions = set(self.regions)
-        for region, code in self.cells:
+        known, listed = set(codes), set(regions)
+        for region, code in self.index:
             if code not in known:
                 raise DomainError(f"cell code {code!r} not in indicator list")
-            if region not in regions:
+            if region not in listed:
                 raise DomainError(f"cell region {region!r} not in region list")
+
+    @property
+    def cells(self) -> Mapping[tuple[str, str], AnnualSeries]:
+        return _Cells(self)
+
+    def __eq__(self, other):
+        if type(other) is not PanelDataset:
+            return NotImplemented
+        return ((self.regions, self.indicators, self.cells)
+                == (other.regions, other.indicators, other.cells))
 
     def codes(self) -> tuple[str, ...]:
         return tuple(ind.code for ind in self.indicators)
@@ -325,7 +396,7 @@ class PanelDataset:
     def restrict_region(self, region: str) -> "PanelDataset":
         if region not in self.regions:
             raise NotFoundError(f"region {region!r} not in dataset")
-        cells = {k: v for k, v in self.cells.items() if k[0] == region}
+        cells = {key: self.cells[key] for key in self.index if key[0] == region}
         keep = {code for _, code in cells}
         return PanelDataset(
             regions=(region,),
@@ -339,7 +410,7 @@ class PanelDataset:
         Region and code order: self first, then whatever ``other`` adds.
         A (region, code) pair present in both is a duplicate-key error.
         """
-        overlap = self.cells.keys() & other.cells.keys()
+        overlap = self.index.keys() & other.index.keys()
         if overlap:
             raise DuplicateKeyError(
                 f"series present in both panels: {sorted(overlap)[:3]}"
@@ -349,8 +420,8 @@ class PanelDataset:
         known = {i.code for i in self.indicators}
         indicators = list(self.indicators)
         indicators += [i for i in other.indicators if i.code not in known]
-        return PanelDataset(tuple(regions), tuple(indicators),
-                            {**self.cells, **other.cells})
+        return PanelDataset._of_blocks(tuple(regions), tuple(indicators),
+                                       self.blocks + other.blocks, [*self.index, *other.index])
 
     # -- serialization ----------------------------------------------------
 
@@ -365,71 +436,46 @@ class PanelDataset:
 
     def _json_pieces(self):
         """The snapshot's line in pieces: the header of regions and
-        indicators, then each block's years and keys, its values rows
-        ``_PIECE_CELLS`` at a time and its closing brackets, then the
-        document's. Their join is what ``json.dumps`` with separators ","
-        and ":" writes for the document of regions, indicators and blocks:
-        one block per distinct years tuple, in the order the cells first
-        use it, its rows in cell order."""
+        indicators, then each block's years and keys, the base64 of its
+        values' little-endian bytes ``_PIECE_CELLS`` rows at a time (cut to
+        whole 3-byte groups, so the pieces join to the block's base64) and
+        its close, then the document's. Their join is what ``json.dumps``
+        with separators "," and ":" writes for the document of regions,
+        indicators and blocks."""
         encode = _COMPACT.encode
         yield encode({"regions": self.regions, "indicators": [
             {"code": i.code, "name": i.name, "category": i.category, "units": i.units}
             for i in self.indicators]})[:-1] + ',"blocks":['
-        blocks = {}  # years -> keys of its cells
-        for key, series in self.cells.items():
-            blocks.setdefault(series.years, []).append(key)
-        for index, (years, keys) in enumerate(blocks.items()):
-            yield '%s{"years":%s,"keys":%s,"values":[' % (
-                "," if index else "", encode(years), encode(keys))
-            for start in range(0, len(keys), _PIECE_CELLS):
-                rows = [self.cells[key].values for key in keys[start:start + _PIECE_CELLS]]
-                yield ("," if start else "") + encode(rows)[1:-1]
-            yield "]}"
+        for index, block in enumerate(self.blocks):
+            yield '%s{"years":%s,"keys":%s,"values":"' % (
+                "," if index else "", encode(block.years), encode(block.keys))
+            values = block.values
+            if sys.byteorder == "big":
+                values = array("d", values)
+                values.byteswap()
+            data = memoryview(values).cast("B")
+            step = 8 * len(block.years) * _PIECE_CELLS // 3 * 3
+            for start in range(0, len(data), step):
+                yield binascii.b2a_base64(data[start:start + step], newline=False).decode()
+            yield '"}'
         yield "]}"
 
     @classmethod
     def from_json(cls, text: str) -> "PanelDataset":
-        """Inverse of to_json, whatever the text's JSON whitespace: one
-        ``json.loads``, then the header's checks (strings; regions and codes
-        unrepeated; each cell's key listed) and each block's
-        (``_snapshot_block``). Anything else is a ParseError, as is the
-        per-cell layout of earlier versions. Cells come back block by block.
-        """
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"panel snapshot is not valid JSON: {exc}") from None
-        if type(doc) is not dict:
-            raise ParseError("panel snapshot: the document must be a JSON object")
-        if "cells" in doc and "blocks" not in doc:
-            raise ParseError('panel snapshot is in the old per-cell layout ("cells"); '
-                             "re-run `paneldep ingest` to write it in blocks")
-        try:
-            regions = _snapshot_list(doc["regions"], "regions", str)
-            indicators = tuple(
-                IndicatorCode(*_snapshot_strings(d, "indicator",
-                                                 ("code", "name", "category", "units")))
-                for d in _snapshot_list(doc["indicators"], "indicators", dict)
-            )
-            names = {name: name for name in (*regions, *(i.code for i in indicators))}
-            cells = {}
-            for block in _snapshot_list(doc["blocks"], "blocks", dict):
-                _snapshot_block(block, names, cells)
-            return cls(tuple(regions), indicators, cells)
-        except KeyError as exc:
-            raise ParseError(f"panel snapshot missing field: {exc}") from None
-        except (DomainError, TypeError) as exc:
-            raise ParseError(f"panel snapshot: {exc}") from None
+        """Inverse of to_json; see ``snapshot.read_snapshot``."""
+        from .snapshot import read_snapshot  # only a run that reads a snapshot loads it
+
+        return read_snapshot(text)
 
     def to_wdi_csv(self) -> str:
         """Wide CSV over the union of all years; missing marker "-"."""
-        all_years = sorted({y for s in self.cells.values() for y in s.years})
+        all_years = sorted({y for block in self.blocks for y in block.years})
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["code", "region"] + [str(y) for y in all_years])
         for ind in self.indicators:
             for region in self.regions:
-                s = self.cells.get((region, ind.code))
+                s = self.series(region, ind.code)
                 if s is None:
                     continue
                 present = s.present()
@@ -451,87 +497,34 @@ class PanelDataset:
         return digest.hexdigest()
 
 
+class _Cells(Mapping):
+    """A panel's (region, code) -> AnnualSeries, in cell order, read-only;
+    each series is built from its block row when it is read."""
+
+    def __init__(self, panel: PanelDataset):
+        self._panel = panel
+
+    def __getitem__(self, key) -> AnnualSeries:
+        panel = self._panel
+        row = panel.index[key]
+        at = bisect_right(panel._starts, row) - 1
+        return panel.blocks[at].series(row - panel._starts[at])
+
+    def __contains__(self, key) -> bool:
+        return key in self._panel.index
+
+    def __iter__(self):
+        return iter(self._panel.index)
+
+    def __len__(self) -> int:
+        return len(self._panel.index)
+
+
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
-
-_TYPE_NAMES = {str: "strings", dict: "objects"}
-
-
-def _snapshot_list(value, field: str, kind: type) -> list:
-    """A snapshot field that must be a list of ``kind``."""
-    if type(value) is not list or not all(type(item) is kind for item in value):
-        raise ParseError(f"panel snapshot: {field} must be a list of {_TYPE_NAMES[kind]}")
-    return value
-
-
-def _snapshot_strings(entry: dict, what: str, names: tuple[str, ...]) -> tuple[str, ...]:
-    """The fields ``names`` of a snapshot entry, each of which must be a string."""
-    values = tuple(entry[name] for name in names)
-    for name, value in zip(names, values):
-        if type(value) is not str:
-            raise ParseError(f"panel snapshot: {what} {name} must be a string, "
-                             f"got {type(value).__name__}")
-    return values
-
 
 #: Values rows per piece of the snapshot line that ``PanelDataset._json_pieces``
 #: yields; the fingerprint hashes one piece at a time.
 _PIECE_CELLS = 256
-
-
-def _snapshot_block(block: dict, names: dict, cells: dict) -> None:
-    """Add one snapshot block's cells to ``cells``, sharing one years tuple
-    and the header's strings (``names``). Checked in bulk: integer years in
-    increasing order; keys [str, str], none repeated or already in
-    ``cells``; one row per key as long as the years, of floats and nulls
-    with a finite sum, none all null. A block that fails is read row by
-    row: the first bad row raises its own message, and ints pass as floats.
-    """
-    years, keys, rows = block["years"], block["keys"], block["values"]
-    if type(keys) is not list or type(rows) is not list or not keys or len(keys) != len(rows):
-        raise ParseError("panel snapshot: a block's keys and values must be non-empty "
-                         "lists, one values row per key")
-    if (type(years) is list and set(map(type, years)) <= {int}
-            and not any(map(operator.le, years[1:], years))
-            and set(map(type, keys)) <= {list} and set(map(len, keys)) <= {2}
-            and set(map(type, itertools.chain.from_iterable(keys))) <= {str}
-            and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(years)}
-            and set(map(type, itertools.chain.from_iterable(rows))) <= _FLOAT_OR_NONE):
-        total = sum(filter(None, itertools.chain.from_iterable(rows)))  # finite if each is
-        if total - total == 0.0 and (all(map(any, rows))  # else a row of zeros and nulls
-                                     or not any(r.count(None) == len(r) for r in rows)):
-            read = dict.fromkeys((names.get(region, region), names.get(code, code))
-                                 for region, code in keys)
-            if len(read) == len(keys) and cells.keys().isdisjoint(read):
-                shared = tuple(years)
-                for index, key in enumerate(read):  # each row's list goes as its tuple comes
-                    read[key] = AnnualSeries._checked(shared, tuple(rows[index]))
-                    rows[index] = None
-                cells.update(read)
-                return
-    for key, values in zip(keys, rows):
-        if type(key) is not list or len(key) != 2 or not type(key[0]) is type(key[1]) is str:
-            raise ParseError(f"panel snapshot: key {key!r} must be a [region, code] "
-                             "pair of strings")
-        key = (names.get(key[0], key[0]), names.get(key[1], key[1]))
-        if key in cells:
-            raise DuplicateKeyError(f"panel snapshot repeats cell {key}")
-        cells[key] = _snapshot_series(key, years, values)
-
-
-def _snapshot_series(key, years, values) -> AnnualSeries:
-    """One snapshot cell; integer years, finite values, as the CSVs require.
-
-    AnnualSeries takes each value as a float and rejects a non-finite one
-    or one that is no number.
-    """
-    try:
-        if type(years) is not list or type(values) is not list:
-            raise ParseError("years and values must be lists")
-        if not set(map(type, years)) <= {int}:
-            raise ParseError("years must be integers")
-        return AnnualSeries(tuple(years), tuple(values))
-    except (ParseError, DomainError) as exc:
-        raise ParseError(f"panel snapshot cell {key}: {exc}") from None
 
 
 def _csv_records(text: str):
@@ -593,7 +586,8 @@ def parse_wdi_wide(text: str, default_region: str = DEFAULT_REGION) -> PanelData
         raise ParseError("line 1: year columns must be strictly increasing")
     years = tuple(years)
 
-    cells: dict[tuple[str, str], AnnualSeries] = {}
+    keys: dict[tuple[str, str], None] = {}
+    values = array("d")
     for line_no, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError(
@@ -605,24 +599,23 @@ def parse_wdi_wide(text: str, default_region: str = DEFAULT_REGION) -> PanelData
         region = row[1].strip() if has_region else default_region
         region = region or default_region
         key = (region, code)
-        if key in cells:
+        if key in keys:
             raise DuplicateKeyError(
                 f"line {line_no}: duplicate series for region {region!r}, "
                 f"code {code!r}"
             )
-        # the header's years and _wide_values' values are checked already
-        cells[key] = AnnualSeries._checked(years, _wide_values(row[first_year_col:], years,
-                                                               line_no, code))
-    if not cells:
+        keys[key] = None
+        values.extend(_wide_values(row[first_year_col:], years, line_no, code))
+    if not keys:
         raise ParseError("no data rows after header")
-    return _panel_of(cells)
+    return _panel_of([SeriesBlock(years, list(keys), values)], keys)
 
 
 _MISSING_MARKERS = frozenset(("-", ""))
 
 
 def _wide_values(cells: list[str], years: tuple, line_no: int, code: str) -> tuple:
-    """The values of one wide row, None for each missing marker ("-" or
+    """The values of one wide row, ``_GAP`` for each missing marker ("-" or
     empty, with spaces around it or not).
 
     The cells go through ``float`` in one pass; in a row with markers, the
@@ -635,12 +628,12 @@ def _wide_values(cells: list[str], years: tuple, line_no: int, code: str) -> tup
         values = present = tuple(map(float, cells))
     except ValueError:
         try:
-            values = tuple([None if cell in _MISSING_MARKERS else float(cell)
+            values = tuple([_GAP if cell in _MISSING_MARKERS else float(cell)
                             for cell in map(str.strip, cells)])
         except ValueError:  # some cell is neither a number nor a marker
             present = None
-        else:
-            present = [v for v in values if v is not None]
+        else:  # a "nan" cell is a NaN of its own, which the sum below catches
+            present = [v for v in values if v is not _GAP]
             if not present:
                 raise ParseError(f"line {line_no}: series {code!r} has no values") from None
     if present is not None:
@@ -682,6 +675,7 @@ def parse_gbd_long(text: str) -> PanelDataset:
 
     points: dict[tuple[str, str], dict[int, float]] = {}
     outcomes: dict[tuple[str, str, str], tuple[str, AgeGroup]] = {}
+    years: dict[str, int] = {}  # each distinct year text, checked once
     for line_no, row in records:
         if len(row) != len(GBD_HEADER):
             raise ParseError(f"line {line_no}: expected {len(GBD_HEADER)} fields")
@@ -696,9 +690,11 @@ def parse_gbd_long(text: str) -> PanelDataset:
             outcome = outcomes[age_text, cause, measure] = (
                 outcome_code(cause, measure, age), age)
         code, age = outcome
-        if not _looks_like_year(year_text):
-            raise ParseError(f"line {line_no}: year {year_text!r} is not a four-digit year")
-        year = int(year_text)
+        year = years.get(year_text)
+        if year is None:
+            if not _looks_like_year(year_text):
+                raise ParseError(f"line {line_no}: year {year_text!r} is not a four-digit year")
+            year = years[year_text] = int(year_text)
         try:
             value = float(value_text)
         except ValueError:
@@ -717,20 +713,19 @@ def parse_gbd_long(text: str) -> PanelDataset:
         series[year] = value
     if not points:
         raise ParseError("no data rows after header")
-
-    cells = {}
-    for key, by_year in points.items():  # four-digit years, finite values, each checked
-        years = tuple(sorted(by_year))
-        cells[key] = AnnualSeries._checked(years, tuple(map(by_year.__getitem__, years)))
-    return _panel_of(cells)
+    # four-digit years, finite values, each checked
+    return _panel_of(_blocks_of((key, span, map(by_year.__getitem__, span))
+                                for key, by_year in points.items()
+                                for span in [tuple(sorted(by_year))]), points)
 
 
-def _panel_of(cells: dict[tuple[str, str], AnnualSeries]) -> PanelDataset:
-    """A parsed panel; regions and codes in the order their first cell came."""
-    return PanelDataset(
-        tuple(dict.fromkeys(region for region, _ in cells)),
-        tuple(map(_classify_code, dict.fromkeys(code for _, code in cells))),
-        cells,
+def _panel_of(blocks: list[SeriesBlock], keys) -> PanelDataset:
+    """A parsed panel of ``blocks``, its cells in the order of ``keys``, and
+    its regions and codes in the order their first cell came."""
+    return PanelDataset._of_blocks(
+        tuple(dict.fromkeys(region for region, _ in keys)),
+        tuple(map(_classify_code, dict.fromkeys(code for _, code in keys))),
+        blocks, keys,
     )
 
 

@@ -109,17 +109,16 @@ class PairTable:
         """
         shape = (len(dataset.regions), len(outcomes), len(indicators))
         codes = {code: i for i, code in enumerate(dict.fromkeys((*outcomes, *indicators)))}
-        found = [dataset.cells.get((region, code)) for region in dataset.regions for code in codes]
-        held = [i for i, series in enumerate(found) if series is not None]
-        grid = np.full((shape[0], len(codes)), -1, dtype=np.intp)  # series id, or -1
-        grid.flat[held] = np.arange(len(held))
+        index = dataset.index
+        grid = np.array([index.get((region, code), -1) for region in dataset.regions
+                         for code in codes], dtype=np.intp).reshape(shape[0], len(codes))
         y_all = np.broadcast_to(grid[:, [codes[c] for c in outcomes], None], shape).ravel()
         x_all = np.broadcast_to(grid[:, None, [codes[c] for c in indicators]], shape).ravel()
         paired = (x_all >= 0) & (y_all >= 0)
         places = np.flatnonzero(paired)
         xs, ys = x_all[places], y_all[places]
 
-        years_of, positions, pattern, first, flat = _value_runs([found[i] for i in held])
+        years_of, positions, pattern, first, flat = _value_runs(dataset.blocks)
         arrays = [np.array(years) for years in years_of]
 
         # one intersection per (x pattern, y pattern) combination gives its
@@ -189,38 +188,35 @@ def shared(value: str, size: int) -> np.ndarray:
     return np.broadcast_to(np.array(value), (size,))
 
 
-def _value_runs(series: list) -> tuple[list[tuple], list, np.ndarray, np.ndarray, np.ndarray]:
+def _value_runs(blocks) -> tuple[list[tuple], list, np.ndarray, np.ndarray, np.ndarray]:
     """Each pattern's years and their positions in its years tuple, each
-    series' pattern id and the start of its run, and the flat float64 array
-    of runs. A pattern is the tuple of years in which a series holds a
-    value, found once per distinct presence row of each years tuple; a run
-    is a series' values over its own years, NaN where one is missing (a
-    value is never NaN, see ``AnnualSeries``), so memory grows with the
-    points the series hold, never with a span of years."""
-    by_years: dict[tuple, list[int]] = {}
-    for i, item in enumerate(series):
-        by_years.setdefault(item.years, []).append(i)
-    patterns, positions = [], []
-    pattern = np.empty(len(series), dtype=np.intp)
-    first = np.empty(len(series), dtype=np.intp)
-    blocks, offset = [], 0
-    for years, members in by_years.items():
-        values = np.array([series[i].values for i in members], dtype=float
-                          ).reshape(len(members), len(years))
+    series' pattern id and the start of its run, by its row among the
+    blocks' rows (``PanelDataset.index``), and the flat float64 array of
+    runs, the blocks' values one after another. A pattern is the tuple of
+    years in which a series holds a value, found once per distinct presence
+    row of each block; a run is a series' values over its own years, NaN
+    where one is missing, so memory grows with the points the series hold,
+    never with a span of years."""
+    patterns, positions, kinds, first, runs = [], [], [], [], []
+    offset = 0
+    for block in blocks:
+        n = len(block.years)
+        values = np.frombuffer(block.values).reshape(-1, n)
         # one opaque item per presence row: np.unique(axis=0) would sort a
         # bool row field by field, tens of times slower
-        rows, kind = np.unique((~np.isnan(values)).view(f"V{len(years)}").ravel(),
+        rows, kind = np.unique((~np.isnan(values)).view(f"V{n}").ravel(),
                                return_inverse=True)
-        pattern[members] = len(patterns) + kind
-        for row in rows.view(bool).reshape(len(rows), len(years)):
-            patterns.append(tuple(compress(years, row.tolist())))
+        kinds.append(len(patterns) + kind)
+        for row in rows.view(bool).reshape(len(rows), n):
+            patterns.append(tuple(compress(block.years, row.tolist())))
             positions.append(np.flatnonzero(row))
-        first[members] = offset + np.arange(0, values.size, len(years))
+        first.append(np.arange(offset, offset + values.size, n))
         offset += values.size
-        blocks.append(values.ravel())
+        runs.append(values.ravel())
     # one block's values are the flat array as they are, not a copy of them
-    flat = blocks[0] if len(blocks) == 1 else np.concatenate([np.empty(0), *blocks])
-    return patterns, positions, pattern, first, flat
+    flat = runs[0] if len(runs) == 1 else np.concatenate([np.empty(0), *runs])
+    return (patterns, positions, np.concatenate([_EMPTY, *kinds]),
+            np.concatenate([_EMPTY, *first]), flat)
 
 
 def _unit_scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

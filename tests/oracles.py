@@ -1,13 +1,15 @@
 """Slow reference implementations the fast code is checked against."""
 
+import base64
 import dataclasses
 import itertools
 import json
 import math
+import struct
 
 import numpy as np
 
-from paneldep.errors import DomainError, DuplicateKeyError, InsufficientOverlapError, ParseError
+from paneldep.errors import DomainError, InsufficientOverlapError, ParseError
 from paneldep.panel import AlignedPair, AnnualSeries
 from paneldep.special import log_beta
 
@@ -579,7 +581,19 @@ def reference_bundle_json(bundle) -> str:
 
 
 # The snapshot encoder and reader without bulk steps: one ``json.dumps`` of
-# the whole block document, and each row of each block read on its own.
+# the whole block document, and each value packed or read by ``struct`` on
+# its own, little-endian whatever the host's byte order.
+
+#: The bits of a gap, little-endian.
+GAP_BYTES = bytes.fromhex("000000000000f87f")
+
+
+def pack_values(rows) -> str:
+    """The base64 of rows of values, each a little-endian double, GAP_BYTES
+    for a None."""
+    return base64.b64encode(b"".join(GAP_BYTES if v is None else struct.pack("<d", v)
+                                     for row in rows for v in row)).decode()
+
 
 def reference_json_line(dataset) -> str:
     """The snapshot line: one block per distinct years tuple, in the order
@@ -589,6 +603,8 @@ def reference_json_line(dataset) -> str:
         block = blocks.setdefault(s.years, {"years": s.years, "keys": [], "values": []})
         block["keys"].append([region, code])
         block["values"].append(s.values)
+    for block in blocks.values():
+        block["values"] = pack_values(block["values"])
     doc = {
         "regions": list(dataset.regions),
         "indicators": [
@@ -601,26 +617,31 @@ def reference_json_line(dataset) -> str:
 
 
 def reference_snapshot_cells(blocks: list) -> dict:
-    """(region, code) -> AnnualSeries of each row of well-formed blocks (a
-    dict each, keys and values non-empty lists of one length), read one row at a
-    time; raises the ParseError of the first bad row (a [str, str] key, not
-    seen before, integer years, values AnnualSeries takes)."""
-    cells = {}
+    """(region, code) -> AnnualSeries of the rows of blocks whose fields are
+    well-formed (increasing integer years, [str, str] keys, the base64 of as
+    many doubles as keys by years), each value unpacked on its own, a NaN
+    read as a gap. Raises the ParseError of a block's first infinity, else
+    of its first row of gaps only, block by block, then of the first cell
+    held twice."""
+    read = []
     for block in blocks:
-        years = block["years"]
-        for key, values in zip(block["keys"], block["values"]):
-            if not (type(key) is list and len(key) == 2 and type(key[0]) is type(key[1]) is str):
-                raise ParseError(f"panel snapshot: key {key!r} must be a [region, code] "
-                                 "pair of strings")
-            key = tuple(key)
-            if key in cells:
-                raise DuplicateKeyError(f"panel snapshot repeats cell {key}")
-            try:
-                if type(years) is not list or type(values) is not list:
-                    raise DomainError("years and values must be lists")
-                if not all(type(year) is int for year in years):
-                    raise DomainError("years must be integers")
-                cells[key] = AnnualSeries(tuple(years), tuple(values))
-            except DomainError as exc:
-                raise ParseError(f"panel snapshot cell {key}: {exc}") from None
+        years, n = block["years"], len(block["years"])
+        data = base64.b64decode(block["values"])
+        rows = [struct.unpack("<%dd" % n, data[8 * n * i:8 * n * (i + 1)])
+                for i in range(len(block["keys"]))]
+        keys = [tuple(key) for key in block["keys"]]
+        for key, row in zip(keys, rows):
+            for year, value in zip(years, row):
+                if math.isinf(value):
+                    raise ParseError(f"panel snapshot cell {key}: value {value!r} "
+                                     f"in year {year} is not finite")
+        for key, row in zip(keys, rows):
+            if all(map(math.isnan, row)):
+                raise ParseError(f"panel snapshot cell {key}: series has no values at all")
+        read += [(key, tuple(years), row) for key, row in zip(keys, rows)]
+    cells = {}
+    for key, years, row in read:
+        if key in cells:
+            raise ParseError(f"panel snapshot: cell {key} more than once")
+        cells[key] = AnnualSeries(years, tuple(None if math.isnan(v) else v for v in row))
     return cells

@@ -1,7 +1,9 @@
+import base64
 import gc
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,8 @@ from paneldep.battery import (
 from paneldep.cli import main
 from paneldep.errors import PanelDepError, ParseError
 from paneldep.panel import PanelDataset, parse_wdi_wide
+
+from oracles import pack_values
 
 
 @pytest.fixture()
@@ -107,6 +111,8 @@ class TestIngest:
         assert ds.regions == ("R2",)
 
 
+E1_ROW, S1_ROW = [1.0, 2.0, 3.0, 5.0], [60.0, 61.0, 60.5, 62.0]
+
 SNAPSHOT = {
     "regions": ["global"],
     "indicators": [
@@ -116,7 +122,7 @@ SNAPSHOT = {
     "blocks": [
         {"years": [2000, 2001, 2002, 2003],
          "keys": [["global", "E1"], ["global", "S1"]],
-         "values": [[1.0, 2.0, 3.0, 5.0], [60.0, 61.0, 60.5, 62.0]]},
+         "values": pack_values([E1_ROW, S1_ROW])},
     ],
 }
 
@@ -131,45 +137,72 @@ def _snapshot_with(*path, value):
     return json.dumps(doc)
 
 
-E1_CELL = "cell ('global', 'E1')"
+def _values_with(e1=E1_ROW, s1=S1_ROW, extra=b""):
+    """SNAPSHOT with the block's values packed from these rows and bytes."""
+    packed = base64.b64decode(pack_values([e1, s1])) + extra
+    return _snapshot_with("blocks", 0, "values", value=base64.b64encode(packed).decode())
+
+
+def _nans(*bits):
+    """NaNs with other bits than the gap's: sign, quiet bit, payload."""
+    return [struct.unpack("<d", struct.pack("<Q", b))[0] for b in bits]
+
+
+E1_CELL, S1_CELL, BLOCK = "cell ('global', 'E1')", "cell ('global', 'S1')", "block 0"
 
 
 class TestSnapshotValidation:
     @pytest.mark.parametrize("text, message", [
-        (_snapshot_with("blocks", 0, "values", 0, value=[1.0, "abc", 3.0, 5.0]),
-         f"{E1_CELL}: value 'abc' is not a finite float"),
-        (json.dumps(SNAPSHOT).replace("2.0", "NaN", 1), f"{E1_CELL}: non-finite value"),
-        (json.dumps(SNAPSHOT).replace("2.0", "Infinity", 1), f"{E1_CELL}: non-finite value"),
-        (json.dumps(SNAPSHOT).replace("2.0", "1e999", 1), f"{E1_CELL}: non-finite value"),
+        (_snapshot_with("blocks", 0, "values", value=SNAPSHOT["blocks"][0]["values"][:-4] + "AA*A"),
+         f"{BLOCK}: values are not base64 text"),
+        (_values_with(e1=_nans(0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8DEADBEEF0000,
+                               0xFFFFFFFFFFFFFFFF)),
+         f"{E1_CELL}: series has no values at all"),
+        (_values_with(e1=[1.0, math.inf, 3.0, 5.0]),
+         f"{E1_CELL}: value inf in year 2001 is not finite"),
+        (_values_with(extra=struct.pack("<d", 1.0)),
+         f"{BLOCK}: values hold 72 bytes; 2 keys by 4 years take 64"),
         (_snapshot_with("blocks", 0, "years", value=[2000, 2002, 2001, 2003]),
-         f"{E1_CELL}: years must be strictly increasing"),
+         f"{BLOCK}: years must be strictly increasing"),
         (_snapshot_with("blocks", 0, "years", value=[2000, 2001, 2002]),
-         f"{E1_CELL}: years and values differ in length"),
+         f"{BLOCK}: values hold 64 bytes; 2 keys by 3 years take 48"),
         (_snapshot_with("blocks", 0, "keys", 0, value=["global", "ZZ9"]),
          ": cell code 'ZZ9' not in indicator list"),
         (_snapshot_with("indicators", 0, "category", value="Finance"),
          ": category 'Finance' not in ("),
         (_snapshot_with("blocks", 0, "years", value=["2000", "2001", "2002", "2003"]),
-         f"{E1_CELL}: years must be integers"),
-        (_snapshot_with("blocks", 0, "keys", 0, value=["global", "S1"]),
-         " repeats cell ('global', 'S1')"),
+         f"{BLOCK}: years must be a non-empty list of integers"),
+        (_snapshot_with("blocks", 0, "keys", 1, value=["global", "E1"]),
+         f": {E1_CELL} more than once"),
         (json.dumps({**SNAPSHOT, "regions": ["global", "global"]}),
          ": regions list ['global'] more than once"),
         (json.dumps({**SNAPSHOT, "indicators": SNAPSHOT["indicators"] * 2}),
          ": indicators list ['E1', 'S1'] more than once"),
-        (_snapshot_with("blocks", 0, "values", 0, value=[1.0, True, 3.0, 5.0]),
-         f"{E1_CELL}: value True is not a finite float"),
+        (_snapshot_with("blocks", 0, "values", value=True),
+         f"{BLOCK}: values must be a base64 string"),
         (json.dumps({**SNAPSHOT, "blocks": SNAPSHOT["blocks"] + [
-            {"years": [2004], "keys": [["global", "S1"]], "values": [[63.0]]}]}),
-         " repeats cell ('global', 'S1')"),
+            {"years": [2004], "keys": [["global", "S1"]], "values": pack_values([[63.0]])}]}),
+         f": {S1_CELL} more than once"),
         (json.dumps({"regions": SNAPSHOT["regions"], "indicators": SNAPSHOT["indicators"],
                      "cells": [{"region": "global", "code": "E1", "years": [2000],
                                 "values": [1.0]}]}),
          ' is in the old per-cell layout ("cells"); re-run `paneldep ingest`'),
+        (_snapshot_with("blocks", 0, "values", value=[E1_ROW, S1_ROW]),
+         f"{BLOCK}: values are a list of rows, the layout of earlier versions; "
+         "re-run `paneldep ingest` to write them as base64"),
+        (_values_with(s1=[60.0, 61.0, -math.inf, 62.0]),
+         f"{S1_CELL}: value -inf in year 2002 is not finite"),
+        (_values_with(s1=[None] * 4), f"{S1_CELL}: series has no values at all"),
+        (json.dumps({**SNAPSHOT, "note": "x"}), ": unknown field 'note' in the document"),
+        (_snapshot_with("indicators", 1, "source", value="WDI"),
+         ": unknown field 'source' in an indicator"),
+        (_snapshot_with("blocks", 0, "unit", value="%"), f": unknown field 'unit' in {BLOCK}"),
     ], ids=["string-value", "nan", "infinity", "overflow", "years-not-increasing",
             "length-mismatch", "unknown-code", "bad-category", "string-years",
             "repeated-cell", "repeated-region", "repeated-code", "bool-value",
-            "cell-repeated-in-two-blocks", "old-per-cell-layout"])
+            "cell-repeated-in-two-blocks", "old-per-cell-layout", "list-values",
+            "minus-infinity", "all-gap-row", "unknown-document-field",
+            "unknown-indicator-field", "unknown-block-field"])
     def test_malformed_snapshot_exits_input_error(self, workdir, capsys, text, message):
         (workdir / "panel.json").write_text(text)
         (workdir / "config.json").write_text(json.dumps({
@@ -187,9 +220,9 @@ class TestSnapshotValidation:
          "regions must be a list of strings"),
         (json.dumps({**SNAPSHOT, "regions": "global"}), "regions must be a list of strings"),
         (_snapshot_with("blocks", 0, "keys", 0, 0, value=7),
-         "key [7, 'E1'] must be a [region, code] pair of strings"),
+         f"{BLOCK}: key [7, 'E1'] must be a [region, code] pair of strings"),
         (_snapshot_with("blocks", 0, "keys", 0, 1, value=["E1"]),
-         "key ['global', ['E1']] must be a [region, code] pair of strings"),
+         f"{BLOCK}: key ['global', ['E1']] must be a [region, code] pair of strings"),
         (json.dumps({**SNAPSHOT,
                      "indicators": [{**SNAPSHOT["indicators"][0], "code": 1},
                                     SNAPSHOT["indicators"][1]],
@@ -203,14 +236,13 @@ class TestSnapshotValidation:
         (json.dumps({**SNAPSHOT, "indicators": {}}), "indicators must be a list of objects"),
         (json.dumps({**SNAPSHOT, "blocks": [[]]}), "blocks must be a list of objects"),
         (_snapshot_with("blocks", 0, "years", value=2000),
-         f" {E1_CELL}: years and values must be lists"),
-        (_snapshot_with("blocks", 0, "keys", value={}),
-         "a block's keys and values must be non-empty lists, one values row per key"),
-        (_snapshot_with("blocks", 0, "values", value=[[1.0, 2.0, 3.0, 5.0]]),
-         "a block's keys and values must be non-empty lists, one values row per key"),
+         f"{BLOCK}: years must be a non-empty list of integers"),
+        (_snapshot_with("blocks", 0, "keys", value={}), f"{BLOCK}: keys must be a non-empty list"),
+        (_snapshot_with("blocks", 0, "values", value=pack_values([E1_ROW])),
+         f"{BLOCK}: values hold 32 bytes; 2 keys by 4 years take 64"),
         (json.dumps({**SNAPSHOT, "blocks": SNAPSHOT["blocks"] + [
-            {"years": "2004", "keys": [], "values": []}]}),
-         "a block's keys and values must be non-empty lists, one values row per key"),
+            {"years": [2004], "keys": [], "values": ""}]}),
+         "block 1: keys must be a non-empty list"),
     ], ids=["numeric-region", "regions-string", "numeric-cell-region", "list-cell-code",
             "numeric-code", "list-name", "null-units", "indicators-object", "cell-list",
             "years-number", "keys-object", "missing-values-row", "empty-block"])
@@ -240,22 +272,28 @@ class TestSnapshotValidation:
     @pytest.mark.parametrize("values", [[1, 2, 3, 5], [1, 2.0, None, 5]],
                              ids=["all-ints", "mixed"])
     def test_integer_values_read_as_their_floats(self, values):
-        read = PanelDataset.from_json(_snapshot_with("blocks", 0, "values", 0, value=values))
-        floats = [None if v is None else float(v) for v in values]
-        assert read == PanelDataset.from_json(_snapshot_with("blocks", 0, "values", 0, value=floats))
-        assert all(type(v) is float for v in read.cells[("global", "E1")].values
-                   if v is not None)
+        read = PanelDataset.from_json(_values_with(e1=values))
+        series = read.cells[("global", "E1")]
+        assert series.values == tuple(None if v is None else float(v) for v in values)
+        assert all(type(v) is float for v in series.values if v is not None)
 
     def test_values_whose_sum_overflows_accepted(self):
         values = [1e308, 1e308, -1e308, 1e308]
-        read = PanelDataset.from_json(_snapshot_with("blocks", 0, "values", 0, value=values))
+        read = PanelDataset.from_json(_values_with(e1=values))
         assert read.cells[("global", "E1")].values == tuple(values)
 
     def test_negative_zero_keeps_its_sign(self):
-        text = _snapshot_with("blocks", 0, "values", 0, value=[1.0, -0.0, 3.0, 5.0])
-        read = PanelDataset.from_json(text)
+        read = PanelDataset.from_json(_values_with(e1=[1.0, -0.0, 3.0, 5.0]))
         assert math.copysign(1.0, read.cells[("global", "E1")].values[1]) == -1.0
-        assert '"values":[[1.0,-0.0,3.0,5.0],' in read.to_json()
+        assert '"values":"%s"}' % pack_values([[1.0, -0.0, 3.0, 5.0], S1_ROW]) in read.to_json()
+
+    def test_every_nan_reads_as_the_gap(self):
+        """A NaN of any bits is a gap, and is written back as the gap's bits."""
+        e1 = [1.0] + _nans(0xFFF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF)
+        read = PanelDataset.from_json(_values_with(e1=e1))
+        assert read.cells[("global", "E1")].values == (1.0, None, None, None)
+        assert read.to_json() == PanelDataset.from_json(
+            _values_with(e1=[1.0, None, None, None])).to_json()
 
     def test_well_formed_snapshot_runs(self, workdir):
         (workdir / "panel.json").write_text(json.dumps(SNAPSHOT))

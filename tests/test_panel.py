@@ -1,7 +1,9 @@
+import base64
 import hashlib
 import json
 import math
 import re
+import struct
 from unittest import mock
 
 import numpy as np
@@ -32,10 +34,16 @@ from paneldep.panel import (
     parse_gbd_long,
     parse_wdi_wide,
     _parse_number,
-    _snapshot_block,
 )
+from paneldep.snapshot import _snapshot_block
 
-from oracles import reference_align_pair, reference_json_line, reference_snapshot_cells
+from oracles import (
+    GAP_BYTES,
+    pack_values,
+    reference_align_pair,
+    reference_json_line,
+    reference_snapshot_cells,
+)
 
 WDI_SMALL = """code,region,2000,2001,2002,2003
 E1,global,1.0,2.0,-,4.0
@@ -271,6 +279,20 @@ class TestParseGbd:
         with pytest.raises(ParseError, match=re.escape(f"line 2: year {year!r} is not a")):
             parse_gbd_long(f"location,age_group,cause,measure,year,value\n"
                            f"R1,all,anxiety,DALYs,{year},9.0\n")
+
+    def test_each_year_text_is_checked_where_it_first_comes(self):
+        text = ("location,age_group,cause,measure,year,value\n"
+                "R1,all,anxiety,DALYs,2000,1.0\n"
+                "R1,all,anxiety,DALYs, 2001 ,2.0\n"
+                "R2,all,anxiety,DALYs,2001,4.0\n"
+                "R2,all,anxiety,DALYs,2000,3.0\n")
+        code = outcome_code("anxiety", "DALYs", AgeGroup.ALL_AGES)
+        ds = parse_gbd_long(text)
+        assert ds.series("R1", code) == AnnualSeries((2000, 2001), (1.0, 2.0))
+        assert ds.series("R2", code) == AnnualSeries((2000, 2001), (3.0, 4.0))
+        assert all(type(year) is int for year in ds.series("R2", code).years)
+        with pytest.raises(ParseError, match=re.escape("line 6: year '20o2' is not a")):
+            parse_gbd_long(text + "R2,all,anxiety,DALYs,20o2,5.0\nR1,all,anxiety,DALYs,20o2,5.0\n")
 
     def test_duplicate_record(self):
         text = (
@@ -514,8 +536,9 @@ SNAPSHOT_DOCS = st.fixed_dictionaries({
         "years": _or_junk(st.lists(_or_junk(st.integers(1998, 2003)), max_size=4)),
         "keys": _or_junk(st.lists(_or_junk(st.lists(_or_junk(st.sampled_from(["r1", "r2", "E1", "S1"])),
                                                     min_size=2, max_size=2)), max_size=3)),
-        "values": _or_junk(st.lists(_or_junk(st.lists(_or_junk(st.floats() | st.none()),
-                                                      max_size=4)), max_size=3)),
+        "values": _or_junk(st.lists(st.lists(st.floats() | st.none(), max_size=4), max_size=3)
+                           .map(pack_values)
+                           | st.binary(max_size=40).map(lambda b: base64.b64encode(b).decode())),
     })), max_size=3)),
 })
 
@@ -631,81 +654,80 @@ class TestFingerprint:
 
 
 # names that JSON escapes: quotes, backslashes, controls, non-ASCII, astral
-_ESCAPED_NAMES = st.text(st.sampled_from('aZ0 "\\/\n\t\x00\x7f\u00e9\u20ac\u2028\U0001f600'),
+_ESCAPED_NAMES = st.text(st.sampled_from('aZ0 "\\/\n\t\x00\x7fé€ \U0001f600'),
                          max_size=5) | st.text(max_size=5)
 
-# values that must come back bit for bit, with sums that stay finite
-_EDGE_VALUES = (st.none() | st.sampled_from([-0.0, 0.0, 5e-324, -1e-310, 1e300, -1e300])
-                | st.floats(-1e300, 1e300))
+# values that must come back bit for bit: signed zeros, the least and the
+# largest magnitudes, and gaps
+_EDGE_FLOATS = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, -1e-310,
+                                 1.7976931348623157e308, -1.7976931348623157e308])
+                | st.floats(allow_nan=False, allow_infinity=False))
+_EDGE_VALUES = st.none() | _EDGE_FLOATS
 # years that some cells share and others do not
 _SHARED_YEARS = st.sampled_from([(2000, 2001, 2002, 2003), (1990, 1995)]) | _YEARS
+
+# doubles a snapshot may hold, as their little-endian bytes: the edge values,
+# the gap, NaNs of other bits (sign, signalling, payload) and infinities
+_DOUBLE_BYTES = (_EDGE_FLOATS.map(lambda v: struct.pack("<d", v))
+                 | st.just(GAP_BYTES)
+                 | st.sampled_from([0xFFF8000000000000, 0x7FF0000000000001, 0x7FF4000000000000,
+                                    0xFFFFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000])
+                 .map(lambda bits: struct.pack("<Q", bits)))
+
+
+def _packed(rows) -> str:
+    return base64.b64encode(b"".join(b"".join(row) for row in rows)).decode()
 
 
 @st.composite
 def _nearly_well_formed_docs(draw):
-    """The snapshot document of a panel, often with one year, one value or
-    one key replaced, a values row replaced, or a key repeated in its own
-    block or in another."""
+    """The snapshot document of a panel, often with one value's bytes or a
+    row's replaced, a key replaced, a key repeated in its own block or in
+    another, or one block's years set to another's."""
     ds = draw(panel_datasets(names=_ESCAPED_NAMES, values=_EDGE_VALUES, years=_SHARED_YEARS)
               .filter(lambda ds: ds.cells))
     doc = json.loads(ds.to_json())
     blocks = doc["blocks"]
-    change = draw(st.sampled_from([None, "year", "value", "row", "key", "repeat"]))
+    change = draw(st.sampled_from([None, "value", "row", "key", "repeat", "years"]))
     if not change:
         return doc
     block = draw(st.sampled_from(blocks))
-    row = draw(st.integers(0, len(block["keys"]) - 1))
-    column = draw(st.integers(0, len(block["years"]) - 1))
-    if change == "year":
-        block["years"][column] = draw(JSON_SCALARS | st.sampled_from(block["years"]))
-    elif change == "value":
-        block["values"][row][column] = draw(JSON_SCALARS | _EDGE_VALUES)
+    n, data = len(block["years"]), base64.b64decode(block["values"])
+    rows = [[data[8 * (n * r + c):8 * (n * r + c + 1)] for c in range(n)]
+            for r in range(len(block["keys"]))]
+    row = draw(st.integers(0, len(rows) - 1))
+    if change == "value":
+        rows[row][draw(st.integers(0, n - 1))] = draw(_DOUBLE_BYTES)
     elif change == "row":
-        block["values"][row] = draw(st.lists(st.none(), min_size=len(block["years"]),
-                                             max_size=len(block["years"]))
-                                    | st.lists(_EDGE_VALUES, max_size=5) | JSON_SCALARS)
+        rows[row] = draw(st.lists(_DOUBLE_BYTES | st.just(GAP_BYTES), min_size=n, max_size=n))
     elif change == "key":
         names = st.sampled_from(doc["regions"] + [i["code"] for i in doc["indicators"]]
                                 + ["not listed"])
-        block["keys"][row] = draw(st.lists(names, min_size=2, max_size=2) | JSON_SCALARS
-                                  | st.lists(names | JSON_SCALARS, max_size=3))
-    else:
+        block["keys"][row] = draw(st.lists(names, min_size=2, max_size=2))
+    elif change == "repeat":
         other = draw(st.sampled_from(blocks))
         other["keys"].append(block["keys"][row])
-        other["values"].append(other["values"][0])
+        values = base64.b64decode(other["values"])  # its first row again
+        other["values"] = base64.b64encode(values + values[:8 * len(other["years"])]).decode()
+    else:
+        other = draw(st.sampled_from(blocks))
+        if len(other["years"]) == n:
+            block["years"] = other["years"]
+    if change in ("value", "row"):
+        block["values"] = _packed(rows)
     return doc
 
 
 @st.composite
 def _snapshot_blocks(draw):
-    """Well-formed blocks (keys [str, str], values rows of floats and nulls
-    as long as the years), often with one year, key, value or row replaced;
-    keys drawn from few names often repeat."""
-    names = st.sampled_from(["r1", "r2", "E1", "E2"])
-    blocks = []
-    for _ in range(draw(st.integers(1, 3))):
-        years = list(draw(_YEARS))
-        rows = draw(st.integers(1, 3))
-        blocks.append({
-            "years": years,
-            "keys": draw(st.lists(st.lists(names, min_size=2, max_size=2),
-                                  min_size=rows, max_size=rows)),
-            "values": draw(st.lists(st.lists(_EDGE_VALUES, min_size=len(years),
-                                             max_size=len(years)),
-                                    min_size=rows, max_size=rows))})
-    change = draw(st.sampled_from([None, "year", "value", "row", "key"]))
-    block = draw(st.sampled_from(blocks))
-    row = draw(st.integers(0, len(block["keys"]) - 1))
-    column = draw(st.integers(0, len(block["years"]) - 1))
-    if change == "year":
-        block["years"][column] = draw(JSON_SCALARS | st.sampled_from(block["years"]))
-    elif change == "value":
-        block["values"][row][column] = draw(JSON_SCALARS | st.integers(-2, 2))
-    elif change == "row":
-        block["values"][row] = draw(st.lists(_EDGE_VALUES, max_size=5) | JSON_SCALARS)
-    elif change == "key":
-        block["keys"][row] = draw(JSON_SCALARS | st.lists(names | JSON_SCALARS, max_size=3))
-    return blocks
+    """One block of increasing years, unrepeated [str, str] keys and as many
+    doubles as keys by years, each drawn from ``_DOUBLE_BYTES``."""
+    years = list(draw(_YEARS))
+    keys = draw(st.lists(st.lists(st.sampled_from(["r1", "r2", "E1", "E2"]), min_size=2,
+                                  max_size=2), min_size=1, max_size=4, unique_by=tuple))
+    rows = draw(st.lists(st.lists(_DOUBLE_BYTES, min_size=len(years), max_size=len(years)),
+                         min_size=len(keys), max_size=len(keys)))
+    return {"years": years, "keys": keys, "values": _packed(rows)}
 
 
 def _read_layout(text):
@@ -716,16 +738,19 @@ def _read_layout(text):
         return type(exc), str(exc)
 
 
+def _series_bits(series):
+    return series.years, [v if v is None else float.hex(v) for v in series.values]
+
+
 def _bits(ds):
     """Each cell's years and value bits, by key."""
-    return {key: (s.years, [v if v is None else float.hex(v) for v in s.values])
-            for key, s in ds.cells.items()}
+    return {key: _series_bits(s) for key, s in ds.cells.items()}
 
 
 class TestSnapshotInBulk:
     """The snapshot is written in pieces with the bytes of one encoder pass,
-    and read by one ``json.loads`` and checks per block, with the panel and
-    the errors of reading each row on its own."""
+    and read by one ``json.loads`` and one base64 decode and bulk checks per
+    block, with the panel and the errors of reading each value on its own."""
 
     @settings(max_examples=200)
     @given(panel_datasets(names=_ESCAPED_NAMES, values=_EDGE_VALUES, years=_SHARED_YEARS))
@@ -748,30 +773,42 @@ class TestSnapshotInBulk:
         assert PanelDataset(ds.regions, ds.indicators)._json_line() == \
             reference_json_line(PanelDataset(ds.regions, ds.indicators))
 
+    def test_values_are_little_endian_doubles_with_the_gap_bits(self):
+        ds = PanelDataset(("r",), (IndicatorCode("E1", "e", "Economic", ""),),
+                          {("r", "E1"): AnnualSeries((2000, 2001, 2002), (1.0, None, -2.5))})
+        (block,) = json.loads(ds.to_json())["blocks"]
+        assert base64.b64decode(block["values"]) == (
+            bytes.fromhex("000000000000f03f") + bytes.fromhex("000000000000f87f")
+            + bytes.fromhex("00000000000004c0"))
+
     @pytest.mark.parametrize("piece_cells", [1, 7, 256])
     def test_pieces_of_a_panel_larger_than_one_piece(self, piece_cells):
         regions = tuple(f"R{i}" for i in range(30))
         indicators = tuple(IndicatorCode(f"E{j}", f"e{j}", "Economic", "%") for j in range(10))
+        spans = ((2000,), (2000, 2001), (1999, 2000, 2001, 2002))  # 8, 16 and 32 bytes a row
         ds = PanelDataset(regions, indicators, {
-            (r, ind.code): AnnualSeries((2000, 2001, 2002 + i % 3), (i * 0.5, None, -i / 7))
+            (r, ind.code): AnnualSeries(spans[i % 3], (i * 0.5, None, -i / 7, 1e-300)[-len(spans[i % 3]):])
             for i, (r, ind) in enumerate((r, ind) for r in regions for ind in indicators)})
         with mock.patch("paneldep.panel._PIECE_CELLS", piece_cells):
             pieces = list(ds._json_pieces())
             fingerprint = ds.fingerprint()
-        # the header, each of 3 blocks' head, rows and close, the document's close
-        assert len(ds.cells) == 300 and len(pieces) == 2 + 3 * (2 + -(-100 // piece_cells))
+        # the header, each of 3 blocks' head, values and close, the document's close;
+        # a block's 100 rows of 8n bytes go in pieces of at most 8n * piece_cells bytes
+        values = [-(-800 * n // (8 * n * piece_cells // 3 * 3)) for n in (1, 2, 4)]
+        assert len(ds.cells) == 300 and len(pieces) == 2 + 3 * 2 + sum(values)
         assert "".join(pieces) == ds._json_line() == reference_json_line(ds)
         assert fingerprint == hashlib.sha256(ds.to_json()[:-1].encode()).hexdigest()
 
     @settings(max_examples=400)
     @given(_nearly_well_formed_docs())
     @example({**json.loads(load_fixture().to_json()), "blocks": [
-        {"years": [2000, 2001], "keys": [["global", "E1"]], "values": [[1, 2.5]]},
+        {"years": [2000, 2001], "keys": [["global", "E1"]], "values": pack_values([[1.0, None]])},
         {"years": [2001], "keys": [["global", "E2"], ["global", "E3"]],
-         "values": [[1e308], [1e308]]}]})
+         "values": pack_values([[1e308], [1e308]])},
+        {"years": [2000, 2001], "keys": [["global", "E4"]], "values": pack_values([[None, 2.0]])}]})
     def test_blocks_read_as_their_rows_one_at_a_time(self, doc):
         """from_json gives the panel, in its order, or the error type and
-        message, that reading each block's rows one at a time gives."""
+        message, that reading each value of each block on its own gives."""
         try:
             indicators = tuple(IndicatorCode(**d) for d in doc["indicators"])
             expected = PanelDataset(tuple(doc["regions"]), indicators,
@@ -787,6 +824,7 @@ class TestSnapshotInBulk:
         else:
             assert list(read.cells) == list(expected.cells)
             assert _bits(read) == _bits(expected)
+            assert read.to_json() == expected.to_json()
 
     @settings(max_examples=200)
     @given(_nearly_well_formed_docs())
@@ -802,39 +840,31 @@ class TestSnapshotInBulk:
 
     @settings(max_examples=300)
     @given(_snapshot_blocks())
-    @example([{"years": [2000, 2001], "keys": [["r1", "E1"]], "values": [[0.0, None]]}])
-    @example([{"years": [2000, 2001], "keys": [["r1", "E1"]], "values": [[None, None]]}])
-    @example([{"years": [2000, 2001], "keys": [["r1", "E1"]], "values": [[1, 2.5]]}])
-    @example([{"years": [2000.0, 2001], "keys": [["r1", "E1"]], "values": [[1.0, 2.0]]}])
-    @example([{"years": [2001, 2000], "keys": [["r1", "E1"]], "values": [[1.0, 2.0]]}])
-    @example([{"years": [2000, 2001], "keys": [["r1", "E1"]], "values": [[1.0, math.nan]]}])
-    @example([{"years": [2000], "keys": [["r1", "E1"]], "values": [[1.0]]},
-              {"years": [2001], "keys": [["r1", "E1"]], "values": [[2.0]]}])
-    @example([{"years": [2000], "keys": [["r1", "E1"], ["r1", "E1"]], "values": [[1.0], [2.0]]}])
-    def test_bulk_cells_are_the_cell_by_cell_cells(self, blocks):
-        """Where a block passes the bulk checks (its rows are taken, each
-        left None), reading each row on its own gives the same series;
-        where it does not, the row-by-row read names the same first error."""
+    @example({"years": [2000, 2001], "keys": [["r1", "E1"]], "values": pack_values([[0.0, None]])})
+    @example({"years": [2000, 2001], "keys": [["r1", "E1"]],
+              "values": pack_values([[None, None]])})
+    @example({"years": [2000, 2001], "keys": [["r1", "E1"], ["r2", "E1"]],
+              "values": pack_values([[1.0, None], [None, 2.0]])})
+    def test_bulk_cells_are_the_cell_by_cell_cells(self, block):
+        """A block read in bulk holds the series that unpacking each value on
+        its own gives, each NaN as the gap's bits, or raises its error."""
         try:
-            expected = reference_snapshot_cells(blocks)
+            expected = reference_snapshot_cells([block])
         except ParseError as exc:
             expected = type(exc), str(exc)
-        copies = json.loads(json.dumps(blocks))
-        cells = {}
         try:
-            for block in copies:
-                _snapshot_block(block, {}, cells)
+            read = _snapshot_block(block, 0, {})
         except ParseError as exc:
             assert (type(exc), str(exc)) == expected
             return
-        assert list(cells) == list(expected)
-        assert {k: (s.years, [v if v is None else float.hex(v) for v in s.values])
-                for k, s in cells.items()} == \
-            {k: (s.years, [v if v is None else float.hex(v) for v in s.values])
-             for k, s in expected.items()}
-        for block, copy in zip(blocks, copies):
-            if copy["values"] == [None] * len(copy["keys"]):  # taken in bulk
-                assert all(type(v) is float or v is None for row in block["values"] for v in row)
+        assert read.keys == list(expected)
+        assert [_series_bits(read.series(row)) for row in range(len(read.keys))] == \
+            [_series_bits(s) for s in expected.values()]
+        assert read.values.tobytes() == b"".join(
+            struct.pack("=d", v) if v is not None else struct.pack("=d", math.nan)
+            for s in expected.values() for v in s.values)
+        canonical = array_bits = [struct.pack("<d", v) for v in read.values if v != v]
+        assert all(bits == GAP_BYTES for bits in canonical), array_bits
 
     def test_cells_with_equal_years_share_one_tuple(self):
         ds = parse_wdi_wide(WDI_SMALL).merge(parse_gbd_long(GBD_SMALL))
@@ -854,3 +884,48 @@ class TestSnapshotInBulk:
         assert read == ds and read.to_json() == ds.to_json()
         assert [code for _, code in read.cells] == [
             "E1", "E2", "depressive|DALYs|20-39", "E3", "depressive|DALYs|40+"]
+
+
+class TestBlocks:
+    """The panel holds one block per distinct years tuple; ``cells`` is a
+    read-only view of AnnualSeries over them."""
+
+    @settings(max_examples=200)
+    @given(panel_datasets(names=_ESCAPED_NAMES, values=_EDGE_VALUES, years=_SHARED_YEARS))
+    def test_cells_view_is_the_panel_it_was_built_from(self, ds):
+        cells = {key: AnnualSeries(s.years, s.values) for key, s in ds.cells.items()}
+        panel = PanelDataset(ds.regions, ds.indicators, cells)
+        assert list(panel.cells) == list(cells) and len(panel.cells) == len(cells)
+        assert dict(panel.cells) == cells and panel.cells == cells
+        assert {key: _series_bits(s) for key, s in panel.cells.items()} == \
+            {key: _series_bits(s) for key, s in cells.items()}
+        for (region, code), series in cells.items():
+            assert (region, code) in panel.cells
+            assert panel.series(region, code) == series
+        assert panel.series("no such region", "E1") is None
+        assert [block.years for block in panel.blocks] == list(dict.fromkeys(
+            s.years for s in cells.values()))
+        with pytest.raises(TypeError):
+            panel.cells[next(iter(cells), ("r", "c"))] = None
+
+    @settings(max_examples=200)
+    @given(panel_datasets(names=_ESCAPED_NAMES, values=_EDGE_VALUES, years=_SHARED_YEARS))
+    def test_roundtrip_keeps_every_bit_and_the_fingerprint(self, ds):
+        text = ds.to_json()
+        read = PanelDataset.from_json(text)
+        assert read == ds and _bits(read) == _bits(ds)
+        assert list(read.cells) == [key for block in ds.blocks for key in block.keys]
+        assert read.to_json() == text
+        assert read.fingerprint() == ds.fingerprint() == \
+            hashlib.sha256(text[:-1].encode()).hexdigest()
+
+    def test_merge_joins_blocks_of_equal_years(self):
+        wide = parse_wdi_wide("code,region,2000,2001\nE1,R1,1.0,2.0\nE1,R2,3.0,-\n")
+        long = parse_gbd_long(GBD_SMALL)
+        merged = wide.merge(long)
+        assert [(block.years, block.keys) for block in merged.blocks] == [
+            ((2000, 2001), [("R1", "E1"), ("R2", "E1"), ("R1", "depressive|DALYs|20-39")]),
+            ((2000,), [("R1", "depressive|DALYs|40+")])]
+        assert merged.cells == {**wide.cells, **long.cells}
+        assert list(merged.cells) == [*wide.cells, *long.cells]
+        assert merged.restrict_region("R2").cells == {("R2", "E1"): wide.cells["R2", "E1"]}
