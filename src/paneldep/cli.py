@@ -126,7 +126,15 @@ def analyze(args) -> None:
         (out_dir / f"{matrix.stem}.svg").write_text(
             render_heatmap_svg(matrix, scalars=scalars), encoding="utf-8")
     bundle = build_bundle(matrices, dataset, config)
-    (out_dir / "bundle.json").write_text(export_json(bundle), encoding="utf-8")
+    # written beside bundle.json and moved onto it whole, so that no
+    # half-written bundle ever stands under its name
+    partial = out_dir / f".bundle.json.{os.getpid()}.tmp"
+    try:
+        with partial.open("w", encoding="utf-8") as out:
+            export_json(bundle, out)
+        os.replace(partial, out_dir / "bundle.json")
+    finally:
+        partial.unlink(missing_ok=True)
     _say(args, f"wrote {len(matrices)} matrices to {out_dir}")
 
 

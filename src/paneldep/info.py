@@ -25,7 +25,8 @@ from .panel import (
     STRATEGIES,
     AlignedPair,
 )
-from .table import Columns, PairTable, shared
+from . import table as _table
+from .table import Columns, PairTable, _pair_slices, shared
 
 
 def discretize(values, bins: int, strategy: str = "equal-frequency") -> np.ndarray:
@@ -142,8 +143,9 @@ def mutual_informations_over(table: PairTable, bins: int | None,
     """``mutual_information`` of each pair of a table, as columns by place.
 
     ``bins`` None gives each pair ``default_mi_bins(n)``. Each row of a
-    length group is discretized once, and the group's joint counts come
-    from one ``bincount``; each result has the bits of its own call.
+    length group is discretized once, and the joint counts of each slice
+    of the group's pairs (see ``table._pair_slices``) come from one
+    ``bincount``; each result has the bits of its own call.
     ``bins_x`` and ``bins_y`` are the bins each series uses (see
     ``_discretize_rows``); a series that is one group gives MI 0. A bad
     ``bins`` or ``strategy`` raises.
@@ -161,14 +163,15 @@ def mutual_informations_over(table: PairTable, bins: int | None,
                     f"need at least max(bins, 4) = {max(k, 4)} observations, got {n}")
             continue
         labels, used = _discretize_rows(group.rows, k, strategy)
-        pairs = len(group.places)
-        cell = labels[group.xi]  # (pair * k + x label) * k + y label, in place
-        cell += np.arange(0, pairs * k, k)[:, None]
-        cell *= k
-        cell += labels[group.yi]
-        counts = np.bincount(cell.ravel(), minlength=pairs * k * k).reshape(-1, k, k)
-        mi[group.places] = _mi_bits(counts, n)
-        bins_x[group.places], bins_y[group.places] = used[group.xi], used[group.yi]
+        for part in _pair_slices(len(group.places), max(n, k * k)):
+            xi, yi, at = group.xi[part], group.yi[part], group.places[part]
+            cell = labels[xi]  # (pair * k + x label) * k + y label, in place
+            cell += np.arange(0, len(at) * k, k)[:, None]
+            cell *= k
+            cell += labels[yi]
+            counts = np.bincount(cell.ravel(), minlength=len(at) * k * k).reshape(-1, k, k)
+            mi[at] = _mi_bits(counts, n)
+            bins_x[at], bins_y[at] = used[xi], used[yi]
     return Columns(MutualInfoResult, {"mi": mi, "bins_x": bins_x, "bins_y": bins_y,
                                       "strategy": shared(strategy, table.size)},
                    table.n, errors)
@@ -245,12 +248,10 @@ def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
                  for n_rows in range(2, bound // 2 + 1)}
         # a stack's prefix counts hold (n + 1) * (B // 2) integers per pair
         # and orientation
-        size = max(1, _STACK_ELEMENTS // (2 * (n + 1) * (bound // 2)))
-        for start in range(0, len(members), size):
-            at = members[start:start + size]
+        for part in _pair_slices(len(members), 2 * (n + 1) * (bound // 2)):
+            at = members[part]
             mic[at], best_b1[at], best_b2[at] = _search(
-                axes, parts, xs[start:start + size], ys[start:start + size], bound,
-                clumps, normalization)
+                axes, parts, xs[part], ys[part], bound, clumps, normalization)
     return Columns(MicResult, {"mic": mic, "best_b1": best_b1, "best_b2": best_b2,
                                "grid_bound": bounds,
                                "normalization": shared(normalization, table.size),
@@ -269,16 +270,6 @@ def mic(pair: AlignedPair, alpha: float = DEFAULT_MIC_ALPHA,
     entropy of the maximizing grid instead.
     """
     return _only(mics_over(PairTable.of_pairs([pair]), alpha, clumps, normalization).results())
-
-
-#: The most elements a stacked array of the grid search holds, near enough:
-#: the prefix counts of a stack of one length, and each DP slice's G, DP
-#: levels and interval terms. A larger stack is searched in slices of
-#: pairs, which still share the call's axes. On the seed-1 10-region
-#: replica (270 searched pairs of 33 points) the cap holds the MIC batch's
-#: traced peak to 0.9 MB in 39 DP calls, against 13 MB in 3 calls with no
-#: cap and 0.4 MB in 1,620 calls pair by pair.
-_STACK_ELEMENTS = 16_384
 
 
 def _search(axes: _Axes, parts: dict, xs: np.ndarray, ys: np.ndarray, bound: int,
@@ -409,8 +400,8 @@ def _fill_cells(cells: np.ndarray, column: dict, axes: _Axes, parts: dict,
     pair come from one array program each, over the pairs laid end to end;
     per row count, so do the prefix counts. The exact DP then runs once per
     row count and slice: the pairs, sorted by clump count k, are cut into
-    slices under ``_STACK_ELEMENTS``, and each pair's clump boundaries are
-    padded to its slice's largest k. Each cell gets one value.
+    slices under ``table._STACK_ELEMENTS``, and each pair's clump
+    boundaries are padded to its slice's largest k. Each cell gets one value.
     """
     P, n = len(cols), axes.n
     order = (axes.order[cols] + np.arange(0, P * n, n)[:, None]).ravel()
@@ -502,7 +493,8 @@ def _slices(k: np.ndarray, square: bool):
     while start < len(order):
         # m pairs from start hold m times the m-th one's share
         total = np.arange(1, len(order) - start + 1) * held[start:]
-        end = start + max(1, int(np.searchsorted(total, _STACK_ELEMENTS, side="right")))
+        end = start + max(1, int(np.searchsorted(total, _table._STACK_ELEMENTS,
+                                                 side="right")))
         yield order[start:end]
         start = end
 

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, InsufficientDataError, _only
 from .panel import AlignedPair
 from .special import _map, f_sfs
-from .table import Columns, PairTable, _unit_scaled
+from .table import Columns, PairTable, _pair_slices, _unit_scaled
 
 
 @dataclass(frozen=True)
@@ -63,20 +63,21 @@ def pearsons_over(table: PairTable) -> Columns:
     scale, and scaling a series by a power of two that keeps its elements
     normal leaves the result's bits as they are. Each row's deviations and
     sum of squares are computed once, for every pair of its length group
-    that holds it. The means and the sums of squares and of deviation
-    products have the bits of ``math.fsum`` over each row of a stack,
-    formed as array steps (see ``_fsums``); squares
-    go through libm ``pow``, as Python's ``** 2`` does, not ``d * d``,
-    which rounds some of them differently. ``pow`` is not exact under
-    scaling either, so the scaled squares can round differently from
-    squares at the input's own scale. r, the degenerate test and t are
-    elementwise array steps in the one-pair order, every p-value comes
-    from one ``t_sfs`` call, and each result has the bits of its own
-    ``pearson`` call.
+    that holds it; the deviation products, their sums and the t tails are
+    formed in slices of the pairs (see ``table._pair_slices``). The means
+    and the sums of squares and of deviation products have the bits of
+    ``math.fsum`` over each row of a stack, formed as array steps (see
+    ``_fsums``); squares go through libm ``pow``, as Python's ``** 2``
+    does, not ``d * d``, which rounds some of them differently. ``pow`` is
+    not exact under scaling either, so the scaled squares can round
+    differently from squares at the input's own scale. r, the degenerate
+    test and t are elementwise array steps in the one-pair order, every
+    p-value comes from a ``t_sfs`` batch, and each result has the bits of
+    its own ``pearson`` call.
     """
     errors: dict = {}
-    # each group's tested places, n and r, after an empty seed for a table without one
-    places, ns, rs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    # each slice's tested places and r, after an empty seed for a table without one
+    places, rs = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for group in table.groups:
         n = group.n
         if n < 3:
@@ -84,25 +85,29 @@ def pearsons_over(table: PairTable) -> Columns:
                 errors[place] = InsufficientDataError(f"need at least 3 observations, got {n}")
             continue
         dev, squares = _deviations(group.rows)
-        sxx, syy = squares[group.xi], squares[group.yi]
-        degenerate = (sxx == 0.0) | (syy == 0.0)
-        for place in group.places[degenerate].tolist():
-            errors[place] = DegenerateInputError("correlation undefined for a constant sequence")
-        kept = ~degenerate
-        products = dev[group.xi[kept]]
-        products *= dev[group.yi[kept]]
-        ratio = _fsums(products) / np.sqrt(sxx[kept] * syy[kept])
-        ratio = np.where(ratio < 1.0, ratio, 1.0)  # max(-1.0, min(1.0, ratio))
-        rs.append(np.where(ratio > -1.0, ratio, -1.0))
-        places.append(group.places[kept])
-        ns.append(np.full(len(ratio), n))
-    place, n, r = (np.concatenate(v) for v in (places, ns, rs))
+        for part in _pair_slices(len(group.places), n):
+            xi, yi, at = group.xi[part], group.yi[part], group.places[part]
+            sxx, syy = squares[xi], squares[yi]
+            degenerate = (sxx == 0.0) | (syy == 0.0)
+            for place in at[degenerate].tolist():
+                errors[place] = DegenerateInputError(
+                    "correlation undefined for a constant sequence")
+            kept = ~degenerate
+            products = dev[xi[kept]]
+            products *= dev[yi[kept]]
+            ratio = _fsums(products) / np.sqrt(sxx[kept] * syy[kept])
+            ratio = np.where(ratio < 1.0, ratio, 1.0)  # max(-1.0, min(1.0, ratio))
+            rs.append(np.where(ratio > -1.0, ratio, -1.0))
+            places.append(at[kept])
+    place, r = np.concatenate(places), np.concatenate(rs)
     p = np.zeros_like(r)
-    tested = np.abs(r) != 1.0
-    r_t, n_t = r[tested], n[tested]
-    tails = np.array(t_sfs(np.abs(r_t * np.sqrt((n_t - 2) / (1.0 - r_t * r_t))), n_t - 2))
-    tails *= 2.0
-    p[tested] = np.where(tails < 1.0, tails, 1.0)  # min(1.0, 2.0 * tail)
+    tested = np.flatnonzero(np.abs(r) != 1.0)
+    for part in _pair_slices(len(tested), 1):
+        at = tested[part]
+        r_t, n_t = r[at], table.n[place[at]]
+        tails = np.array(t_sfs(np.abs(r_t * np.sqrt((n_t - 2) / (1.0 - r_t * r_t))), n_t - 2))
+        tails *= 2.0
+        p[at] = np.where(tails < 1.0, tails, 1.0)  # min(1.0, 2.0 * tail)
     r_column, p_column = np.full(table.size, np.nan), np.full(table.size, np.nan)
     r_column[place], p_column[place] = r, p
     return Columns(PearsonResult, {"r": r_column, "n": table.n, "p_value": p_column},

@@ -536,7 +536,9 @@ def _csv_records(text: str):
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         for row in reader:
-            if "".join(row).strip():
+            # a record is blank when all its fields are; its first field
+            # settles nearly every record without a join
+            if row and (row[0].strip() or "".join(row).strip()):
                 yield reader.line_num, row
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
@@ -614,33 +616,38 @@ def parse_wdi_wide(text: str, default_region: str = DEFAULT_REGION) -> PanelData
 _MISSING_MARKERS = frozenset(("-", ""))
 
 
-def _wide_values(cells: list[str], years: tuple, line_no: int, code: str) -> tuple:
+def _wide_values(cells: list[str], years: tuple, line_no: int, code: str) -> list:
     """The values of one wide row, ``_GAP`` for each missing marker ("-" or
     empty, with spaces around it or not).
 
-    The cells go through ``float`` in one pass; in a row with markers, the
-    markers are set aside first. The values are finite if their sum is,
-    and each one is checked only when it is not. A row with a cell that is
-    neither a finite number nor a marker raises that cell's
-    ``_parse_number`` error, the first one's.
+    The cells go through ``float`` in one pass, a row that holds a bare
+    marker with the markers set aside as it goes; only a marker with
+    spaces around it sends the row through a second pass over its stripped
+    cells. The values are finite if their sum is, and each one is checked
+    only when it is not. A row with a cell that is neither a finite number
+    nor a marker raises that cell's ``_parse_number`` error, the first
+    one's.
     """
+    gaps = "-" in cells or "" in cells
     try:
-        values = present = tuple(map(float, cells))
-    except ValueError:
+        values = ([_GAP if cell in _MISSING_MARKERS else float(cell) for cell in cells]
+                  if gaps else list(map(float, cells)))
+    except ValueError:  # a padded marker, or a cell that is neither
         try:
-            values = tuple([_GAP if cell in _MISSING_MARKERS else float(cell)
-                            for cell in map(str.strip, cells)])
-        except ValueError:  # some cell is neither a number nor a marker
-            present = None
-        else:  # a "nan" cell is a NaN of its own, which the sum below catches
-            present = [v for v in values if v is not _GAP]
-            if not present:
-                raise ParseError(f"line {line_no}: series {code!r} has no values") from None
-    if present is not None:
+            values = [_GAP if cell in _MISSING_MARKERS else float(cell)
+                      for cell in map(str.strip, cells)]
+            gaps = True
+        except ValueError:
+            values = None
+    if values is not None:
+        # a "nan" cell is a NaN of its own, which the sum below catches
+        present = [v for v in values if v is not _GAP] if gaps else values
+        if not present:
+            raise ParseError(f"line {line_no}: series {code!r} has no values")
         total = sum(present)
         if total - total == 0.0 or all(map(math.isfinite, present)):
             return values
-    return tuple(_parse_number(cell, line_no, str(year)) for year, cell in zip(years, cells))
+    return [_parse_number(cell, line_no, str(year)) for year, cell in zip(years, cells)]
 
 
 def _looks_like_year(cell: str) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TextIO
 
 from . import __version__
 from .battery import BatteryConfig, ResultMatrix
@@ -191,17 +192,23 @@ def _matrix_json(matrix: ResultMatrix) -> str:
         _grid_json(skips.tolist(), width, height))
 
 
-def export_json(bundle: ExportBundle) -> str:
-    """Canonical bundle serialization: sorted keys, stable float repr.
+def export_json(bundle: ExportBundle, out: TextIO) -> None:
+    """Write the canonical bundle serialization to the text stream ``out``:
+    sorted keys, stable float repr.
 
     One line plus a newline, the bytes ``json.dumps(doc, sort_keys=True)``
     gives for the bundle's document, with each non-finite float written as
-    a string ("inf", "-inf" or "nan"). Pretty-print it with
+    a string ("inf", "-inf" or "nan"). The matrices are written one at a
+    time, so the whole text is never held. Pretty-print the file with
     ``python -m json.tool bundle.json``.
     """
     metadata = json.dumps(bundle.metadata, sort_keys=True, allow_nan=False)
-    matrices = ", ".join(map(_matrix_json, bundle.matrices))
-    return f'{{"matrices": [{matrices}], "metadata": {metadata}}}\n'
+    out.write('{"matrices": [')
+    for i, matrix in enumerate(bundle.matrices):
+        if i:
+            out.write(", ")
+        out.write(_matrix_json(matrix))
+    out.write(f'], "metadata": {metadata}}}\n')
 
 
 # -- heatmap ----------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .panel import AlignedPair
 from .special import f_sfs
-from .table import Columns, PairTable, _unit_scaled
+from .table import Columns, PairTable, _pair_slices, _unit_scaled
 
 
 def first_difference(series) -> tuple[float, ...]:
@@ -123,36 +123,36 @@ def _too_short(n: int, lag: int) -> InsufficientDataError:
         f"{1 + 2 * lag} for lag {lag}")
 
 
-def _lag_designs(x: np.ndarray, y: np.ndarray, lag: int) -> np.ndarray:
-    """[1 | y lags | x lags | y] of each row of x and y, in one new array.
+def _lag_designs(rows: np.ndarray, xi: np.ndarray, yi: np.ndarray, lag: int) -> np.ndarray:
+    """[1 | y lags | x lags | y] of each pair, x ``rows[xi[j]]`` and y
+    ``rows[yi[j]]``, gathered from the (series, n) stack into one new array.
 
-    x and y are (pairs, n); the result is (pairs, n - lag, 2 + 2 * lag).
-    Column j of the y lags (and of the x lags) holds the series shifted
-    back by j.
+    The result is (pairs, n - lag, 2 + 2 * lag). Column j of the y lags
+    (and of the x lags) holds the series shifted back by j.
     """
-    pairs, n = y.shape
-    n_eff = n - lag
+    n_eff = rows.shape[1] - lag
     cols = 1 + 2 * lag
     shifted = np.arange(n_eff)[:, None] + np.arange(lag - 1, -1, -1)
-    out = np.empty((pairs, n_eff, cols + 1))
+    out = np.empty((len(xi), n_eff, cols + 1))
     out[:, :, 0] = 1.0
-    out[:, :, 1:lag + 1] = y[:, shifted]
-    out[:, :, lag + 1:cols] = x[:, shifted]
-    out[:, :, cols] = y[:, lag:]
+    out[:, :, 1:lag + 1] = rows[yi[:, None, None], shifted]
+    out[:, :, lag + 1:cols] = rows[xi[:, None, None], shifted]
+    out[:, :, cols] = rows[yi, lag:]
     return out
 
 
 def _fitted_stacks(table: PairTable, difference_first: bool, errors: dict
-                   ) -> list[tuple[list, np.ndarray, np.ndarray, np.ndarray]]:
-    """(places, x, y, ey) of each length group: the pairs' stacks that
-    every lag is fitted on. A pair that cannot be fitted gets its error in
-    ``errors``, under its place.
+                   ) -> list[tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(places, rows, xi, yi, ey) of each length group: the stack of rows
+    that every lag is fitted on, and each fitted pair's x and y rows in it.
+    A pair that cannot be fitted gets its error in ``errors``, under its
+    place.
 
     Every pair's years must be one contiguous run; the jump of each year
     set is found once. Each group row is differenced (``np.diff``
     rounds each difference as ``b - a`` does) and then unit scaled (see
     ``table._unit_scaled``) once, so that no rank decision depends on a
-    series' scale; y's row j is the input's times 2**-ey[j].
+    series' scale; pair j's y is the input's times 2**-ey[j].
     """
     jumps = [next(((a, b) for a, b in zip(years, years[1:]) if b - a != 1), None)
              for years in table.years]
@@ -174,7 +174,7 @@ def _fitted_stacks(table: PairTable, difference_first: bool, errors: dict
         rows, exponents = _unit_scaled(
             np.diff(group.rows, axis=1) if difference_first else group.rows)
         xi, yi = group.xi[~bad], group.yi[~bad]
-        stacks.append((places, rows[xi], rows[yi], exponents[yi]))
+        stacks.append((places, rows, xi, yi, exponents[yi]))
     return stacks
 
 
@@ -224,8 +224,9 @@ class _Fits(NamedTuple):
 
 def _fits(table: PairTable, lags, difference_first: bool, errors: dict) -> _Fits:
     """Every pair's fit at each of the ascending ``lags``, each length
-    group's pairs through one stacked QR per lag, and every kept fit's F
-    tail from one ``f_sfs`` call. A pair that cannot be fitted at all gets
+    group's pairs through one stacked QR per lag and slice of the pairs
+    (see ``table._pair_slices``), and the kept fits' F tails from
+    ``f_sfs`` batches. A pair that cannot be fitted at all gets
     its error in ``errors``, under its place.
 
     The rank check is per fit: a singular design skips its own fit and
@@ -236,28 +237,33 @@ def _fits(table: PairTable, lags, difference_first: bool, errors: dict) -> _Fits
     stacks = _fitted_stacks(table, difference_first, errors)
     lags = tuple(lags)
     places = [place for group_places, *_ in stacks for place in group_places]
-    n = [y.shape[1] for group_places, _, y, _ in stacks for _ in group_places]
+    n = [rows.shape[1] for group_places, rows, *_ in stacks for _ in group_places]
     shape = (len(places), len(lags))
     f, rss_r, rss_ur = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
     rank = np.full(shape, -1)
     start = 0
-    for group_places, x, y, ey in stacks:
-        rows = slice(start, start + len(group_places))
-        start = rows.stop
+    for group_places, rows, xi, yi, ey in stacks:
         for j, lag in enumerate(lags):
-            if lag > _longest_lag(y.shape[1]):
+            if lag > _longest_lag(rows.shape[1]):
                 break
-            dof = y.shape[1] - lag - (1 + 2 * lag)
-            gain, ur, rank[rows, j] = _nested_fits(_lag_designs(x, y, lag), 1 + lag)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                f[rows, j] = np.where(ur == 0.0, np.inf, (gain / lag) / (ur / dof))
-                rss_r[rows, j] = np.ldexp(ur + gain, 2 * ey)
-                rss_ur[rows, j] = np.ldexp(ur, 2 * ey)
+            dof = rows.shape[1] - lag - (1 + 2 * lag)
+            for part in _pair_slices(len(xi), (rows.shape[1] - lag) * (2 + 2 * lag)):
+                at = slice(start + part.start, start + part.stop)
+                gain, ur, rank[at, j] = _nested_fits(
+                    _lag_designs(rows, xi[part], yi[part], lag), 1 + lag)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    f[at, j] = np.where(ur == 0.0, np.inf, (gain / lag) / (ur / dof))
+                    rss_r[at, j] = np.ldexp(ur + gain, 2 * ey[part])
+                    rss_ur[at, j] = np.ldexp(ur, 2 * ey[part])
+        start += len(group_places)
     lag_row = np.array(lags, dtype=np.intp)
     fitted = rank == 1 + 2 * lag_row
-    dof = np.array(n, dtype=np.intp)[:, None] - lag_row - (1 + 2 * lag_row)
     p = np.full(shape, np.nan)
-    p[fitted] = f_sfs(f[fitted], np.broadcast_to(lag_row, shape)[fitted], dof[fitted])
+    lengths = np.array(n, dtype=np.intp)
+    i, j = np.nonzero(fitted)  # each kept fit's pair and lag column
+    for part in _pair_slices(len(i), 1):
+        at, d1 = (i[part], j[part]), lag_row[j[part]]
+        p[at] = f_sfs(f[at], d1, lengths[i[part]] - d1 - (1 + 2 * d1))
     return _Fits(places, n, lags, f, p, rss_r, rss_ur, rank, fitted)
 
 

@@ -1,13 +1,16 @@
+import functools
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from paneldep.errors import PanelDepError
-from paneldep.panel import AlignedPair
+from paneldep.panel import AlignedPair, PanelDataset, parse_wdi_wide
 from paneldep.temporal import lag_sweep
 
 DATA = Path(__file__).parent / "data"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def make_pair(x, y, start_year: int = 2000) -> AlignedPair:
@@ -23,6 +26,20 @@ def sweep_or_error(pair: AlignedPair, max_lag: int, difference_first: bool = Fal
         return lag_sweep(pair, max_lag, difference_first)
     except PanelDepError as error:
         return error
+
+
+@functools.lru_cache(maxsize=None)
+def replica(regions: int) -> tuple[PanelDataset, tuple[str, ...], tuple[str, ...]]:
+    """The seed-1 ``regions``-region replica of the fixture that the
+    benchmark generates (``perfbench/gen.py``), parsed from its wide CSV,
+    with its outcome and indicator codes."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import gen
+
+    panel = gen.make_replica(gen.fixture_panel(), regions, 1)
+    return (parse_wdi_wide(gen.wide_csv(panel, with_outcomes=True)), panel.outcomes,
+            panel.indicators)
 
 
 def json_differences(doc, golden, path="$"):

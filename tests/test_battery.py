@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import paneldep.table
+from conftest import replica
 from paneldep.battery import (
     BatteryConfig,
     MatrixCell,
@@ -23,8 +25,8 @@ from paneldep.errors import (
     PanelDepError,
     SingularDesignError,
 )
-from paneldep.info import default_mi_bins, mic, mutual_information
-from paneldep.linear import pearson
+from paneldep.info import default_mi_bins, mic, mutual_information, mutual_informations_over
+from paneldep.linear import pearson, pearsons_over
 from paneldep.panel import (
     AgeGroup,
     AnnualSeries,
@@ -34,7 +36,8 @@ from paneldep.panel import (
     _classify_code,
     align_pair,
 )
-from paneldep.temporal import lag_sweep
+from paneldep.table import PairTable
+from paneldep.temporal import best_fits_over, lag_sweep
 
 ALL_METHODS = ("pearson", "mutual_information", "granger", "mic")
 
@@ -534,6 +537,82 @@ def test_far_apart_years_allocate_by_the_pairs_not_the_span(layout):
     # one float64 array over the 9,999-year span would take 80 kB per series,
     # and one over the scattered layout's ~1,600 distinct years 13 kB
     assert peak < 1_000_000, peak
+
+
+#: Runs whose result columns must not depend on the slice cap: every method,
+#: then Granger with differencing and in reverse, the two switches that
+#: change its stacks.
+SLICED_RUNS = ({"methods": ALL_METHODS},
+               {"methods": ("granger",), "difference_first": True},
+               {"methods": ("granger",), "granger_reverse": True})
+
+
+def column_bits(ds, outcomes, indicators) -> list:
+    """Every tag array and result column of each run of ``SLICED_RUNS``,
+    each float column as its uint64 bits."""
+    found = []
+    for overrides in SLICED_RUNS:
+        config = BatteryConfig(outcomes=outcomes, indicators=indicators, **overrides)
+        for matrix in run_battery(ds, config):
+            found.append((matrix.stem, "tags", matrix.tags))
+            for name, column in sorted(matrix.columns.items()):
+                found.append((matrix.stem, name,
+                              column.view(np.uint64) if column.dtype == float else column))
+    return found
+
+
+@pytest.mark.parametrize("cap", [1, 10**9], ids=["one-pair-slices", "whole-stacks"])
+@pytest.mark.parametrize("panel", ["fixture", "replica-10"])
+def test_the_slice_cap_moves_no_bit(monkeypatch, cap, panel):
+    """Slices of one pair and stacks of a whole length group give every
+    result the bits that the default cap gives."""
+    if panel == "fixture":
+        ds, config = fixture_config()
+        codes = (config.outcomes, config.indicators)
+    else:
+        ds, *codes = replica(10)
+    expected = column_bits(ds, *codes)
+    monkeypatch.setattr(paneldep.table, "_STACK_ELEMENTS", cap)
+    found = column_bits(ds, *codes)
+    assert [key for *key, _ in found] == [key for *key, _ in expected]
+    for (*key, column), (_, _, reference) in zip(found, expected):
+        assert np.array_equal(column, reference), key
+
+
+def test_kernel_memory_does_not_grow_with_the_pairs():
+    """From the seed-1 10-region replica (450 pairs) to the 100-region one
+    (4,500 pairs), the traced peak of the Pearson, MI and Granger batches
+    grows by at most the bytes of their output columns plus a stated
+    allowance. The allowance covers what grows by design: the per-row work
+    of each length group, which grows with the series, not the pairs
+    (about 0.6 MB of rows at 100 regions, held a few times over), and a
+    tail batch, whose elements each hold about 60 float64 values and which
+    takes at most the cap's elements (a full F tail batch traces about
+    6.5 MB). Pair stacks built whole per length group grow Pearson by
+    3.5 MB, MI by 3.7 MB and Granger by 18.8 MB here, which fails this;
+    sliced, they grow by 2.4, 2.2 and 8.3 MB."""
+    allowance = {"pearson": 3.0e6, "mutual_information": 3.0e6, "granger": 10.0e6}
+    kernels = {"pearson": pearsons_over,
+               "mutual_information": lambda table: mutual_informations_over(table, None),
+               "granger": lambda table: best_fits_over(table, 5)}
+    peaks = {}
+    for regions in (10, 100):
+        ds, outcomes, indicators = replica(regions)
+        table = PairTable.of_panel(ds, outcomes, indicators, 3)
+        for name, kernel in kernels.items():
+            kernel(table)  # loads numpy's lazy parts outside the trace
+            tracemalloc.start()
+            try:
+                columns = kernel(table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            outputs = sum(column.nbytes for column in columns.values.values()
+                          if column.flags.owndata)
+            peaks[name, regions] = peak, outputs
+    for name, extra in allowance.items():
+        (small, _), (large, outputs) = peaks[name, 10], peaks[name, 100]
+        assert large <= small + outputs + extra, (name, small, large, outputs)
 
 
 def planted_lag_dataset(lag_by_code, n=120, seed=0):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import paneldep
+import paneldep.cli
 import paneldep.linear
 from paneldep.battery import (
     METHODS,
@@ -446,6 +447,33 @@ class TestAnalyze:
         assert err.startswith("config error: ") and "granger__" in err
         assert {p.name: p.read_bytes() for p in (workdir / "results").glob("*")} == before
         assert len(before) == 13  # 2 methods x 3 outcomes x (csv, svg) + bundle
+
+    def test_bundle_is_moved_into_place_whole(self, workdir, monkeypatch):
+        """bundle.json is written under a temporary name in --out and moved
+        onto its name once complete: an earlier run's bundle is replaced, no
+        temporary file stays, and a write that fails leaves the earlier
+        bundle as it was."""
+        run("fixture", "--with-outcomes", "--out", "panel.csv")
+        results = workdir / "results"
+        results.mkdir()
+        (results / "bundle.json").write_text("an earlier bundle\n")
+        (workdir / "config.json").write_text(json.dumps({"methods": ["pearson"]}))
+        argv = ("--quiet", "analyze", "--panel", "panel.csv", "--config", "config.json",
+                "--out", "results")
+        assert run(*argv) == 0
+        written = (results / "bundle.json").read_bytes()
+        assert json.loads(written)["metadata"]["config"]["methods"] == ["pearson"]
+        assert {p.name for p in results.iterdir()
+                if not p.name.startswith("pearson__")} == {"bundle.json"}
+
+        def failing(bundle, out):
+            out.write('{"matrices": [')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(paneldep.cli, "export_json", failing)
+        assert run(*argv) == 1
+        assert (results / "bundle.json").read_bytes() == written
+        assert not [p for p in results.iterdir() if p.name.startswith(".")]
 
     def test_panel_snapshot_accepted(self, workdir):
         (workdir / "wdi.csv").write_text(WDI)

@@ -33,6 +33,7 @@ from paneldep.panel import (
     outcome_code,
     parse_gbd_long,
     parse_wdi_wide,
+    _csv_records,
     _parse_number,
 )
 from paneldep.snapshot import _snapshot_block
@@ -168,6 +169,15 @@ class TestParseWdi:
         with pytest.raises(ParseError, match="line 5"):
             parse_wdi_wide(text)
 
+    def test_records_of_blank_fields_are_blank_lines(self):
+        text = ("code,region,2000,2001\n,,,\nE1,global,1.0,2.0\n , \n\n"
+                ",global,1.0,2.0\n")
+        assert list(_csv_records(text)) == [
+            (1, ["code", "region", "2000", "2001"]), (3, ["E1", "global", "1.0", "2.0"]),
+            (6, ["", "global", "1.0", "2.0"])]
+        with pytest.raises(ParseError, match="^line 6: empty indicator code$"):
+            parse_wdi_wide(text)
+
     def test_duplicate_series_rejected(self):
         text = "code,region,2000,2001\nE1,global,1.0,2.0\nE1,global,3.0,4.0\n"
         with pytest.raises(DuplicateKeyError):
@@ -226,6 +236,15 @@ class TestWideMissingMarkers:
             "sum-overflows", "no-values"])
     def test_rows_as_the_per_cell_parser(self, cells):
         assert parsed_row(cells) == per_cell_row(cells)
+
+    def test_a_row_with_markers_raises_its_first_bad_cells_error(self):
+        assert parsed_row(["-", "1.0", "inf", "abc"]) == (
+            "line 2, column '2002': non-finite value")
+        assert parsed_row(["", "1.0", " x ", "nan"]) == (
+            "line 2, column '2002': 'x' is not numeric and not the missing marker '-'")
+
+    def test_a_row_of_markers_only_has_no_values(self):
+        assert parsed_row(["-", " ", "", " - "]) == "line 2: series 'E1' has no values"
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(_CELLS), min_size=1, max_size=6))

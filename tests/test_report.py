@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -23,6 +24,13 @@ from paneldep.report import (
     render_heatmap_svg,
 )
 from paneldep.temporal import GrangerResult
+
+
+def bundle_text(bundle: ExportBundle) -> str:
+    """What ``export_json`` writes for the bundle, as one str."""
+    out = io.StringIO()
+    export_json(bundle, out)
+    return out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -119,13 +127,13 @@ class TestCsv:
 
 class TestJson:
     def test_empty_bundle(self):
-        text = export_json(ExportBundle(matrices=[], metadata={"tool_version": "x"}))
+        text = bundle_text(ExportBundle(matrices=[], metadata={"tool_version": "x"}))
         assert '"matrices": []' in text
         assert '"metadata"' in text
 
     def test_one_line_that_roundtrips(self, fixture_run):
         ds, config, matrices = fixture_run
-        text = export_json(build_bundle(matrices, ds, config))
+        text = bundle_text(build_bundle(matrices, ds, config))
         assert text.endswith("\n") and "\n" not in text[:-1]
         doc = json.loads(text)
         assert json.dumps(doc, sort_keys=True, allow_nan=False) + "\n" == text
@@ -133,8 +141,8 @@ class TestJson:
 
     def test_byte_identical_across_runs(self, fixture_run):
         ds, config, _ = fixture_run
-        a = export_json(build_bundle(run_battery(ds, config), ds, config))
-        b = export_json(build_bundle(run_battery(ds, config), ds, config))
+        a = bundle_text(build_bundle(run_battery(ds, config), ds, config))
+        b = bundle_text(build_bundle(run_battery(ds, config), ds, config))
         assert a == b
 
     def test_non_finite_floats_are_written_as_strings(self):
@@ -143,11 +151,11 @@ class TestJson:
                                outcomes=("synthetic-burden|DALYs|all",),
                                indicators=("E1", "E2"))
         matrices = run_battery(ds, config)
-        finite = json.loads(export_json(build_bundle(matrices, ds, config)))
+        finite = json.loads(bundle_text(build_bundle(matrices, ds, config)))
         columns = matrices[0].columns  # the cell of ("global", "E1") is [0, 0]
         columns["f_stat"][0, 0] = math.inf
         columns["rss_unrestricted"][0, 0] = math.nan
-        doc = json.loads(export_json(build_bundle(matrices, ds, config)))
+        doc = json.loads(bundle_text(build_bundle(matrices, ds, config)))
         cell = doc["matrices"][0]["cells"][0][0]
         assert (cell["f_stat"], cell["rss_unrestricted"]) == ("inf", "nan")
         finite["matrices"][0]["cells"][0][0].update(f_stat="inf", rss_unrestricted="nan")
@@ -164,9 +172,9 @@ class TestJson:
         cells = {**ds.cells, ("global", outcome): AnnualSeries(
             series.years, tuple(None if v is None else v * 1e300 for v in series.values))}
         far = PanelDataset(ds.regions, ds.indicators, cells)
-        (row,) = json.loads(export_json(build_bundle(run_battery(far, config), far,
+        (row,) = json.loads(bundle_text(build_bundle(run_battery(far, config), far,
                                                      config)))["matrices"][0]["cells"]
-        (base,) = json.loads(export_json(build_bundle(run_battery(ds, config), ds,
+        (base,) = json.loads(bundle_text(build_bundle(run_battery(ds, config), ds,
                                                       config)))["matrices"][0]["cells"]
         for cell, expected in zip(row, base):
             assert (cell["rss_restricted"], cell["rss_unrestricted"]) == ("inf", "inf")
@@ -175,7 +183,7 @@ class TestJson:
 
     def test_carries_full_cell_detail(self, fixture_run):
         ds, config, matrices = fixture_run
-        doc = json.loads(export_json(build_bundle(matrices, ds, config)))
+        doc = json.loads(bundle_text(build_bundle(matrices, ds, config)))
         granger = next(m for m in doc["matrices"] if m["method"] == "granger")
         cell = next(c for row in granger["cells"] for c in row if c)
         assert {"lag", "f_stat", "p_value", "rss_restricted",
@@ -185,7 +193,7 @@ class TestJson:
 
     def test_skips_are_machine_readable(self, fixture_run):
         ds, config, matrices = fixture_run
-        doc = json.loads(export_json(build_bundle(matrices, ds, config)))
+        doc = json.loads(bundle_text(build_bundle(matrices, ds, config)))
         mic_doc = next(m for m in doc["matrices"] if m["method"] == "mic")
         reasons = {s for row in mic_doc["skips"] for s in row if s}
         assert reasons == {"insufficient-data"}
@@ -392,10 +400,10 @@ def bundle_matrices(draw):
 def test_bundle_matches_the_dataclass_cell_writer(matrices):
     bundle = ExportBundle(matrices=matrices,
                           metadata={"tool_version": "x", "config": {"mic_alpha": 0.6}})
-    assert export_json(bundle) == reference_bundle_json(bundle)
+    assert bundle_text(bundle) == reference_bundle_json(bundle)
 
 
 def test_bundle_matches_the_dataclass_cell_writer_on_the_fixture_run(fixture_run):
     ds, config, matrices = fixture_run
     bundle = build_bundle(matrices, ds, config)
-    assert export_json(bundle) == reference_bundle_json(bundle)
+    assert bundle_text(bundle) == reference_bundle_json(bundle)

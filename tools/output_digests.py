@@ -1,4 +1,4 @@
-"""Print the sha256 of every file the CLI writes in three reference runs.
+"""Print the sha256 of every file the CLI writes in four reference runs.
 
 The runs are:
 
@@ -6,6 +6,9 @@ The runs are:
   with all four methods;
 - ``regions-10``: the seed-1 10-region replica of the fixture (from
   ``perfbench/gen.py``), analyzed with all four methods;
+- ``regions-130``: the seed-1 130-region replica (5,850 pairs per method,
+  the paper's pair count), analyzed with all four methods, so that every
+  kernel's stacks are cut into several slices;
 - ``ingest-200``: the seed-1 200-region replica, ingested from its wide and
   long CSVs to a snapshot, then analyzed with Pearson and MI.
 
@@ -20,6 +23,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,8 +62,8 @@ def fixture_run(work: Path) -> dict[str, str]:
     return _digests(work, [panel])
 
 
-def replica_run(work: Path) -> dict[str, str]:
-    gen.write_inputs(gen.make_replica(gen.fixture_panel(), 10, 1), work / "in")
+def replica_run(work: Path, regions: int) -> dict[str, str]:
+    gen.write_inputs(gen.make_replica(gen.fixture_panel(), regions, 1), work / "in")
     _analyze(work, work / "in" / "panel.csv", ALL_METHODS)
     return _digests(work, [])
 
@@ -73,7 +77,8 @@ def ingest_run(work: Path) -> dict[str, str]:
     return _digests(work, [snapshot])
 
 
-RUNS = {"fixture": fixture_run, "regions-10": replica_run, "ingest-200": ingest_run}
+RUNS = {"fixture": fixture_run, "regions-10": partial(replica_run, regions=10),
+        "regions-130": partial(replica_run, regions=130), "ingest-200": ingest_run}
 
 
 def main() -> int:
