@@ -68,6 +68,17 @@ def _discretize_rows(v: np.ndarray, bins: int,
     return np.minimum(labels, bins - 1), np.full(len(v), bins)
 
 
+def _labels(rows: np.ndarray, bins: int, strategy: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_discretize_rows`` of a length group's rows, formed in slices of
+    the rows (see ``table._pair_slices``), with the labels held in the
+    smallest unsigned integer type that holds ``bins - 1``."""
+    labels = np.empty(rows.shape, dtype=np.min_scalar_type(bins - 1))
+    used = np.empty(len(rows), dtype=np.intp)
+    for part in _pair_slices(len(rows), rows.shape[1]):
+        labels[part], used[part] = _discretize_rows(rows[part], bins, strategy)
+    return labels, used
+
+
 def entropy(labels) -> float:
     """Shannon entropy in bits of a label sequence."""
     arr = np.asarray(labels)
@@ -143,9 +154,10 @@ def mutual_informations_over(table: PairTable, bins: int | None,
     """``mutual_information`` of each pair of a table, as columns by place.
 
     ``bins`` None gives each pair ``default_mi_bins(n)``. Each row of a
-    length group is discretized once, and the joint counts of each slice
-    of the group's pairs (see ``table._pair_slices``) come from one
-    ``bincount``; each result has the bits of its own call.
+    length group is discretized once, in slices of the rows (see
+    ``_labels``), and the joint counts of each slice of the group's pairs
+    (see ``table._pair_slices``) come from one ``bincount``; each result
+    has the bits of its own call.
     ``bins_x`` and ``bins_y`` are the bins each series uses (see
     ``_discretize_rows``); a series that is one group gives MI 0. A bad
     ``bins`` or ``strategy`` raises.
@@ -162,10 +174,10 @@ def mutual_informations_over(table: PairTable, bins: int | None,
                 errors[place] = InsufficientDataError(
                     f"need at least max(bins, 4) = {max(k, 4)} observations, got {n}")
             continue
-        labels, used = _discretize_rows(group.rows, k, strategy)
+        labels, used = _labels(group.rows, k, strategy)
         for part in _pair_slices(len(group.places), max(n, k * k)):
             xi, yi, at = group.xi[part], group.yi[part], group.places[part]
-            cell = labels[xi]  # (pair * k + x label) * k + y label, in place
+            cell = labels[xi].astype(np.intp)  # (pair * k + x label) * k + y label, in place
             cell += np.arange(0, len(at) * k, k)[:, None]
             cell *= k
             cell += labels[yi]
@@ -209,13 +221,13 @@ def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
 
     An aligned series' axis depends only on its values, so every pair, and
     both orientations, that hold the same aligned series (one row of its
-    group) share its tie runs and each row count's equipartition, found
-    for all the group's rows at once; they live for this call only. Each
-    length group is searched as stacks that hold each pair in both
-    orientations (see ``_search``). Per row count, the exact DP runs once
-    per slice of a stack's pairs sorted by clump count k, each pair padded
-    to its slice's largest k (see ``_fill_cells``). A bad ``alpha``,
-    ``clumps`` or ``normalization`` raises.
+    group) share its tie runs and each row count's equipartition, found once
+    per row in slices of the group's rows (see ``_Ranks``); they live for
+    this call only. Each length group is searched as stacks that hold each
+    pair in both orientations (see ``_search``). Per row count, the exact DP
+    runs once per slice of a stack's pairs sorted by clump count k, each
+    pair padded to its slice's largest k (see ``_fill_cells``). A bad
+    ``alpha``, ``clumps`` or ``normalization`` raises.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
@@ -239,19 +251,17 @@ def mics_over(table: PairTable, alpha: float = DEFAULT_MIC_ALPHA,
                 errors[place] = InsufficientDataError(message)
             continue
         bounds[group.places] = bound
-        axes = _Axes(group.rows)
-        flat = (axes.count[group.xi] == 1) | (axes.count[group.yi] == 1)  # one tie run
+        ranks = _Ranks(group.rows, range(2, bound // 2 + 1))
+        flat = (ranks.count[group.xi] == 1) | (ranks.count[group.yi] == 1)  # one tie run
         degenerate[group.places[flat]] = True
         members = group.places[~flat]
         xs, ys = group.xi[~flat], group.yi[~flat]  # the searched pairs' rows
-        parts = {n_rows: _row_partition(axes, n_rows)
-                 for n_rows in range(2, bound // 2 + 1)}
         # a stack's prefix counts hold (n + 1) * (B // 2) integers per pair
         # and orientation
         for part in _pair_slices(len(members), 2 * (n + 1) * (bound // 2)):
             at = members[part]
             mic[at], best_b1[at], best_b2[at] = _search(
-                axes, parts, xs[part], ys[part], bound, clumps, normalization)
+                ranks, xs[part], ys[part], bound, clumps, normalization)
     return Columns(MicResult, {"mic": mic, "best_b1": best_b1, "best_b2": best_b2,
                                "grid_bound": bounds,
                                "normalization": shared(normalization, table.size),
@@ -272,13 +282,11 @@ def mic(pair: AlignedPair, alpha: float = DEFAULT_MIC_ALPHA,
     return _only(mics_over(PairTable.of_pairs([pair]), alpha, clumps, normalization).results())
 
 
-def _search(axes: _Axes, parts: dict, xs: np.ndarray, ys: np.ndarray, bound: int,
+def _search(ranks: _Ranks, xs: np.ndarray, ys: np.ndarray, bound: int,
             clumps: int, normalization: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grid search behind ``mic`` for a stack of pairs of one length,
-    none of them with a constant axis: pair p is row ``xs[p]`` of ``axes``
-    against row ``ys[p]``, and ``parts`` holds each row count's
-    ``_row_partition`` of the rows. Returns each pair's MIC and best
-    (b1, b2).
+    none of them with a constant axis: pair p is row ``xs[p]`` of ``ranks``
+    against row ``ys[p]``. Returns each pair's MIC and best (b1, b2).
 
     Each resolution's score of each pair has the bits of a one-pair search:
     the stacks run the same elementwise operations, a padded boundary
@@ -291,7 +299,7 @@ def _search(axes: _Axes, parts: dict, xs: np.ndarray, ys: np.ndarray, bound: int
     column = {key: j for j, key in enumerate(keys)}
     P = len(xs)
     cells = np.full((2 * P, len(keys)), -np.inf)  # x by y, then y by x
-    _fill_cells(cells, column, axes, parts, np.concatenate((xs, ys)),
+    _fill_cells(cells, column, ranks, np.concatenate((xs, ys)),
                 np.concatenate((ys, xs)), bound, clumps, normalization == "max-entropy")
     cells = np.maximum(cells[:P], cells[P:])
 
@@ -368,6 +376,31 @@ class _Axes:
         return labels, groups[self.first + self.count - 1] + 1
 
 
+class _Ranks:
+    """What the grid search reads of each row of a length group, found in
+    slices of the rows (see ``table._pair_slices``) and held for the whole
+    group: each row's ``_Axes`` ``order``, ``opens`` and ``count``, and for
+    each row count r of ``row_counts`` the rows' ``_row_partition``, with
+    labels in ``labels[r]`` and entropies in ``hq[r]``. ``order`` and the
+    labels are held in the smallest unsigned integer type of their values.
+    """
+
+    def __init__(self, rows: np.ndarray, row_counts):
+        count, self.n = rows.shape
+        self.order = np.empty(rows.shape, dtype=np.min_scalar_type(self.n - 1))
+        self.opens = np.empty(rows.shape, dtype=bool)
+        self.count = np.empty(count, dtype=np.intp)
+        self.labels = {r: np.empty(rows.shape, dtype=np.min_scalar_type(r - 1))
+                       for r in row_counts}
+        self.hq = {r: np.empty(count) for r in row_counts}
+        for part in _pair_slices(count, self.n):
+            axes = _Axes(rows[part])
+            self.order[part], self.opens[part], self.count[part] = (
+                axes.order, axes.opens, axes.count)
+            for r in row_counts:
+                self.labels[r][part], self.hq[r][part] = _row_partition(axes, r)
+
+
 def _row_partition(axes: _Axes, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each value's group in ``axes.equipartition(k)`` and the entropy in
     bits of each row's group sizes, summed row by row as ``_entropy_counts``
@@ -389,11 +422,10 @@ def _entropy_counts(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def _fill_cells(cells: np.ndarray, column: dict, axes: _Axes, parts: dict,
-                cols: np.ndarray, rows: np.ndarray, bound: int, clumps: int,
-                eq7: bool) -> None:
+def _fill_cells(cells: np.ndarray, column: dict, ranks: _Ranks, cols: np.ndarray,
+                rows: np.ndarray, bound: int, clumps: int, eq7: bool) -> None:
     """Score every resolution of a stack of pairs, each in one orientation:
-    pair p has columns ``cols[p]`` and rows ``rows[p]``, rows of ``axes``,
+    pair p has columns ``cols[p]`` and rows ``rows[p]``, rows of ``ranks``,
     and the stack's second half is its first half transposed.
 
     The rows in column order and the clump ends of every row count and
@@ -403,13 +435,14 @@ def _fill_cells(cells: np.ndarray, column: dict, axes: _Axes, parts: dict,
     slices under ``table._STACK_ELEMENTS``, and each pair's clump
     boundaries are padded to its slice's largest k. Each cell gets one value.
     """
-    P, n = len(cols), axes.n
-    order = (axes.order[cols] + np.arange(0, P * n, n)[:, None]).ravel()
+    P, n = len(cols), ranks.n
+    order = (ranks.order[cols] + np.arange(0, P * n, n)[:, None]).ravel()
     row_counts = range(2, bound // 2 + 1)
     # the pairs' row labels in column order, one row per row count
-    in_order = np.array([parts[n_rows][0][rows].ravel()[order] for n_rows in row_counts])
+    in_order = np.array([ranks.labels[n_rows][rows].ravel()[order] for n_rows in row_counts],
+                        dtype=np.intp)
     budget = np.repeat([clumps * (bound // n_rows) for n_rows in row_counts], P)
-    ends, k = _clump_ends(axes, cols, in_order, budget)
+    ends, k = _clump_ends(ranks, cols, in_order, budget)
     # positions in the prefix counts below, which give each pair n + 1 rows
     prefix_at = np.arange(0, P * (n + 1), n + 1)
     first = np.cumsum(k) - k  # each (row count, pair)'s first clump end
@@ -421,7 +454,7 @@ def _fill_cells(cells: np.ndarray, column: dict, axes: _Axes, parts: dict,
                   out=cum[:, :, 1:])
         cum = cum.reshape(n_rows, P * (n + 1))
 
-        hq = parts[n_rows][1][rows]
+        hq = ranks.hq[n_rows][rows]
         js = np.array([[column[(l, n_rows)] for l in range(2, max_cols + 1)],
                        [column[(n_rows, l)] for l in range(2, max_cols + 1)]])
         log_grid = np.array([math.log2(min(l, n_rows)) for l in range(2, max_cols + 1)])
@@ -441,7 +474,7 @@ def _fill_cells(cells: np.ndarray, column: dict, axes: _Axes, parts: dict,
                 cells[into] = scores / log_grid
 
 
-def _clump_ends(axes: _Axes, cols: np.ndarray, in_order: np.ndarray,
+def _clump_ends(ranks: _Ranks, cols: np.ndarray, in_order: np.ndarray,
                 budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The clump ends of each row count (a row of ``in_order``, the pairs'
     row labels in column order, laid end to end) and pair, merged down to
@@ -454,9 +487,9 @@ def _clump_ends(axes: _Axes, cols: np.ndarray, in_order: np.ndarray,
     own; a pair's last run closes its last clump. Over budget, clumps are
     merged by the equipartition, clumps intact.
     """
-    P, n = len(cols), axes.n
-    runs = axes.count[cols]
-    run_starts = np.flatnonzero(axes.opens[cols])  # in the pairs' points end to end
+    P, n = len(cols), ranks.n
+    runs = ranks.count[cols]
+    run_starts = np.flatnonzero(ranks.opens[cols])  # in the pairs' points end to end
     run_ends = np.append(run_starts[1:], P * n) + np.repeat(np.arange(P), runs)
     run_first = np.cumsum(runs) - runs
     low = np.minimum.reduceat(in_order, run_starts, axis=1)

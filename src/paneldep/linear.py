@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InsufficientDataError, _only
 from .panel import AlignedPair
-from .special import _map, f_sfs
+from .special import _f_sfs, _map
 from .table import Columns, PairTable, _pair_slices, _unit_scaled
 
 
@@ -27,6 +27,11 @@ def t_sfs(ts, dofs) -> list[float]:
     elements raises the error of the first one's own call. Above one
     degree of freedom the upper tail is half the F(1, dof) tail of t*t.
     """
+    return _t_sfs(ts, dofs).tolist()
+
+
+def _t_sfs(ts, dofs) -> np.ndarray:
+    """``t_sfs``, as a float64 array."""
     t, dof = (np.asarray(v, dtype=float) for v in (ts, dofs))
     bad = (dof < 1) | np.isnan(t)
     if bad.any():
@@ -40,9 +45,9 @@ def t_sfs(ts, dofs) -> list[float]:
     rest = t[~one]
     with np.errstate(over="ignore"):  # a square past the float range is inf, as t * t is
         squares = rest * rest
-    upper[~one] = f_sfs(squares, np.ones_like(rest), dof[~one])
+    upper[~one] = _f_sfs(squares, np.ones_like(rest), dof[~one])
     upper[~one] *= 0.5
-    return np.where(t < 0.0, 1.0 - upper, upper).tolist()
+    return np.where(t < 0.0, 1.0 - upper, upper)
 
 
 def t_sf(t: float, dof: float) -> float:
@@ -57,23 +62,23 @@ def t_sf(t: float, dof: float) -> float:
 def pearsons_over(table: PairTable) -> Columns:
     """``pearson`` of each pair of a table, as columns by place.
 
-    Each series is first scaled by the power of two that brings its
-    largest magnitude into [0.5, 1), exactly for every element above the
-    subnormal range. So the sums neither overflow nor underflow at any
-    scale, and scaling a series by a power of two that keeps its elements
-    normal leaves the result's bits as they are. Each row's deviations and
-    sum of squares are computed once, for every pair of its length group
-    that holds it; the deviation products, their sums and the t tails are
-    formed in slices of the pairs (see ``table._pair_slices``). The means
-    and the sums of squares and of deviation products have the bits of
-    ``math.fsum`` over each row of a stack, formed as array steps (see
-    ``_fsums``); squares go through libm ``pow``, as Python's ``** 2``
-    does, not ``d * d``, which rounds some of them differently. ``pow`` is
-    not exact under scaling either, so the scaled squares can round
-    differently from squares at the input's own scale. r, the degenerate
-    test and t are elementwise array steps in the one-pair order, every
-    p-value comes from a ``t_sfs`` batch, and each result has the bits of
-    its own ``pearson`` call.
+    Each series is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1), exactly for every element above the subnormal
+    range. So the sums neither overflow nor underflow at any scale, and
+    scaling a series by a power of two that keeps its elements normal leaves
+    the result's bits as they are. Each row's scaling, mean and sum of
+    squares are computed once, in slices of its length group's rows, for
+    every pair that holds it; the deviations, their products and sums and
+    the t tails are formed in slices of the pairs (see
+    ``table._pair_slices``). The means and the sums of squares and of
+    deviation products have the bits of ``math.fsum`` over each row of a
+    stack, formed as array steps (see ``_fsums``); squares go through libm
+    ``pow``, as Python's ``** 2`` does, not ``d * d``, which rounds some of
+    them differently. ``pow`` is not exact under scaling either, so the
+    scaled squares can round differently from squares at the input's own
+    scale. r, the degenerate test and t are elementwise array steps in the
+    one-pair order, every p-value comes from a ``t_sfs`` batch, and each
+    result has the bits of its own ``pearson`` call.
     """
     errors: dict = {}
     # each slice's tested places and r, after an empty seed for a table without one
@@ -84,7 +89,8 @@ def pearsons_over(table: PairTable) -> Columns:
             for place in group.places.tolist():
                 errors[place] = InsufficientDataError(f"need at least 3 observations, got {n}")
             continue
-        dev, squares = _deviations(group.rows)
+        rows = group.rows
+        exponents, means, squares = _moments(rows)
         for part in _pair_slices(len(group.places), n):
             xi, yi, at = group.xi[part], group.yi[part], group.places[part]
             sxx, syy = squares[xi], squares[yi]
@@ -93,8 +99,8 @@ def pearsons_over(table: PairTable) -> Columns:
                 errors[place] = DegenerateInputError(
                     "correlation undefined for a constant sequence")
             kept = ~degenerate
-            products = dev[xi[kept]]
-            products *= dev[yi[kept]]
+            products = _deviations(rows, xi[kept], exponents, means)
+            products *= _deviations(rows, yi[kept], exponents, means)
             ratio = _fsums(products) / np.sqrt(sxx[kept] * syy[kept])
             ratio = np.where(ratio < 1.0, ratio, 1.0)  # max(-1.0, min(1.0, ratio))
             rs.append(np.where(ratio > -1.0, ratio, -1.0))
@@ -105,7 +111,7 @@ def pearsons_over(table: PairTable) -> Columns:
     for part in _pair_slices(len(tested), 1):
         at = tested[part]
         r_t, n_t = r[at], table.n[place[at]]
-        tails = np.array(t_sfs(np.abs(r_t * np.sqrt((n_t - 2) / (1.0 - r_t * r_t))), n_t - 2))
+        tails = _t_sfs(np.abs(r_t * np.sqrt((n_t - 2) / (1.0 - r_t * r_t))), n_t - 2)
         tails *= 2.0
         p[at] = np.where(tails < 1.0, tails, 1.0)  # min(1.0, 2.0 * tail)
     r_column, p_column = np.full(table.size, np.nan), np.full(table.size, np.nan)
@@ -161,11 +167,28 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, e
 
 
-def _deviations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's scaled deviations from its mean and their sum of squares."""
-    scaled, _ = _unit_scaled(rows)
-    dev = scaled - (_fsums(scaled) / rows.shape[1])[:, None]
-    return dev, _fsums(np.float_power(dev, 2.0))
+def _moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's exponent e (see ``table._unit_scaled``), the mean of its
+    scaled values and the sum of squares of their deviations from it,
+    formed in slices of the rows (see ``table._pair_slices``)."""
+    exponents = np.empty(len(rows), dtype=np.intc)
+    means, squares = np.empty(len(rows)), np.empty(len(rows))
+    for part in _pair_slices(len(rows), rows.shape[1]):
+        scaled, exponents[part] = _unit_scaled(rows[part])
+        means[part] = _fsums(scaled) / rows.shape[1]
+        scaled -= means[part, None]
+        squares[part] = _fsums(np.float_power(scaled, 2.0))
+    return exponents, means, squares
+
+
+def _deviations(rows: np.ndarray, at: np.ndarray, exponents: np.ndarray,
+                means: np.ndarray) -> np.ndarray:
+    """The scaled deviations from its mean of each row ``rows[at]``, from
+    the rows' exponents and scaled means (see ``_moments``)."""
+    dev = rows[at]
+    np.ldexp(dev, -exponents[at, None], out=dev)
+    dev -= means[at, None]
+    return dev
 
 
 def pearson(pair: AlignedPair) -> PearsonResult:

@@ -14,7 +14,8 @@ operation in the one-element order, and every log, log1p and exp libm's,
 through ``math`` per element; log B is formed once per distinct (a, b).
 The fractions of a batch run as one numpy iteration. So each element's
 value is the one it gets alone. The t tail (``linear.t_sfs``) is taken
-from the F tail, as t*t ~ F(1, dof).
+from the F tail, as t*t ~ F(1, dof). Steps pass arrays to each other; a
+list is built only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -113,8 +114,11 @@ def _fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _map(fn, v: np.ndarray) -> np.ndarray:
-    """``fn`` of each element, through ``math`` (so through libm)."""
-    return np.fromiter(map(fn, v.tolist()), dtype=float, count=len(v))
+    """``fn`` of each element of a float64 array, through ``math`` (so
+    through libm), one Python float at a time: no list of the elements is
+    built."""
+    return np.fromiter(map(fn, memoryview(np.ascontiguousarray(v))), dtype=float,
+                       count=len(v))
 
 
 def _log_of(v: np.ndarray, complement: np.ndarray) -> np.ndarray:
@@ -125,6 +129,18 @@ def _log_of(v: np.ndarray, complement: np.ndarray) -> np.ndarray:
     out[small] = _map(math.log, v[small])
     out[~small] = _map(math.log1p, -complement[~small])
     return out
+
+
+def _log_betas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``log_beta`` of each (a, b), called once per distinct pair: a pair is
+    the places of a and of b among their distinct values, joined in one
+    integer."""
+    a_values, a_at = np.unique(a, return_inverse=True)
+    b_values, b_at = np.unique(b, return_inverse=True)
+    keys, key = np.unique(a_at * len(b_values) + b_at, return_inverse=True)
+    a_of, b_of = divmod(keys, len(b_values))
+    return np.fromiter(map(log_beta, a_values[a_of].tolist(), b_values[b_of].tolist()),
+                       dtype=float, count=len(keys))[key]
 
 
 def regularized_betas(a, b, x, y) -> list[float]:
@@ -142,7 +158,12 @@ def regularized_betas(a, b, x, y) -> list[float]:
     fraction does not converge raises ConvergenceError, and a batch with an
     element outside the domain raises the DomainError of the first one.
     """
-    a, b, x, y = (np.asarray(v, dtype=float) for v in (a, b, x, y))
+    return _regularized_betas(*(np.asarray(v, dtype=float) for v in (a, b, x, y))).tolist()
+
+
+def _regularized_betas(a: np.ndarray, b: np.ndarray, x: np.ndarray,
+                       y: np.ndarray) -> np.ndarray:
+    """``regularized_betas`` of float64 arrays, as an array."""
     out = np.where(x == 0.0, 0.0, 1.0)
     live = (x != 0.0) & (y != 0.0)
     bad_shape = ~((a > 0.0) & (b > 0.0))  # NaN fails every comparison
@@ -153,17 +174,15 @@ def regularized_betas(a, b, x, y) -> list[float]:
             raise DomainError(f"a and b must be > 0, got ({float(a[i])!r}, {float(b[i])!r})")
         raise DomainError(f"x and y must lie in [0, 1], got ({float(x[i])!r}, {float(y[i])!r})")
     a, b, x, y = a[live], b[live], x[live], y[live]
-    keys = list(zip(a.tolist(), b.tolist()))
-    log_betas = {key: log_beta(*key) for key in set(keys)}
     exponent = a * _log_of(x, y) + b * _log_of(y, x)
-    exponent -= np.fromiter(map(log_betas.__getitem__, keys), dtype=float, count=len(keys))
+    exponent -= _log_betas(a, b)
     front = _map(math.exp, exponent)
     swapped = ~(x < (a + 1.0) / (a + b + 2.0))  # then I_x(a, b) = 1 - I_y(b, a)
     divisor = np.where(swapped, b, a)
     value = front * _fractions(divisor, np.where(swapped, a, b), np.where(swapped, y, x))
     value /= divisor
     out[live] = np.where(swapped, 1.0 - value, value)
-    return out.tolist()
+    return out
 
 
 def f_sfs(fs, d1s, d2s) -> list[float]:
@@ -172,6 +191,11 @@ def f_sfs(fs, d1s, d2s) -> list[float]:
     Each value has the bits of its own ``f_sf`` call, and a batch with bad
     elements raises the error of the first one's own call.
     """
+    return _f_sfs(fs, d1s, d2s).tolist()
+
+
+def _f_sfs(fs, d1s, d2s) -> np.ndarray:
+    """``f_sfs``, as a float64 array."""
     f, d1, d2 = (np.asarray(v, dtype=float) for v in (fs, d1s, d2s))
     bad_dof = (d1 < 1) | (d2 < 1)
     bad = bad_dof | np.isnan(f) | (f < 0)
@@ -186,8 +210,8 @@ def f_sfs(fs, d1s, d2s) -> list[float]:
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as float arithmetic
         fd = d1 * f
         x, y = d2 / (d2 + fd), fd / (d2 + fd)
-    out[beta] = regularized_betas(d2 / 2.0, d1 / 2.0, x, y)
-    return out.tolist()
+    out[beta] = _regularized_betas(d2 / 2.0, d1 / 2.0, x, y)
+    return out
 
 
 def f_sf(f: float, d1: float, d2: float) -> float:

@@ -183,20 +183,20 @@ class Columns:
                 for place, (n, row) in enumerate(zip(self.n.tolist(), zip(*columns)))]
 
 
-#: The most elements that a kernel's pair-level array holds, near enough. A
-#: kernel does its per-row work (deviations, labels, axes, unit scaling)
-#: once per length group, and everything it builds per pair in slices of
-#: the group's pairs under this cap (see ``_pair_slices``), so its working
-#: memory does not grow with the number of pairs. On the seed-1 10-region
-#: replica (270 searched pairs of 33 points) the cap holds the MIC batch's
-#: traced peak to 0.9 MB in 39 DP calls, against 13 MB in 3 calls with no
-#: cap and 0.4 MB in 1,620 calls pair by pair.
+#: The most elements that a kernel's working array holds, near enough. A
+#: kernel does its per-row work (scaling, labels, axes) once per row, in
+#: slices of a length group's rows, and everything it builds per pair in
+#: slices of the group's pairs, both under this cap (see ``_pair_slices``),
+#: so its working memory does not grow with the number of series or pairs.
+#: On the seed-1 10-region replica (270 searched pairs of 33 points) the
+#: cap holds the MIC batch's traced peak to 0.9 MB in 39 DP calls, against
+#: 13 MB in 3 calls with no cap and 0.4 MB in 1,620 calls pair by pair.
 _STACK_ELEMENTS = 16_384
 
 
 def _pair_slices(count: int, per_pair: int) -> list[slice]:
-    """Consecutive slices of ``count`` pairs, each of at least one pair, in
-    which an array of ``per_pair`` elements a pair holds at most
+    """Consecutive slices of ``count`` pairs (or rows), each of at least
+    one, in which an array of ``per_pair`` elements a pair holds at most
     ``_STACK_ELEMENTS`` (or one pair's elements, where those are more)."""
     size = max(1, _STACK_ELEMENTS // max(per_pair, 1))
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
@@ -242,5 +242,10 @@ def _unit_scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row times the power of two that brings its largest magnitude
     into [0.5, 1), and each row's exponent e: row = scaled row * 2**e. An
     all-zero row stays as it is, with e = 0."""
-    exponents = np.frexp(np.abs(rows).max(axis=1))[1]
+    exponents = _unit_exponents(rows)
     return np.ldexp(rows, -exponents[:, None]), exponents
+
+
+def _unit_exponents(rows: np.ndarray) -> np.ndarray:
+    """Each row's exponent e of ``_unit_scaled``."""
+    return np.frexp(np.abs(rows).max(axis=1))[1]

@@ -23,8 +23,8 @@ from .errors import (
     _check_count,
 )
 from .panel import AlignedPair
-from .special import f_sfs
-from .table import Columns, PairTable, _pair_slices, _unit_scaled
+from .special import _f_sfs
+from .table import Columns, PairTable, _pair_slices, _unit_exponents
 
 
 def first_difference(series) -> tuple[float, ...]:
@@ -123,36 +123,60 @@ def _too_short(n: int, lag: int) -> InsufficientDataError:
         f"{1 + 2 * lag} for lag {lag}")
 
 
-def _lag_designs(rows: np.ndarray, xi: np.ndarray, yi: np.ndarray, lag: int) -> np.ndarray:
-    """[1 | y lags | x lags | y] of each pair, x ``rows[xi[j]]`` and y
-    ``rows[yi[j]]``, gathered from the (series, n) stack into one new array.
+def _lag_designs(x: np.ndarray, y: np.ndarray, lag: int) -> np.ndarray:
+    """[1 | y lags | x lags | y] of each pair, x ``x[j]`` and y ``y[j]``
+    (two (pairs, n) arrays), as one new array.
 
     The result is (pairs, n - lag, 2 + 2 * lag). Column j of the y lags
-    (and of the x lags) holds the series shifted back by j.
+    (and of the x lags) holds the series shifted back by j, copied from a
+    slice of it.
     """
-    n_eff = rows.shape[1] - lag
+    n_eff = x.shape[1] - lag
     cols = 1 + 2 * lag
-    shifted = np.arange(n_eff)[:, None] + np.arange(lag - 1, -1, -1)
-    out = np.empty((len(xi), n_eff, cols + 1))
+    out = np.empty((len(x), n_eff, cols + 1))
     out[:, :, 0] = 1.0
-    out[:, :, 1:lag + 1] = rows[yi[:, None, None], shifted]
-    out[:, :, lag + 1:cols] = rows[xi[:, None, None], shifted]
-    out[:, :, cols] = rows[yi, lag:]
+    for j in range(lag):
+        shifted = slice(lag - 1 - j, lag - 1 - j + n_eff)
+        out[:, :, 1 + j] = y[:, shifted]
+        out[:, :, lag + 1 + j] = x[:, shifted]
+    out[:, :, cols] = y[:, lag:]
     return out
 
 
-def _fitted_stacks(table: PairTable, difference_first: bool, errors: dict
-                   ) -> list[tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """(places, rows, xi, yi, ey) of each length group: the stack of rows
-    that every lag is fitted on, and each fitted pair's x and y rows in it.
-    A pair that cannot be fitted gets its error in ``errors``, under its
-    place.
+class _Stack(NamedTuple):
+    """The fitted pairs of one length group: their ``places``, the group's
+    ``rows``, each pair's x and y row in them (``xi``, ``yi``), each row's
+    exponent (see ``table._unit_scaled``, after any differencing), whether
+    the rows are differenced, and the fitted length n."""
+
+    places: list[int]
+    rows: np.ndarray
+    xi: np.ndarray
+    yi: np.ndarray
+    exponents: np.ndarray
+    difference_first: bool
+    n: int
+
+    def series(self, at: np.ndarray) -> np.ndarray:
+        """The unit-scaled series that the rows ``rows[at]`` are fitted as,
+        differenced first where asked."""
+        series = self.rows[at]
+        if self.difference_first:
+            series = np.diff(series, axis=1)
+        np.ldexp(series, -self.exponents[at, None], out=series)
+        return series
+
+
+def _fitted_stacks(table: PairTable, difference_first: bool, errors: dict) -> list[_Stack]:
+    """The ``_Stack`` of each length group. A pair that cannot be fitted
+    gets its error in ``errors``, under its place.
 
     Every pair's years must be one contiguous run; the jump of each year
-    set is found once. Each group row is differenced (``np.diff``
-    rounds each difference as ``b - a`` does) and then unit scaled (see
-    ``table._unit_scaled``) once, so that no rank decision depends on a
-    series' scale; pair j's y is the input's times 2**-ey[j].
+    set is found once. Each group row's exponent is found once, in slices
+    of the rows (see ``table._pair_slices``), after differencing
+    (``np.diff`` rounds each difference as ``b - a`` does), so that no rank
+    decision depends on a series' scale; pair j's y is the input's times
+    2**-exponents[yi[j]].
     """
     jumps = [next(((a, b) for a, b in zip(years, years[1:]) if b - a != 1), None)
              for years in table.years]
@@ -171,10 +195,13 @@ def _fitted_stacks(table: PairTable, difference_first: bool, errors: dict
             for place in places:
                 errors[place] = InsufficientDataError("need at least 2 points to difference")
             continue
-        rows, exponents = _unit_scaled(
-            np.diff(group.rows, axis=1) if difference_first else group.rows)
-        xi, yi = group.xi[~bad], group.yi[~bad]
-        stacks.append((places, rows, xi, yi, exponents[yi]))
+        rows = group.rows
+        exponents = np.empty(len(rows), dtype=np.intc)
+        for part in _pair_slices(len(rows), group.n):
+            exponents[part] = _unit_exponents(
+                np.diff(rows[part], axis=1) if difference_first else rows[part])
+        stacks.append(_Stack(places, rows, group.xi[~bad], group.yi[~bad], exponents,
+                             difference_first, group.n - difference_first))
     return stacks
 
 
@@ -225,9 +252,9 @@ class _Fits(NamedTuple):
 def _fits(table: PairTable, lags, difference_first: bool, errors: dict) -> _Fits:
     """Every pair's fit at each of the ascending ``lags``, each length
     group's pairs through one stacked QR per lag and slice of the pairs
-    (see ``table._pair_slices``), and the kept fits' F tails from
-    ``f_sfs`` batches. A pair that cannot be fitted at all gets
-    its error in ``errors``, under its place.
+    (see ``table._pair_slices``), and the kept fits' F tails from an
+    ``f_sfs`` batch per slice of the pairs. A pair that cannot be fitted at
+    all gets its error in ``errors``, under its place.
 
     The rank check is per fit: a singular design skips its own fit and
     leaves the others alone. F is formed from the unit-scaled sums in one
@@ -236,34 +263,37 @@ def _fits(table: PairTable, lags, difference_first: bool, errors: dict) -> _Fits
     """
     stacks = _fitted_stacks(table, difference_first, errors)
     lags = tuple(lags)
-    places = [place for group_places, *_ in stacks for place in group_places]
-    n = [rows.shape[1] for group_places, rows, *_ in stacks for _ in group_places]
+    places = [place for stack in stacks for place in stack.places]
+    n = [stack.n for stack in stacks for _ in stack.places]
     shape = (len(places), len(lags))
     f, rss_r, rss_ur = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
     rank = np.full(shape, -1)
     start = 0
-    for group_places, rows, xi, yi, ey in stacks:
+    for stack in stacks:
         for j, lag in enumerate(lags):
-            if lag > _longest_lag(rows.shape[1]):
+            if lag > _longest_lag(stack.n):
                 break
-            dof = rows.shape[1] - lag - (1 + 2 * lag)
-            for part in _pair_slices(len(xi), (rows.shape[1] - lag) * (2 + 2 * lag)):
+            dof = stack.n - lag - (1 + 2 * lag)
+            for part in _pair_slices(len(stack.xi), (stack.n - lag) * (2 + 2 * lag)):
                 at = slice(start + part.start, start + part.stop)
+                xi, yi = stack.xi[part], stack.yi[part]
                 gain, ur, rank[at, j] = _nested_fits(
-                    _lag_designs(rows, xi[part], yi[part], lag), 1 + lag)
+                    _lag_designs(stack.series(xi), stack.series(yi), lag), 1 + lag)
+                ey = 2 * stack.exponents[yi]
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     f[at, j] = np.where(ur == 0.0, np.inf, (gain / lag) / (ur / dof))
-                    rss_r[at, j] = np.ldexp(ur + gain, 2 * ey[part])
-                    rss_ur[at, j] = np.ldexp(ur, 2 * ey[part])
-        start += len(group_places)
+                    rss_r[at, j] = np.ldexp(ur + gain, ey)
+                    rss_ur[at, j] = np.ldexp(ur, ey)
+        start += len(stack.places)
     lag_row = np.array(lags, dtype=np.intp)
     fitted = rank == 1 + 2 * lag_row
     p = np.full(shape, np.nan)
     lengths = np.array(n, dtype=np.intp)
-    i, j = np.nonzero(fitted)  # each kept fit's pair and lag column
-    for part in _pair_slices(len(i), 1):
-        at, d1 = (i[part], j[part]), lag_row[j[part]]
-        p[at] = f_sfs(f[at], d1, lengths[i[part]] - d1 - (1 + 2 * d1))
+    for part in _pair_slices(len(places), len(lags)):
+        i, j = np.nonzero(fitted[part])  # each kept fit's pair and lag column
+        i += part.start
+        d1 = lag_row[j]
+        p[i, j] = _f_sfs(f[i, j], d1, lengths[i] - d1 - (1 + 2 * d1))
     return _Fits(places, n, lags, f, p, rss_r, rss_ur, rank, fitted)
 
 

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import paneldep.info
+import paneldep.linear
 import paneldep.table
+import paneldep.temporal
 from conftest import replica
 from paneldep.battery import (
     BatteryConfig,
@@ -25,7 +28,13 @@ from paneldep.errors import (
     PanelDepError,
     SingularDesignError,
 )
-from paneldep.info import default_mi_bins, mic, mutual_information, mutual_informations_over
+from paneldep.info import (
+    default_mi_bins,
+    mic,
+    mics_over,
+    mutual_information,
+    mutual_informations_over,
+)
 from paneldep.linear import pearson, pearsons_over
 from paneldep.panel import (
     AgeGroup,
@@ -561,11 +570,31 @@ def column_bits(ds, outcomes, indicators) -> list:
     return found
 
 
+#: Each kernel's per-row step, called once per slice of a length group's
+#: rows: Pearson's scaling, MI's labels, MIC's axes (MI's too, for
+#: equal-frequency bins) and Granger's exponents.
+ROW_STEPS = (("linear", "_unit_scaled"), ("info", "_discretize_rows"), ("info", "_Axes"),
+             ("temporal", "_unit_exponents"))
+
+
+def count_rows(monkeypatch) -> dict:
+    """Record the rows that each call of each step of ``ROW_STEPS`` gets."""
+    seen: dict = {}
+    for module, name in ROW_STEPS:
+        target = getattr(paneldep, module)
+
+        def spy(rows, *args, step=getattr(target, name), key=(module, name)):
+            seen.setdefault(key, []).append(len(rows))
+            return step(rows, *args)
+        monkeypatch.setattr(target, name, spy)
+    return seen
+
+
 @pytest.mark.parametrize("cap", [1, 10**9], ids=["one-pair-slices", "whole-stacks"])
 @pytest.mark.parametrize("panel", ["fixture", "replica-10"])
 def test_the_slice_cap_moves_no_bit(monkeypatch, cap, panel):
-    """Slices of one pair and stacks of a whole length group give every
-    result the bits that the default cap gives."""
+    """Slices of one pair (and of one row) and stacks of a whole length
+    group give every result the bits that the default cap gives."""
     if panel == "fixture":
         ds, config = fixture_config()
         codes = (config.outcomes, config.indicators)
@@ -573,28 +602,43 @@ def test_the_slice_cap_moves_no_bit(monkeypatch, cap, panel):
         ds, *codes = replica(10)
     expected = column_bits(ds, *codes)
     monkeypatch.setattr(paneldep.table, "_STACK_ELEMENTS", cap)
+    rows = count_rows(monkeypatch)
     found = column_bits(ds, *codes)
     assert [key for *key, _ in found] == [key for *key, _ in expected]
     for (*key, column), (_, _, reference) in zip(found, expected):
         assert np.array_equal(column, reference), key
+    assert sorted(rows) == sorted(ROW_STEPS)
+    if cap == 1:  # every kernel's row slices hold one series each
+        assert {key: max(counts) for key, counts in rows.items()} == dict.fromkeys(rows, 1)
+    else:
+        assert all(max(counts) > 1 for counts in rows.values()), rows
 
 
 def test_kernel_memory_does_not_grow_with_the_pairs():
     """From the seed-1 10-region replica (450 pairs) to the 100-region one
-    (4,500 pairs), the traced peak of the Pearson, MI and Granger batches
-    grows by at most the bytes of their output columns plus a stated
-    allowance. The allowance covers what grows by design: the per-row work
-    of each length group, which grows with the series, not the pairs
-    (about 0.6 MB of rows at 100 regions, held a few times over), and a
-    tail batch, whose elements each hold about 60 float64 values and which
-    takes at most the cap's elements (a full F tail batch traces about
-    6.5 MB). Pair stacks built whole per length group grow Pearson by
-    3.5 MB, MI by 3.7 MB and Granger by 18.8 MB here, which fails this;
-    sliced, they grow by 2.4, 2.2 and 8.3 MB."""
-    allowance = {"pearson": 3.0e6, "mutual_information": 3.0e6, "granger": 10.0e6}
+    (4,500 pairs), the traced peak of each kernel grows by at most the
+    bytes of its output columns plus a stated allowance.
+
+    Every kernel builds its per-row work (Pearson's scaling and moments,
+    MI's labels, MIC's axes and partitions, Granger's exponents) in slices
+    of a length group's rows, and everything it builds per pair in slices
+    of the group's pairs, under one cap, so neither grows with the panel.
+    What does grow is what a kernel holds one value of per pair or per
+    row: its results (and Granger's fits at each lag), the per-row values
+    it keeps (a float or an exponent, and MI's and MIC's labels, one byte
+    a point), and its t or F tail batch, whose elements each trace about
+    300-360 bytes until the batch reaches the cap. Measured, the peaks grow
+    by 1.62 (Pearson), 0.70 (MI), 5.65 (Granger) and 0.73 MB (MIC) beyond
+    the outputs; each allowance is that plus 0.3 MB. With per-row work done
+    whole per length group they grew by 2.27, 2.11, 8.03 and 2.53 MB, and
+    Pearson, MI and Granger, with their pair stacks built whole as well, by
+    3.5, 3.7 and 18.8 MB; each fails this."""
+    allowance = {"pearson": 1.92e6, "mutual_information": 1.0e6, "granger": 5.95e6,
+                 "mic": 1.03e6}
     kernels = {"pearson": pearsons_over,
                "mutual_information": lambda table: mutual_informations_over(table, None),
-               "granger": lambda table: best_fits_over(table, 5)}
+               "granger": lambda table: best_fits_over(table, 5),
+               "mic": mics_over}
     peaks = {}
     for regions in (10, 100):
         ds, outcomes, indicators = replica(regions)

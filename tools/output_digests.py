@@ -1,4 +1,4 @@
-"""Print the sha256 of every file the CLI writes in four reference runs.
+"""Print the sha256 of every file the CLI writes in five reference runs.
 
 The runs are:
 
@@ -10,7 +10,12 @@ The runs are:
   the paper's pair count), analyzed with all four methods, so that every
   kernel's stacks are cut into several slices;
 - ``ingest-200``: the seed-1 200-region replica, ingested from its wide and
-  long CSVs to a snapshot, then analyzed with Pearson and MI.
+  long CSVs to a snapshot, then analyzed with Pearson and MI;
+- ``gapped-27``: the seed-1 27-region replica with 15 % of its indicator
+  values removed (a ``random.Random(7)`` sample of them), analyzed with all
+  four methods. The other replicas repeat the fixture's gaps in every
+  region; this one has many joint year sets, so many length groups, and
+  pairs whose years jump, which Granger skips.
 
 The output is one JSON object, run name -> file path -> sha256, with
 sorted keys. Two trees that write the same bytes print the same object, and
@@ -19,8 +24,10 @@ so do two runs of one tree::
     python tools/output_digests.py > digests.json
 """
 
+import dataclasses
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from functools import partial
@@ -62,10 +69,24 @@ def fixture_run(work: Path) -> dict[str, str]:
     return _digests(work, [panel])
 
 
-def replica_run(work: Path, regions: int) -> dict[str, str]:
-    gen.write_inputs(gen.make_replica(gen.fixture_panel(), regions, 1), work / "in")
+def _panel_run(work: Path, panel: gen.Panel) -> dict[str, str]:
+    gen.write_inputs(panel, work / "in")
     _analyze(work, work / "in" / "panel.csv", ALL_METHODS)
     return _digests(work, [])
+
+
+def replica_run(work: Path, regions: int) -> dict[str, str]:
+    return _panel_run(work, gen.make_replica(gen.fixture_panel(), regions, 1))
+
+
+def gapped_run(work: Path) -> dict[str, str]:
+    panel = gen.make_replica(gen.fixture_panel(), 27, 1)
+    present = [(key, i) for key in sorted(panel.values) if key[1] in panel.indicators
+               for i, value in enumerate(panel.values[key]) if value is not None]
+    removed = set(random.Random(7).sample(present, round(0.15 * len(present))))
+    values = {key: tuple(None if (key, i) in removed else value for i, value in enumerate(row))
+              for key, row in panel.values.items()}
+    return _panel_run(work, dataclasses.replace(panel, values=values))
 
 
 def ingest_run(work: Path) -> dict[str, str]:
@@ -78,7 +99,8 @@ def ingest_run(work: Path) -> dict[str, str]:
 
 
 RUNS = {"fixture": fixture_run, "regions-10": partial(replica_run, regions=10),
-        "regions-130": partial(replica_run, regions=130), "ingest-200": ingest_run}
+        "regions-130": partial(replica_run, regions=130), "ingest-200": ingest_run,
+        "gapped-27": gapped_run}
 
 
 def main() -> int:
