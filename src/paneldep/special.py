@@ -132,14 +132,20 @@ def _log_of(v: np.ndarray, complement: np.ndarray) -> np.ndarray:
 
 
 def _log_betas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``log_beta`` of each (a, b), called once per distinct pair: a pair is
-    the places of a and of b among their distinct values, joined in one
-    integer."""
-    a_values, a_at = np.unique(a, return_inverse=True)
-    b_values, b_at = np.unique(b, return_inverse=True)
+    """``log_beta`` of each (a, b) of two positive float64 arrays, called
+    once per distinct pair: a pair is the places of a and of b among their
+    distinct values, joined in one integer.
+
+    The values are told apart by their bits, read as int64, which for
+    positive floats are equal and ordered as the values are; sorting int64
+    uses the sort that the pair table already loads, where sorting float64
+    would page in another (about 0.3 MB of RSS per process)."""
+    a_values, a_at = np.unique(a.view(np.int64), return_inverse=True)
+    b_values, b_at = np.unique(b.view(np.int64), return_inverse=True)
     keys, key = np.unique(a_at * len(b_values) + b_at, return_inverse=True)
     a_of, b_of = divmod(keys, len(b_values))
-    return np.fromiter(map(log_beta, a_values[a_of].tolist(), b_values[b_of].tolist()),
+    return np.fromiter(map(log_beta, a_values.view(float)[a_of].tolist(),
+                           b_values.view(float)[b_of].tolist()),
                        dtype=float, count=len(keys))[key]
 
 
